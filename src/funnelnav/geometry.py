@@ -2,14 +2,16 @@
 
 Everything works on planar convex sets: obstacles are strictly convex CCW
 polygons, spline-segment hulls are arbitrary (possibly degenerate) sets of
-four control points. Separating lines are found exactly from the closest
-pair between the two convex hulls.
+four control points. Separating lines come from the closest pair between
+the two convex hulls, in one numpy pass over a batch of (hull, polygon)
+pairs; a line is returned only where it separates strictly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -65,10 +67,6 @@ class ConvexPolygon:
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-    def edges(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -238,117 +236,123 @@ def segment_free(a, b, ws: Workspace, inflated: bool = True) -> bool:
     return not any(segment_intersects_polygon(a, b, poly) for poly in obstacles)
 
 
-def _seg_seg_closest(p1, p2, q1, q2):
-    """Closest points between segments [p1,p2] and [q1,q2] (degenerate-safe).
+def planar_dot(points: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h.p over the last axis, written out so that every separator test rounds alike."""
+    return points[..., 0] * h[..., 0] + points[..., 1] * h[..., 1]
 
-    Returns (distance, point_on_p, point_on_q).
-    """
+
+def _orient(a, b, c):
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
+def _closest_points(p1, p2, q1, q2):
+    """Closest points between segments [p1,p2] and [q1,q2] (degenerate-safe),
+    broadcast over the leading axes. Returns (point_on_p, point_on_q)."""
     d1 = p2 - p1
     d2 = q2 - q1
     r = p1 - q1
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    if a <= 1e-30 and e <= 1e-30:
-        return float(np.linalg.norm(p1 - q1)), p1, q1
-    if a <= 1e-30:
-        t = min(max(f / e, 0.0), 1.0)
-        cq = q1 + t * d2
-        return float(np.linalg.norm(p1 - cq)), p1, cq
-    c = float(d1 @ r)
-    if e <= 1e-30:
-        s = min(max(-c / a, 0.0), 1.0)
-        cp = p1 + s * d1
-        return float(np.linalg.norm(cp - q1)), cp, q1
-    b = float(d1 @ d2)
-    denom = a * e - b * b
-    s = min(max((b * f - c * e) / denom, 0.0), 1.0) if denom > 1e-30 else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = min(max(-c / a, 0.0), 1.0)
-    elif t > 1.0:
-        t = 1.0
-        s = min(max((b - c) / a, 0.0), 1.0)
-    cp = p1 + s * d1
-    cq = q1 + t * d2
-    return float(np.linalg.norm(cp - cq)), cp, cq
+    a = planar_dot(d1, d1)
+    e = planar_dot(d2, d2)
+    f = planar_dot(d2, r)
+    c = planar_dot(d1, r)
+    b = planar_dot(d1, d2)
+    p_point = a <= 1e-30
+    q_point = e <= 1e-30
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a * e - b * b
+        s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        t = (b * s + f) / e
+        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
+                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+        # A segment that is a point: project it onto the other one.
+        s = np.where(p_point, 0.0, np.where(q_point, np.clip(-c / a, 0.0, 1.0), s))
+        t = np.where(q_point, 0.0, np.where(p_point, np.clip(f / e, 0.0, 1.0), np.clip(t, 0.0, 1.0)))
+    return p1 + s[..., None] * d1, q1 + t[..., None] * d2
 
 
-def _hull_edges(hull: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Edge list of a hull that may degenerate to a point or a segment."""
-    n = len(hull)
-    if n == 1:
-        return [(hull[0], hull[0])]
-    if n == 2:
-        return [(hull[0], hull[1])]
-    return [(hull[i], hull[(i + 1) % n]) for i in range(n)]
+def padded_vertices(polys) -> np.ndarray:
+    """(M, K, 2) vertices of M polygons; a shorter polygon repeats its last
+    vertex, which adds only zero-length edges at an existing vertex."""
+    table = {id(p): p.vertices for p in polys}
+    k = max((len(v) for v in table.values()), default=3)
+    for key, v in table.items():
+        table[key] = np.concatenate([v, np.repeat(v[-1:], k - len(v), axis=0)])
+    return np.array([table[id(p)] for p in polys]).reshape(len(polys), k, 2)
 
 
-def _point_in_hull(p, hull: np.ndarray) -> bool:
-    n = len(hull)
-    if n < 3:
-        return False
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < 0.0:
-            return False
-    return True
+_BLOCK = 64  # pairs per numpy pass; keeps the kernel's temporaries near 1 MB
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """Exact orientation-sign test for proper segment crossing."""
+def find_separators(hulls: np.ndarray, polys):
+    """Maximum-margin separating lines for M (hull, polygon) pairs at once.
 
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def closest_between_hulls(points_a: np.ndarray, points_b: np.ndarray):
-    """Closest pair between the convex hulls of two point sets.
-
-    Returns (distance, point_on_a, point_on_b); distance 0.0 means the hulls
-    intersect (including containment and tangency). Edge crossings are
-    detected by exact orientation predicates because the parametric distance
-    of crossing segments only reaches zero up to roundoff.
+    hulls is (M, P, 2), the points whose convex hull is each segment hull;
+    polys holds the M ConvexPolygon. Returns (found (M,), h (M, 2), d (M,)):
+    where found, h is unit with h.q > d for every hull point and h.p < d for
+    every polygon vertex; elsewhere h and d are NaN. Pairs that cross (by
+    orientation signs), contain a point of each other (boundary included) or
+    lie within 1e-12 of the coordinate scale (tangency) have no line.
     """
-    ha = convex_hull(points_a)
-    hb = convex_hull(points_b)
-    if _point_in_hull(ha[0], hb) or _point_in_hull(hb[0], ha):
-        return 0.0, ha[0], ha[0]
-    scale = max(1.0, float(np.max(np.abs(ha))), float(np.max(np.abs(hb))))
-    best = (math.inf, None, None)
-    for ea in _hull_edges(ha):
-        for eb in _hull_edges(hb):
-            if _segments_cross(ea[0], ea[1], eb[0], eb[1]):
-                return 0.0, ea[0], ea[0]
-            d, cp, cq = _seg_seg_closest(ea[0], ea[1], eb[0], eb[1])
-            if d < best[0]:
-                best = (d, cp, cq)
-    if best[0] <= 1e-12 * scale:
-        return 0.0, best[1], best[2]
-    return best
+    hulls = np.asarray(hulls, dtype=float)
+    parts = [_separator_block(hulls[k:k + _BLOCK], padded_vertices(polys[k:k + _BLOCK]))
+             for k in range(0, len(hulls), _BLOCK)]
+    if not parts:
+        return np.zeros(0, dtype=bool), np.zeros((0, 2)), np.zeros(0)
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _separator_block(hulls: np.ndarray, verts: np.ndarray):
+    """find_separators on one block, with the polygons as padded vertices."""
+    m, n_pts = hulls.shape[:2]
+    q1 = verts[:, None]                                   # (M, 1, K, 2)
+    q2 = np.roll(verts, -1, axis=1)[:, None]
+    # Every pair of hull points: the hull edges plus inner chords, which are
+    # never closer to a disjoint polygon than the edges are. A pair with a
+    # point on its right turns round, so hull edges run CCW.
+    i, j = np.triu_indices(n_pts, 1) if n_pts > 1 else (np.zeros(1, int), np.zeros(1, int))
+    flip = (_orient(hulls[:, i, None], hulls[:, j, None], hulls[:, None]) < 0.0).any(axis=2)
+    p1 = np.where(flip[..., None], hulls[:, j], hulls[:, i])[:, :, None]   # (M, S, 1, 2)
+    p2 = np.where(flip[..., None], hulls[:, i], hulls[:, j])[:, :, None]
+    crossing = (((_orient(q1, q2, p1) > 0) != (_orient(q1, q2, p2) > 0))
+                & ((_orient(p1, p2, q1) > 0) != (_orient(p1, p2, q2) > 0))).any(axis=(1, 2))
+    hull_in_poly = (_orient(q1, q2, hulls[:, :, None]) >= 0.0).all(axis=2).any(axis=1)
+    # A polygon vertex lies in the hull iff it lies in a triangle of hull points.
+    tri = np.array(list(combinations(range(n_pts), 3)), dtype=int).reshape(-1, 3)
+    ta, tb, tc = (hulls[:, tri[:, k], None] for k in range(3))   # (M, T, 1, 2)
+    turn = _orient(ta, tb, tc)
+    sides = np.stack([_orient(ta, tb, q1), _orient(tb, tc, q1), _orient(tc, ta, q1)])
+    poly_in_hull = (((turn > 0) & (sides >= 0.0).all(axis=0))
+                    | ((turn < 0) & (sides <= 0.0).all(axis=0))).any(axis=(1, 2))
+
+    cp, cq = _closest_points(p1, p2, q1, q2)
+    gap = cp - cq
+    dist = np.sqrt(planar_dot(gap, gap)).reshape(m, -1)
+    best = (np.arange(m), dist.argmin(axis=1))
+    dist, cp, cq = dist[best], cp.reshape(m, -1, 2)[best], cq.reshape(m, -1, 2)[best]
+    scale = np.maximum(1.0, np.maximum(np.abs(hulls).max(axis=(1, 2)), np.abs(verts).max(axis=(1, 2))))
+    found = ~(crossing | hull_in_poly | poly_in_hull) & (dist > 1e-12 * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = (cp - cq) / dist[:, None]
+    d = planar_dot(h, cp + cq) / 2.0
+    # Near tangency h's direction is only good to about ulp(scale)/dist, which
+    # can tilt the line across far vertices: keep only strict separators.
+    found &= ((planar_dot(hulls, h[:, None]) > d[:, None]).all(axis=1)
+              & (planar_dot(verts, h[:, None]) < d[:, None]).all(axis=1))
+    h[~found], d[~found] = np.nan, np.nan
+    return found, h, d
 
 
 def find_separator(hull_points: np.ndarray, poly: ConvexPolygon):
     """Maximum-margin separating line between a segment hull and an obstacle.
 
     Returns (h, d) with unit h such that h.q > d on the hull side and
-    h.p < d on the polygon side, or None when the convex hulls intersect
-    (tangency included; strict separation is impossible there).
+    h.p < d on the polygon side, or None when no such strict line was found:
+    the convex hulls intersect or touch, or they are so nearly tangent that
+    the closest-pair line does not separate them strictly.
     """
-    hull_points = np.asarray(hull_points, dtype=float)
-    dist, cp, cq = closest_between_hulls(hull_points, poly.vertices)
-    if dist <= 0.0:
-        return None
-    h = (cp - cq) / dist
-    d = float(h @ (cp + cq)) / 2.0
-    return h, d
+    found, h, d = find_separators(np.asarray(hull_points, dtype=float)[None], [poly])
+    return (h[0], float(d[0])) if found[0] else None
 
 
 def verify_separation(hull_points: np.ndarray, poly: ConvexPolygon,
@@ -358,9 +362,9 @@ def verify_separation(hull_points: np.ndarray, poly: ConvexPolygon,
     if float(h @ h) <= 0.0:
         raise ValueError("separator normal must be non-zero")
     hull_points = np.asarray(hull_points, dtype=float)
-    if not np.all(hull_points @ h > d + margin):
+    if not np.all(planar_dot(hull_points, h) > d + margin):
         return False
-    return bool(np.all(poly.vertices @ h < d - margin))
+    return bool(np.all(planar_dot(poly.vertices, h) < d - margin))
 
 
 def min_distance_to_obstacles(p, obstacles: list[ConvexPolygon]) -> float:
@@ -372,9 +376,9 @@ def min_distance_to_obstacles(p, obstacles: list[ConvexPolygon]) -> float:
     for poly in obstacles:
         if poly.contains(p):
             return 0.0
-        for a, b in poly.edges():
-            d, _, _ = _seg_seg_closest(p, p, a, b)
-            best = min(best, d)
+        v = poly.vertices
+        cp, cq = _closest_points(p, p, v, np.roll(v, -1, axis=0))
+        best = min(best, float(np.sqrt(planar_dot(cp - cq, cp - cq)).min()))
     return best
 
 

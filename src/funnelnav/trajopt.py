@@ -5,6 +5,7 @@ one separating line per (spline segment, obstacle) pair. The solver
 alternates three exactly-solvable steps:
 
   A. separating lines re-fit by the closest-pair construction (max margin),
+     one batched call over every (segment, obstacle) pair,
   B. control points by projected gradient descent on the convex quadratic
      cost under the velocity/acceleration/halfspace constraints,
   C. knot spacing by a golden-section search over the interval where the
@@ -24,7 +25,8 @@ import numpy as np
 
 from .bspline import BASIS_M, SplineTrajectory
 from .errors import InfeasibleSeed, TrajOptInfeasible
-from .geometry import ConvexPolygon, closest_between_hulls, find_separator, verify_separation
+from .geometry import ConvexPolygon, find_separators, padded_vertices, planar_dot, verify_separation
+from .geometry import find_separator  # noqa: F401  (unused; perfbench/tracing.py wraps this binding)
 from .rrt import RrtPath
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -49,8 +51,6 @@ class TrajOptProblem:
     pgd_max_iters: int = 60
     projection_sweeps: int = 300
     init: str = "rrt"                    # "rrt" or "line" (no-prior cold start)
-    acc_constraint_compat: bool = False  # enforce the -q_{k-2} variant instead
-    distance_culling: float | None = None
 
     def __post_init__(self):
         if self.w1 <= 0.0 and self.w2 <= 0.0:
@@ -174,16 +174,19 @@ def _initial_dt(problem: TrajOptProblem) -> float:
 
 def _plane_pairs(C: np.ndarray, problem: TrajOptProblem):
     """(segment, obstacle) index pairs subject to a separating line."""
-    n_seg = len(C) - 3
-    pairs = []
-    for i in range(n_seg):
-        for j, poly in enumerate(problem.obstacles):
-            if problem.distance_culling is not None:
-                dist, _, _ = closest_between_hulls(C[i:i + 4], poly.vertices)
-                if dist > problem.distance_culling:
-                    continue
-            pairs.append((i, j))
-    return pairs
+    return [(i, j) for i in range(len(C) - 3) for j in range(len(problem.obstacles))]
+
+
+def _pair_sets(C: np.ndarray, pairs, problem: TrajOptProblem):
+    """The pairs' (M, 4, 2) segment hulls and their M obstacles."""
+    seg = np.array([i for i, _ in pairs], dtype=int)
+    return C[seg[:, None] + np.arange(4)], [problem.obstacles[j] for _, j in pairs]
+
+
+def _plane_arrays(planes: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Normals (M, 2) and offsets (M,) of the planes, in the dict's order."""
+    h = np.array([h for h, _ in planes.values()], dtype=float).reshape(-1, 2)
+    return h, np.array([d for _, d in planes.values()], dtype=float)
 
 
 def _recovery_plane(hull: np.ndarray, poly: ConvexPolygon, margin: float):
@@ -201,11 +204,13 @@ def _recovery_plane(hull: np.ndarray, poly: ConvexPolygon, margin: float):
     return h, d
 
 
-def _plane_residual(hull: np.ndarray, poly: ConvexPolygon, h, d, margin: float) -> float:
-    """Worst slack of the two strict sides (positive = satisfied with room)."""
-    hull_side = float(np.min(hull @ h)) - (d + margin)
-    poly_side = (d - margin) - float(np.max(poly.vertices @ h))
-    return min(hull_side, poly_side)
+def _plane_residual(hulls: np.ndarray, verts: np.ndarray, h: np.ndarray, d: np.ndarray,
+                    margin: float) -> np.ndarray:
+    """Per pair, the worst slack of the two strict sides (positive = satisfied
+    with room); verts are the obstacles' padded vertices."""
+    hull_side = planar_dot(hulls, h[:, None]).min(axis=1) - (d + margin)
+    poly_side = (d - margin) - planar_dot(verts, h[:, None]).max(axis=1)
+    return np.minimum(hull_side, poly_side)
 
 
 def build(problem: TrajOptProblem):
@@ -216,15 +221,17 @@ def build(problem: TrajOptProblem):
     """
     C = _initial_control_points(problem)
     dt = _initial_dt(problem)
+    pairs = _plane_pairs(C, problem)
+    hulls, polys = _pair_sets(C, pairs, problem)
+    found, h, d = find_separators(hulls, polys)
     planes = {}
-    for (i, j) in _plane_pairs(C, problem):
-        poly = problem.obstacles[j]
-        sep = find_separator(C[i:i + 4], poly)
-        if sep is None:
-            if problem.init == "rrt":
-                raise InfeasibleSeed(i, j)
-            sep = _recovery_plane(C[i:i + 4], poly, problem.sep_margin)
-        planes[(i, j)] = sep
+    for m, (i, j) in enumerate(pairs):
+        if found[m]:
+            planes[(i, j)] = (h[m], float(d[m]))
+        elif problem.init == "rrt":
+            raise InfeasibleSeed(i, j)
+        else:
+            planes[(i, j)] = _recovery_plane(hulls[m], polys[m], problem.sep_margin)
     return C, dt, planes
 
 
@@ -232,12 +239,8 @@ def _feasible_dt_floor(C: np.ndarray, problem: TrajOptProblem) -> float:
     """Smallest dt at which the control-point velocity/acceleration bounds hold."""
     d1 = np.linalg.norm(np.diff(C, axis=0), axis=1)
     dt_vel = float(d1.max()) / problem.v_max
-    if problem.acc_constraint_compat:
-        second = C[2:] - 2.0 * C[1:-1] - C[:-2]
-        dt_acc = float(np.linalg.norm(second, axis=1).max()) / problem.a_max
-    else:
-        second = C[2:] - 2.0 * C[1:-1] + C[:-2]
-        dt_acc = math.sqrt(float(np.linalg.norm(second, axis=1).max()) / problem.a_max)
+    second = C[2:] - 2.0 * C[1:-1] + C[:-2]
+    dt_acc = math.sqrt(float(np.linalg.norm(second, axis=1).max()) / problem.a_max)
     return max(dt_vel, dt_acc)
 
 
@@ -273,7 +276,7 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
     problem = ws.problem
     free = ws.free
     v_bound = problem.v_max * dt
-    a_bound = problem.a_max * (dt if problem.acc_constraint_compat else dt * dt)
+    a_bound = problem.a_max * (dt * dt)
     N = ws.N
     margin = problem.sep_margin
     tol = problem.tol_residual
@@ -302,10 +305,9 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
                 C[k - 1, 0] += cx
                 C[k - 1, 1] += cy
         # Acceleration triples.
-        sign = -1.0 if problem.acc_constraint_compat else 1.0
         for k in range(2, N):
-            gx = C[k, 0] - 2.0 * C[k - 1, 0] + sign * C[k - 2, 0]
-            gy = C[k, 1] - 2.0 * C[k - 1, 1] + sign * C[k - 2, 1]
+            gx = C[k, 0] - 2.0 * C[k - 1, 0] + C[k - 2, 0]
+            gy = C[k, 1] - 2.0 * C[k - 1, 1] + C[k - 2, 1]
             norm = math.hypot(gx, gy)
             over = norm - a_bound
             if over <= tol:
@@ -323,8 +325,8 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
                 C[k - 1, 0] += 2.0 * dx
                 C[k - 1, 1] += 2.0 * dy
             if free[k - 2]:
-                C[k - 2, 0] -= sign * dx
-                C[k - 2, 1] -= sign * dy
+                C[k - 2, 0] -= dx
+                C[k - 2, 1] -= dy
         # Separation halfspaces: h.q >= d + margin for the four hull points.
         for (i, _j), (h, d) in planes.items():
             target = d + margin
@@ -370,21 +372,19 @@ def _step_control_points(C: np.ndarray, dt: float, planes: dict, ws: _Workspace)
 
 
 def _step_planes(C: np.ndarray, planes: dict, ws: _Workspace) -> dict:
-    """Re-fit each separating line, keeping the old one when the refit would
-    not improve the current worst slack (keeps the iterate feasible)."""
-    problem = ws.problem
-    out = {}
-    for (i, j), old in planes.items():
-        poly = problem.obstacles[j]
-        hull = C[i:i + 4]
-        cand = find_separator(hull, poly)
-        if cand is None:
-            out[(i, j)] = old
-            continue
-        old_res = _plane_residual(hull, poly, old[0], old[1], problem.sep_margin)
-        new_res = _plane_residual(hull, poly, cand[0], cand[1], problem.sep_margin)
-        out[(i, j)] = cand if new_res >= old_res else old
-    return out
+    """Re-fit every separating line in one batched call, keeping the old line
+    where no refit was found or the refit would not improve the current
+    worst slack (keeps the iterate feasible)."""
+    margin = ws.problem.sep_margin
+    pairs = list(planes)
+    hulls, polys = _pair_sets(C, pairs, ws.problem)
+    verts = padded_vertices(polys)
+    old_h, old_d = _plane_arrays(planes)
+    found, h, d = find_separators(hulls, polys)
+    take = found & (_plane_residual(hulls, verts, h, d, margin)
+                    >= _plane_residual(hulls, verts, old_h, old_d, margin))
+    return {pair: (h[m], float(d[m])) if take[m] else planes[pair]
+            for m, pair in enumerate(pairs)}
 
 
 def _step_dt(C: np.ndarray, dt: float, ws: _Workspace) -> float:
@@ -459,10 +459,9 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
     residual = _project(C, dt, planes, ws)
     traj = SplineTrajectory(C, dt)
     max_v, max_a = _dense_kinodynamic_check(traj)
-    sep_ok = all(
-        verify_separation(C[i:i + 4], problem.obstacles[j], h, d, margin=0.0)
-        for (i, j), (h, d) in planes.items()
-    )
+    hulls, polys = _pair_sets(C, list(planes), problem)
+    sep_ok = bool(np.all(_plane_residual(hulls, padded_vertices(polys),
+                                         *_plane_arrays(planes), 0.0) > 0.0))
     slack = 1.0 + 1e-6
     if status == "converged" and not (
         residual <= problem.tol_residual * 10.0
@@ -545,12 +544,8 @@ def validate(solution: TrajOptSolution, problem: TrajOptProblem) -> ValidationRe
 
     d1 = np.linalg.norm(np.diff(C, axis=0), axis=1)
     vel_excess = float(d1.max()) - problem.v_max * dt
-    if problem.acc_constraint_compat:
-        second = C[2:] - 2.0 * C[1:-1] - C[:-2]
-        acc_excess = float(np.linalg.norm(second, axis=1).max()) - problem.a_max * dt
-    else:
-        second = C[2:] - 2.0 * C[1:-1] + C[:-2]
-        acc_excess = float(np.linalg.norm(second, axis=1).max()) - problem.a_max * dt * dt
+    second = C[2:] - 2.0 * C[1:-1] + C[:-2]
+    acc_excess = float(np.linalg.norm(second, axis=1).max()) - problem.a_max * dt * dt
 
     max_v, max_a = _dense_kinodynamic_check(traj)
 
@@ -559,7 +554,7 @@ def validate(solution: TrajOptSolution, problem: TrajOptProblem) -> ValidationRe
     for (i, j), (h, d) in solution.hyperplanes.items():
         poly = problem.obstacles[j]
         hull = C[i:i + 4]
-        min_slack = min(min_slack, _plane_residual(hull, poly, h, d, margin=0.0))
+        min_slack = min(min_slack, float(np.min(hull @ h)) - d, d - float(np.max(poly.vertices @ h)))
         if not verify_separation(hull, poly, h, d, margin=0.0):
             all_ok = False
 

@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acceptance_report import record
 from oracles import deboor_eval_batch, hulls_intersect_oracle
@@ -254,6 +256,26 @@ class TestCriterion9GeometryRoundTrip:
         record(9, True, f"separator round-trip sound on 10^4 instances "
                         f"({n_sep} separable, {n_hit} intersecting), 0 oracle disagreements")
         assert n_sep + n_hit == 10_000
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_gap=st.floats(-9.0, -6.0))
+    def test_near_tangent_lines_verify(self, seed, log_gap):
+        # A hull 1e-9..1e-6 outside one obstacle edge: any line returned for
+        # it must separate strictly (uniform instances never come this close).
+        from test_geometry import random_polygon
+
+        rng = np.random.default_rng(seed)
+        poly = random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0))
+        k = int(rng.integers(len(poly)))
+        a, b = poly.vertices[k], poly.vertices[(k + 1) % len(poly)]
+        along = (b - a) / np.linalg.norm(b - a)
+        outward = np.array([along[1], -along[0]])
+        touch = a + rng.uniform(0.05, 0.95) * (b - a) + 10.0 ** log_gap * outward
+        offsets = np.vstack([[0.0, 0.0], rng.uniform([0.0, -2.0], [3.0, 2.0], (3, 2))])
+        hull = touch + offsets[:, :1] * outward + offsets[:, 1:] * along
+        sep = find_separator(hull, poly)
+        if sep is not None:
+            assert verify_separation(hull, poly, sep[0], sep[1], margin=0.0)
 
 
 class TestCriterion10Determinism:

@@ -6,17 +6,23 @@ import pytest
 from funnelnav.geometry import (
     ConvexPolygon,
     Workspace,
-    closest_between_hulls,
     convex_hull,
     distances_to_obstacles,
     find_separator,
+    find_separators,
     inflate,
     min_distance_to_obstacles,
     point_free,
     segment_free,
     verify_separation,
 )
-from oracles import hulls_intersect_oracle, point_in_hull, shoelace_area
+from oracles import (
+    closest_between_hulls,
+    hulls_intersect_oracle,
+    point_in_hull,
+    separator_oracle,
+    shoelace_area,
+)
 
 UNIT_SQUARE = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
@@ -165,6 +171,73 @@ class TestSeparation:
                 h, d = sep
                 assert verify_separation(hull, poly, h, d, margin=0.0)
         assert n_sep > 200 and n_hit > 200  # both branches exercised
+
+
+def degenerate_hull(rng, poly):
+    """Four hull points with repeats, on one line, or forming a segment that
+    touches a polygon vertex (ending at it or passing through it)."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        distinct = rng.uniform(-6, 6, (int(rng.integers(1, 4)), 2))
+        return distinct[rng.integers(0, len(distinct), 4)]
+    if kind == 1:
+        return rng.uniform(-6, 6, 2) + rng.uniform(-4, 4, (4, 1)) * rng.uniform(-1, 1, 2)
+    vertex = poly.vertices[rng.integers(len(poly))]
+    u = rng.normal(size=2)
+    u /= np.linalg.norm(u)
+    back = 0.0 if kind == 2 else rng.uniform(0.1, 2.0)
+    return vertex + np.array([[-back], [-back], [1.0], [2.0]]) * u
+
+
+class TestBatchedSeparators:
+    @staticmethod
+    def _instances(rng, n, make_hull):
+        polys = [random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0)) for _ in range(n)]
+        return np.array([make_hull(rng, p) for p in polys]), polys
+
+    @staticmethod
+    def _assert_matches_oracle(hulls, polys):
+        found, h, d = find_separators(hulls, polys)
+        for m, (hull, poly) in enumerate(zip(hulls, polys)):
+            ref = separator_oracle(hull, poly.vertices)
+            assert found[m] == (ref is not None), m
+            if ref is not None:
+                assert np.max(np.abs(h[m] - ref[0])) <= 1e-12, m
+                assert abs(d[m] - ref[1]) <= 1e-12 * max(1.0, abs(ref[1])), m
+        return found
+
+    def test_random_instances_match_scalar_oracle(self):
+        rng = np.random.default_rng(21)
+        hulls, polys = self._instances(rng, 10_000, lambda r, p: r.uniform(-6, 6, (4, 2)))
+        found = self._assert_matches_oracle(hulls, polys)
+        assert 2000 < found.sum() < 8000  # both verdicts exercised
+
+    def test_degenerate_hulls_match_scalar_oracle(self):
+        rng = np.random.default_rng(22)
+        hulls, polys = self._instances(rng, 2000, degenerate_hull)
+        found = self._assert_matches_oracle(hulls, polys)
+        assert found.any() and not found.all()
+
+    def test_segment_touching_vertex_has_no_separator(self):
+        through = np.array([[0.0, 2.0], [0.0, 2.0], [2.0, 0.0], [2.0, 0.0]])  # passes (1, 1)
+        ending = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [1.0, 1.0]])
+        found, h, d = find_separators(np.array([through, ending]), [UNIT_SQUARE, UNIT_SQUARE])
+        assert not found.any()
+        assert np.isnan(h).all() and np.isnan(d).all()
+
+    def test_batch_equals_single_calls(self):
+        rng = np.random.default_rng(23)
+        hulls, polys = self._instances(rng, 500, lambda r, p: r.uniform(-6, 6, (4, 2)))
+        found, h, d = find_separators(hulls, polys)
+        for m, (hull, poly) in enumerate(zip(hulls, polys)):
+            single = find_separator(hull, poly)
+            assert found[m] == (single is not None)
+            if single is not None:
+                assert np.array_equal(single[0], h[m]) and single[1] == d[m]
+
+    def test_empty_batch(self):
+        found, h, d = find_separators(np.zeros((0, 4, 2)), [])
+        assert found.shape == (0,) and h.shape == (0, 2) and d.shape == (0,)
 
 
 class TestDistances:

@@ -166,14 +166,6 @@ class TestSolve:
         report = validate(sol, problem)
         assert report.ok
 
-    def test_acc_compat_variant_runs(self):
-        path = straight_path(n=6)
-        sol = solve(free_problem(path, w2=0.01, acc_constraint_compat=True))
-        C = sol.trajectory.control_points
-        dt = sol.trajectory.dt_knot
-        second = C[2:] - 2.0 * C[1:-1] - C[:-2]
-        assert np.linalg.norm(second, axis=1).max() <= 4.0 * dt + 1e-8
-
 
 class TestValidate:
     def test_corrupted_point_flagged(self):
