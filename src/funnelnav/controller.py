@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dynamics import ActuatorCommand, VesselState
 from .errors import InitialComplianceError
 from .funnels import (
@@ -22,6 +24,7 @@ from .funnels import (
     normalize_asymmetric,
     normalize_symmetric,
     transform,
+    transform_clamped,
 )
 
 
@@ -76,6 +79,7 @@ class ControllerConfig:
 class ControllerDebug:
     """Every intermediate cascade signal of one tick."""
 
+    errors: TrackingErrors | None = None
     xi_d: float = math.nan
     xi_o: float = math.nan
     xi_u: float = math.nan
@@ -219,8 +223,37 @@ def control_tick(state: VesselState, p_des, t: float, cfg: ControllerConfig,
     errors = compute_errors(state.p_x, state.p_y, state.psi, float(p_des[0]), float(p_des[1]))
     if t == 0.0:
         check_initial_compliance(errors, state, cfg)
-    dbg = ControllerDebug()
+    dbg = ControllerDebug(errors=errors)
     u_des, r_des, dbg = velocity_references(errors, t, cfg, debug=dbg, clamp=clamp)
     _, _, dbg = wrench_references(state, u_des, r_des, t, cfg, debug=dbg, clamp=clamp)
     cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
     return cmd, dbg
+
+
+def control_batch(u: np.ndarray, r: np.ndarray, e_d: np.ndarray, e_o: np.ndarray, t: float,
+                  cfg: ControllerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """control_tick's cascade after the errors, for (B,) arrays of episodes.
+
+    Always takes the clamp path: a channel whose normalized error left its
+    funnel is pulled back to the edge and flagged, which is what
+    control_tick's caller gets by retrying with clamp=True after a
+    FunnelViolation. Returns the saturated thrust and rudder (B,) and the
+    (4, B) violation mask in CHANNELS order d, o, u, r. The initial
+    compliance check is the caller's.
+    """
+    xi_d = normalize_asymmetric(e_d, cfg.funnel_d.value(t), cfg.rho_d_min)
+    eps_d, viol_d = transform_clamped(xi_d)
+    u_des = cfg.k_d * eps_d
+    eps_o, viol_o = transform_clamped(normalize_symmetric(e_o, cfg.funnel_o.value(t)))
+    r_des = -cfg.k_o * eps_o
+
+    eps_u, viol_u = transform_clamped(normalize_symmetric(u - u_des, cfg.funnel_u.value(t)))
+    eps_r, viol_r = transform_clamped(normalize_symmetric(r - r_des, cfg.funnel_r.value(t)))
+
+    u_alpha = np.arctan(cfg.k_alpha * eps_r / np.minimum(eps_u, -cfg.eps_u_guard))
+    alpha_r = np.minimum(np.maximum(u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
+    u_F = -cfg.k_u * eps_u / np.cos(alpha_r)
+    F_T = np.minimum(np.maximum(u_F, 0.0), cfg.F_T_max)
+    if not (np.isfinite(F_T).all() and np.isfinite(alpha_r).all()):
+        raise ValueError("actuator command must be finite")
+    return F_T, alpha_r, np.array((viol_d, viol_o, viol_u, viol_r))

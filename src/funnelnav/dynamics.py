@@ -216,12 +216,13 @@ def rotation_matrix(psi: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbanceProfile,
-                  t: float | None = None) -> tuple[float, float, float]:
-    """The unknown-to-the-controller forces (f_u, f_v, f_r) at (state, t)."""
-    u, v, r = state.u, state.v, state.r
+def lumped(u, v, r, tau, params: VesselParams):
+    """Drag, optional Coriolis coupling and disturbance wrench tau as (f_u, f_v, f_r).
+
+    Plain arithmetic, so u, v, r and the rows of tau may be floats or (B,)
+    arrays alike: the scalar and the batched RK4 share this expression.
+    """
     d = params.drag
-    tau = dist.value(state.t if t is None else t)
     f_u = tau[0] - (d.d1_u * u + d.d2_u * u * abs(u))
     f_v = tau[1] - (d.d1_v * v + d.d2_v * v * abs(v))
     f_r = tau[2] - (d.d1_r * r + d.d2_r * r * abs(r))
@@ -231,18 +232,18 @@ def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbancePro
     return (f_u, f_v, f_r)
 
 
+def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbanceProfile,
+                  t: float | None = None) -> tuple[float, float, float]:
+    """The unknown-to-the-controller forces (f_u, f_v, f_r) at (state, t)."""
+    tau = dist.value(state.t if t is None else t)
+    return lumped(state.u, state.v, state.r, tau, params)
+
+
 def _derivative(x, t, wrench, params, dist):
     """Right-hand side of the ODE at raw state tuple x = (px, py, psi, u, v, r)."""
     px, py, psi, u, v, r = x
     c, s = math.cos(psi), math.sin(psi)
-    d = params.drag
-    tau = dist.value(t)
-    f_u = tau[0] - (d.d1_u * u + d.d2_u * u * abs(u))
-    f_v = tau[1] - (d.d1_v * v + d.d2_v * v * abs(v))
-    f_r = tau[2] - (d.d1_r * r + d.d2_r * r * abs(r))
-    if params.coriolis_on:
-        f_u += params.m * v * r
-        f_v -= params.m * u * r
+    f_u, f_v, f_r = lumped(u, v, r, dist.value(t), params)
     return (
         u * c - v * s,
         u * s + v * c,
@@ -278,3 +279,73 @@ def step(state: VesselState, cmd: ActuatorCommand, params: VesselParams,
         p_x=out[0], p_y=out[1], psi=wrap_angle(out[2]),
         u=out[3], v=out[4], r=out[5], t=t0 + dt,
     )
+
+
+class DisturbanceBatch:
+    """The wrenches of B disturbance profiles at one time, as a (3, B) array.
+
+    Column b repeats DisturbanceProfile.value of profiles[b] term by term, in
+    the same order, so the two agree up to the last bit of a sine.
+    """
+
+    def __init__(self, profiles: list[DisturbanceProfile]):
+        axes = [p.axes for p in profiles]
+        self.bias = np.array([[ax[a].bias for ax in axes] for a in range(3)])
+        self.sin_amp = np.array([[ax[a].sin_amp for ax in axes] for a in range(3)])
+        self.noise_amp = np.array([[ax[a].noise_amp for ax in axes] for a in range(3)])
+        # Term 0 is the sinusoid, terms 1.. the seeded noise sinusoids.
+        self._omega = np.empty((3, 1 + _NOISE_TERMS, len(profiles)))
+        self._phase = np.empty_like(self._omega)
+        for b, p in enumerate(profiles):
+            for a, axis in enumerate(p.axes):
+                freqs, phases = p._noise[a]
+                self._omega[a, 0, b] = TWO_PI * axis.sin_freq_hz
+                self._omega[a, 1:, b] = TWO_PI * freqs
+                self._phase[a, 0, b] = axis.sin_phase
+                self._phase[a, 1:, b] = phases
+
+    def value(self, t: float) -> np.ndarray:
+        s = np.sin(self._omega * t + self._phase)
+        noise = s[:, 1]
+        for k in range(2, 1 + _NOISE_TERMS):
+            noise = noise + s[:, k]
+        return self.bias + self.sin_amp * s[:, 0] + self.noise_amp * noise / _NOISE_TERMS
+
+
+def _derivative_batch(x, tau, wrench, params):
+    """_derivative over a (6, B) state with the (3, B) disturbance wrench tau."""
+    px, py, psi, u, v, r = x
+    c, s = np.cos(psi), np.sin(psi)
+    f_u, f_v, f_r = lumped(u, v, r, tau, params)
+    return np.array((
+        u * c - v * s,
+        u * s + v * c,
+        r,
+        (wrench[0] + f_u) / params.m,
+        (wrench[1] + f_v) / params.m,
+        (wrench[2] + f_r) / params.Iz,
+    ))
+
+
+def step_batch(x: np.ndarray, F_T: np.ndarray, alpha_r: np.ndarray, params: VesselParams,
+               tau0: np.ndarray, tau_half: np.ndarray, tau1: np.ndarray, dt: float) -> np.ndarray:
+    """step for B episodes at once: x is the (6, B) state [p_x, p_y, psi, u, v, r].
+
+    tau0, tau_half and tau1 are the (3, B) disturbance wrenches at the RK4
+    stage times t0, t0 + dt/2 and t0 + dt; the commands are held over the
+    step and the heading is wrapped to [0, 2*pi) as in step.
+    """
+    Y = F_T * np.sin(alpha_r)
+    wrench = (F_T * np.cos(alpha_r), Y, params.Delta_x * Y)
+    h = dt
+    k1 = _derivative_batch(x, tau0, wrench, params)
+    k2 = _derivative_batch(x + 0.5 * h * k1, tau_half, wrench, params)
+    k3 = _derivative_batch(x + 0.5 * h * k2, tau_half, wrench, params)
+    k4 = _derivative_batch(x + h * k3, tau1, wrench, params)
+    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
+    psi = np.fmod(out[2], TWO_PI)
+    out[2] = np.where(psi < 0.0, psi + TWO_PI, psi)
+    return out

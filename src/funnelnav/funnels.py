@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateDistance, FunnelViolation
 
 # Below this distance the orientation error is undefined.
@@ -85,6 +87,26 @@ def compute_errors(p_x: float, p_y: float, psi: float, p_des_x: float, p_des_y: 
     return TrackingErrors(e_x=e_x, e_y=e_y, e_d=e_d, e_o=e_o, psi_e=psi_e)
 
 
+def compute_errors_batch(p_x: np.ndarray, p_y: np.ndarray, psi: np.ndarray,
+                         p_des_x: float, p_des_y: float):
+    """compute_errors for (B,) arrays of vessel poses against one reference point.
+
+    Returns (e_d, e_o, psi_e, degenerate). Instead of raising
+    DegenerateDistance it flags the episodes whose distance error is below
+    the guard; their e_o is meaningless.
+    """
+    e_x = p_des_x - p_x
+    e_y = p_des_y - p_y
+    e_d = np.hypot(e_x, e_y)
+    degenerate = e_d < EPS_DEGENERATE
+    c, s = np.cos(psi), np.sin(psi)
+    b_x = e_x * c + e_y * s
+    b_y = -e_x * s + e_y * c
+    psi_e = np.arctan2(-b_y, b_x)
+    e_o = (e_x * s - e_y * c) / np.where(degenerate, 1.0, e_d)
+    return e_d, e_o, psi_e, degenerate
+
+
 def normalize_asymmetric(e_d: float, rho_d: float, rho_d_min: float) -> float:
     """Map the always-positive distance error onto (-1, 1).
 
@@ -121,3 +143,9 @@ def transform(
             raise FunnelViolation(channel, xi, t)
         xi = math.copysign(XI_CLAMP, xi)
     return math.atanh(xi)
+
+
+def transform_clamped(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """transform(xi, clamp=True) over an array, plus the |xi| >= 1 violation mask."""
+    violated = np.abs(xi) >= 1.0
+    return np.arctanh(np.where(violated, np.copysign(XI_CLAMP, xi), xi)), violated

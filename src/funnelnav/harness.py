@@ -18,15 +18,15 @@ import numpy as np
 
 from . import rrt, trajopt
 from .bspline import SplineTrajectory
-from .controller import ControllerConfig, control_tick
-from .dynamics import step
+from .controller import ControllerConfig, check_initial_compliance, control_batch, control_tick
+from .dynamics import DisturbanceBatch, step, step_batch
 from .errors import (
     DegenerateDistance,
     FunnelViolation,
     InfeasibleSeed,
     InitialComplianceError,
 )
-from .funnels import FunnelSpec
+from .funnels import FunnelSpec, compute_errors, compute_errors_batch
 from .geometry import distances_to_obstacles
 from .scenario import Scenario
 
@@ -144,6 +144,52 @@ def _inflated_config(cfg: ControllerConfig, diagnostics: dict) -> ControllerConf
     return replace(cfg, **updates)
 
 
+def _episode_summary(scenario: Scenario, lead: float, positions: np.ndarray, *,
+                     violations, failed: bool, fault: str | None, goal_time: float | None,
+                     max_abs_psi_e: float, max_abs_sway: float, max_speed: float,
+                     final_e_d: float, thrust_cut_ticks: int,
+                     actuator_violations: int) -> dict:
+    """summary.json of one episode from the reductions over its counted ticks.
+
+    positions is the (ticks, 2) array of pre-step vessel positions, one row
+    per counted tick; violations holds the tick counts in CHANNELS order.
+    The extremes and final_e_d are reported as None when no tick counted.
+    """
+    n_ticks = len(positions)
+    violations = {ch: int(n) for ch, n in zip(CHANNELS, violations)}
+    raw_obstacles = scenario.workspace.obstacles
+    min_clear = None
+    if raw_obstacles and n_ticks:
+        min_clear = float(distances_to_obstacles(positions, raw_obstacles).min()
+                          - scenario.footprint_radius)
+    summary = {
+        "scenario": scenario.name,
+        "seed": scenario.seed,
+        "ticks": n_ticks,
+        "dt": scenario.sim_dt,
+        "violations": violations,
+        "total_violations": int(sum(violations.values())),
+        "failed": bool(failed),
+        "fault": fault,
+        "goal_reached": goal_time is not None,
+        "goal_time": goal_time,
+        "min_obstacle_clearance": min_clear,
+        "max_abs_psi_e": float(max_abs_psi_e) if n_ticks else None,
+        "max_abs_sway": float(max_abs_sway) if n_ticks else None,
+        "max_speed": float(max_speed) if n_ticks else None,
+        "thrust_cut_ticks": int(thrust_cut_ticks),
+        "actuator_violations": int(actuator_violations),
+        "reference_lead": lead,
+        "final_e_d": float(final_e_d) if n_ticks else None,
+    }
+    # Collision-guarantee chain: a clean distance channel inside a trajectory
+    # planned with clearance > funnel radius must keep the vessel off the
+    # obstacles.
+    if raw_obstacles and summary["total_violations"] == 0 and not failed:
+        assert summary["min_obstacle_clearance"] > 0.0, "collision guarantee chain broke"
+    return summary
+
+
 def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
               lead: float, disturbance) -> EpisodeLog:
     """The tick loop proper: sample reference, control, integrate, log."""
@@ -151,14 +197,12 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     n_max = int(round(scenario.horizon / dt))
     duration = traj.duration
     goal = np.asarray(scenario.goal, dtype=float)
-    raw_obstacles = scenario.workspace.obstacles
 
     cols: dict[str, list] = {name: [] for name in LOG_COLUMNS}
     state = scenario.start
     failed = False
     fault = None
-    goal_reached = False
-    goal_time = math.nan
+    goal_time = None
     thrust_cut_ticks = 0
     actuator_violations = 0
 
@@ -187,6 +231,7 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
             actuator_violations += 1
 
         c = cols
+        err = dbg.errors
         c["t"].append(t)
         c["p_x"].append(state.p_x)
         c["p_y"].append(state.p_y)
@@ -198,15 +243,11 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
         c["ref_y"].append(p_des[1])
         c["ref_vx"].append(ref_v[0])
         c["ref_vy"].append(ref_v[1])
-        c["e_x"].append(p_des[0] - state.p_x)
-        c["e_y"].append(p_des[1] - state.p_y)
-        e_d = math.hypot(p_des[0] - state.p_x, p_des[1] - state.p_y)
-        c["e_d"].append(e_d)
-        b_x = (p_des[0] - state.p_x) * math.cos(state.psi) + (p_des[1] - state.p_y) * math.sin(state.psi)
-        b_y = -(p_des[0] - state.p_x) * math.sin(state.psi) + (p_des[1] - state.p_y) * math.cos(state.psi)
-        psi_e = math.atan2(-b_y, b_x)
-        c["e_o"].append(math.sin(psi_e) if e_d > 0 else math.nan)
-        c["psi_e"].append(psi_e)
+        c["e_x"].append(err.e_x)
+        c["e_y"].append(err.e_y)
+        c["e_d"].append(err.e_d)
+        c["e_o"].append(err.e_o)
+        c["psi_e"].append(err.psi_e)
         c["rho_d"].append(dbg.rho_d)
         c["rho_o"].append(dbg.rho_o)
         c["rho_u"].append(dbg.rho_u)
@@ -238,51 +279,130 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
         state = step(state, cmd, scenario.vessel, disturbance, dt)
         if (math.hypot(state.p_x - goal[0], state.p_y - goal[1]) <= scenario.goal_radius
                 and state.speed() <= scenario.goal_speed_threshold):
-            goal_reached = True
             goal_time = state.t
             break
 
     columns = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
-    violations = {ch: int(columns[f"viol_{ch}"].sum()) for ch in CHANNELS}
-    n_ticks = len(columns["t"])
-    min_clear = math.inf
-    if raw_obstacles and n_ticks:
-        positions = np.column_stack((columns["p_x"], columns["p_y"]))
-        min_clear = float(distances_to_obstacles(positions, raw_obstacles).min()
-                          - scenario.footprint_radius)
-    summary = {
-        "scenario": scenario.name,
-        "seed": scenario.seed,
-        "ticks": n_ticks,
-        "dt": dt,
-        "violations": violations,
-        "total_violations": int(sum(violations.values())),
-        "failed": bool(failed),
-        "fault": fault,
-        "goal_reached": bool(goal_reached),
-        "goal_time": None if math.isnan(goal_time) else goal_time,
-        "min_obstacle_clearance": None if math.isinf(min_clear) else float(min_clear),
-        "max_abs_psi_e": float(np.max(np.abs(columns["psi_e"]))) if n_ticks else None,
-        "max_abs_sway": float(np.max(np.abs(columns["v"]))) if n_ticks else None,
-        "max_speed": float(np.max(np.hypot(columns["u"], columns["v"]))) if n_ticks else None,
-        "thrust_cut_ticks": int(thrust_cut_ticks),
-        "actuator_violations": int(actuator_violations),
-        "reference_lead": lead,
-        "final_e_d": float(columns["e_d"][-1]) if n_ticks else None,
-    }
-    # Collision-guarantee chain: a clean distance channel inside a trajectory
-    # planned with clearance > funnel radius must keep the vessel off the
-    # obstacles.
-    if raw_obstacles and summary["total_violations"] == 0 and not failed:
-        assert summary["min_obstacle_clearance"] > 0.0, "collision guarantee chain broke"
+    summary = _episode_summary(
+        scenario, lead, np.column_stack((columns["p_x"], columns["p_y"])),
+        violations=[columns[f"viol_{ch}"].sum() for ch in CHANNELS],
+        failed=failed, fault=fault, goal_time=goal_time,
+        max_abs_psi_e=np.max(np.abs(columns["psi_e"]), initial=0.0),
+        max_abs_sway=np.max(np.abs(columns["v"]), initial=0.0),
+        max_speed=np.max(np.hypot(columns["u"], columns["v"]), initial=0.0),
+        final_e_d=columns["e_d"][-1] if len(columns["e_d"]) else math.nan,
+        thrust_cut_ticks=thrust_cut_ticks, actuator_violations=actuator_violations)
     return EpisodeLog(scenario_name=scenario.name, seed=scenario.seed,
                       columns=columns, summary=summary)
 
 
-def _run_ticks_with_inflation(scenario: Scenario, cfg: ControllerConfig,
-                              traj: SplineTrajectory, lead: float, disturbance,
-                              auto_inflate: bool, max_rounds: int = 4) -> EpisodeLog:
-    """Tick loop with the opt-in compliance recovery.
+def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
+                 lead: float, disturbances: list) -> list[dict]:
+    """run_ticks for many disturbance realizations in lockstep; their summaries.
+
+    Every episode starts from the same state and follows the same reference,
+    so the reference point, the funnel radii and the initial-compliance
+    check are shared per tick, while states, commands and disturbances are
+    (B,) columns. The cascade always clamps and masks the violated channels,
+    which is what run_ticks' clamp retry records. An episode leaves the
+    batch, its counters frozen, on a degenerate distance (before its tick
+    counts) or on reaching the goal (after its step). No log is kept: only
+    the summary's running reductions and the positions for the clearance.
+    """
+    dt = scenario.sim_dt
+    n_max = int(round(scenario.horizon / dt))
+    duration = traj.duration
+    goal_x, goal_y = (float(g) for g in scenario.goal)
+    start = scenario.start
+    n = len(disturbances)
+
+    # Working columns: the episodes still running, idx their episode numbers.
+    idx = np.arange(n)
+    x = np.tile(np.array([[start.p_x], [start.p_y], [start.psi],
+                          [start.u], [start.v], [start.r]]), (1, n))
+    dist = DisturbanceBatch(disturbances)
+    t_state = start.t
+    tau0 = dist.value(t_state)
+
+    # Per episode, indexed by episode number.
+    positions = np.empty((n_max, 2, n))
+    violations = np.zeros((len(CHANNELS), n), dtype=np.int64)
+    thrust_cut = np.zeros(n, dtype=np.int64)
+    actuator = np.zeros(n, dtype=np.int64)
+    max_abs_psi_e = np.zeros(n)
+    max_abs_sway = np.zeros(n)
+    max_speed = np.zeros(n)
+    final_e_d = np.zeros(n)
+    ticks = np.full(n, n_max)
+    fault: list[str | None] = [None] * n
+    goal_time: list[float | None] = [None] * n
+
+    def leave(done: np.ndarray) -> None:
+        nonlocal idx, x, dist, tau0
+        keep = ~done
+        idx, x, tau0 = idx[keep], x[:, keep], tau0[:, keep]
+        dist = DisturbanceBatch([disturbances[k] for k in idx])
+
+    for i in range(n_max):
+        if not len(idx):
+            break
+        t = i * dt
+        p_des = traj.eval(min(t + lead, duration))
+        e_d, e_o, psi_e, degenerate = compute_errors_batch(x[0], x[1], x[2], p_des[0], p_des[1])
+        if degenerate.any():
+            ticks[idx[degenerate]] = i
+            for k in idx[degenerate]:
+                fault[k] = "degenerate_distance"
+            e_d, e_o, psi_e = e_d[~degenerate], e_o[~degenerate], psi_e[~degenerate]
+            leave(degenerate)
+            if not len(idx):
+                break
+        if i == 0:
+            # Same start state and reference for every episode: one check.
+            check_initial_compliance(
+                compute_errors(start.p_x, start.p_y, start.psi, p_des[0], p_des[1]), start, cfg)
+
+        F_T, alpha_r, violated = control_batch(x[3], x[5], e_d, e_o, t, cfg)
+        # A basic slice while every episode still runs: cheaper than fancy indexing.
+        sel = idx if len(idx) < n else slice(None)
+        violations[:, sel] += violated
+        thrust_cut[sel] += F_T < scenario.min_thrust_floor
+        actuator[sel] += ~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
+                           & (np.abs(alpha_r) <= cfg.alpha_r_max))
+        max_abs_psi_e[sel] = np.maximum(max_abs_psi_e[sel], np.abs(psi_e))
+        max_abs_sway[sel] = np.maximum(max_abs_sway[sel], np.abs(x[4]))
+        max_speed[sel] = np.maximum(max_speed[sel], np.hypot(x[3], x[4]))
+        final_e_d[sel] = e_d
+        positions[i][:, sel] = x[:2]
+
+        tau_half = dist.value(t_state + 0.5 * dt)
+        tau1 = dist.value(t_state + dt)
+        x = step_batch(x, F_T, alpha_r, scenario.vessel, tau0, tau_half, tau1, dt)
+        t_state = t_state + dt
+        tau0 = tau1
+        arrived = ((np.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius)
+                   & (np.hypot(x[3], x[4]) <= scenario.goal_speed_threshold))
+        if arrived.any():
+            ticks[idx[arrived]] = i + 1
+            for k in idx[arrived]:
+                goal_time[k] = t_state
+            leave(arrived)
+
+    failed = violations.any(axis=0)
+    return [
+        _episode_summary(
+            scenario, lead, positions[:ticks[k], :, k], violations=violations[:, k],
+            failed=failed[k] or fault[k] is not None, fault=fault[k], goal_time=goal_time[k],
+            max_abs_psi_e=max_abs_psi_e[k], max_abs_sway=max_abs_sway[k],
+            max_speed=max_speed[k], final_e_d=final_e_d[k],
+            thrust_cut_ticks=thrust_cut[k], actuator_violations=actuator[k])
+        for k in range(n)
+    ]
+
+
+def _with_inflation(run, cfg: ControllerConfig, auto_inflate: bool,
+                    max_rounds: int = 4):
+    """run(cfg) with the opt-in compliance recovery; (result, inflated channels).
 
     Each round applies the minimal per-channel funnel inflation the failure
     suggests; inflating one channel can surface the next (a distance error at
@@ -292,16 +412,12 @@ def _run_ticks_with_inflation(scenario: Scenario, cfg: ControllerConfig,
     inflated: list[str] = []
     for _ in range(max_rounds):
         try:
-            log = run_ticks(scenario, cfg, traj, lead, disturbance)
+            return run(cfg), inflated
         except InitialComplianceError as err:
             if not auto_inflate:
                 raise
             cfg = _inflated_config(cfg, err.diagnostics)
             inflated.extend(sorted(err.diagnostics.keys()))
-            continue
-        if inflated:
-            log.summary["auto_inflated"] = inflated
-        return log
     raise InitialComplianceError({ch: {"value": math.nan, "bound": math.nan,
                                        "suggested_rho0": None} for ch in inflated})
 
@@ -311,8 +427,11 @@ def run_episode(scenario: Scenario, auto_inflate: bool = False) -> EpisodeLog:
     _path, solution = plan_and_solve(scenario)
     traj = solution.trajectory
     lead = reference_lead(scenario, traj)
-    log = _run_ticks_with_inflation(scenario, scenario.controller, traj, lead,
-                                    scenario.disturbance, auto_inflate)
+    log, inflated = _with_inflation(
+        lambda cfg: run_ticks(scenario, cfg, traj, lead, scenario.disturbance),
+        scenario.controller, auto_inflate)
+    if inflated:
+        log.summary["auto_inflated"] = inflated
     log.trajectory = traj
     log.summary["trajopt_status"] = solution.status
     return log
@@ -363,17 +482,23 @@ def episode_seed(master_seed: int, index: int) -> int:
 
 
 def sweep(scenario: Scenario, n_episodes: int, auto_inflate: bool = False) -> SweepResult:
-    """Monte-Carlo disturbance sweep: one plan/solve, n independent realizations."""
+    """Monte-Carlo disturbance sweep: one plan/solve, n independent realizations.
+
+    The episodes run in lockstep through one array-valued tick loop; each
+    summary is the one run_ticks gives for that episode's disturbance.
+    """
     _path, solution = plan_and_solve(scenario)
     traj = solution.trajectory
     lead = reference_lead(scenario, traj)
+    seeds = [episode_seed(scenario.seed, k) for k in range(n_episodes)]
+    disturbances = [scenario.disturbance.reseeded(seed_k) for seed_k in seeds]
+    summaries, inflated = _with_inflation(
+        lambda cfg: _sweep_ticks(scenario, cfg, traj, lead, disturbances),
+        scenario.controller, auto_inflate)
     result = SweepResult(scenario_name=scenario.name, master_seed=scenario.seed)
-    for k in range(n_episodes):
-        seed_k = episode_seed(scenario.seed, k)
-        dist_k = scenario.disturbance.reseeded(seed_k)
-        log = _run_ticks_with_inflation(scenario, scenario.controller, traj, lead,
-                                        dist_k, auto_inflate)
-        entry = dict(log.summary)
+    for k, (entry, seed_k) in enumerate(zip(summaries, seeds)):
+        if inflated:
+            entry["auto_inflated"] = list(inflated)
         entry["episode_index"] = k
         entry["episode_seed"] = seed_k
         result.episodes.append(entry)

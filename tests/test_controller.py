@@ -5,7 +5,9 @@ import pytest
 
 from funnelnav.controller import (
     ControllerConfig,
+    ControllerDebug,
     check_initial_compliance,
+    control_batch,
     control_tick,
     saturate_and_allocate,
     velocity_references,
@@ -244,6 +246,38 @@ class TestControlTick:
         state = VesselState(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateDistance):
             control_tick(state, (1.0, 2.0), 1.0, cfg)
+
+
+class TestControlBatch:
+    def test_matches_scalar_clamp_path(self):
+        # distance errors on both sides of the funnel, every orientation,
+        # overspeed surge (eps_u >= 0, the guarded rudder division) and
+        # velocity errors outside their funnels
+        cfg = make_config(funnel_u=FunnelSpec.static(2.0), funnel_r=FunnelSpec.static(0.5))
+        rng = np.random.default_rng(3)
+        n = 2000
+        e_d = rng.uniform(0.0, 35.0, n)
+        e_o = rng.uniform(-1.0, 1.0, n)
+        u = rng.uniform(-2.0, 60.0, n)
+        r = rng.uniform(-2.0, 2.0, n)
+        F_T, alpha_r, violated = control_batch(u, r, e_d, e_o, 4.0, cfg)
+        for k in range(n):
+            dbg = ControllerDebug()
+            state = VesselState(0.0, 0.0, 0.0, u[k], 0.0, r[k])
+            errors = TrackingErrors(e_x=e_d[k], e_y=0.0, e_d=e_d[k], e_o=e_o[k], psi_e=0.0)
+            u_des, r_des, dbg = velocity_references(errors, 4.0, cfg, debug=dbg, clamp=True)
+            wrench_references(state, u_des, r_des, 4.0, cfg, debug=dbg, clamp=True)
+            cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
+            assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
+            assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
+            assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
+        assert violated.any(axis=1).all() and not violated.all(axis=0).all()
+        assert (u > 10.0).any() and (F_T == 0.0).any()
+
+    def test_nonfinite_command_rejected(self):
+        with pytest.raises(ValueError):
+            control_batch(np.array([np.nan]), np.zeros(1), np.array([10.0]), np.zeros(1),
+                          0.0, make_config())
 
 
 class TestInitialCompliance:

@@ -6,6 +6,7 @@ import pytest
 from funnelnav.dynamics import (
     ActuatorCommand,
     AxisDisturbance,
+    DisturbanceBatch,
     DisturbanceProfile,
     DragCoeffs,
     VesselParams,
@@ -14,6 +15,7 @@ from funnelnav.dynamics import (
     lumped_forces,
     rotation_matrix,
     step,
+    step_batch,
     wrap_angle,
 )
 from funnelnav.errors import NonFiniteState
@@ -141,6 +143,53 @@ class TestStep:
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
             step(VesselState(0, 0, 0, 0, 0, 0), IDLE, NO_DRAG, ZERO_DIST, 0.0)
+
+
+class TestBatch:
+    DIST = DisturbanceProfile(
+        x=AxisDisturbance(bias=30.0, sin_amp=60.0, sin_freq_hz=0.05, noise_amp=30.0),
+        y=AxisDisturbance(bias=-20.0, sin_amp=50.0, sin_freq_hz=0.08),
+        psi=AxisDisturbance(bias=5.0, noise_amp=10.0),
+        seed=4,
+    )
+
+    def test_disturbance_batch_matches_profiles(self):
+        profiles = [self.DIST.reseeded(k) for k in range(5)] + [ZERO_DIST]
+        batch = DisturbanceBatch(profiles)
+        for t in (0.0, 0.025, 13.7, 179.95):
+            tau = batch.value(t)
+            for b, p in enumerate(profiles):
+                assert tau[:, b] == pytest.approx(p.value(t), rel=1e-13, abs=1e-12)
+
+    @pytest.mark.parametrize("coriolis_on", [False, True])
+    def test_step_batch_matches_step(self, coriolis_on):
+        params = VesselParams(coriolis_on=coriolis_on)
+        profiles = [self.DIST.reseeded(k) for k in range(8)]
+        batch = DisturbanceBatch(profiles)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-3.0, 3.0, (6, 8))
+        x[2] = rng.uniform(0.0, 2.0 * math.pi, 8)
+        x[2, 0] = 6.28  # wraps past 2 pi
+        F_T = rng.uniform(0.0, 5000.0, 8)
+        alpha_r = rng.uniform(-0.5, 0.5, 8)
+        t0, dt = 12.3, 0.05
+        out = step_batch(x, F_T, alpha_r, params, batch.value(t0),
+                         batch.value(t0 + 0.5 * dt), batch.value(t0 + dt), dt)
+        for b in range(8):
+            s = step(VesselState(*x[:, b], t=t0), ActuatorCommand(F_T[b], alpha_r[b]),
+                     params, profiles[b], dt)
+            assert out[:, b] == pytest.approx([s.p_x, s.p_y, s.psi, s.u, s.v, s.r],
+                                              rel=1e-12, abs=1e-12)
+        assert np.all((0.0 <= out[2]) & (out[2] < 2 * math.pi))
+
+    def test_step_batch_nonfinite_detected(self):
+        params = VesselParams(drag=DragCoeffs(d2_u=1e6))
+        x = np.zeros((6, 2))
+        x[3] = 10.0
+        zero = np.zeros((3, 2))
+        with pytest.raises(NonFiniteState), np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(5):
+                x = step_batch(x, np.zeros(2), np.zeros(2), params, zero, zero, zero, 10.0)
 
 
 class TestDisturbance:

@@ -1,16 +1,23 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile
 from funnelnav.errors import InitialComplianceError
+from funnelnav.funnels import FunnelSpec
 from funnelnav.harness import (
     EpisodeLog,
     LOG_COLUMNS,
+    _with_inflation,
     audit,
     episode_seed,
+    plan_and_solve,
+    reference_lead,
     run_episode,
+    run_ticks,
     sweep,
     write_plotdata,
 )
@@ -135,6 +142,73 @@ class TestSweep:
         data = json.loads(out.read_text())
         assert data["aggregate"]["episodes"] == 2
         assert len(data["episodes"]) == 2
+
+
+SUMMARY_FLOATS = ("goal_time", "min_obstacle_clearance", "max_abs_psi_e", "max_abs_sway",
+                  "max_speed", "final_e_d")
+
+
+def _assert_lockstep_matches_scalar(scenario, n_episodes, auto_inflate=False):
+    """Each lockstep sweep episode equals run_ticks on its reseeded disturbance."""
+    batch = sweep(scenario, n_episodes, auto_inflate=auto_inflate).episodes
+    _path, solution = plan_and_solve(scenario)
+    traj = solution.trajectory
+    lead = reference_lead(scenario, traj)
+    for k, got in enumerate(batch):
+        dist = scenario.disturbance.reseeded(episode_seed(scenario.seed, k))
+        want, inflated = _with_inflation(
+            lambda cfg: run_ticks(scenario, cfg, traj, lead, dist).summary,
+            scenario.controller, auto_inflate)
+        if inflated:
+            want["auto_inflated"] = inflated
+        want.update(episode_index=k, episode_seed=episode_seed(scenario.seed, k))
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key in SUMMARY_FLOATS and value is not None:
+                assert got[key] == pytest.approx(value, rel=0.0, abs=1e-9), (k, key)
+            else:
+                assert got[key] == value, (k, key)
+    return batch
+
+
+class TestLockstepSweep:
+    def test_long_run_matches_scalar(self):
+        batch = _assert_lockstep_matches_scalar(long_run_scenario(), 16)
+        assert all(e["goal_reached"] for e in batch)
+        assert len({e["ticks"] for e in batch}) > 1  # arrivals at different ticks
+
+    def test_clamped_and_clean_episodes_match_scalar(self):
+        # a 1 m/s surge funnel under a strong disturbance: some realizations
+        # leave it (clamp path) and some do not
+        sc = benign_scenario()
+        sc.disturbance = DisturbanceProfile(
+            x=AxisDisturbance(sin_amp=300.0, sin_freq_hz=0.05, noise_amp=200.0),
+            y=AxisDisturbance(sin_amp=200.0, sin_freq_hz=0.08, noise_amp=100.0),
+            psi=AxisDisturbance(sin_amp=300.0, sin_freq_hz=0.03, noise_amp=200.0),
+            seed=5,
+        )
+        sc.controller = dataclasses.replace(sc.controller, funnel_u=FunnelSpec.static(1.0))
+        batch = _assert_lockstep_matches_scalar(sc, 8)
+        failed = [e["failed"] for e in batch]
+        assert any(failed) and not all(failed)
+        assert len({e["ticks"] for e in batch}) > 1
+
+    def test_degenerate_distance_at_first_tick(self):
+        sc = benign_scenario()
+        sc.reference_lead = 0.0  # the reference starts on the vessel
+        batch = _assert_lockstep_matches_scalar(sc, 3)
+        assert all(e["ticks"] == 0 and e["fault"] == "degenerate_distance" for e in batch)
+
+    def test_auto_inflated_sweep_matches_scalar(self):
+        batch = _assert_lockstep_matches_scalar(
+            TestInitialCompliance()._noncompliant(), 2, auto_inflate=True)
+        assert all(e["auto_inflated"][0] == "d" for e in batch)
+
+    def test_noncompliant_sweep_raises_without_optin(self):
+        sc = TestInitialCompliance()._noncompliant()
+        with pytest.raises(InitialComplianceError):
+            sweep(sc, 2)
+        assert sweep(sc, 0).episodes == []  # no episode, nothing to check
 
 
 class TestAudit:
