@@ -117,7 +117,9 @@ def cmd_audit(args) -> int:
     report.save_json(out)
     print(f"audit: violations {report.violations}, actuator violations "
           f"{report.actuator_violations} -> {out}")
-    return 0 if report.actuator_violations == 0 else 1
+    clean = (report.actuator_violations == 0 and report.summary_matches
+             and not any(report.violations.values()))
+    return 0 if clean else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

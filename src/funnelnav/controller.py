@@ -230,16 +230,17 @@ def control_tick(state: VesselState, p_des, t: float, cfg: ControllerConfig,
     return cmd, dbg
 
 
-def control_batch(u: np.ndarray, r: np.ndarray, e_d: np.ndarray, e_o: np.ndarray, t: float,
-                  cfg: ControllerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def control_batch(u: np.ndarray, r: np.ndarray, e_d: np.ndarray, e_o: np.ndarray, t,
+                  cfg: ControllerConfig):
     """control_tick's cascade after the errors, for (B,) arrays of episodes.
 
-    Always takes the clamp path: a channel whose normalized error left its
-    funnel is pulled back to the edge and flagged, which is what
-    control_tick's caller gets by retrying with clamp=True after a
-    FunnelViolation. Returns the saturated thrust and rudder (B,) and the
-    (4, B) violation mask in CHANNELS order d, o, u, r. The initial
-    compliance check is the caller's.
+    t is one time for all columns or a (B,) array of times. Always takes
+    the clamp path: a channel whose normalized error left its funnel is
+    pulled back to the edge and flagged, which is what control_tick's caller
+    gets by retrying with clamp=True after a FunnelViolation. Returns the
+    saturated thrust and rudder (B,), the (4, B) violation mask in CHANNELS
+    order d, o, u, r, and the surge and yaw-rate references u_des, r_des
+    (B,). The initial compliance check is the caller's.
     """
     xi_d = normalize_asymmetric(e_d, cfg.funnel_d.value(t), cfg.rho_d_min)
     eps_d, viol_d = transform_clamped(xi_d)
@@ -256,4 +257,4 @@ def control_batch(u: np.ndarray, r: np.ndarray, e_d: np.ndarray, e_o: np.ndarray
     F_T = np.minimum(np.maximum(u_F, 0.0), cfg.F_T_max)
     if not (np.isfinite(F_T).all() and np.isfinite(alpha_r).all()):
         raise ValueError("actuator command must be finite")
-    return F_T, alpha_r, np.array((viol_d, viol_o, viol_u, viol_r))
+    return F_T, alpha_r, np.array((viol_d, viol_o, viol_u, viol_r)), u_des, r_des

@@ -12,7 +12,9 @@ and F_bar_r <= Delta_x * F_T_floor * sin(a_max), plus the declared thrust
 floor and the initial-bearing condition |psi_e(0)| < pi/2.
 
 The reference-rate terms are measured by finite-differencing the cascade
-references along short closed-loop rollouts of the true dynamics. Sampling
+references along short closed-loop rollouts of the true dynamics; the
+samples of a pass roll out together through the batched cascade
+(controller.control_batch) and RK4 (dynamics.step_batch). Sampling
 covers the compact operating subset |xi| <= xi_max of the funnel interior,
 intersected with the physically sustainable velocity envelope (terminal
 speeds under full actuation); the supremum over the full open funnel box is
@@ -23,18 +25,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bspline import SplineTrajectory
-from .controller import saturate_and_allocate, velocity_references, wrench_references
-from .dynamics import VesselState, lumped_forces, step, wrap_angle
-from .errors import InsufficientSamples
-from .funnels import compute_errors, transform
+from .controller import control_batch
+# step and lumped_forces are unused here: perfbench/tracing.py wraps them by
+# name in this module, so they stay bound.
+from .dynamics import DisturbanceBatch, lumped, lumped_forces, step, step_batch  # noqa: F401
+from .errors import DegenerateDistance, InsufficientSamples
+from .funnels import EPS_DEGENERATE, compute_errors, compute_errors_batch
 from .scenario import Scenario
 
 CONDITIONS = ("thrust_floor", "surge_authority", "torque_authority", "initial_bearing")
+
+# Samples rolled out together: bounds the rollout's arrays for any n_samples.
+_PASS = 512
 
 
 @dataclass
@@ -59,23 +66,7 @@ class FeasibilityReport:
         return all(self.verdicts[c] for c in CONDITIONS)
 
     def to_dict(self) -> dict:
-        return {
-            "F_bar_u": self.F_bar_u,
-            "F_bar_r": self.F_bar_r,
-            "F_T_lower_declared": self.F_T_lower_declared,
-            "F_T_lower_observed": self.F_T_lower_observed,
-            "v_bar_declared": self.v_bar_declared,
-            "v_bar_observed": self.v_bar_observed,
-            "margins": self.margins,
-            "verdicts": self.verdicts,
-            "thrust_cut_events": self.thrust_cut_events,
-            "achieving_sample_u": self.achieving_sample_u,
-            "achieving_sample_r": self.achieving_sample_r,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "psi_e0": self.psi_e0,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -120,33 +111,75 @@ def _initial_reference_point(scenario: Scenario, trajectory: SplineTrajectory | 
     return start + direction * (target / norm)
 
 
-def _rollout_reference_rates(scenario: Scenario, state: VesselState, p_des: np.ndarray,
-                             v_ref: np.ndarray, t0: float, dt_fd: float):
-    """Central finite differences of (u_des, r_des) along a 2-step closed-loop rollout.
+def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: float,
+                  dt_fd: float):
+    """Central differences of (u_des, r_des) along 2-step closed-loop rollouts, all at once.
 
-    Also returns the thrust commands and sway values seen along the rollout.
+    One draws row per sample. The cascade runs at t0 + k dt_fd, the RK4
+    disturbance at each sample's accumulated state time. Returns both bound
+    values per sample with the columns of their achieving-sample records,
+    and the (3, B) thrusts and sway speeds seen along the rollouts.
     """
     cfg = scenario.controller
-    u_series, r_series = [], []
-    thrusts, sways = [], []
-    s = state
-    p = p_des.copy()
+    vessel = scenario.vessel
+    t0, xi_d, xi_o, xi_u, xi_r, v, psi, px, py, ref_dir, ref_speed = draws.T
+
+    rho_d, rho_o, rho_u, rho_r = (
+        f.value(t0) for f in (cfg.funnel_d, cfg.funnel_o, cfg.funnel_u, cfg.funnel_r))
+    e_d = 0.5 * (xi_d * (rho_d - cfg.rho_d_min) + rho_d + cfg.rho_d_min)
+    psi_e = np.arcsin(xi_o * rho_o)
+    u_des = cfg.k_d * np.arctanh(xi_d)
+    u = np.minimum(np.maximum(u_des + xi_u * rho_u, 0.0), u_cap)
+    r_des = -cfg.k_o * np.arctanh(xi_o)
+    r = np.minimum(np.maximum(r_des + xi_r * rho_r, -r_cap), r_cap)
+    # Re-derive the normalized velocity errors actually realized after clamping.
+    xi_u_real = (u - u_des) / rho_u
+    xi_r_real = (r - r_des) / rho_r
+
+    # psi is drawn in [0, 2*pi), already wrapped.
+    x = np.array((px, py, psi, u, v, r))
+    p = np.array((px + e_d * np.cos(psi - psi_e), py + e_d * np.sin(psi - psi_e)))
+    v_ref = ref_speed * np.array((np.cos(ref_dir), np.sin(ref_dir)))
+    dist = DisturbanceBatch([scenario.disturbance])
+    t_state, tau = t0, dist.value(t0)
+    f_u, _f_v, f_r = lumped(u, v, r, tau, vessel)
+
+    refs = []
+    thrusts, sways = np.empty((2, 3, len(t0)))
     for k in range(3):
-        t = t0 + k * dt_fd
-        errors = compute_errors(s.p_x, s.p_y, s.psi, p[0], p[1])
-        u_des, r_des, dbg = velocity_references(errors, t, cfg, clamp=True)
-        _, _, dbg = wrench_references(s, u_des, r_des, t, cfg, debug=dbg, clamp=True)
-        cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
-        u_series.append(u_des)
-        r_series.append(r_des)
-        thrusts.append(cmd.F_T)
-        sways.append(abs(s.v))
+        e_dk, e_ok, _psi_e, degenerate = compute_errors_batch(x[0], x[1], x[2], p[0], p[1])
+        if degenerate.any():
+            raise DegenerateDistance(f"feasibility rollout: distance error {e_dk.min():.3e} "
+                                     f"below guard {EPS_DEGENERATE:.0e}")
+        F_T, alpha_r, _viol, u_ref, r_ref = control_batch(
+            x[3], x[5], e_dk, e_ok, t0 + k * dt_fd, cfg)
+        refs.append((u_ref, r_ref))
+        thrusts[k] = F_T
+        sways[k] = np.abs(x[4])
         if k < 2:
-            s = step(s, cmd, scenario.vessel, scenario.disturbance, dt_fd)
+            tau_half = dist.value(t_state + 0.5 * dt_fd)
+            tau1 = dist.value(t_state + dt_fd)
+            x = step_batch(x, F_T, alpha_r, vessel, tau, tau_half, tau1, dt_fd)
+            t_state = t_state + dt_fd
+            tau = tau1
             p = p + v_ref * dt_fd
-    du_des = (u_series[2] - u_series[0]) / (2.0 * dt_fd)
-    dr_des = (r_series[2] - r_series[0]) / (2.0 * dt_fd)
-    return du_des, dr_des, thrusts, sways
+    du_des = (refs[2][0] - refs[0][0]) / (2.0 * dt_fd)
+    dr_des = (refs[2][1] - refs[0][1]) / (2.0 * dt_fd)
+
+    val_u = np.abs(f_u - vessel.m * (du_des + cfg.funnel_u.rate(t0) * xi_u_real))
+    val_r = np.abs(f_r - vessel.Iz * (dr_des + cfg.funnel_r.rate(t0) * xi_r_real))
+    state = {"t": t0, "u": u, "v": v, "r": r, "psi": psi}
+    cols_u = {**state, "xi_d": xi_d, "xi_u": xi_u_real, "f_u": f_u, "du_des": du_des}
+    cols_r = {**state, "xi_o": xi_o, "xi_r": xi_r_real, "f_r": f_r, "dr_des": dr_des}
+    return (val_u, cols_u), (val_r, cols_r), thrusts, sways
+
+
+def _first_max(val: np.ndarray, cols: dict, best_val: float, best: dict) -> tuple[float, dict]:
+    """Keep the running maximum and its sample; ties keep the earliest sample."""
+    k = int(np.argmax(val))
+    if val[k] > best_val:
+        return float(val[k]), {name: float(col[k]) for name, col in cols.items()}
+    return best_val, best
 
 
 def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None = None,
@@ -155,12 +188,12 @@ def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None 
     """Seeded Monte-Carlo maximization of the disturbance-and-reference bounds.
 
     The running maxima are nondecreasing in n_samples for a fixed seed, and
-    the achieving samples are recorded for reproducibility.
+    the achieving samples are recorded for reproducibility. The samples are
+    drawn and rolled out _PASS at a time, one continuous random stream.
     """
     if n_samples < 100:
         raise InsufficientSamples(f"need at least 100 samples, got {n_samples}")
     cfg = scenario.controller
-    vessel = scenario.vessel
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
     horizon = scenario.horizon if horizon is None else horizon
 
@@ -172,74 +205,30 @@ def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None 
     r_cap = min(terminal_yaw_rate(scenario), 1.5 * cfg.k_o * math.atanh(xi_max))
     v_bar = scenario.sway_bound
     x0, y0, x1, y1 = scenario.workspace.bounds
+    # Draw ranges of t0, xi_d, xi_o, xi_u, xi_r, v, psi, px, py, ref_dir, ref_speed.
+    lo, hi = np.array([(dt_fd, max(horizon, 2.0 * dt_fd)), (1e-3, xi_max), (-xi_max, xi_max),
+                       (-xi_max, -1e-3), (-xi_max, xi_max), (-v_bar, v_bar), (0.0, 2.0 * math.pi),
+                       (x0, x1), (y0, y1), (0.0, 2.0 * math.pi), (0.0, scenario.v_max)]).T
 
-    F_bar_u = 0.0
-    F_bar_r = 0.0
-    best_u: dict = {}
-    best_r: dict = {}
-    min_thrust = math.inf
-    max_sway = 0.0
-    thrust_cut = 0
-
-    for _ in range(n_samples):
-        t0 = rng.uniform(dt_fd, max(horizon, 2.0 * dt_fd))
-        xi_d = rng.uniform(1e-3, xi_max)
-        xi_o = rng.uniform(-xi_max, xi_max)
-        xi_u = rng.uniform(-xi_max, -1e-3)
-        xi_r = rng.uniform(-xi_max, xi_max)
-        v = rng.uniform(-v_bar, v_bar)
-        psi = rng.uniform(0.0, 2.0 * math.pi)
-        px = rng.uniform(x0, x1)
-        py = rng.uniform(y0, y1)
-
-        rho_d = cfg.funnel_d.value(t0)
-        rho_o = cfg.funnel_o.value(t0)
-        rho_u = cfg.funnel_u.value(t0)
-        rho_r = cfg.funnel_r.value(t0)
-
-        e_d = 0.5 * (xi_d * (rho_d - cfg.rho_d_min) + rho_d + cfg.rho_d_min)
-        psi_e = math.asin(xi_o * rho_o)
-        u_des = cfg.k_d * transform(xi_d, channel="d", t=t0)
-        u = min(max(u_des + xi_u * rho_u, 0.0), u_cap)
-        r_des = -cfg.k_o * transform(xi_o, channel="o", t=t0)
-        r = min(max(r_des + xi_r * rho_r, -r_cap), r_cap)
-        # Re-derive the normalized velocity errors actually realized after clamping.
-        xi_u_real = (u - u_des) / rho_u
-        xi_r_real = (r - r_des) / rho_r
-
-        state = VesselState(p_x=px, p_y=py, psi=wrap_angle(psi), u=u, v=v, r=r, t=t0)
-        p_des = np.array([px + e_d * math.cos(psi - psi_e), py + e_d * math.sin(psi - psi_e)])
-        ref_dir = rng.uniform(0.0, 2.0 * math.pi)
-        ref_speed = rng.uniform(0.0, scenario.v_max)
-        v_ref = ref_speed * np.array([math.cos(ref_dir), math.sin(ref_dir)])
-
-        du_des, dr_des, thrusts, sways = _rollout_reference_rates(
-            scenario, state, p_des, v_ref, t0, dt_fd)
-        f_u, _f_v, f_r = lumped_forces(state, vessel, scenario.disturbance, t=t0)
-
-        val_u = abs(f_u - vessel.m * (du_des + cfg.funnel_u.rate(t0) * xi_u_real))
-        val_r = abs(f_r - vessel.Iz * (dr_des + cfg.funnel_r.rate(t0) * xi_r_real))
-
-        if val_u > F_bar_u:
-            F_bar_u = val_u
-            best_u = {"t": t0, "u": u, "v": v, "r": r, "psi": psi, "xi_d": xi_d,
-                      "xi_u": xi_u_real, "f_u": f_u, "du_des": du_des}
-        if val_r > F_bar_r:
-            F_bar_r = val_r
-            best_r = {"t": t0, "u": u, "v": v, "r": r, "psi": psi, "xi_o": xi_o,
-                      "xi_r": xi_r_real, "f_r": f_r, "dr_des": dr_des}
-        min_thrust = min(min_thrust, min(thrusts))
-        max_sway = max(max_sway, max(sways))
-        thrust_cut += sum(1 for F in thrusts if F < scenario.min_thrust_floor)
+    F_bar_u, best_u, F_bar_r, best_r = 0.0, {}, 0.0, {}
+    min_thrust, max_sway, thrust_cut = math.inf, 0.0, 0
+    for done in range(0, n_samples, _PASS):
+        draws = rng.uniform(lo, hi, size=(min(_PASS, n_samples - done), len(lo)))
+        (val_u, cols_u), (val_r, cols_r), thrusts, sways = _rollout_pass(
+            scenario, draws, u_cap, r_cap, dt_fd)
+        F_bar_u, best_u = _first_max(val_u, cols_u, F_bar_u, best_u)
+        F_bar_r, best_r = _first_max(val_r, cols_r, F_bar_r, best_r)
+        min_thrust = min(min_thrust, float(thrusts.min()))
+        max_sway = max(max_sway, float(sways.max()))
+        thrust_cut += int(np.count_nonzero(thrusts < scenario.min_thrust_floor))
 
     # Initial-bearing condition on the scenario start state.
     ref0 = _initial_reference_point(scenario, trajectory)
-    errors0 = compute_errors(scenario.start.p_x, scenario.start.p_y, scenario.start.psi,
-                             ref0[0], ref0[1])
-    psi_e0 = errors0.psi_e
+    psi_e0 = compute_errors(scenario.start.p_x, scenario.start.p_y, scenario.start.psi,
+                            ref0[0], ref0[1]).psi_e
 
     authority_u = cfg.F_T_max * math.cos(cfg.alpha_r_max)
-    authority_r = vessel.Delta_x * scenario.min_thrust_floor * math.sin(cfg.alpha_r_max)
+    authority_r = scenario.vessel.Delta_x * scenario.min_thrust_floor * math.sin(cfg.alpha_r_max)
     margins = {
         "thrust_floor": min_thrust - scenario.min_thrust_floor,
         "surge_authority": authority_u - F_bar_u,

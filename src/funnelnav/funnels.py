@@ -40,12 +40,13 @@ class FunnelSpec:
         if self.l < 0.0:
             raise ValueError(f"decay rate must be >= 0, got {self.l}")
 
-    def value(self, t: float) -> float:
-        return (self.rho0 - self.rho_inf) * math.exp(-self.l * t) + self.rho_inf
+    def value(self, t):
+        """rho at a time t, a float or an array of times."""
+        return (self.rho0 - self.rho_inf) * np.exp(-self.l * t) + self.rho_inf
 
-    def rate(self, t: float) -> float:
-        """d rho / dt, nonpositive."""
-        return -self.l * (self.rho0 - self.rho_inf) * math.exp(-self.l * t)
+    def rate(self, t):
+        """d rho / dt at a time t (float or array), nonpositive."""
+        return -self.l * (self.rho0 - self.rho_inf) * np.exp(-self.l * t)
 
     @classmethod
     def static(cls, rho: float) -> "FunnelSpec":
@@ -88,8 +89,10 @@ def compute_errors(p_x: float, p_y: float, psi: float, p_des_x: float, p_des_y: 
 
 
 def compute_errors_batch(p_x: np.ndarray, p_y: np.ndarray, psi: np.ndarray,
-                         p_des_x: float, p_des_y: float):
+                         p_des_x, p_des_y):
     """compute_errors for (B,) arrays of vessel poses against one reference point.
+
+    The reference point may be shared (floats) or one per pose ((B,) arrays).
 
     Returns (e_d, e_o, psi_e, degenerate). Instead of raising
     DegenerateDistance it flags the episodes whose distance error is below
@@ -107,21 +110,26 @@ def compute_errors_batch(p_x: np.ndarray, p_y: np.ndarray, psi: np.ndarray,
     return e_d, e_o, psi_e, degenerate
 
 
+def _everywhere(cond) -> bool:
+    """A comparison holds for a scalar radius, or for every entry of an array of radii."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
 def normalize_asymmetric(e_d: float, rho_d: float, rho_d_min: float) -> float:
     """Map the always-positive distance error onto (-1, 1).
 
     xi_d = (2 e_d - rho_d - rho_d_min) / (rho_d - rho_d_min); lands in (-1, 1)
     exactly when rho_d_min < e_d < rho_d. May return |xi| >= 1 -- the caller
-    decides whether that is a violation.
+    decides whether that is a violation. Arguments may be floats or arrays.
     """
-    if not (rho_d > rho_d_min > 0.0):
+    if not (rho_d_min > 0.0 and _everywhere(rho_d > rho_d_min)):
         raise ValueError(f"need rho_d > rho_d_min > 0, got rho_d={rho_d}, rho_d_min={rho_d_min}")
     return (2.0 * e_d - rho_d - rho_d_min) / (rho_d - rho_d_min)
 
 
 def normalize_symmetric(e: float, rho: float) -> float:
-    """xi = e / rho for a symmetric funnel of radius rho > 0."""
-    if rho <= 0.0:
+    """xi = e / rho for a symmetric funnel of radius rho > 0 (floats or arrays)."""
+    if not _everywhere(rho > 0.0):
         raise ValueError(f"funnel value must be positive, got {rho}")
     return e / rho
 

@@ -362,7 +362,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
             check_initial_compliance(
                 compute_errors(start.p_x, start.p_y, start.psi, p_des[0], p_des[1]), start, cfg)
 
-        F_T, alpha_r, violated = control_batch(x[3], x[5], e_d, e_o, t, cfg)
+        F_T, alpha_r, violated, _, _ = control_batch(x[3], x[5], e_d, e_o, t, cfg)
         # A basic slice while every episode still runs: cheaper than fancy indexing.
         sel = idx if len(idx) < n else slice(None)
         violations[:, sel] += violated
@@ -538,11 +538,10 @@ def audit(log: EpisodeLog, scenario: Scenario) -> AuditReport:
     e_d = np.hypot(e_x, e_y)
     e_o = (e_x * np.sin(cols["psi"]) - e_y * np.cos(cols["psi"])) / np.where(e_d > 0, e_d, 1.0)
 
-    decay = lambda f: (f.rho0 - f.rho_inf) * np.exp(-f.l * t) + f.rho_inf
-    rho_d = decay(cfg.funnel_d)
-    rho_o = decay(cfg.funnel_o)
-    rho_u = decay(cfg.funnel_u)
-    rho_r = decay(cfg.funnel_r)
+    rho_d = cfg.funnel_d.value(t)
+    rho_o = cfg.funnel_o.value(t)
+    rho_u = cfg.funnel_u.value(t)
+    rho_r = cfg.funnel_r.value(t)
 
     e_u = cols["u"] - cols["u_des"]
     e_r = cols["r"] - cols["r_des"]

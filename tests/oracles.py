@@ -3,8 +3,9 @@
 Each oracle implements the quantity a different way than the library does:
 de Boor recursion vs the fixed-matrix segment form, combinatorial
 segment-intersection vs closest-pair distances, shoelace areas, plain
-half-plane membership, and the scalar per-pair closest-pair separator that
-the batched library kernel replaced.
+half-plane membership, the scalar per-pair closest-pair separator that
+the batched library kernel replaced, and the sample-by-sample feasibility
+audit that the batched estimate_bounds replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ import math
 
 import numpy as np
 
+from funnelnav import feasibility
+from funnelnav.controller import saturate_and_allocate, velocity_references, wrench_references
+from funnelnav.dynamics import VesselState, lumped_forces, step, wrap_angle
+from funnelnav.errors import InsufficientSamples
+from funnelnav.funnels import compute_errors, transform
 from funnelnav.geometry import convex_hull
 
 
@@ -244,3 +250,138 @@ def separator_oracle(hull_points: np.ndarray, poly_vertices: np.ndarray):
         return None
     h = (cp - cq) / dist
     return h, _dot(h, cp + cq) / 2.0
+
+
+def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
+    """Central finite differences of (u_des, r_des) along a 2-step closed-loop rollout.
+
+    Also returns the thrust commands and sway values seen along the rollout.
+    """
+    cfg = scenario.controller
+    u_series, r_series = [], []
+    thrusts, sways = [], []
+    s = state
+    p = p_des.copy()
+    for k in range(3):
+        t = t0 + k * dt_fd
+        errors = compute_errors(s.p_x, s.p_y, s.psi, p[0], p[1])
+        u_des, r_des, dbg = velocity_references(errors, t, cfg, clamp=True)
+        _, _, dbg = wrench_references(s, u_des, r_des, t, cfg, debug=dbg, clamp=True)
+        cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
+        u_series.append(u_des)
+        r_series.append(r_des)
+        thrusts.append(cmd.F_T)
+        sways.append(abs(s.v))
+        if k < 2:
+            s = step(s, cmd, scenario.vessel, scenario.disturbance, dt_fd)
+            p = p + v_ref * dt_fd
+    du_des = (u_series[2] - u_series[0]) / (2.0 * dt_fd)
+    dr_des = (r_series[2] - r_series[0]) / (2.0 * dt_fd)
+    return du_des, dr_des, thrusts, sways
+
+
+def feasibility_oracle(scenario, n_samples: int = 2000, seed: int | None = None,
+                       trajectory=None, xi_max: float = 0.8, horizon: float | None = None,
+                       dt_fd: float = 0.02) -> feasibility.FeasibilityReport:
+    """estimate_bounds one sample at a time: scalar draws, cascade and RK4 per sample."""
+    if n_samples < 100:
+        raise InsufficientSamples(f"need at least 100 samples, got {n_samples}")
+    cfg = scenario.controller
+    vessel = scenario.vessel
+    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    horizon = scenario.horizon if horizon is None else horizon
+
+    u_cap = min(feasibility.terminal_surge_speed(scenario), 1.5 * scenario.v_max)
+    r_cap = min(feasibility.terminal_yaw_rate(scenario), 1.5 * cfg.k_o * math.atanh(xi_max))
+    v_bar = scenario.sway_bound
+    x0, y0, x1, y1 = scenario.workspace.bounds
+
+    F_bar_u = 0.0
+    F_bar_r = 0.0
+    best_u: dict = {}
+    best_r: dict = {}
+    min_thrust = math.inf
+    max_sway = 0.0
+    thrust_cut = 0
+
+    for _ in range(n_samples):
+        t0 = rng.uniform(dt_fd, max(horizon, 2.0 * dt_fd))
+        xi_d = rng.uniform(1e-3, xi_max)
+        xi_o = rng.uniform(-xi_max, xi_max)
+        xi_u = rng.uniform(-xi_max, -1e-3)
+        xi_r = rng.uniform(-xi_max, xi_max)
+        v = rng.uniform(-v_bar, v_bar)
+        psi = rng.uniform(0.0, 2.0 * math.pi)
+        px = rng.uniform(x0, x1)
+        py = rng.uniform(y0, y1)
+
+        rho_d = cfg.funnel_d.value(t0)
+        rho_o = cfg.funnel_o.value(t0)
+        rho_u = cfg.funnel_u.value(t0)
+        rho_r = cfg.funnel_r.value(t0)
+
+        e_d = 0.5 * (xi_d * (rho_d - cfg.rho_d_min) + rho_d + cfg.rho_d_min)
+        psi_e = math.asin(xi_o * rho_o)
+        u_des = cfg.k_d * transform(xi_d, channel="d", t=t0)
+        u = min(max(u_des + xi_u * rho_u, 0.0), u_cap)
+        r_des = -cfg.k_o * transform(xi_o, channel="o", t=t0)
+        r = min(max(r_des + xi_r * rho_r, -r_cap), r_cap)
+        xi_u_real = (u - u_des) / rho_u
+        xi_r_real = (r - r_des) / rho_r
+
+        state = VesselState(p_x=px, p_y=py, psi=wrap_angle(psi), u=u, v=v, r=r, t=t0)
+        p_des = np.array([px + e_d * math.cos(psi - psi_e), py + e_d * math.sin(psi - psi_e)])
+        ref_dir = rng.uniform(0.0, 2.0 * math.pi)
+        ref_speed = rng.uniform(0.0, scenario.v_max)
+        v_ref = ref_speed * np.array([math.cos(ref_dir), math.sin(ref_dir)])
+
+        du_des, dr_des, thrusts, sways = _rollout_reference_rates(
+            scenario, state, p_des, v_ref, t0, dt_fd)
+        f_u, _f_v, f_r = lumped_forces(state, vessel, scenario.disturbance, t=t0)
+
+        val_u = abs(f_u - vessel.m * (du_des + cfg.funnel_u.rate(t0) * xi_u_real))
+        val_r = abs(f_r - vessel.Iz * (dr_des + cfg.funnel_r.rate(t0) * xi_r_real))
+
+        if val_u > F_bar_u:
+            F_bar_u = val_u
+            best_u = {"t": t0, "u": u, "v": v, "r": r, "psi": psi, "xi_d": xi_d,
+                      "xi_u": xi_u_real, "f_u": f_u, "du_des": du_des}
+        if val_r > F_bar_r:
+            F_bar_r = val_r
+            best_r = {"t": t0, "u": u, "v": v, "r": r, "psi": psi, "xi_o": xi_o,
+                      "xi_r": xi_r_real, "f_r": f_r, "dr_des": dr_des}
+        min_thrust = min(min_thrust, min(thrusts))
+        max_sway = max(max_sway, max(sways))
+        thrust_cut += sum(1 for F in thrusts if F < scenario.min_thrust_floor)
+
+    ref0 = feasibility._initial_reference_point(scenario, trajectory)
+    psi_e0 = compute_errors(scenario.start.p_x, scenario.start.p_y, scenario.start.psi,
+                            ref0[0], ref0[1]).psi_e
+    authority_u = cfg.F_T_max * math.cos(cfg.alpha_r_max)
+    authority_r = vessel.Delta_x * scenario.min_thrust_floor * math.sin(cfg.alpha_r_max)
+    return feasibility.FeasibilityReport(
+        F_bar_u=F_bar_u,
+        F_bar_r=F_bar_r,
+        F_T_lower_declared=scenario.min_thrust_floor,
+        F_T_lower_observed=min_thrust,
+        v_bar_declared=v_bar,
+        v_bar_observed=max_sway,
+        margins={
+            "thrust_floor": min_thrust - scenario.min_thrust_floor,
+            "surge_authority": authority_u - F_bar_u,
+            "torque_authority": authority_r - F_bar_r,
+            "initial_bearing": math.pi / 2.0 - abs(psi_e0),
+        },
+        verdicts={
+            "thrust_floor": scenario.min_thrust_floor > 0.0,
+            "surge_authority": F_bar_u <= authority_u,
+            "torque_authority": F_bar_r <= authority_r,
+            "initial_bearing": abs(psi_e0) < math.pi / 2.0,
+        },
+        thrust_cut_events=thrust_cut,
+        achieving_sample_u=best_u,
+        achieving_sample_r=best_r,
+        n_samples=n_samples,
+        seed=int(scenario.seed if seed is None else seed),
+        psi_e0=psi_e0,
+    )

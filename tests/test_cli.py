@@ -100,6 +100,25 @@ class TestAudit:
         assert data["actuator_violations"] == 0
         assert data["violations"]["d"] == 0
 
+    def test_funnel_violation_fails(self, tmp_path, scenario_file):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", scenario_file, "--out-dir", str(out)]) == 0
+        lines = (out / "episode.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[len(lines) // 2].split(",")
+        # Moving the vessel 1 km away puts the reference outside the distance funnel.
+        ix = header.index("p_x")
+        row[ix] = repr(float(row[ix]) + 1000.0)
+        lines[len(lines) // 2] = ",".join(row)
+        tampered = tmp_path / "tampered.csv"
+        tampered.write_text("\n".join(lines) + "\n")
+        rc = main(["audit", "--scenario", scenario_file, "--out-dir", str(out),
+                   "--log", str(tampered)])
+        assert rc == 1
+        data = json.loads((out / "audit.json").read_text())
+        assert data["violations"]["d"] >= 1
+        assert data["actuator_violations"] == 0
+
 
 class TestSeedOverride:
     def test_seed_flag_changes_paths_around_obstacles(self, tmp_path):

@@ -248,6 +248,26 @@ class TestControlTick:
             control_tick(state, (1.0, 2.0), 1.0, cfg)
 
 
+def _assert_batch_matches_scalar(u, r, e_d, e_o, t, cfg):
+    """control_batch against control_tick's clamped cascade, column by column."""
+    F_T, alpha_r, violated, u_des_b, r_des_b = control_batch(u, r, e_d, e_o, t, cfg)
+    for k in range(len(u)):
+        dbg = ControllerDebug()
+        t_k = t[k] if np.ndim(t) else t
+        state = VesselState(0.0, 0.0, 0.0, u[k], 0.0, r[k])
+        errors = TrackingErrors(e_x=e_d[k], e_y=0.0, e_d=e_d[k], e_o=e_o[k], psi_e=0.0)
+        u_des, r_des, dbg = velocity_references(errors, t_k, cfg, debug=dbg, clamp=True)
+        wrench_references(state, u_des, r_des, t_k, cfg, debug=dbg, clamp=True)
+        cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
+        assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
+        assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
+        assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
+        assert u_des_b[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
+        assert r_des_b[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
+    assert violated.any(axis=1).all() and not violated.all(axis=0).all()
+    return F_T
+
+
 class TestControlBatch:
     def test_matches_scalar_clamp_path(self):
         # distance errors on both sides of the funnel, every orientation,
@@ -260,19 +280,18 @@ class TestControlBatch:
         e_o = rng.uniform(-1.0, 1.0, n)
         u = rng.uniform(-2.0, 60.0, n)
         r = rng.uniform(-2.0, 2.0, n)
-        F_T, alpha_r, violated = control_batch(u, r, e_d, e_o, 4.0, cfg)
-        for k in range(n):
-            dbg = ControllerDebug()
-            state = VesselState(0.0, 0.0, 0.0, u[k], 0.0, r[k])
-            errors = TrackingErrors(e_x=e_d[k], e_y=0.0, e_d=e_d[k], e_o=e_o[k], psi_e=0.0)
-            u_des, r_des, dbg = velocity_references(errors, 4.0, cfg, debug=dbg, clamp=True)
-            wrench_references(state, u_des, r_des, 4.0, cfg, debug=dbg, clamp=True)
-            cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
-            assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
-            assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
-            assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
-        assert violated.any(axis=1).all() and not violated.all(axis=0).all()
+        F_T = _assert_batch_matches_scalar(u, r, e_d, e_o, 4.0, cfg)
         assert (u > 10.0).any() and (F_T == 0.0).any()
+
+    def test_time_per_column(self):
+        # decaying funnels sampled at a different time in every column
+        cfg = make_config(funnel_d=FunnelSpec(40.0, 28.0, 0.3), funnel_o=FunnelSpec(0.9999, 0.8, 0.2),
+                          funnel_u=FunnelSpec(6.0, 2.0, 0.5), funnel_r=FunnelSpec(1.5, 0.5, 0.4))
+        rng = np.random.default_rng(8)
+        n = 500
+        t = rng.uniform(0.0, 20.0, n)
+        _assert_batch_matches_scalar(rng.uniform(-2.0, 60.0, n), rng.uniform(-2.0, 2.0, n),
+                                     rng.uniform(0.0, 45.0, n), rng.uniform(-1.0, 1.0, n), t, cfg)
 
     def test_nonfinite_command_rejected(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,16 @@ import math
 
 import pytest
 
+from funnelnav import feasibility
 from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile, DragCoeffs, VesselParams
-from funnelnav.errors import InsufficientSamples
+from funnelnav.errors import DegenerateDistance, InsufficientSamples
 from funnelnav.feasibility import (
     estimate_bounds,
     terminal_surge_speed,
     terminal_yaw_rate,
 )
-from funnelnav.scenario import benign_scenario, long_run_scenario
+from funnelnav.scenario import Scenario, benign_scenario, long_run_scenario
+from oracles import feasibility_oracle
 
 
 def powerful_quiet_scenario():
@@ -25,6 +27,31 @@ def powerful_quiet_scenario():
     return out
 
 
+def overwhelming_bias_scenario():
+    """A constant surge disturbance twice the surge authority."""
+    sc = benign_scenario()
+    authority = sc.controller.F_T_max * math.cos(sc.controller.alpha_r_max)
+    sc.disturbance = DisturbanceProfile(x=AxisDisturbance(bias=2.0 * authority), seed=1)
+    return sc
+
+
+def coriolis_scenario():
+    sc = long_run_scenario()
+    sc.vessel = VesselParams(coriolis_on=True)
+    return sc
+
+
+def decaying_funnels_scenario():
+    data = benign_scenario().to_dict()
+    data["controller"]["funnels"] = {
+        "d": {"rho0": 28.0, "rho_inf": 10.0, "l": 0.1},
+        "u": {"rho0": 25.0, "rho_inf": 5.0, "l": 0.2},
+        "o": {"rho0": 0.9999, "rho_inf": 0.6, "l": 0.05},
+        "r": {"rho0": 15.0, "rho_inf": 3.0, "l": 0.3},
+    }
+    return Scenario.from_dict(data)
+
+
 class TestEstimateBounds:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
@@ -38,11 +65,7 @@ class TestEstimateBounds:
         assert rep.margins["torque_authority"] > 0.0
 
     def test_overwhelming_disturbance_fails_surge_condition(self):
-        sc = benign_scenario()
-        authority = sc.controller.F_T_max * math.cos(sc.controller.alpha_r_max)
-        sc.disturbance = DisturbanceProfile(
-            x=AxisDisturbance(bias=2.0 * authority), seed=1)
-        rep = estimate_bounds(sc, n_samples=400, seed=0)
+        rep = estimate_bounds(overwhelming_bias_scenario(), n_samples=400, seed=0)
         assert not rep.verdicts["surge_authority"]
         assert rep.margins["surge_authority"] < 0.0
         assert not rep.passed
@@ -93,6 +116,60 @@ class TestEstimateBounds:
         data = json.loads(out.read_text())
         assert set(data["verdicts"]) == {"thrust_floor", "surge_authority", "torque_authority", "initial_bearing"}
         assert data["passed"] == rep.passed
+
+
+def _assert_reports_agree(batch: dict, oracle: dict) -> None:
+    for key in ("verdicts", "passed", "n_samples", "seed", "thrust_cut_events"):
+        assert batch[key] == oracle[key], key
+    for key in ("margins", "achieving_sample_u", "achieving_sample_r"):
+        assert batch[key].keys() == oracle[key].keys(), key
+        for name in batch[key]:
+            assert math.isclose(batch[key][name], oracle[key][name], rel_tol=1e-12), (key, name)
+    for key in ("F_bar_u", "F_bar_r", "F_T_lower_declared", "F_T_lower_observed",
+                "v_bar_declared", "v_bar_observed", "psi_e0"):
+        assert math.isclose(batch[key], oracle[key], rel_tol=1e-12), key
+
+
+PASS = feasibility._PASS
+SCENARIOS = {
+    "benign": benign_scenario,
+    "long-run": long_run_scenario,
+    "powerful-quiet": powerful_quiet_scenario,
+    "overwhelming-bias": overwhelming_bias_scenario,
+    "coriolis": coriolis_scenario,
+    "decaying-funnels": decaying_funnels_scenario,
+}
+
+
+class TestBatchedBounds:
+    """The pass-by-pass batch against the sample-by-sample oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("n_samples,seed", [
+        (PASS - 1, 0), (PASS, 7), (PASS + 1, 11), (2 * PASS + 37, 23)])
+    def test_matches_oracle(self, name, n_samples, seed):
+        sc = SCENARIOS[name]()
+        batch = estimate_bounds(sc, n_samples=n_samples, seed=seed).to_dict()
+        _assert_reports_agree(batch, feasibility_oracle(sc, n_samples=n_samples, seed=seed).to_dict())
+
+    def test_achieving_samples_are_plain_floats(self):
+        rep = estimate_bounds(long_run_scenario(), n_samples=PASS + 1, seed=4)
+        values = [rep.F_bar_u, rep.F_bar_r, rep.F_T_lower_observed, rep.v_bar_observed,
+                  *rep.achieving_sample_u.values(), *rep.achieving_sample_r.values()]
+        assert all(type(v) is float for v in values)
+        assert type(rep.thrust_cut_events) is int
+
+    def test_degenerate_distance_raises(self):
+        # A distance funnel far below the degeneracy guard puts every sampled
+        # reference point on top of the vessel.
+        data = benign_scenario().to_dict()
+        data["controller"]["rho_d_min"] = 1e-12
+        data["controller"]["funnels"]["d"] = {"rho0": 2e-12, "rho_inf": 2e-12, "l": 0.0}
+        sc = Scenario.from_dict(data)
+        with pytest.raises(DegenerateDistance, match="feasibility rollout"):
+            estimate_bounds(sc, n_samples=100, seed=0)
+        with pytest.raises(DegenerateDistance):
+            feasibility_oracle(sc, n_samples=100, seed=0)
 
 
 class TestTerminalRates:

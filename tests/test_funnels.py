@@ -33,6 +33,12 @@ class TestFunnelSpec:
             fd = (f.value(t + h) - f.value(t - h)) / (2.0 * h)
             assert f.rate(t) == pytest.approx(fd, abs=1e-6)
 
+    def test_array_times_match_scalar(self):
+        f = FunnelSpec(rho0=10.0, rho_inf=1.0, l=0.5)
+        ts = np.linspace(0.0, 20.0, 57)
+        assert np.array_equal(f.value(ts), [f.value(t) for t in ts])
+        assert np.array_equal(f.rate(ts), [f.rate(t) for t in ts])
+
     @pytest.mark.parametrize("rho0,rho_inf,l", [(1.0, 2.0, 0.1), (1.0, 0.0, 0.1), (1.0, 0.5, -1.0)])
     def test_invalid_params_rejected(self, rho0, rho_inf, l):
         with pytest.raises(ValueError):
@@ -102,6 +108,18 @@ class TestNormalization:
             normalize_asymmetric(1.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             normalize_symmetric(1.0, 0.0)
+
+    def test_array_radii(self):
+        e = np.array([14.25, 3.0, 0.0])
+        rho = np.array([28.0, 6.0, 2.0])
+        assert np.array_equal(normalize_asymmetric(e, rho, 0.5),
+                              [normalize_asymmetric(a, b, 0.5) for a, b in zip(e, rho)])
+        assert np.array_equal(normalize_symmetric(e, rho), e / rho)
+        # one bad radius among good ones is the documented error, not numpy's
+        with pytest.raises(ValueError, match="rho_d > rho_d_min"):
+            normalize_asymmetric(e, np.array([28.0, 0.5, 2.0]), 0.5)
+        with pytest.raises(ValueError, match="must be positive"):
+            normalize_symmetric(e, np.array([28.0, 0.0, 2.0]))
 
 
 class TestTransform:
