@@ -24,6 +24,7 @@ from .errors import (
     PlanTimeout,
     StartOrGoalInCollision,
     TrajOptInfeasible,
+    UnverifiedTrajectory,
 )
 from .feasibility import FeasibilityReport, estimate_bounds
 from .funnels import FunnelSpec, TrackingErrors, compute_errors, transform

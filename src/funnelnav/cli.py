@@ -112,6 +112,10 @@ def cmd_check(args) -> int:
 def cmd_audit(args) -> int:
     scenario = _load(args)
     log = harness.EpisodeLog.load_csv(args.log, scenario_name=scenario.name)
+    summary_path = os.path.join(os.path.dirname(args.log), "summary.json")
+    if os.path.exists(summary_path):
+        with open(summary_path, encoding="utf-8") as f:
+            log.summary = json.load(f)
     report = harness.audit(log, scenario)
     out = os.path.join(args.out_dir, "audit.json")
     report.save_json(out)

@@ -69,6 +69,19 @@ class TrajOptInfeasible(FunnelNavError):
     """No knot spacing within bounds satisfies the kinodynamic constraints."""
 
 
+class UnverifiedTrajectory(FunnelNavError):
+    """The optimizer converged, but its result failed the final verification.
+
+    Attributes:
+        residuals: the solution's residuals (projection, dense max speed and
+            acceleration, separation_ok) that the verification rejected.
+    """
+
+    def __init__(self, residuals: dict):
+        self.residuals = residuals
+        super().__init__(f"converged trajectory failed verification: {residuals}")
+
+
 class OutOfDomain(FunnelNavError):
     """Spline evaluated outside [0, duration]."""
 

@@ -25,6 +25,7 @@ from .errors import (
     FunnelViolation,
     InfeasibleSeed,
     InitialComplianceError,
+    UnverifiedTrajectory,
 )
 from .funnels import FunnelSpec, compute_errors, compute_errors_batch
 from .geometry import distances_to_obstacles
@@ -103,7 +104,9 @@ def plan_and_solve(scenario: Scenario,
 
     A freshly planned path can occasionally wrap an inflated obstacle corner
     so tightly that a four-point hull clips it; those seeds are rejected by
-    the optimizer and replanned with a derived seed (deterministically).
+    the optimizer and replanned with a derived seed (deterministically). A
+    converged trajectory that fails its final verification is not tracked:
+    it raises UnverifiedTrajectory.
     """
     scenario.validate()
     planner_ws = scenario.planner_workspace()
@@ -114,9 +117,13 @@ def plan_and_solve(scenario: Scenario,
             params = replace(params, seed=episode_seed(params.seed, attempt))
         path = rrt.plan(planner_ws, scenario.start.position, scenario.goal, params)
         try:
-            return path, trajopt.solve(make_problem(scenario, path))
+            solution = trajopt.solve(make_problem(scenario, path))
         except InfeasibleSeed as exc:
             last_exc = exc
+            continue
+        if solution.status == "unverified":
+            raise UnverifiedTrajectory(solution.residuals)
+        return path, solution
     raise last_exc
 
 

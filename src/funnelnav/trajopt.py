@@ -72,7 +72,7 @@ class TrajOptSolution:
     cost_fit: float
     cost_jerk: float
     cost_time: float
-    status: str                      # "converged" | "max_iters" | "infeasible"
+    status: str                      # "converged" | "max_iters" | "unverified"
     residuals: dict
     cost_trace: list[float] = field(default_factory=list)
     n_outer: int = 0
@@ -96,6 +96,7 @@ class TrajOptSolution:
             "status": self.status,
             "residuals": self.residuals,
             "n_outer": self.n_outer,
+            "cost_trace": self.cost_trace,
         }
 
 
@@ -137,6 +138,14 @@ class _Workspace:
         H_free = H[np.ix_(self.free, self.free)]
         eigs = np.linalg.eigvalsh(H_free)
         self.lipschitz = max(float(eigs[-1]), 1e-12)
+        self._halfspaces_of = (None, None)
+
+    def halfspaces(self, planes: dict) -> _Halfspaces | None:
+        """_Halfspaces.of the planes, rebuilt only when a new dict comes in;
+        planes dicts are never edited in place (each refit makes one)."""
+        if planes is not self._halfspaces_of[0]:
+            self._halfspaces_of = (planes, _Halfspaces.of(planes, self))
+        return self._halfspaces_of[1]
 
     def quad_cost(self, C: np.ndarray) -> tuple[float, float]:
         fit_res = self.A_fit @ C - self.T_fit
@@ -266,28 +275,74 @@ def _golden_section(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int =
     return best[1]
 
 
+@dataclass(frozen=True)
+class _Halfspaces:
+    """The separation halfspaces of _project, regrouped by control point.
+
+    A halfspace projection reads and writes only its own point, so each free
+    point can take the planes of the (at most four) segments covering it in
+    the dict's order, independently of every other point. Slot s pairs every
+    free point having more than s covering planes with its s-th plane. The
+    entries (point index, normal components, target d + margin) are stored
+    slot-major; slots holds each slot's views into them.
+    """
+
+    point: np.ndarray
+    hx: np.ndarray
+    hy: np.ndarray
+    target: np.ndarray
+    slot: np.ndarray
+    slots: list
+
+    @classmethod
+    def of(cls, planes: dict, ws: _Workspace) -> _Halfspaces | None:
+        """The planes regrouped, or None for an empty dict."""
+        if not planes:
+            return None
+        h, d = _plane_arrays(planes)
+        seg = np.array([i for i, _ in planes], dtype=int)
+        m = np.repeat(np.arange(len(seg)), 4)
+        k = (seg[:, None] + np.arange(4)).ravel()
+        m, k = m[ws.free[k]], k[ws.free[k]]
+        # Per point, its planes in dict order; an entry's slot is its rank there.
+        by_point = np.lexsort((m, k))
+        m, k = m[by_point], k[by_point]
+        slot = np.arange(len(k)) - np.searchsorted(k, k)
+        by_slot = np.argsort(slot, kind="stable")
+        m, k, slot = m[by_slot], k[by_slot], slot[by_slot]
+        hx, hy, target = h[m, 0], h[m, 1], d[m] + ws.problem.sep_margin
+        bounds = np.searchsorted(slot, np.arange(slot[-1] + 2)).tolist()
+        slots = [(k[a:b], hx[a:b], hy[a:b], target[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return cls(k, hx, hy, target, slot, slots)
+
+
 def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
     """Cyclic projections onto every constraint set, in place.
 
     Returns the worst remaining violation. Pinned control points never move;
     constraints touching only pins are identically satisfied by the tripled
-    endpoints.
+    endpoints. The velocity and acceleration chains are Gauss-Seidel
+    recurrences and run point by point on Python floats; the halfspace pass
+    runs one array update per slot of _Halfspaces. Each point sees the
+    same floating-point operations in the same order as a plane-by-plane
+    loop (tests/oracles.py::project_oracle).
     """
     problem = ws.problem
-    free = ws.free
+    free = ws.free.tolist()
     v_bound = problem.v_max * dt
     a_bound = problem.a_max * (dt * dt)
     N = ws.N
-    margin = problem.sep_margin
     tol = problem.tol_residual
+    halfspaces = ws.halfspaces(planes)
+    xs, ys = C[:, 0].tolist(), C[:, 1].tolist()
 
     worst = math.inf
     for _ in range(problem.projection_sweeps):
         worst = 0.0
         # Velocity pairs: ||q_k - q_{k-1}|| <= v_max dt.
         for k in range(1, N):
-            gx = C[k, 0] - C[k - 1, 0]
-            gy = C[k, 1] - C[k - 1, 1]
+            gx = xs[k] - xs[k - 1]
+            gy = ys[k] - ys[k - 1]
             norm = math.hypot(gx, gy)
             over = norm - v_bound
             if over <= tol:
@@ -299,15 +354,15 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
                 continue
             cx, cy = scale * gx / denom, scale * gy / denom
             if free[k]:
-                C[k, 0] -= cx
-                C[k, 1] -= cy
+                xs[k] -= cx
+                ys[k] -= cy
             if free[k - 1]:
-                C[k - 1, 0] += cx
-                C[k - 1, 1] += cy
+                xs[k - 1] += cx
+                ys[k - 1] += cy
         # Acceleration triples.
         for k in range(2, N):
-            gx = C[k, 0] - 2.0 * C[k - 1, 0] + C[k - 2, 0]
-            gy = C[k, 1] - 2.0 * C[k - 1, 1] + C[k - 2, 1]
+            gx = xs[k] - 2.0 * xs[k - 1] + xs[k - 2]
+            gy = ys[k] - 2.0 * ys[k - 1] + ys[k - 2]
             norm = math.hypot(gx, gy)
             over = norm - a_bound
             if over <= tol:
@@ -319,28 +374,34 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
             s = (1.0 - a_bound / norm) / denom
             dx, dy = s * gx, s * gy
             if free[k]:
-                C[k, 0] -= dx
-                C[k, 1] -= dy
+                xs[k] -= dx
+                ys[k] -= dy
             if free[k - 1]:
-                C[k - 1, 0] += 2.0 * dx
-                C[k - 1, 1] += 2.0 * dy
+                xs[k - 1] += 2.0 * dx
+                ys[k - 1] += 2.0 * dy
             if free[k - 2]:
-                C[k - 2, 0] -= dx
-                C[k - 2, 1] -= dy
+                xs[k - 2] -= dx
+                ys[k - 2] -= dy
         # Separation halfspaces: h.q >= d + margin for the four hull points.
-        for (i, _j), (h, d) in planes.items():
-            target = d + margin
-            for k in range(i, i + 4):
-                if not free[k]:
-                    continue
-                val = C[k, 0] * h[0] + C[k, 1] * h[1]
-                short = target - val
-                if short > tol:
-                    worst = max(worst, short)
-                    C[k, 0] += h[0] * short
-                    C[k, 1] += h[1] * short
+        if halfspaces is not None:
+            X, Y = np.array(xs), np.array(ys)
+            # Slots ahead of the first violated entry move no point: skip them.
+            hit = halfspaces.target - (X[halfspaces.point] * halfspaces.hx
+                                       + Y[halfspaces.point] * halfspaces.hy) > tol
+            if hit.any():
+                for ks, hx, hy, target in halfspaces.slots[halfspaces.slot[hit.argmax()]:]:
+                    x, y = X[ks], Y[ks]
+                    short = target - (x * hx + y * hy)
+                    hit = short > tol
+                    if hit.any():
+                        worst = max(worst, float(short[hit].max()))
+                        X[ks] = np.where(hit, x + hx * short, x)
+                        Y[ks] = np.where(hit, y + hy * short, y)
+                xs, ys = X.tolist(), Y.tolist()
         if worst <= tol:
             break
+    C[:, 0] = xs
+    C[:, 1] = ys
     return worst
 
 
@@ -469,7 +530,7 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
         and max_a <= problem.a_max * slack
         and sep_ok
     ):
-        status = "max_iters"
+        status = "unverified"
 
     fit, jerk = ws.quad_cost(C)
     return TrajOptSolution(

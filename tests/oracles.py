@@ -4,8 +4,9 @@ Each oracle implements the quantity a different way than the library does:
 de Boor recursion vs the fixed-matrix segment form, combinatorial
 segment-intersection vs closest-pair distances, shoelace areas, plain
 half-plane membership, the scalar per-pair closest-pair separator that
-the batched library kernel replaced, and the sample-by-sample feasibility
-audit that the batched estimate_bounds replaced.
+the batched library kernel replaced, the plane-by-plane cyclic projection
+that trajopt's slot-batched one replaced, and the sample-by-sample
+feasibility audit that the batched estimate_bounds replaced.
 """
 
 from __future__ import annotations
@@ -250,6 +251,85 @@ def separator_oracle(hull_points: np.ndarray, poly_vertices: np.ndarray):
         return None
     h = (cp - cq) / dist
     return h, _dot(h, cp + cq) / 2.0
+
+
+def project_oracle(C: np.ndarray, dt: float, planes: dict, ws) -> float:
+    """trajopt._project one scalar update at a time: the plane-by-plane,
+    point-by-point loop that the slot-batched halfspace pass replaced.
+
+    Returns the worst remaining violation. Pinned control points never move;
+    constraints touching only pins are identically satisfied by the tripled
+    endpoints.
+    """
+    problem = ws.problem
+    free = ws.free
+    v_bound = problem.v_max * dt
+    a_bound = problem.a_max * (dt * dt)
+    N = ws.N
+    margin = problem.sep_margin
+    tol = problem.tol_residual
+
+    worst = math.inf
+    for _ in range(problem.projection_sweeps):
+        worst = 0.0
+        # Velocity pairs: ||q_k - q_{k-1}|| <= v_max dt.
+        for k in range(1, N):
+            gx = C[k, 0] - C[k - 1, 0]
+            gy = C[k, 1] - C[k - 1, 1]
+            norm = math.hypot(gx, gy)
+            over = norm - v_bound
+            if over <= tol:
+                continue
+            worst = max(worst, over)
+            scale = (1.0 - v_bound / norm)
+            denom = float(free[k]) + float(free[k - 1])
+            if denom == 0.0:
+                continue
+            cx, cy = scale * gx / denom, scale * gy / denom
+            if free[k]:
+                C[k, 0] -= cx
+                C[k, 1] -= cy
+            if free[k - 1]:
+                C[k - 1, 0] += cx
+                C[k - 1, 1] += cy
+        # Acceleration triples.
+        for k in range(2, N):
+            gx = C[k, 0] - 2.0 * C[k - 1, 0] + C[k - 2, 0]
+            gy = C[k, 1] - 2.0 * C[k - 1, 1] + C[k - 2, 1]
+            norm = math.hypot(gx, gy)
+            over = norm - a_bound
+            if over <= tol:
+                continue
+            worst = max(worst, over)
+            denom = float(free[k]) + 4.0 * float(free[k - 1]) + float(free[k - 2])
+            if denom == 0.0:
+                continue
+            s = (1.0 - a_bound / norm) / denom
+            dx, dy = s * gx, s * gy
+            if free[k]:
+                C[k, 0] -= dx
+                C[k, 1] -= dy
+            if free[k - 1]:
+                C[k - 1, 0] += 2.0 * dx
+                C[k - 1, 1] += 2.0 * dy
+            if free[k - 2]:
+                C[k - 2, 0] -= dx
+                C[k - 2, 1] -= dy
+        # Separation halfspaces: h.q >= d + margin for the four hull points.
+        for (i, _j), (h, d) in planes.items():
+            target = d + margin
+            for k in range(i, i + 4):
+                if not free[k]:
+                    continue
+                val = C[k, 0] * h[0] + C[k, 1] * h[1]
+                short = target - val
+                if short > tol:
+                    worst = max(worst, short)
+                    C[k, 0] += h[0] * short
+                    C[k, 1] += h[1] * short
+        if worst <= tol:
+            break
+    return worst
 
 
 def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):

@@ -31,6 +31,9 @@ class TestTraj:
         assert rc == 0
         data = json.loads((out / "trajectory.json").read_text())
         assert data["status"] == "converged"
+        trace = data["cost_trace"]
+        assert len(trace) == data["n_outer"] + 1
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert (out / "trajectory_samples.csv").exists()
         residuals = json.loads((out / "residuals.json").read_text())
         assert residuals["ok"]
@@ -98,6 +101,21 @@ class TestAudit:
         assert rc == 0
         data = json.loads((out / "audit.json").read_text())
         assert data["actuator_violations"] == 0
+        assert data["violations"]["d"] == 0
+        assert data["summary_matches"]
+
+    def test_summary_discrepancy_fails(self, tmp_path, scenario_file):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", scenario_file, "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        summary["violations"]["d"] += 3
+        (out / "summary.json").write_text(json.dumps(summary))
+        rc = main(["audit", "--scenario", scenario_file, "--out-dir", str(out),
+                   "--log", str(out / "episode.csv")])
+        assert rc == 1
+        data = json.loads((out / "audit.json").read_text())
+        assert not data["summary_matches"]
+        assert data["discrepancies"]
         assert data["violations"]["d"] == 0
 
     def test_funnel_violation_fails(self, tmp_path, scenario_file):

@@ -1,12 +1,14 @@
 import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from funnelnav import trajopt
 from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile
-from funnelnav.errors import InitialComplianceError
+from funnelnav.errors import InitialComplianceError, UnverifiedTrajectory
 from funnelnav.funnels import FunnelSpec
 from funnelnav.harness import (
     EpisodeLog,
@@ -48,6 +50,12 @@ class TestRunEpisode:
         c = benign_log.columns
         for ch in "dour":
             assert benign_log.summary["violations"][ch] == int(c[f"viol_{ch}"].sum())
+
+    def test_unverified_trajectory_is_not_tracked(self, monkeypatch):
+        monkeypatch.setattr(trajopt, "_dense_kinodynamic_check", lambda traj: (math.inf, 0.0))
+        with pytest.raises(UnverifiedTrajectory) as exc:
+            plan_and_solve(benign_scenario())
+        assert exc.value.residuals["max_speed"] == math.inf
 
     def test_log_columns_complete(self, benign_log):
         assert set(benign_log.columns) == set(LOG_COLUMNS)

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from funnelnav import harness, rrt, trajopt
 from funnelnav.errors import InfeasibleSeed, TrajOptInfeasible
 from funnelnav.geometry import ConvexPolygon, verify_separation
 from funnelnav.rrt import RrtPath
+from funnelnav.scenario import trajectory_demo_scenario
 from funnelnav.trajopt import (
     TrajOptProblem,
     _Workspace,
     _feasible_dt_floor,
+    _project,
     build,
     solve,
     validate,
 )
+from oracles import project_oracle
 
 
 def straight_path(n=6, spacing=5.0):
@@ -144,6 +150,14 @@ class TestSolve:
         fast = solve(free_problem(path, w2=0.01, w3=5.0))
         assert fast.trajectory.duration <= slow.trajectory.duration + 1e-9
 
+    def test_failed_verification_is_unverified(self, monkeypatch):
+        path = wiggly_path(np.random.default_rng(5))
+        problem = free_problem(path, w2=0.05, w3=0.1)
+        assert solve(problem).status == "converged"
+        monkeypatch.setattr(trajopt, "_dense_kinodynamic_check",
+                            lambda traj: (2.0 * problem.v_max, 0.0))
+        assert solve(problem).status == "unverified"
+
     def test_infeasible_dt_box(self):
         path = straight_path(n=6, spacing=50.0)
         with pytest.raises(TrajOptInfeasible):
@@ -165,6 +179,58 @@ class TestSolve:
             assert verify_separation(hull, box, h, d, margin=0.0)
         report = validate(sol, problem)
         assert report.ok
+
+
+class TestProjection:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(5, 50),
+           sweeps=st.sampled_from([1, 300]))
+    def test_matches_scalar_oracle(self, seed, n_points, sweeps):
+        # n_points waypoints give n_points + 4 control points, three pinned
+        # at each end; every (segment, obstacle) pair gets a plane, inserted
+        # in shuffled order so interior points see the planes of their four
+        # segments out of lexicographic order.
+        rng = np.random.default_rng(seed)
+        path = RrtPath(np.cumsum(rng.uniform(-3.0, 3.0, (n_points, 2)), axis=0))
+        problem = free_problem(path, v_max=float(rng.uniform(0.5, 4.0)),
+                               a_max=float(rng.uniform(0.2, 2.0)), projection_sweeps=sweeps)
+        ws = _Workspace(problem)
+        C, _, _ = build(problem)
+        pairs = [(i, j) for i in range(ws.N - 3) for j in range(int(rng.integers(1, 5)))]
+        order = rng.permutation(len(pairs))
+        if np.all(np.diff(order) > 0):
+            order = order[::-1]
+        planes = {}
+        for m in order:
+            i, j = pairs[m]
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            h = np.array([np.cos(angle), np.sin(angle)])
+            planes[(i, j)] = (h, float(C[i:i + 4].mean(axis=0) @ h + rng.uniform(-2.0, 1.0)))
+        dt = float(rng.uniform(0.3, 2.0))
+        C_batched, C_scalar = C.copy(), C.copy()
+        worst_batched = _project(C_batched, dt, planes, ws)
+        worst_scalar = project_oracle(C_scalar, dt, planes, ws)
+        assert C_batched.tobytes() == C_scalar.tobytes()
+        assert worst_batched == worst_scalar
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["seeded", "no-prior"])
+    def test_solve_matches_scalar_oracle(self, monkeypatch, cold):
+        scenario = trajectory_demo_scenario()
+        path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
+                        scenario.goal, scenario.planner)
+
+        def solve_demo():
+            if not cold:
+                return solve(harness.make_problem(scenario, path))
+            problem = harness.make_problem(scenario, path, w1=0.0, init="line")
+            problem.max_outer = 4
+            return solve(problem)
+
+        batched = solve_demo()
+        monkeypatch.setattr(trajopt, "_project", project_oracle)
+        scalar = solve_demo()
+        assert batched.cost_trace == scalar.cost_trace
+        assert batched.to_dict() == scalar.to_dict()
 
 
 class TestValidate:
