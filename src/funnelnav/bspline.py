@@ -121,14 +121,6 @@ class SplineTrajectory:
         inner = (pts[:-2] + 4.0 * pts[1:-1] + pts[2:]) / 6.0
         return inner
 
-    def velocity_control_points(self) -> np.ndarray:
-        """Control points of the degree-2 derivative spline: (q_k - q_{k-1}) / dt."""
-        return np.diff(self.control_points, axis=0) / self.dt_knot
-
-    def acceleration_control_points(self) -> np.ndarray:
-        """Control points of the degree-1 second-derivative spline."""
-        return np.diff(self.control_points, n=2, axis=0) / (self.dt_knot * self.dt_knot)
-
     def translated(self, offset) -> "SplineTrajectory":
         return SplineTrajectory(self.control_points + np.asarray(offset, dtype=float),
                                 self.dt_knot)
@@ -182,14 +174,11 @@ class SplineTrajectory:
     def sample_rows(self, dt_sample: float) -> list[tuple[float, ...]]:
         """(t, x, y, vx, vy, ax, ay) rows over the whole domain, endpoint included."""
         n = max(2, int(math.floor(self.duration / dt_sample)) + 1)
+        times = [min(i * dt_sample, self.duration) for i in range(n)]
+        if times[-1] < self.duration:
+            times.append(self.duration)
         rows = []
-        for i in range(n):
-            t = min(i * dt_sample, self.duration)
-            p = self.eval(t)
-            v, a, _ = self.eval_derivatives(t)
-            rows.append((t, p[0], p[1], v[0], v[1], a[0], a[1]))
-        if rows[-1][0] < self.duration:
-            t = self.duration
+        for t in times:
             p = self.eval(t)
             v, a, _ = self.eval_derivatives(t)
             rows.append((t, p[0], p[1], v[0], v[1], a[0], a[1]))

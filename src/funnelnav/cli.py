@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import feasibility, harness, rrt, trajopt
+from .errors import FunnelNavError
 from .scenario import BUILTIN_SCENARIOS, load_scenario
 
 
@@ -54,11 +55,9 @@ def cmd_traj(args) -> int:
     traj_path = os.path.join(args.out_dir, "trajectory.json")
     with open(traj_path, "w", encoding="utf-8") as f:
         json.dump(solution.to_dict(), f, indent=2)
-    samples_path = os.path.join(args.out_dir, "trajectory_samples.csv")
-    with open(samples_path, "w", encoding="utf-8") as f:
-        f.write("t,x,y,vx,vy,ax,ay\n")
-        for row in solution.trajectory.sample_rows(dt_sample=scenario.sim_dt):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = solution.trajectory.sample_rows(dt_sample=scenario.sim_dt)
+    harness.write_csv(os.path.join(args.out_dir, "trajectory_samples.csv"),
+                      ["t", "x", "y", "vx", "vy", "ax", "ay"], list(zip(*rows)))
     report = trajopt.validate(solution, harness.make_problem(scenario, path))
     with open(os.path.join(args.out_dir, "residuals.json"), "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)
@@ -166,8 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; exit 3 with a one-line message on a typed failure."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FunnelNavError as exc:
+        print(f"funnelnav: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

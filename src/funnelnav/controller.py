@@ -11,11 +11,12 @@ of the single rear thruster.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import ActuatorCommand, VesselState
+from .dynamics import ActuatorCommand, VesselState, namespace
 from .errors import InitialComplianceError
 from .funnels import (
     FunnelSpec,
@@ -24,8 +25,9 @@ from .funnels import (
     normalize_asymmetric,
     normalize_symmetric,
     transform,
-    transform_clamped,
 )
+
+CHANNELS = ("d", "o", "u", "r")
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ControllerConfig:
 
 @dataclass
 class ControllerDebug:
-    """Every intermediate cascade signal of one tick."""
+    """Every intermediate cascade signal of one tick (floats, or (B,) arrays)."""
 
     errors: TrackingErrors | None = None
     xi_d: float = math.nan
@@ -98,53 +100,58 @@ class ControllerDebug:
     rho_o: float = math.nan
     rho_u: float = math.nan
     rho_r: float = math.nan
-    violations: list = field(default_factory=list)
+
+    def violated(self) -> np.ndarray:
+        """Whether |xi| >= 1, per channel in CHANNELS order: (4,), or (4, B) for arrays."""
+        return np.abs(np.array((self.xi_d, self.xi_o, self.xi_u, self.xi_r))) >= 1.0
+
+    @property
+    def violations(self) -> list[str]:
+        """The channels of a float record whose normalized error left its funnel."""
+        return [ch for ch, v in zip(CHANNELS, self.violated()) if v]
 
 
 def velocity_references(errors: TrackingErrors, t: float, cfg: ControllerConfig,
                         debug: ControllerDebug | None = None,
                         clamp: bool = False) -> tuple[float, float, ControllerDebug]:
-    """Stage 1+2: surge and yaw-rate references from the position errors."""
+    """Stage 1+2: surge and yaw-rate references from the position errors.
+
+    errors needs only e_d and e_o, floats or (B,) arrays; t is a float or one
+    time per column. clamp=True pulls an error that left its funnel to the edge.
+    """
     dbg = debug if debug is not None else ControllerDebug()
     dbg.rho_d = cfg.funnel_d.value(t)
     dbg.rho_o = cfg.funnel_o.value(t)
 
     dbg.xi_d = normalize_asymmetric(errors.e_d, dbg.rho_d, cfg.rho_d_min)
-    dbg.eps_d = _transform_tracked(dbg, "d", dbg.xi_d, t, clamp)
-    u_des = cfg.k_d * dbg.eps_d
+    dbg.eps_d = transform(dbg.xi_d, channel="d", t=t, clamp=clamp)
+    dbg.u_des = cfg.k_d * dbg.eps_d
 
     dbg.xi_o = normalize_symmetric(errors.e_o, dbg.rho_o)
-    dbg.eps_o = _transform_tracked(dbg, "o", dbg.xi_o, t, clamp)
-    r_des = -cfg.k_o * dbg.eps_o
-
-    dbg.u_des = u_des
-    dbg.r_des = r_des
-    return u_des, r_des, dbg
+    dbg.eps_o = transform(dbg.xi_o, channel="o", t=t, clamp=clamp)
+    dbg.r_des = -cfg.k_o * dbg.eps_o
+    return dbg.u_des, dbg.r_des, dbg
 
 
 def wrench_references(state: VesselState, u_des: float, r_des: float, t: float,
                       cfg: ControllerConfig, debug: ControllerDebug | None = None,
                       clamp: bool = False) -> tuple[float, float, ControllerDebug]:
-    """Stage 3+4: force/torque demands from the velocity errors."""
+    """Stage 3+4: force/torque demands from the velocity errors.
+
+    state needs only the surge u and yaw rate r, floats or (B,) arrays.
+    """
     dbg = debug if debug is not None else ControllerDebug()
     dbg.rho_u = cfg.funnel_u.value(t)
     dbg.rho_r = cfg.funnel_r.value(t)
 
     dbg.xi_u = normalize_symmetric(state.u - u_des, dbg.rho_u)
-    dbg.eps_u = _transform_tracked(dbg, "u", dbg.xi_u, t, clamp)
+    dbg.eps_u = transform(dbg.xi_u, channel="u", t=t, clamp=clamp)
     dbg.X_des = -cfg.k_u * dbg.eps_u
 
     dbg.xi_r = normalize_symmetric(state.r - r_des, dbg.rho_r)
-    dbg.eps_r = _transform_tracked(dbg, "r", dbg.xi_r, t, clamp)
+    dbg.eps_r = transform(dbg.xi_r, channel="r", t=t, clamp=clamp)
     dbg.N_des = -cfg.k_r * dbg.eps_r
     return dbg.X_des, dbg.N_des, dbg
-
-
-def _transform_tracked(dbg: ControllerDebug, channel: str, xi: float, t: float,
-                       clamp: bool) -> float:
-    if clamp and abs(xi) >= 1.0:
-        dbg.violations.append(channel)
-    return transform(xi, channel=channel, t=t, clamp=clamp)
 
 
 def saturate_and_allocate(eps_u: float, eps_r: float, cfg: ControllerConfig,
@@ -158,10 +165,11 @@ def saturate_and_allocate(eps_u: float, eps_r: float, cfg: ControllerConfig,
     and saturates to a clean thrust cut.
     """
     dbg = debug if debug is not None else ControllerDebug()
-    eps_u_guarded = min(eps_u, -cfg.eps_u_guard)
-    dbg.u_alpha = math.atan(cfg.k_alpha * eps_r / eps_u_guarded)
-    alpha_r = min(max(dbg.u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
-    dbg.u_F = -cfg.k_u * eps_u / math.cos(alpha_r)
+    xp = namespace(eps_u)
+    eps_u_guarded = xp.minimum(eps_u, -cfg.eps_u_guard)
+    dbg.u_alpha = xp.atan(cfg.k_alpha * eps_r / eps_u_guarded)
+    alpha_r = xp.minimum(xp.maximum(dbg.u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
+    dbg.u_F = -cfg.k_u * eps_u / xp.cos(alpha_r)
     cmd = ActuatorCommand.clamped(dbg.u_F, dbg.u_alpha, cfg.F_T_max, cfg.alpha_r_max)
     return cmd, dbg
 
@@ -193,21 +201,23 @@ def check_initial_compliance(errors: TrackingErrors, state: VesselState,
     if "d" not in bad and "o" not in bad:
         # Velocity-channel checks need the stage-1 references, well-defined
         # only when the position channels comply.
-        xi_d = normalize_asymmetric(errors.e_d, rho_d0, cfg.rho_d_min)
-        u_des = cfg.k_d * transform(xi_d, channel="d", t=0.0)
-        xi_o = normalize_symmetric(errors.e_o, rho_o0)
-        r_des = -cfg.k_o * transform(xi_o, channel="o", t=0.0)
-        e_u = state.u - u_des
-        rho_u0 = cfg.funnel_u.value(0.0)
-        if abs(e_u) >= rho_u0:
-            bad["u"] = {"value": e_u, "bound": rho_u0, "suggested_rho0": abs(e_u) * (1.0 + 1e-6)}
-        e_r = state.r - r_des
-        rho_r0 = cfg.funnel_r.value(0.0)
-        if abs(e_r) >= rho_r0:
-            bad["r"] = {"value": e_r, "bound": rho_r0, "suggested_rho0": abs(e_r) * (1.0 + 1e-6)}
+        u_des, r_des, _ = velocity_references(errors, 0.0, cfg)
+        for ch, e, funnel in (("u", state.u - u_des, cfg.funnel_u), ("r", state.r - r_des, cfg.funnel_r)):
+            rho0 = funnel.value(0.0)
+            if abs(e) >= rho0:
+                bad[ch] = {"value": e, "bound": rho0, "suggested_rho0": abs(e) * (1.0 + 1e-6)}
 
     if bad:
         raise InitialComplianceError(bad)
+
+
+def _cascade(state, errors, t, cfg: ControllerConfig,
+             clamp: bool) -> tuple[ActuatorCommand, ControllerDebug]:
+    """Stages 1-4 and the allocation, for floats or (B,) arrays alike."""
+    dbg = ControllerDebug(errors=errors)
+    u_des, r_des, dbg = velocity_references(errors, t, cfg, debug=dbg, clamp=clamp)
+    _, _, dbg = wrench_references(state, u_des, r_des, t, cfg, debug=dbg, clamp=clamp)
+    return saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
 
 
 def control_tick(state: VesselState, p_des, t: float, cfg: ControllerConfig,
@@ -216,18 +226,15 @@ def control_tick(state: VesselState, p_des, t: float, cfg: ControllerConfig,
 
     At t == 0 the initial funnel compliance is validated first
     (InitialComplianceError). Funnel violations at later times raise
-    FunnelViolation tagged with the channel, unless clamp=True, in which case
-    the offending normalized errors are pulled back to the funnel edge and
-    the channels recorded in the returned debug record.
+    FunnelViolation tagged with the first violated channel in CHANNELS
+    order, unless clamp=True, in which case the offending normalized errors
+    are pulled back to the funnel edge and the debug record names the
+    channels (ControllerDebug.violations).
     """
     errors = compute_errors(state.p_x, state.p_y, state.psi, float(p_des[0]), float(p_des[1]))
     if t == 0.0:
         check_initial_compliance(errors, state, cfg)
-    dbg = ControllerDebug(errors=errors)
-    u_des, r_des, dbg = velocity_references(errors, t, cfg, debug=dbg, clamp=clamp)
-    _, _, dbg = wrench_references(state, u_des, r_des, t, cfg, debug=dbg, clamp=clamp)
-    cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
-    return cmd, dbg
+    return _cascade(state, errors, t, cfg, clamp)
 
 
 def control_batch(u: np.ndarray, r: np.ndarray, e_d: np.ndarray, e_o: np.ndarray, t,
@@ -235,26 +242,10 @@ def control_batch(u: np.ndarray, r: np.ndarray, e_d: np.ndarray, e_o: np.ndarray
     """control_tick's cascade after the errors, for (B,) arrays of episodes.
 
     t is one time for all columns or a (B,) array of times. Always takes
-    the clamp path: a channel whose normalized error left its funnel is
-    pulled back to the edge and flagged, which is what control_tick's caller
-    gets by retrying with clamp=True after a FunnelViolation. Returns the
-    saturated thrust and rudder (B,), the (4, B) violation mask in CHANNELS
-    order d, o, u, r, and the surge and yaw-rate references u_des, r_des
-    (B,). The initial compliance check is the caller's.
+    the clamp path. Returns the saturated thrust and rudder (B,), the (4, B)
+    violation mask in CHANNELS order, and the surge and yaw-rate references
+    u_des, r_des (B,). The initial compliance check is the caller's.
     """
-    xi_d = normalize_asymmetric(e_d, cfg.funnel_d.value(t), cfg.rho_d_min)
-    eps_d, viol_d = transform_clamped(xi_d)
-    u_des = cfg.k_d * eps_d
-    eps_o, viol_o = transform_clamped(normalize_symmetric(e_o, cfg.funnel_o.value(t)))
-    r_des = -cfg.k_o * eps_o
-
-    eps_u, viol_u = transform_clamped(normalize_symmetric(u - u_des, cfg.funnel_u.value(t)))
-    eps_r, viol_r = transform_clamped(normalize_symmetric(r - r_des, cfg.funnel_r.value(t)))
-
-    u_alpha = np.arctan(cfg.k_alpha * eps_r / np.minimum(eps_u, -cfg.eps_u_guard))
-    alpha_r = np.minimum(np.maximum(u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
-    u_F = -cfg.k_u * eps_u / np.cos(alpha_r)
-    F_T = np.minimum(np.maximum(u_F, 0.0), cfg.F_T_max)
-    if not (np.isfinite(F_T).all() and np.isfinite(alpha_r).all()):
-        raise ValueError("actuator command must be finite")
-    return F_T, alpha_r, np.array((viol_d, viol_o, viol_u, viol_r)), u_des, r_des
+    cmd, dbg = _cascade(SimpleNamespace(u=u, r=r), SimpleNamespace(e_d=e_d, e_o=e_o),
+                        t, cfg, clamp=True)
+    return cmd.F_T, cmd.alpha_r, dbg.violated(), dbg.u_des, dbg.r_des

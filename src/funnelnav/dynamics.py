@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,11 +24,25 @@ from .errors import NonFiniteState
 
 TWO_PI = 2.0 * math.pi
 
+# The functions the closed-loop kernels take from their namespace, under the
+# names of the Python array API standard: numpy serves (B,) arrays as it is,
+# math and the builtins serve floats at float speed.
+_FLOAT_MATH = SimpleNamespace(
+    sin=math.sin, cos=math.cos, atan=math.atan, atan2=math.atan2, atanh=math.atanh,
+    hypot=math.hypot, copysign=math.copysign, fmod=math.fmod, isfinite=math.isfinite,
+    minimum=min, maximum=max, where=lambda cond, a, b: a if cond else b, all=bool, any=bool)
 
-def wrap_angle(psi: float) -> float:
-    """Wrap to [0, 2*pi)."""
-    psi = math.fmod(psi, TWO_PI)
-    return psi + TWO_PI if psi < 0.0 else psi
+
+def namespace(x):
+    """numpy for an array x, math and the builtins for a float."""
+    return np if isinstance(x, np.ndarray) else _FLOAT_MATH
+
+
+def wrap_angle(psi):
+    """Wrap a float or an array of angles to [0, 2*pi)."""
+    xp = namespace(psi)
+    psi = xp.fmod(psi, TWO_PI)
+    return xp.where(psi < 0.0, psi + TWO_PI, psi)
 
 
 @dataclass(frozen=True)
@@ -177,26 +192,24 @@ class DisturbanceProfile:
 
 @dataclass(frozen=True)
 class ActuatorCommand:
-    """Thrust [N] and rudder angle [rad]; thrust is never negative."""
+    """Thrust [N] and rudder angle [rad], floats or (B,) arrays; thrust is never negative."""
 
     F_T: float
     alpha_r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.F_T) and math.isfinite(self.alpha_r)):
-            raise ValueError("actuator command must be finite")
-        if self.F_T < 0.0:
-            raise ValueError(f"thrust must be >= 0, got {self.F_T}")
+        xp = namespace(self.F_T)
+        if not xp.all((0.0 <= self.F_T) & (self.F_T < math.inf) & xp.isfinite(self.alpha_r)):
+            raise ValueError("actuator command needs a finite thrust >= 0 and a finite rudder "
+                             f"angle, got F_T={self.F_T}, alpha_r={self.alpha_r}")
 
     @classmethod
     def clamped(cls, u_F: float, u_alpha: float, F_T_max: float, alpha_r_max: float) -> "ActuatorCommand":
         """Construct with bit-exact saturation to [0, F_T_max] x [-alpha_r_max, alpha_r_max]."""
-        alpha = min(max(u_alpha, -alpha_r_max), alpha_r_max)
-        thrust = min(max(u_F, 0.0), F_T_max)
+        xp = namespace(u_F)
+        alpha = xp.minimum(xp.maximum(u_alpha, -alpha_r_max), alpha_r_max)
+        thrust = xp.minimum(xp.maximum(u_F, 0.0), F_T_max)
         return cls(F_T=thrust, alpha_r=alpha)
-
-    def within(self, F_T_max: float, alpha_r_max: float) -> bool:
-        return 0.0 <= self.F_T <= F_T_max and abs(self.alpha_r) <= alpha_r_max
 
 
 def actuator_to_wrench(cmd: ActuatorCommand, params: VesselParams) -> tuple[float, float, float]:
@@ -204,8 +217,9 @@ def actuator_to_wrench(cmd: ActuatorCommand, params: VesselParams) -> tuple[floa
 
     The lateral force and yaw torque are rigidly coupled: Y = N / Delta_x.
     """
-    X = cmd.F_T * math.cos(cmd.alpha_r)
-    Y = cmd.F_T * math.sin(cmd.alpha_r)
+    xp = namespace(cmd.F_T)
+    X = cmd.F_T * xp.cos(cmd.alpha_r)
+    Y = cmd.F_T * xp.sin(cmd.alpha_r)
     N = params.Delta_x * Y
     return (X, Y, N)
 
@@ -220,7 +234,7 @@ def lumped(u, v, r, tau, params: VesselParams):
     """Drag, optional Coriolis coupling and disturbance wrench tau as (f_u, f_v, f_r).
 
     Plain arithmetic, so u, v, r and the rows of tau may be floats or (B,)
-    arrays alike: the scalar and the batched RK4 share this expression.
+    arrays alike, as the one RK4 for both needs.
     """
     d = params.drag
     f_u = tau[0] - (d.d1_u * u + d.d2_u * u * abs(u))
@@ -239,19 +253,32 @@ def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbancePro
     return lumped(state.u, state.v, state.r, tau, params)
 
 
-def _derivative(x, t, wrench, params, dist):
-    """Right-hand side of the ODE at raw state tuple x = (px, py, psi, u, v, r)."""
-    px, py, psi, u, v, r = x
-    c, s = math.cos(psi), math.sin(psi)
-    f_u, f_v, f_r = lumped(u, v, r, dist.value(t), params)
-    return (
-        u * c - v * s,
-        u * s + v * c,
-        r,
-        (wrench[0] + f_u) / params.m,
-        (wrench[1] + f_v) / params.m,
-        (wrench[2] + f_r) / params.Iz,
-    )
+def _rk4(x, wrench, params: VesselParams, tau0, tau_half, tau1, h: float):
+    """RK4 step of x = [p_x, p_y, psi, u, v, r] (six floats or a (6, B) array), wrench held.
+
+    tau0, tau_half and tau1 are the disturbance wrenches at t0, t0 + h/2 and t0 + h."""
+    X, Y, N = wrench
+    xp = namespace(x[2])
+    stacked = xp is np
+
+    def derivative(y, tau):
+        _p_x, _p_y, psi, u, v, r = y
+        c, s = xp.cos(psi), xp.sin(psi)
+        f_u, f_v, f_r = lumped(u, v, r, tau, params)
+        k = (u * c - v * s, u * s + v * c, r,
+             (X + f_u) / params.m, (Y + f_v) / params.m, (N + f_r) / params.Iz)
+        return np.array(k) if stacked else k
+
+    def shift(y, c, k):
+        """y + c k: one numpy operation per term for a batch, float by float for one episode."""
+        return y + c * k if stacked else [a + c * b for a, b in zip(y, k)]
+
+    k1 = derivative(x, tau0)
+    k2 = derivative(shift(x, 0.5 * h, k1), tau_half)
+    k3 = derivative(shift(x, 0.5 * h, k2), tau_half)
+    k4 = derivative(shift(x, h, k3), tau1)
+    # x + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+    return shift(x, h / 6.0, shift(shift(shift(k1, 2.0, k2), 2.0, k3), 1.0, k4))
 
 
 def step(state: VesselState, cmd: ActuatorCommand, params: VesselParams,
@@ -259,20 +286,10 @@ def step(state: VesselState, cmd: ActuatorCommand, params: VesselParams,
     """One fixed-step RK4 integration with the command held over the step."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    wrench = actuator_to_wrench(cmd, params)
-    x0 = (state.p_x, state.p_y, state.psi, state.u, state.v, state.r)
     t0 = state.t
-    h = dt
-
-    k1 = _derivative(x0, t0, wrench, params, dist)
-    x1 = tuple(x0[i] + 0.5 * h * k1[i] for i in range(6))
-    k2 = _derivative(x1, t0 + 0.5 * h, wrench, params, dist)
-    x2 = tuple(x0[i] + 0.5 * h * k2[i] for i in range(6))
-    k3 = _derivative(x2, t0 + 0.5 * h, wrench, params, dist)
-    x3 = tuple(x0[i] + h * k3[i] for i in range(6))
-    k4 = _derivative(x3, t0 + h, wrench, params, dist)
-
-    out = [x0[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(6)]
+    out = _rk4((state.p_x, state.p_y, state.psi, state.u, state.v, state.r),
+               actuator_to_wrench(cmd, params), params,
+               dist.value(t0), dist.value(t0 + 0.5 * dt), dist.value(t0 + dt), dt)
     if not all(math.isfinite(x) for x in out):
         raise NonFiniteState(f"RK4 produced non-finite state at t={t0}: {out}")
     return VesselState(
@@ -293,38 +310,24 @@ class DisturbanceBatch:
         self.bias = np.array([[ax[a].bias for ax in axes] for a in range(3)])
         self.sin_amp = np.array([[ax[a].sin_amp for ax in axes] for a in range(3)])
         self.noise_amp = np.array([[ax[a].noise_amp for ax in axes] for a in range(3)])
-        # Term 0 is the sinusoid, terms 1.. the seeded noise sinusoids.
-        self._omega = np.empty((3, 1 + _NOISE_TERMS, len(profiles)))
+        # Term 0 is the sinusoid, terms 1.. the seeded noise sinusoids; each
+        # term's (3, B) block is contiguous.
+        self._omega = np.empty((1 + _NOISE_TERMS, 3, len(profiles)))
         self._phase = np.empty_like(self._omega)
         for b, p in enumerate(profiles):
             for a, axis in enumerate(p.axes):
                 freqs, phases = p._noise[a]
-                self._omega[a, 0, b] = TWO_PI * axis.sin_freq_hz
-                self._omega[a, 1:, b] = TWO_PI * freqs
-                self._phase[a, 0, b] = axis.sin_phase
-                self._phase[a, 1:, b] = phases
+                self._omega[0, a, b] = TWO_PI * axis.sin_freq_hz
+                self._omega[1:, a, b] = TWO_PI * freqs
+                self._phase[0, a, b] = axis.sin_phase
+                self._phase[1:, a, b] = phases
 
     def value(self, t: float) -> np.ndarray:
         s = np.sin(self._omega * t + self._phase)
-        noise = s[:, 1]
+        noise = s[1]
         for k in range(2, 1 + _NOISE_TERMS):
-            noise = noise + s[:, k]
-        return self.bias + self.sin_amp * s[:, 0] + self.noise_amp * noise / _NOISE_TERMS
-
-
-def _derivative_batch(x, tau, wrench, params):
-    """_derivative over a (6, B) state with the (3, B) disturbance wrench tau."""
-    px, py, psi, u, v, r = x
-    c, s = np.cos(psi), np.sin(psi)
-    f_u, f_v, f_r = lumped(u, v, r, tau, params)
-    return np.array((
-        u * c - v * s,
-        u * s + v * c,
-        r,
-        (wrench[0] + f_u) / params.m,
-        (wrench[1] + f_v) / params.m,
-        (wrench[2] + f_r) / params.Iz,
-    ))
+            noise = noise + s[k]
+        return self.bias + self.sin_amp * s[0] + self.noise_amp * noise / _NOISE_TERMS
 
 
 def step_batch(x: np.ndarray, F_T: np.ndarray, alpha_r: np.ndarray, params: VesselParams,
@@ -335,17 +338,11 @@ def step_batch(x: np.ndarray, F_T: np.ndarray, alpha_r: np.ndarray, params: Vess
     stage times t0, t0 + dt/2 and t0 + dt; the commands are held over the
     step and the heading is wrapped to [0, 2*pi) as in step.
     """
-    Y = F_T * np.sin(alpha_r)
-    wrench = (F_T * np.cos(alpha_r), Y, params.Delta_x * Y)
-    h = dt
-    k1 = _derivative_batch(x, tau0, wrench, params)
-    k2 = _derivative_batch(x + 0.5 * h * k1, tau_half, wrench, params)
-    k3 = _derivative_batch(x + 0.5 * h * k2, tau_half, wrench, params)
-    k4 = _derivative_batch(x + h * k3, tau1, wrench, params)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # The commands come saturated and checked from control_batch.
+    wrench = actuator_to_wrench(SimpleNamespace(F_T=F_T, alpha_r=alpha_r), params)
+    out = _rk4(x, wrench, params, tau0, tau_half, tau1, dt)
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
         raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
-    psi = np.fmod(out[2], TWO_PI)
-    out[2] = np.where(psi < 0.0, psi + TWO_PI, psi)
+    out[2] = wrap_angle(out[2])
     return out

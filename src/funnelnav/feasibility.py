@@ -35,7 +35,7 @@ from .controller import control_batch
 # name in this module, so they stay bound.
 from .dynamics import DisturbanceBatch, lumped, lumped_forces, step, step_batch  # noqa: F401
 from .errors import DegenerateDistance, InsufficientSamples
-from .funnels import EPS_DEGENERATE, compute_errors, compute_errors_batch
+from .funnels import EPS_DEGENERATE, compute_errors
 from .scenario import Scenario
 
 CONDITIONS = ("thrust_floor", "surge_authority", "torque_authority", "initial_bearing")
@@ -73,26 +73,26 @@ class FeasibilityReport:
             json.dump(self.to_dict(), f, indent=2)
 
 
+def _terminal_rate(d1: float, d2: float, force: float) -> float:
+    """The rate w >= 0 where the drag d1 w + d2 w^2 balances a force."""
+    if d2 > 0.0:
+        return (-d1 + math.sqrt(d1 ** 2 + 4.0 * d2 * force)) / (2.0 * d2)
+    if d1 > 0.0:
+        return force / d1
+    return math.inf
+
+
 def terminal_surge_speed(scenario: Scenario) -> float:
     """Speed where straight-ahead drag balances full thrust."""
     d = scenario.vessel.drag
-    F = scenario.controller.F_T_max
-    if d.d2_u > 0.0:
-        return (-d.d1_u + math.sqrt(d.d1_u ** 2 + 4.0 * d.d2_u * F)) / (2.0 * d.d2_u)
-    if d.d1_u > 0.0:
-        return F / d.d1_u
-    return math.inf
+    return _terminal_rate(d.d1_u, d.d2_u, scenario.controller.F_T_max)
 
 
 def terminal_yaw_rate(scenario: Scenario) -> float:
     """Yaw rate where yaw drag balances the full rudder torque."""
     d = scenario.vessel.drag
     N = scenario.vessel.Delta_x * scenario.controller.F_T_max * math.sin(scenario.controller.alpha_r_max)
-    if d.d2_r > 0.0:
-        return (-d.d1_r + math.sqrt(d.d1_r ** 2 + 4.0 * d.d2_r * N)) / (2.0 * d.d2_r)
-    if d.d1_r > 0.0:
-        return N / d.d1_r
-    return math.inf
+    return _terminal_rate(d.d1_r, d.d2_r, N)
 
 
 def _initial_reference_point(scenario: Scenario, trajectory: SplineTrajectory | None) -> np.ndarray:
@@ -147,12 +147,12 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
     refs = []
     thrusts, sways = np.empty((2, 3, len(t0)))
     for k in range(3):
-        e_dk, e_ok, _psi_e, degenerate = compute_errors_batch(x[0], x[1], x[2], p[0], p[1])
-        if degenerate.any():
-            raise DegenerateDistance(f"feasibility rollout: distance error {e_dk.min():.3e} "
+        err = compute_errors(x[0], x[1], x[2], p[0], p[1])
+        if (err.e_d < EPS_DEGENERATE).any():
+            raise DegenerateDistance(f"feasibility rollout: distance error {err.e_d.min():.3e} "
                                      f"below guard {EPS_DEGENERATE:.0e}")
         F_T, alpha_r, _viol, u_ref, r_ref = control_batch(
-            x[3], x[5], e_dk, e_ok, t0 + k * dt_fd, cfg)
+            x[3], x[5], err.e_d, err.e_o, t0 + k * dt_fd, cfg)
         refs.append((u_ref, r_ref))
         thrusts[k] = F_T
         sways[k] = np.abs(x[4])

@@ -8,11 +8,11 @@ at the funnel boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import namespace
 from .errors import DegenerateDistance, FunnelViolation
 
 # Below this distance the orientation error is undefined.
@@ -55,7 +55,7 @@ class FunnelSpec:
 
 @dataclass(frozen=True)
 class TrackingErrors:
-    """Position-error coordinates of one tick.
+    """Position-error coordinates of one tick (floats, or (B,) arrays of poses).
 
     e_d >= 0 is the planar distance error, e_o = sin(psi_e) in [-1, 1] the
     orientation error, psi_e in (-pi, pi] the bearing of the reference in the
@@ -69,50 +69,27 @@ class TrackingErrors:
     psi_e: float
 
 
-def compute_errors(p_x: float, p_y: float, psi: float, p_des_x: float, p_des_y: float) -> TrackingErrors:
+def compute_errors(p_x, p_y, psi, p_des_x, p_des_y) -> TrackingErrors:
     """Compute distance/orientation errors of the vessel w.r.t. a reference point.
 
-    Raises DegenerateDistance when the reference coincides with the vessel
-    position (orientation error undefined there).
+    Floats, or (B,) arrays of poses against one or B reference points. A float
+    pose on its reference point raises DegenerateDistance (orientation error
+    undefined); for arrays the caller masks e_d < EPS_DEGENERATE (e_o meaningless).
     """
     e_x = p_des_x - p_x
     e_y = p_des_y - p_y
-    e_d = math.hypot(e_x, e_y)
-    if e_d < EPS_DEGENERATE:
+    xp = namespace(e_x)
+    e_d = xp.hypot(e_x, e_y)
+    degenerate = e_d < EPS_DEGENERATE
+    if xp is not np and degenerate:
         raise DegenerateDistance(f"distance error {e_d:.3e} below guard {EPS_DEGENERATE:.0e}")
     # Body-frame components of the error vector: forward b_x, port-negative b_y.
-    b_x = e_x * math.cos(psi) + e_y * math.sin(psi)
-    b_y = -e_x * math.sin(psi) + e_y * math.cos(psi)
-    psi_e = math.atan2(-b_y, b_x)
-    e_o = (e_x * math.sin(psi) - e_y * math.cos(psi)) / e_d
-    return TrackingErrors(e_x=e_x, e_y=e_y, e_d=e_d, e_o=e_o, psi_e=psi_e)
-
-
-def compute_errors_batch(p_x: np.ndarray, p_y: np.ndarray, psi: np.ndarray,
-                         p_des_x, p_des_y):
-    """compute_errors for (B,) arrays of vessel poses against one reference point.
-
-    The reference point may be shared (floats) or one per pose ((B,) arrays).
-
-    Returns (e_d, e_o, psi_e, degenerate). Instead of raising
-    DegenerateDistance it flags the episodes whose distance error is below
-    the guard; their e_o is meaningless.
-    """
-    e_x = p_des_x - p_x
-    e_y = p_des_y - p_y
-    e_d = np.hypot(e_x, e_y)
-    degenerate = e_d < EPS_DEGENERATE
-    c, s = np.cos(psi), np.sin(psi)
+    c, s = xp.cos(psi), xp.sin(psi)
     b_x = e_x * c + e_y * s
     b_y = -e_x * s + e_y * c
-    psi_e = np.arctan2(-b_y, b_x)
-    e_o = (e_x * s - e_y * c) / np.where(degenerate, 1.0, e_d)
-    return e_d, e_o, psi_e, degenerate
-
-
-def _everywhere(cond) -> bool:
-    """A comparison holds for a scalar radius, or for every entry of an array of radii."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+    psi_e = xp.atan2(-b_y, b_x)
+    e_o = (e_x * s - e_y * c) / xp.where(degenerate, 1.0, e_d)
+    return TrackingErrors(e_x=e_x, e_y=e_y, e_d=e_d, e_o=e_o, psi_e=psi_e)
 
 
 def normalize_asymmetric(e_d: float, rho_d: float, rho_d_min: float) -> float:
@@ -122,14 +99,14 @@ def normalize_asymmetric(e_d: float, rho_d: float, rho_d_min: float) -> float:
     exactly when rho_d_min < e_d < rho_d. May return |xi| >= 1 -- the caller
     decides whether that is a violation. Arguments may be floats or arrays.
     """
-    if not (rho_d_min > 0.0 and _everywhere(rho_d > rho_d_min)):
+    if not (rho_d_min > 0.0 and namespace(rho_d).all(rho_d > rho_d_min)):
         raise ValueError(f"need rho_d > rho_d_min > 0, got rho_d={rho_d}, rho_d_min={rho_d_min}")
     return (2.0 * e_d - rho_d - rho_d_min) / (rho_d - rho_d_min)
 
 
 def normalize_symmetric(e: float, rho: float) -> float:
     """xi = e / rho for a symmetric funnel of radius rho > 0 (floats or arrays)."""
-    if not _everywhere(rho > 0.0):
+    if not namespace(rho).all(rho > 0.0):
         raise ValueError(f"funnel value must be positive, got {rho}")
     return e / rho
 
@@ -142,18 +119,13 @@ def transform(
 ) -> float:
     """Strictly increasing bijection (-1, 1) -> R: atanh(xi) = 0.5 ln((1+xi)/(1-xi)).
 
-    Raises FunnelViolation (tagged with channel and time) when |xi| >= 1.
+    xi is a float or an array. Raises FunnelViolation (tagged with channel
+    and time, and the first offending entry of an array) when |xi| >= 1.
     With clamp=True the input is pulled back to +/-(1 - 1e-9) instead, so a
     simulation can continue past a violation the caller logs separately.
     """
-    if abs(xi) >= 1.0:
-        if not clamp:
-            raise FunnelViolation(channel, xi, t)
-        xi = math.copysign(XI_CLAMP, xi)
-    return math.atanh(xi)
-
-
-def transform_clamped(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """transform(xi, clamp=True) over an array, plus the |xi| >= 1 violation mask."""
-    violated = np.abs(xi) >= 1.0
-    return np.arctanh(np.where(violated, np.copysign(XI_CLAMP, xi), xi)), violated
+    xp = namespace(xi)
+    violated = abs(xi) >= 1.0
+    if not clamp and xp.any(violated):
+        raise FunnelViolation(channel, xi[violated][0] if xp is np else xi, t)
+    return xp.atanh(xp.where(violated, xp.copysign(XI_CLAMP, xi), xi))

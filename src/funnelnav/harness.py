@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
@@ -18,34 +19,41 @@ import numpy as np
 
 from . import rrt, trajopt
 from .bspline import SplineTrajectory
-from .controller import ControllerConfig, check_initial_compliance, control_batch, control_tick
-from .dynamics import DisturbanceBatch, step, step_batch
-from .errors import (
-    DegenerateDistance,
-    FunnelViolation,
-    InfeasibleSeed,
-    InitialComplianceError,
-    UnverifiedTrajectory,
+from .controller import (
+    CHANNELS,
+    ControllerConfig,
+    ControllerDebug,
+    check_initial_compliance,
+    control_batch,
+    control_tick,
 )
-from .funnels import FunnelSpec, compute_errors, compute_errors_batch
+from .dynamics import DisturbanceBatch, step, step_batch
+from .errors import DegenerateDistance, InfeasibleSeed, InitialComplianceError, UnverifiedTrajectory
+from .funnels import EPS_DEGENERATE, FunnelSpec, compute_errors
 from .geometry import distances_to_obstacles
 from .scenario import Scenario
 
-CHANNELS = ("d", "o", "u", "r")
+# The episode log columns read from each tick's records, by attribute name.
+_STATE_COLUMNS = ("p_x", "p_y", "psi", "u", "v", "r")
+_ERROR_COLUMNS = ("e_x", "e_y", "e_d", "e_o", "psi_e")
+_CASCADE_COLUMNS = ("rho_d", "rho_o", "rho_u", "rho_r", "xi_d", "xi_o", "xi_u", "xi_r",
+                    "eps_d", "eps_o", "eps_u", "eps_r",
+                    "u_des", "r_des", "X_des", "N_des", "u_alpha", "u_F")
 
 # Fixed CSV column order of the episode log.
 LOG_COLUMNS = [
-    "t", "p_x", "p_y", "psi", "u", "v", "r",
-    "ref_x", "ref_y", "ref_vx", "ref_vy",
-    "e_x", "e_y", "e_d", "e_o", "psi_e",
-    "rho_d", "rho_o", "rho_u", "rho_r",
-    "xi_d", "xi_o", "xi_u", "xi_r",
-    "eps_d", "eps_o", "eps_u", "eps_r",
-    "u_des", "r_des", "X_des", "N_des", "u_alpha", "u_F",
-    "F_T", "alpha_r", "sat_F", "sat_alpha",
-    "tau_x", "tau_y", "tau_psi",
+    "t", *_STATE_COLUMNS, "ref_x", "ref_y", "ref_vx", "ref_vy", *_ERROR_COLUMNS,
+    *_CASCADE_COLUMNS, "F_T", "alpha_r", "sat_F", "sat_alpha", "tau_x", "tau_y", "tau_psi",
     "viol_d", "viol_o", "viol_u", "viol_r",
 ]
+
+
+def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
+    """One row per entry of the equal-length float arrays, each value as its repr."""
+    cols = [np.asarray(a, dtype=float).tolist() for a in arrays]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
 
 
 @dataclass
@@ -61,11 +69,7 @@ class EpisodeLog:
         return len(self.columns["t"])
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(LOG_COLUMNS) + "\n")
-            cols = [self.columns[c] for c in LOG_COLUMNS]
-            for i in range(self.n_ticks):
-                f.write(",".join(repr(float(col[i])) for col in cols) + "\n")
+        write_csv(path, LOG_COLUMNS, [self.columns[c] for c in LOG_COLUMNS])
 
     @classmethod
     def load_csv(cls, path, scenario_name: str = "loaded", seed: int = 0) -> "EpisodeLog":
@@ -80,22 +84,12 @@ class EpisodeLog:
 
 def make_problem(scenario: Scenario, path: rrt.RrtPath, w1: float | None = None,
                  init: str = "rrt") -> trajopt.TrajOptProblem:
-    settings = scenario.trajopt
-    return trajopt.TrajOptProblem(
-        rrt_path=path,
-        obstacles=scenario.workspace.inflated_obstacles(),
-        v_max=scenario.v_max,
-        a_max=scenario.a_max,
-        w1=settings.w1 if w1 is None else w1,
-        w2=settings.w2,
-        w3=settings.w3,
-        dt_bounds=settings.dt_bounds,
-        sep_margin=settings.sep_margin,
-        max_outer=settings.max_outer,
-        tol_outer=settings.tol_outer,
-        tol_residual=settings.tol_residual,
-        init=init,
-    )
+    # The scenario's solver settings are TrajOptProblem fields of the same names.
+    settings = dataclasses.asdict(scenario.trajopt)
+    if w1 is not None:
+        settings["w1"] = w1
+    return trajopt.TrajOptProblem(rrt_path=path, obstacles=scenario.workspace.inflated_obstacles(),
+                                  v_max=scenario.v_max, a_max=scenario.a_max, init=init, **settings)
 
 
 def plan_and_solve(scenario: Scenario,
@@ -152,7 +146,7 @@ def _inflated_config(cfg: ControllerConfig, diagnostics: dict) -> ControllerConf
 
 
 def _episode_summary(scenario: Scenario, lead: float, positions: np.ndarray, *,
-                     violations, failed: bool, fault: str | None, goal_time: float | None,
+                     violations, fault: str | None, goal_time: float | None,
                      max_abs_psi_e: float, max_abs_sway: float, max_speed: float,
                      final_e_d: float, thrust_cut_ticks: int,
                      actuator_violations: int) -> dict:
@@ -160,10 +154,12 @@ def _episode_summary(scenario: Scenario, lead: float, positions: np.ndarray, *,
 
     positions is the (ticks, 2) array of pre-step vessel positions, one row
     per counted tick; violations holds the tick counts in CHANNELS order.
-    The extremes and final_e_d are reported as None when no tick counted.
+    An episode fails on any violation or fault. The extremes and final_e_d
+    are reported as None when no tick counted.
     """
     n_ticks = len(positions)
     violations = {ch: int(n) for ch, n in zip(CHANNELS, violations)}
+    failed = fault is not None or any(violations.values())
     raw_obstacles = scenario.workspace.obstacles
     min_clear = None
     if raw_obstacles and n_ticks:
@@ -199,89 +195,40 @@ def _episode_summary(scenario: Scenario, lead: float, positions: np.ndarray, *,
 
 def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
               lead: float, disturbance) -> EpisodeLog:
-    """The tick loop proper: sample reference, control, integrate, log."""
+    """The tick loop proper: sample reference, control, integrate, log.
+
+    The cascade always clamps: a channel whose normalized error left its
+    funnel is pulled back to the edge and logged as violated.
+    """
     dt = scenario.sim_dt
     n_max = int(round(scenario.horizon / dt))
     duration = traj.duration
     goal = np.asarray(scenario.goal, dtype=float)
 
-    cols: dict[str, list] = {name: [] for name in LOG_COLUMNS}
+    state_row = operator.attrgetter(*_STATE_COLUMNS)
+    error_row = operator.attrgetter(*_ERROR_COLUMNS)
+    cascade_row = operator.attrgetter(*_CASCADE_COLUMNS)
+    rows = []
     state = scenario.start
-    failed = False
     fault = None
     goal_time = None
-    thrust_cut_ticks = 0
-    actuator_violations = 0
 
     for i in range(n_max):
         t = i * dt
         s_ref = min(t + lead, duration)
         p_des = traj.eval(s_ref)
         ref_v, _, _ = traj.eval_derivatives(s_ref)
-
-        violated: list[str] = []
         try:
-            cmd, dbg = control_tick(state, p_des, t, cfg)
-        except FunnelViolation:
             cmd, dbg = control_tick(state, p_des, t, cfg, clamp=True)
-            violated = list(dbg.violations)
-            failed = True
         except DegenerateDistance:
             fault = "degenerate_distance"
-            failed = True
             break
 
-        tau = disturbance.value(t)
-        if cmd.F_T < scenario.min_thrust_floor:
-            thrust_cut_ticks += 1
-        if not cmd.within(cfg.F_T_max, cfg.alpha_r_max):
-            actuator_violations += 1
-
-        c = cols
-        err = dbg.errors
-        c["t"].append(t)
-        c["p_x"].append(state.p_x)
-        c["p_y"].append(state.p_y)
-        c["psi"].append(state.psi)
-        c["u"].append(state.u)
-        c["v"].append(state.v)
-        c["r"].append(state.r)
-        c["ref_x"].append(p_des[0])
-        c["ref_y"].append(p_des[1])
-        c["ref_vx"].append(ref_v[0])
-        c["ref_vy"].append(ref_v[1])
-        c["e_x"].append(err.e_x)
-        c["e_y"].append(err.e_y)
-        c["e_d"].append(err.e_d)
-        c["e_o"].append(err.e_o)
-        c["psi_e"].append(err.psi_e)
-        c["rho_d"].append(dbg.rho_d)
-        c["rho_o"].append(dbg.rho_o)
-        c["rho_u"].append(dbg.rho_u)
-        c["rho_r"].append(dbg.rho_r)
-        c["xi_d"].append(dbg.xi_d)
-        c["xi_o"].append(dbg.xi_o)
-        c["xi_u"].append(dbg.xi_u)
-        c["xi_r"].append(dbg.xi_r)
-        c["eps_d"].append(dbg.eps_d)
-        c["eps_o"].append(dbg.eps_o)
-        c["eps_u"].append(dbg.eps_u)
-        c["eps_r"].append(dbg.eps_r)
-        c["u_des"].append(dbg.u_des)
-        c["r_des"].append(dbg.r_des)
-        c["X_des"].append(dbg.X_des)
-        c["N_des"].append(dbg.N_des)
-        c["u_alpha"].append(dbg.u_alpha)
-        c["u_F"].append(dbg.u_F)
-        c["F_T"].append(cmd.F_T)
-        c["alpha_r"].append(cmd.alpha_r)
-        c["sat_F"].append(1.0 if (dbg.u_F < 0.0 or dbg.u_F > cfg.F_T_max) else 0.0)
-        c["sat_alpha"].append(1.0 if abs(dbg.u_alpha) > cfg.alpha_r_max else 0.0)
-        c["tau_x"].append(tau[0])
-        c["tau_y"].append(tau[1])
-        c["tau_psi"].append(tau[2])
-        for ch in CHANNELS:
-            c[f"viol_{ch}"].append(1.0 if ch in violated else 0.0)
+        rows.append((t, *state_row(state), *p_des, *ref_v, *error_row(dbg.errors),
+                     *cascade_row(dbg), cmd.F_T, cmd.alpha_r,
+                     1.0 if (dbg.u_F < 0.0 or dbg.u_F > cfg.F_T_max) else 0.0,
+                     1.0 if abs(dbg.u_alpha) > cfg.alpha_r_max else 0.0,
+                     *disturbance.value(t)))
 
         state = step(state, cmd, scenario.vessel, disturbance, dt)
         if (math.hypot(state.p_x - goal[0], state.p_y - goal[1]) <= scenario.goal_radius
@@ -289,16 +236,24 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
             goal_time = state.t
             break
 
-    columns = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
+    # A row holds every column but the violation flags, which come last.
+    row_columns = LOG_COLUMNS[:-len(CHANNELS)]
+    table = np.array(rows, dtype=float).reshape(-1, len(row_columns))
+    columns = dict(zip(row_columns, table.T.copy()))
+    # The logged columns are the cascade record of the whole episode.
+    flags = ControllerDebug(**{f"xi_{ch}": columns[f"xi_{ch}"] for ch in CHANNELS}).violated()
+    columns.update((f"viol_{ch}", flag.astype(float)) for ch, flag in zip(CHANNELS, flags))
+    F_T, alpha_r = columns["F_T"], columns["alpha_r"]
     summary = _episode_summary(
         scenario, lead, np.column_stack((columns["p_x"], columns["p_y"])),
-        violations=[columns[f"viol_{ch}"].sum() for ch in CHANNELS],
-        failed=failed, fault=fault, goal_time=goal_time,
+        violations=flags.sum(axis=1), fault=fault, goal_time=goal_time,
         max_abs_psi_e=np.max(np.abs(columns["psi_e"]), initial=0.0),
         max_abs_sway=np.max(np.abs(columns["v"]), initial=0.0),
         max_speed=np.max(np.hypot(columns["u"], columns["v"]), initial=0.0),
         final_e_d=columns["e_d"][-1] if len(columns["e_d"]) else math.nan,
-        thrust_cut_ticks=thrust_cut_ticks, actuator_violations=actuator_violations)
+        thrust_cut_ticks=np.count_nonzero(F_T < scenario.min_thrust_floor),
+        actuator_violations=np.count_nonzero(~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
+                                               & (np.abs(alpha_r) <= cfg.alpha_r_max))))
     return EpisodeLog(scenario_name=scenario.name, seed=scenario.seed,
                       columns=columns, summary=summary)
 
@@ -310,11 +265,11 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     Every episode starts from the same state and follows the same reference,
     so the reference point, the funnel radii and the initial-compliance
     check are shared per tick, while states, commands and disturbances are
-    (B,) columns. The cascade always clamps and masks the violated channels,
-    which is what run_ticks' clamp retry records. An episode leaves the
-    batch, its counters frozen, on a degenerate distance (before its tick
-    counts) or on reaching the goal (after its step). No log is kept: only
-    the summary's running reductions and the positions for the clearance.
+    (B,) columns. The cascade clamps and masks the violated channels, as in
+    run_ticks. An episode leaves the batch, its counters frozen, on a
+    degenerate distance (before its tick counts) or on reaching the goal
+    (after its step). No log is kept: only the summary's running reductions
+    and the positions for the clearance.
     """
     dt = scenario.sim_dt
     n_max = int(round(scenario.horizon / dt))
@@ -355,7 +310,9 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
             break
         t = i * dt
         p_des = traj.eval(min(t + lead, duration))
-        e_d, e_o, psi_e, degenerate = compute_errors_batch(x[0], x[1], x[2], p_des[0], p_des[1])
+        err = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
+        e_d, e_o, psi_e = err.e_d, err.e_o, err.psi_e
+        degenerate = e_d < EPS_DEGENERATE
         if degenerate.any():
             ticks[idx[degenerate]] = i
             for k in idx[degenerate]:
@@ -395,11 +352,10 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
                 goal_time[k] = t_state
             leave(arrived)
 
-    failed = violations.any(axis=0)
     return [
         _episode_summary(
             scenario, lead, positions[:ticks[k], :, k], violations=violations[:, k],
-            failed=failed[k] or fault[k] is not None, fault=fault[k], goal_time=goal_time[k],
+            fault=fault[k], goal_time=goal_time[k],
             max_abs_psi_e=max_abs_psi_e[k], max_abs_sway=max_abs_sway[k],
             max_speed=max_speed[k], final_e_d=final_e_d[k],
             thrust_cut_ticks=thrust_cut[k], actuator_violations=actuator[k])
@@ -606,25 +562,14 @@ def write_plotdata(log: EpisodeLog, scenario: Scenario, out_dir) -> list[str]:
     """Batch plot-source CSVs: funnel traces, inputs and the surge channel."""
     os.makedirs(out_dir, exist_ok=True)
     cols = log.columns
-    written = []
-
-    def dump(name: str, header: list[str], arrays: list[np.ndarray]) -> None:
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(header) + "\n")
-            for row in zip(*arrays):
-                f.write(",".join(repr(float(x)) for x in row) + "\n")
-        written.append(path)
-
-    e_u = cols["u"] - cols["u_des"]
-    e_r = cols["r"] - cols["r_des"]
-    dump("errors_vs_funnels.csv",
-         ["t", "e_d", "rho_d", "rho_d_min", "e_o", "rho_o", "e_u", "rho_u", "e_r", "rho_r"],
-         [cols["t"], cols["e_d"], cols["rho_d"],
-          np.full_like(cols["t"], scenario.controller.rho_d_min), cols["e_o"], cols["rho_o"],
-          e_u, cols["rho_u"], e_r, cols["rho_r"]])
-    dump("inputs.csv", ["t", "F_T", "alpha_r", "sat_F", "sat_alpha"],
-         [cols["t"], cols["F_T"], cols["alpha_r"], cols["sat_F"], cols["sat_alpha"]])
-    dump("forward_velocity.csv", ["t", "u", "u_des"],
-         [cols["t"], cols["u"], cols["u_des"]])
+    errors = {"t": cols["t"], "e_d": cols["e_d"], "rho_d": cols["rho_d"],
+              "rho_d_min": np.full_like(cols["t"], scenario.controller.rho_d_min),
+              "e_o": cols["e_o"], "rho_o": cols["rho_o"], "e_u": cols["u"] - cols["u_des"],
+              "rho_u": cols["rho_u"], "e_r": cols["r"] - cols["r_des"], "rho_r": cols["rho_r"]}
+    files = {"errors_vs_funnels.csv": errors,
+             "inputs.csv": {c: cols[c] for c in ("t", "F_T", "alpha_r", "sat_F", "sat_alpha")},
+             "forward_velocity.csv": {c: cols[c] for c in ("t", "u", "u_des")}}
+    written = [os.path.join(out_dir, name) for name in files]
+    for path, table in zip(written, files.values()):
+        write_csv(path, list(table), list(table.values()))
     return written

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
+from funnelnav import rrt, trajopt
 from funnelnav.cli import main
+from funnelnav.errors import InfeasibleSeed, PlanTimeout, TrajOptInfeasible
 from funnelnav.scenario import benign_scenario
 
 
@@ -148,3 +151,53 @@ class TestSeedOverride:
         assert main(["plan", "--scenario", "long-run", "--out-dir", str(out2),
                      "--seed", "2"]) == 0
         assert (out1 / "path.csv").read_bytes() != (out2 / "path.csv").read_bytes()
+
+
+
+def _raising(exc, calls):
+    def stage(*args, **kwargs):
+        calls.append(args)
+        raise exc
+    return stage
+
+
+class TestTypedErrors:
+    """A typed failure ends the CLI with exit code 3 and one line on stderr."""
+
+    @staticmethod
+    def _main_fails_with(name, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"funnelnav: {name}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unverified_trajectory(self, tmp_path, scenario_file, monkeypatch, capsys):
+        real_solve = trajopt.solve
+        monkeypatch.setattr(trajopt, "solve", lambda problem: dataclasses.replace(
+            real_solve(problem), status="unverified"))
+        self._main_fails_with("UnverifiedTrajectory",
+                              ["traj", "--scenario", scenario_file, "--out-dir", str(tmp_path)],
+                              capsys)
+
+    def test_plan_timeout(self, tmp_path, scenario_file, monkeypatch, capsys):
+        monkeypatch.setattr(rrt, "plan", _raising(PlanTimeout("no path after 10 iterations"), []))
+        self._main_fails_with("PlanTimeout",
+                              ["plan", "--scenario", scenario_file, "--out-dir", str(tmp_path)],
+                              capsys)
+
+    def test_infeasible_seed_after_last_replan(self, tmp_path, scenario_file, monkeypatch,
+                                               capsys):
+        calls = []
+        monkeypatch.setattr(trajopt, "solve", _raising(InfeasibleSeed(2, 0), calls))
+        self._main_fails_with("InfeasibleSeed",
+                              ["run", "--scenario", scenario_file, "--out-dir", str(tmp_path)],
+                              capsys)
+        assert len(calls) == 4  # plan_and_solve's default number of attempts
+
+    def test_trajopt_infeasible(self, tmp_path, scenario_file, monkeypatch, capsys):
+        monkeypatch.setattr(trajopt, "solve",
+                            _raising(TrajOptInfeasible("no knot spacing fits"), []))
+        self._main_fails_with("TrajOptInfeasible",
+                              ["traj", "--scenario", scenario_file, "--out-dir", str(tmp_path)],
+                              capsys)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnelnav.controller import (
     ControllerConfig,
@@ -297,6 +299,48 @@ class TestControlBatch:
         with pytest.raises(ValueError):
             control_batch(np.array([np.nan]), np.zeros(1), np.array([10.0]), np.zeros(1),
                           0.0, make_config())
+
+
+class TestCascadeBounds:
+    """Extreme states: control_tick's clamped cascade and control_batch agree, saturated."""
+
+    CFG = make_config(funnel_d=FunnelSpec(40.0, 28.0, 0.3), funnel_o=FunnelSpec(0.9999, 0.8, 0.2),
+                      funnel_u=FunnelSpec(6.0, 2.0, 0.5), funnel_r=FunnelSpec(1.5, 0.5, 0.4))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(columns=st.lists(st.tuples(
+        st.floats(-1e3, 1e3),      # u
+        st.floats(-1e3, 1e3),      # r
+        st.floats(1e-6, 1e4),      # e_d, inside and on both sides of the distance funnel
+        st.floats(-1.0, 1.0),      # e_o
+        st.floats(0.0, 200.0),     # t
+    ), min_size=1, max_size=8))
+    def test_tick_and_batch_agree_within_bounds(self, columns):
+        cfg = self.CFG
+        states, errors = [], []
+        for u, r, e_d, e_o, _t in columns:
+            # Vessel at the origin heading along x: e_o = -e_y / e_d.
+            p_des = (e_d * math.sqrt(1.0 - e_o * e_o), -e_d * e_o)
+            states.append((VesselState(0.0, 0.0, 0.0, u, 0.0, r), p_des))
+            errors.append(compute_errors(0.0, 0.0, 0.0, *p_des))
+        u, r, _, _, t = (np.array(c) for c in zip(*columns))
+        F_T, alpha_r, violated, u_des, r_des = control_batch(
+            u, r, np.array([e.e_d for e in errors]), np.array([e.e_o for e in errors]), t, cfg)
+        assert np.all((0.0 <= F_T) & (F_T <= cfg.F_T_max))
+        assert np.all(np.abs(alpha_r) <= cfg.alpha_r_max)
+        for k, (state, p_des) in enumerate(states):
+            try:
+                cmd, dbg = control_tick(state, p_des, t[k], cfg, clamp=True)
+            except InitialComplianceError:
+                assert t[k] == 0.0  # the t = 0 precondition, not the cascade
+                continue
+            assert 0.0 <= cmd.F_T <= cfg.F_T_max
+            assert abs(cmd.alpha_r) <= cfg.alpha_r_max
+            assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
+            assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
+            assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
+            assert u_des[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
+            assert r_des[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
 
 
 class TestInitialCompliance:
