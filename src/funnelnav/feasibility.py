@@ -36,7 +36,7 @@ from .controller import control_batch
 from .dynamics import DisturbanceBatch, lumped, lumped_forces, step, step_batch  # noqa: F401
 from .errors import DegenerateDistance, InsufficientSamples
 from .funnels import EPS_DEGENERATE, compute_errors
-from .scenario import Scenario
+from .scenario import Scenario, reference_lead
 
 CONDITIONS = ("thrust_floor", "surge_authority", "torque_authority", "initial_bearing")
 
@@ -96,13 +96,16 @@ def terminal_yaw_rate(scenario: Scenario) -> float:
 
 
 def _initial_reference_point(scenario: Scenario, trajectory: SplineTrajectory | None) -> np.ndarray:
-    """Reference position at episode start: lead distance mid-funnel ahead."""
+    """Reference position at episode start, at the lead that run and sweep use.
+
+    Without a trajectory the reference lies on the straight line to the
+    goal, mid-funnel ahead; only its bearing is judged.
+    """
+    if trajectory is not None:
+        return trajectory.eval(min(reference_lead(scenario, trajectory), trajectory.duration))
     cfg = scenario.controller
     target = 0.5 * (cfg.rho_d_min + cfg.funnel_d.value(0.0))
     start = np.asarray(scenario.start.position, dtype=float)
-    if trajectory is not None:
-        lead = trajectory.time_at_distance(target)
-        return trajectory.eval(lead)
     goal = np.asarray(scenario.goal, dtype=float)
     direction = goal - start
     norm = float(np.linalg.norm(direction))

@@ -45,19 +45,8 @@ class ConvexPolygon:
         `tol` loosens the half-plane tests for queries on numerically noisy
         polygons (e.g. Minkowski sums); the default is exact.
         """
-        x, y = float(p[0]), float(p[1])
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
-            if include_boundary:
-                if cross < -tol:
-                    return False
-            elif cross <= tol:
-                return False
-        return True
+        side = _orient(self.vertices, np.roll(self.vertices, -1, axis=0), np.asarray(p, dtype=float))
+        return bool(np.all(side >= -tol) if include_boundary else np.all(side > tol))
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -139,6 +128,29 @@ def inflate(poly: ConvexPolygon, rho_bar: float, k_gon: int = 16) -> ConvexPolyg
     return ConvexPolygon(convex_hull(sums))
 
 
+class EdgeTable:
+    """Every edge of a list of CCW polygons, stacked for one-pass tests.
+
+    Edge k runs from ends[0, k] to ends[1, k], with bounding box lo[k]..hi[k];
+    polygon m owns the edges first[m] up to first[m + 1].
+    """
+
+    def __init__(self, polys: list[ConvexPolygon]):
+        self.ends = np.stack((np.concatenate([p.vertices for p in polys]),
+                              np.concatenate([np.roll(p.vertices, -1, axis=0) for p in polys])))
+        self.first = np.cumsum([0] + [len(p) for p in polys[:-1]])
+        self.lo = self.ends.min(axis=0)
+        self.hi = self.ends.max(axis=0)
+
+    def sides(self, points: np.ndarray) -> np.ndarray:
+        """(..., E) orientation of each point against each edge: >= 0 on its inner side."""
+        return _orient(self.ends[0], self.ends[1], points[..., None, :])
+
+    def inside(self, sides: np.ndarray) -> np.ndarray:
+        """Per row of sides, whether some polygon holds the point, boundary included."""
+        return np.logical_and.reduceat(sides >= 0.0, self.first, axis=-1).any(axis=-1)
+
+
 @dataclass
 class Workspace:
     """Rectangular operating area with convex obstacles and a clearance margin."""
@@ -148,6 +160,7 @@ class Workspace:
     clearance: float = 1.0
     inflation_k_gon: int = 16
     _inflated: list[ConvexPolygon] | None = field(default=None, repr=False, compare=False)
+    _edges: EdgeTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.bounds
@@ -165,6 +178,19 @@ class Workspace:
             self._inflated = [inflate(o, self.clearance, self.inflation_k_gon) for o in self.obstacles]
         return self._inflated
 
+    def edges(self, inflated: bool = True) -> EdgeTable | None:
+        """The (inflated) obstacles' edge table, None when there are no obstacles.
+
+        The inflated one is built once, like the inflation itself.
+        """
+        if not self.obstacles:
+            return None
+        if not inflated:
+            return EdgeTable(self.obstacles)
+        if self._edges is None:
+            self._edges = EdgeTable(self.inflated_obstacles())
+        return self._edges
+
     def in_bounds(self, p) -> bool:
         x0, y0, x1, y1 = self.bounds
         return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
@@ -181,59 +207,47 @@ def point_free(p, ws: Workspace, inflated: bool = True) -> bool:
     """
     if not ws.in_bounds(p):
         return False
-    obstacles = ws.inflated_obstacles() if inflated else ws.obstacles
-    return not any(o.contains(p, include_boundary=True) for o in obstacles)
+    edges = ws.edges(inflated)
+    return edges is None or not edges.inside(edges.sides(np.asarray(p, dtype=float)))
 
 
-def _segments_touch(p1, p2, q1, q2) -> bool:
-    """Exact segment intersection including touching and collinear overlap."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_segment(a, b, c):
-        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    if d1 == 0 and on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, q1):
-        return True
-    return bool(d4 == 0 and on_segment(p1, p2, q2))
-
-
-def segment_intersects_polygon(a, b, poly: ConvexPolygon) -> bool:
-    """Exact intersection of segment a-b with a convex polygon (boundary counts)."""
-    if poly.contains(a) or poly.contains(b):
-        return True
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        if _segments_touch(a, b, verts[i], verts[(i + 1) % n]):
-            return True
-    return False
-
-
-def segment_free(a, b, ws: Workspace, inflated: bool = True) -> bool:
+def segment_free(a, b, ws: Workspace, inflated: bool = True):
     """Exact collision check of segment a-b against the (inflated) obstacles.
 
-    Exactness (orientation predicates, no sub-sampling) is what makes
-    arbitrarily fine sampled rechecks of returned paths pass by construction.
+    b may also be a (J, 2) array of ends, giving a (J,) array with one
+    verdict per segment from a. A segment collides when an endpoint is out
+    of bounds or in an obstacle, or when it meets an obstacle edge, touching
+    and collinear overlap included. Exactness (orientation predicates, no
+    sub-sampling) is what makes arbitrarily fine sampled rechecks of returned
+    paths pass by construction.
     """
+    edges = ws.edges(inflated)
+    if edges is None and np.ndim(b) == 1:
+        return bool(ws.in_bounds(a) and ws.in_bounds(b))
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not (ws.in_bounds(a) and ws.in_bounds(b)):
-        return False
-    obstacles = ws.inflated_obstacles() if inflated else ws.obstacles
-    return not any(segment_intersects_polygon(a, b, poly) for poly in obstacles)
+    ends = b.reshape(-1, 2)
+    x0, y0, x1, y1 = ws.bounds
+    free = ((x0 <= ends[:, 0]) & (ends[:, 0] <= x1) & (y0 <= ends[:, 1]) & (ends[:, 1] <= y1)
+            & ws.in_bounds(a))
+    if edges is not None and free.any():
+        points = np.vstack((a, ends))
+        sides = edges.sides(points)                               # (J+1, E)
+        turns = _orient(a, ends[:, None, None], edges.ends)       # (J, 2, E)
+        inside = edges.inside(sides)
+        s, t = sides > 0.0, turns > 0.0
+        hit = (s[0] != s[1:]) & (t[:, 0] != t[:, 1])
+        if not (sides.all() and turns.all()):
+            # Collinear cases: a zero orientation counts where the point
+            # lies in the other segment's bounding box.
+            p = points[:, None]
+            on_edge = (sides == 0.0) & ((edges.lo <= p) & (p <= edges.hi)).all(axis=-1)
+            lo = np.minimum(a, ends)[:, None, None]
+            hi = np.maximum(a, ends)[:, None, None]
+            on_seg = (turns == 0.0) & ((lo <= edges.ends) & (edges.ends <= hi)).all(axis=-1)
+            hit |= on_edge[0] | on_edge[1:] | on_seg.any(axis=1)
+        free &= ~(inside[0] | inside[1:] | hit.any(axis=1))
+    return bool(free[0]) if b.ndim == 1 else free
 
 
 def planar_dot(points: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -367,43 +381,20 @@ def verify_separation(hull_points: np.ndarray, poly: ConvexPolygon,
     return bool(np.all(planar_dot(poly.vertices, h) < d - margin))
 
 
-def min_distance_to_obstacles(p, obstacles: list[ConvexPolygon]) -> float:
-    """Signed-ish clearance: 0 when inside some obstacle, else min boundary distance."""
-    if not obstacles:
-        return math.inf
-    p = np.asarray(p, dtype=float)
-    best = math.inf
-    for poly in obstacles:
-        if poly.contains(p):
-            return 0.0
-        v = poly.vertices
-        cp, cq = _closest_points(p, p, v, np.roll(v, -1, axis=0))
-        best = min(best, float(np.sqrt(planar_dot(cp - cq, cp - cq)).min()))
-    return best
-
-
 def distances_to_obstacles(points: np.ndarray, obstacles: list[ConvexPolygon]) -> np.ndarray:
-    """Vectorized min_distance_to_obstacles over an (n, 2) point array."""
+    """Distance from each of (n, 2) points to the nearest obstacle, 0 inside one."""
     points = np.asarray(points, dtype=float)
-    n = len(points)
-    if not obstacles:
-        return np.full(n, math.inf)
-    best = np.full(n, math.inf)
+    px, py = points[:, 0], points[:, 1]
+    best = np.full(len(points), math.inf)
     for poly in obstacles:
-        verts = poly.vertices
-        inside = np.ones(n, dtype=bool)
-        dist_poly = np.full(n, math.inf)
-        for i in range(len(verts)):
-            a = verts[i]
-            b = verts[(i + 1) % len(verts)]
-            ab = b - a
-            ap = points - a
-            cross = ab[0] * ap[:, 1] - ab[1] * ap[:, 0]
-            inside &= cross >= 0.0
-            denom = float(ab @ ab)
-            s = np.clip((ap @ ab) / denom, 0.0, 1.0) if denom > 0 else np.zeros(n)
-            closest = a + s[:, None] * ab
-            dist_poly = np.minimum(dist_poly, np.linalg.norm(points - closest, axis=1))
-        dist_poly[inside] = 0.0
-        best = np.minimum(best, dist_poly)
-    return best
+        verts = poly.vertices.tolist()
+        inside = np.ones(len(points), dtype=bool)
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+            abx, aby = bx - ax, by - ay
+            apx, apy = px - ax, py - ay
+            inside &= abx * apy - aby * apx >= 0.0
+            s = np.clip((apx * abx + apy * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+            dx, dy = px - (ax + s * abx), py - (ay + s * aby)
+            best = np.minimum(best, dx * dx + dy * dy)
+        best[inside] = 0.0
+    return np.sqrt(best)

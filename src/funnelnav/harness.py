@@ -31,7 +31,7 @@ from .dynamics import DisturbanceBatch, step, step_batch
 from .errors import DegenerateDistance, InfeasibleSeed, InitialComplianceError, UnverifiedTrajectory
 from .funnels import EPS_DEGENERATE, FunnelSpec, compute_errors
 from .geometry import distances_to_obstacles
-from .scenario import Scenario
+from .scenario import Scenario, reference_lead
 
 # The episode log columns read from each tick's records, by attribute name.
 _STATE_COLUMNS = ("p_x", "p_y", "psi", "u", "v", "r")
@@ -119,15 +119,6 @@ def plan_and_solve(scenario: Scenario,
             raise UnverifiedTrajectory(solution.residuals)
         return path, solution
     raise last_exc
-
-
-def reference_lead(scenario: Scenario, traj: SplineTrajectory) -> float:
-    """Clock offset of the reference so the initial distance error sits mid-funnel."""
-    if scenario.reference_lead != "auto":
-        return float(scenario.reference_lead)
-    cfg = scenario.controller
-    target = 0.5 * (cfg.rho_d_min + cfg.funnel_d.value(0.0))
-    return traj.time_at_distance(target)
 
 
 def _inflated_config(cfg: ControllerConfig, diagnostics: dict) -> ControllerConfig:

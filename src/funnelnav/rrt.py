@@ -58,7 +58,7 @@ class RrtPath:
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write("x,y\n")
-            for x, y in self.waypoints:
+            for x, y in self.waypoints.tolist():
                 f.write(f"{x!r},{y!r}\n")
 
 
@@ -67,11 +67,8 @@ def _shortcut(points: list[np.ndarray], ws: Workspace) -> list[np.ndarray]:
     out = [points[0]]
     i = 0
     while i < len(points) - 1:
-        j = len(points) - 1
-        while j > i + 1:
-            if segment_free(points[i], points[j], ws):
-                break
-            j -= 1
+        free = np.flatnonzero(segment_free(points[i], np.reshape(points[i + 2:], (-1, 2)), ws))
+        j = i + 2 + int(free[-1]) if len(free) else i + 1
         out.append(points[j])
         i = j
     return out
@@ -135,7 +132,8 @@ def plan(ws: Workspace, start, goal, params: RrtParams | None = None) -> RrtPath
         if dist < 1e-12:
             continue
         new = nodes[nearest] + direction * (min(step, dist) / dist)
-        if not point_free(new, ws) or not segment_free(nodes[nearest], new, ws):
+        # Also rejects a new node out of bounds or in an obstacle.
+        if not segment_free(nodes[nearest], new, ws):
             continue
         nodes[n_nodes] = new
         parents.append(nearest)

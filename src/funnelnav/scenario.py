@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import SplineTrajectory
 from .controller import ControllerConfig
 from .dynamics import AxisDisturbance, DisturbanceProfile, DragCoeffs, VesselParams, VesselState
 from .funnels import FunnelSpec
@@ -252,6 +253,15 @@ class Scenario:
         out = Scenario.from_dict(data)
         out.disturbance = self.disturbance.reseeded(int(seed))
         return out
+
+
+def reference_lead(scenario: Scenario, traj: SplineTrajectory) -> float:
+    """Clock offset of the reference so the initial distance error sits mid-funnel."""
+    if scenario.reference_lead != "auto":
+        return float(scenario.reference_lead)
+    cfg = scenario.controller
+    target = 0.5 * (cfg.rho_d_min + cfg.funnel_d.value(0.0))
+    return traj.time_at_distance(target)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Each oracle implements the quantity a different way than the library does:
 de Boor recursion vs the fixed-matrix segment form, combinatorial
 segment-intersection vs closest-pair distances, shoelace areas, plain
-half-plane membership, the scalar per-pair closest-pair separator that
-the batched library kernel replaced, the plane-by-plane cyclic projection
+half-plane membership, the edge-by-edge segment collision check and the
+point-by-point obstacle clearance that geometry's one-pass versions
+replaced, the scalar per-pair closest-pair separator that the batched
+library kernel replaced, the plane-by-plane cyclic projection
 that trajopt's slot-batched one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced.
 """
@@ -240,6 +242,56 @@ def closest_between_hulls(points_a: np.ndarray, points_b: np.ndarray):
                 best = (d, cp, cq)
     if best[0] <= 1e-12 * scale:
         return 0.0, best[1], best[2]
+    return best
+
+
+def point_free_oracle(p, ws, inflated: bool = True) -> bool:
+    """In bounds and outside every obstacle, checked one polygon at a time;
+    a point on a boundary collides."""
+    p = np.asarray(p, dtype=float)
+    x0, y0, x1, y1 = ws.bounds
+    obstacles = ws.inflated_obstacles() if inflated else ws.obstacles
+    return (x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+            and not any(_point_in_ccw_hull(p, o.vertices) for o in obstacles))
+
+
+def segment_free_oracle(a, b, ws, inflated: bool = True) -> bool:
+    """Segment collision check one obstacle edge at a time: both endpoints
+    free, and no edge touching the segment."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (point_free_oracle(a, ws, inflated) and point_free_oracle(b, ws, inflated)):
+        return False
+    for poly in ws.inflated_obstacles() if inflated else ws.obstacles:
+        for q1, q2 in _hull_edges(poly.vertices):
+            if segments_intersect(a, b, q1, q2):
+                return False
+    return True
+
+
+def shortcut_oracle(points: list, ws) -> list:
+    """rrt._shortcut one candidate at a time: from each kept node, test ends
+    from the last one back and jump to the first free one."""
+    out = [points[0]]
+    i = 0
+    while i < len(points) - 1:
+        j = len(points) - 1
+        while j > i + 1 and not segment_free_oracle(points[i], points[j], ws):
+            j -= 1
+        out.append(points[j])
+        i = j
+    return out
+
+
+def min_distance_to_obstacles(p, obstacles) -> float:
+    """Clearance of one point: 0 inside some obstacle, else its least
+    distance to an obstacle edge."""
+    p = np.asarray(p, dtype=float)
+    best = math.inf
+    for poly in obstacles:
+        if _point_in_ccw_hull(p, poly.vertices):
+            return 0.0
+        best = min([best] + [_point_segment_distance(p, q1, q2) for q1, q2 in _hull_edges(poly.vertices)])
     return best
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from funnelnav import feasibility
+from funnelnav import feasibility, harness
 from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile, DragCoeffs, VesselParams
 from funnelnav.errors import DegenerateDistance, InsufficientSamples
 from funnelnav.feasibility import (
@@ -10,7 +10,7 @@ from funnelnav.feasibility import (
     terminal_surge_speed,
     terminal_yaw_rate,
 )
-from funnelnav.scenario import Scenario, benign_scenario, long_run_scenario
+from funnelnav.scenario import Scenario, benign_scenario, long_run_scenario, reference_lead
 from oracles import feasibility_oracle
 
 
@@ -107,6 +107,17 @@ class TestEstimateBounds:
     def test_long_run_scenario_is_feasible(self):
         rep = estimate_bounds(long_run_scenario(), n_samples=800)
         assert rep.passed
+
+    def test_initial_bearing_at_fixed_lead(self):
+        # The bearing judged is the one the episode starts with, at the
+        # scenario's fixed lead rather than the automatic one.
+        sc = long_run_scenario()
+        traj = harness.plan_and_solve(sc)[1].trajectory
+        auto = estimate_bounds(sc, n_samples=100, seed=0, trajectory=traj).psi_e0
+        sc.reference_lead = 0.8 * reference_lead(sc, traj)
+        rep = estimate_bounds(sc, n_samples=100, seed=0, trajectory=traj)
+        assert rep.psi_e0 == harness.run_episode(sc).columns["psi_e"][0]
+        assert rep.psi_e0 != auto
 
     def test_report_serializes(self, tmp_path):
         rep = estimate_bounds(benign_scenario(), n_samples=150, seed=0)

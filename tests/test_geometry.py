@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnelnav.geometry import (
     ConvexPolygon,
@@ -11,15 +13,18 @@ from funnelnav.geometry import (
     find_separator,
     find_separators,
     inflate,
-    min_distance_to_obstacles,
     point_free,
     segment_free,
     verify_separation,
 )
+from funnelnav.scenario import long_run_scenario
 from oracles import (
     closest_between_hulls,
     hulls_intersect_oracle,
+    min_distance_to_obstacles,
+    point_free_oracle,
     point_in_hull,
+    segment_free_oracle,
     separator_oracle,
     shoelace_area,
 )
@@ -120,6 +125,91 @@ class TestPointFree:
         ws = self._workspace()
         assert segment_free((-5, -5), (2, 2), ws)
         assert not segment_free((0, 6), (12, 6), ws)
+
+
+SEGMENT_KINDS = ("random", "from_vertex", "to_vertex", "through_vertex", "along_edge",
+                 "leaves_bounds", "no_obstacles")
+
+
+def collision_instance(seed: int, kind: str):
+    """A workspace and a segment a-b of the given kind against its obstacles.
+
+    Half the workspaces hold integer rectangles, so collinear and touching
+    cases have exactly zero orientations even before inflation.
+    """
+    rng = np.random.default_rng(seed)
+    bounds = (-20.0, -20.0, 20.0, 20.0)
+    if kind == "no_obstacles":
+        obstacles = []
+    elif rng.random() < 0.5:
+        corners = rng.integers(-15, 12, (int(rng.integers(1, 4)), 2))
+        sizes = rng.integers(1, 6, corners.shape)
+        obstacles = [ConvexPolygon(np.array([c, c + [w, 0], c + [w, h], c + [0, h]], dtype=float))
+                     for c, (w, h) in zip(corners, sizes)]
+    else:
+        obstacles = [random_polygon(rng, rng.uniform(-12, 12, 2), rng.uniform(1.0, 4.0))
+                     for _ in range(int(rng.integers(1, 4)))]
+    ws = Workspace(bounds=bounds, obstacles=obstacles, clearance=float(rng.uniform(0.2, 2.0)),
+                   inflation_k_gon=int(rng.choice([4, 8, 16])))
+    a, b = rng.uniform(-20, 20, (2, 2))
+    polys = ws.obstacles + ws.inflated_obstacles()
+    if not polys:
+        return ws, a, b
+    verts = polys[int(rng.integers(len(polys)))].vertices
+    k = int(rng.integers(len(verts)))
+    q1, q2 = verts[k], verts[(k + 1) % len(verts)]
+    if kind == "from_vertex":
+        a = q1
+    elif kind == "to_vertex":
+        b = q1
+    elif kind == "through_vertex":
+        b = q1 + rng.uniform(0.0, 1.5) * (q1 - a)
+    elif kind == "along_edge":
+        s, t = rng.choice([0.0, 1.0, rng.uniform(-0.5, 1.5)], 2)
+        a, b = q1 + s * (q2 - q1), q1 + t * (q2 - q1)
+    elif kind == "leaves_bounds":
+        b = q1 + rng.uniform(0.0, 40.0, 2) * rng.choice([-1.0, 1.0], 2)
+    return ws, a, b
+
+
+class TestCollisionChecks:
+    """The one-pass segment_free and point_free against the edge-by-edge oracle."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SEGMENT_KINDS),
+           inflated=st.booleans())
+    def test_matches_oracle(self, seed, kind, inflated):
+        ws, a, b = collision_instance(seed, kind)
+        assert segment_free(a, b, ws, inflated) == segment_free_oracle(a, b, ws, inflated)
+        assert segment_free(b, a, ws, inflated) == segment_free_oracle(b, a, ws, inflated)
+        for p in (a, b):
+            assert point_free(p, ws, inflated) == point_free_oracle(p, ws, inflated)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SEGMENT_KINDS))
+    def test_batch_matches_oracle(self, seed, kind):
+        ws, a, b = collision_instance(seed, kind)
+        rng = np.random.default_rng(seed)
+        verts = np.concatenate([o.vertices for o in ws.inflated_obstacles()] + [np.zeros((0, 2))])
+        ends = np.concatenate([[b], rng.uniform(-22, 22, (8, 2)), verts])
+        free = segment_free(a, ends, ws)
+        assert free.shape == (len(ends),)
+        assert free.tolist() == [segment_free_oracle(a, e, ws) for e in ends]
+        assert segment_free(a, np.zeros((0, 2)), ws).shape == (0,)
+
+    def test_long_run_vertices_pairwise(self):
+        # Segments from every third inflated vertex of the long-run planner
+        # workspace to all of them, checked against the scenario's smaller
+        # inflation and against the raw obstacles: endpoints just outside
+        # the obstacles, with both free and blocked verdicts.
+        scenario = long_run_scenario()
+        verts = np.concatenate([o.vertices for o in scenario.planner_workspace().inflated_obstacles()])
+        for inflated in (True, False):
+            verdicts = []
+            for a in verts[::3]:
+                verdicts += [segment_free_oracle(a, b, scenario.workspace, inflated) for b in verts]
+                assert segment_free(a, verts, scenario.workspace, inflated).tolist() == verdicts[-len(verts):]
+            assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestSeparation:
@@ -251,6 +341,7 @@ class TestDistances:
             assert min_distance_to_obstacles(p, obstacles) == pytest.approx(b, abs=1e-9)
 
     def test_no_obstacles_infinite(self):
+        assert distances_to_obstacles(np.zeros((3, 2)), []).tolist() == [math.inf] * 3
         assert min_distance_to_obstacles((0, 0), []) == math.inf
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from funnelnav.errors import PlanTimeout, StartOrGoalInCollision
-from funnelnav.geometry import ConvexPolygon, Workspace, point_free, segment_free
-from funnelnav.rrt import RrtParams, RrtPath, plan
+from funnelnav.geometry import ConvexPolygon, Workspace
+from funnelnav.rrt import RrtParams, RrtPath, _shortcut, plan
+from oracles import point_free_oracle, segment_free_oracle, shortcut_oracle
 
 EMPTY_WS = Workspace(bounds=(-5.0, -5.0, 15.0, 5.0), obstacles=[], clearance=1.0)
 
@@ -51,7 +52,7 @@ class TestPlan:
             not np.array_equal(paths[0].waypoints, paths[1].waypoints)
         for p in paths:
             for a, b in zip(p.waypoints[:-1], p.waypoints[1:]):
-                assert segment_free(a, b, ws)
+                assert segment_free_oracle(a, b, ws)
 
     def test_spacing_invariant(self):
         params = RrtParams(step_size=2.0, seed=3)
@@ -68,7 +69,7 @@ class TestPlan:
             length = float(np.linalg.norm(b - a))
             n = max(2, int(np.ceil(length / fine)) + 1)
             for s in np.linspace(0.0, 1.0, n):
-                assert point_free(a + s * (b - a), ws)
+                assert point_free_oracle(a + s * (b - a), ws)
 
 
 class TestRrtPath:
@@ -83,3 +84,23 @@ class TestRrtPath:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y"
         assert len(lines) == path.n_points + 1
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert np.array(rows).tobytes() == path.waypoints.tobytes()
+
+
+class TestShortcut:
+    def test_matches_scalar_greedy_loop(self):
+        # Raw resampled RRT chains and random zigzags, around a wall that
+        # blocks most long jumps.
+        ws = blocked_workspace()
+        rng = np.random.default_rng(3)
+        chains = [list(plan(ws, (0.0, 0.0), (15.0, 0.0), RrtParams(step_size=2.0, seed=s,
+                                                                   shortcut=False)).waypoints)
+                  for s in range(4)]
+        chains += [list(rng.uniform((-5.0, -25.0), (20.0, 25.0), (int(rng.integers(2, 30)), 2)))
+                   for _ in range(20)]
+        for chain in chains:
+            got = _shortcut(chain, ws)
+            want = shortcut_oracle(chain, ws)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
