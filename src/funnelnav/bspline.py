@@ -78,34 +78,41 @@ class SplineTrajectory:
     def duration(self) -> float:
         return self.n_segments * self.dt_knot
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        """Segment index and local parameter u in [0, 1]; t == duration maps to the last segment."""
-        if not (0.0 <= t <= self.duration) or not math.isfinite(t):
+    def _locate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """The (..., 4, 2) segment control points and local parameters u in [0, 1]
+        of a time or an array of times; t == duration maps to the last segment."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((0.0 <= t) & (t <= self.duration)):
             raise OutOfDomain(f"t={t} outside [0, {self.duration}]")
-        seg = min(int(t / self.dt_knot), self.n_segments - 1)
-        u = t / self.dt_knot - seg
-        return seg, u
+        s = t / self.dt_knot
+        seg = np.minimum(s.astype(np.intp), self.n_segments - 1)
+        return self.control_points[seg[..., None] + np.arange(4)], s - seg
 
-    def eval(self, t: float) -> np.ndarray:
-        """Position at time t."""
-        seg, u = self._locate(t)
-        basis = np.array([1.0, u, u * u, u * u * u]) @ BASIS_M
-        return basis @ self.control_points[seg:seg + 4]
+    def eval(self, t) -> np.ndarray:
+        """Position at a time t (shape (2,)) or at an array of times (shape (..., 2)).
 
-    def eval_derivatives(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(velocity, acceleration, jerk) at time t.
+        Each point is one (1, 4) @ (4, 2) product of a stacked matmul, so an
+        array of times gives bit for bit the points of the per-float calls.
+        """
+        Q, u = self._locate(t)
+        powers = np.stack([np.ones_like(u), u, u * u, u * u * u], axis=-1)
+        return ((powers[..., None, :] @ BASIS_M) @ Q)[..., 0, :]
+
+    def eval_derivatives(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(velocity, acceleration, jerk) at a time or an array of times, shaped as eval.
 
         Evaluated through the derivative splines over the difference control
         points (q_k - q_{k-1}) / dt, so the tripled endpoints yield exact
         zeros at rest. The jerk is piecewise constant per segment.
         """
-        seg, u = self._locate(t)
-        Q = self.control_points[seg:seg + 4]
+        Q, u = self._locate(t)
         dt = self.dt_knot
-        v_ctrl = np.diff(Q, axis=0) / dt
-        vel = (np.array([1.0, u, u * u]) @ BASIS_M2) @ v_ctrl
-        a_ctrl = np.diff(v_ctrl, axis=0) / dt
-        acc = (1.0 - u) * a_ctrl[0] + u * a_ctrl[1]
+        v_ctrl = np.diff(Q, axis=-2) / dt
+        powers = np.stack([np.ones_like(u), u, u * u], axis=-1)
+        vel = ((powers[..., None, :] @ BASIS_M2) @ v_ctrl)[..., 0, :]
+        a_ctrl = np.diff(v_ctrl, axis=-2) / dt
+        u = u[..., None]
+        acc = (1.0 - u) * a_ctrl[..., 0, :] + u * a_ctrl[..., 1, :]
         jerk = (JERK_WEIGHTS @ Q) / (dt * dt * dt)
         return vel, acc, jerk
 
@@ -132,19 +139,23 @@ class SplineTrajectory:
         that (grid scan plus bisection refinement).
         """
         start = self.eval(0.0)
+
+        def distance(t):
+            # Each row's dot product as one stacked matmul: bit for bit the
+            # np.linalg.norm of that row alone, so the scan matches a point loop.
+            offset = self.eval(t) - start
+            return np.sqrt(offset[..., None, :] @ offset[..., :, None])[..., 0, 0]
+
         times = np.linspace(0.0, self.duration, grid)
-        hit = None
-        for t in times:
-            if float(np.linalg.norm(self.eval(t) - start)) >= dist:
-                hit = t
-                break
-        if hit is None:
+        reached = np.flatnonzero(distance(times) >= dist)
+        if not len(reached):
             return self.duration
+        hit = times[reached[0]]
         lo = max(0.0, hit - self.duration / (grid - 1))
         hi = hit
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if float(np.linalg.norm(self.eval(mid) - start)) >= dist:
+            if distance(mid) >= dist:
                 hi = mid
             else:
                 lo = mid
@@ -171,18 +182,14 @@ class SplineTrajectory:
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
 
-    def sample_rows(self, dt_sample: float) -> list[tuple[float, ...]]:
+    def sample_rows(self, dt_sample: float) -> np.ndarray:
         """(t, x, y, vx, vy, ax, ay) rows over the whole domain, endpoint included."""
         n = max(2, int(math.floor(self.duration / dt_sample)) + 1)
-        times = [min(i * dt_sample, self.duration) for i in range(n)]
+        times = np.minimum(np.arange(n) * dt_sample, self.duration)
         if times[-1] < self.duration:
-            times.append(self.duration)
-        rows = []
-        for t in times:
-            p = self.eval(t)
-            v, a, _ = self.eval_derivatives(t)
-            rows.append((t, p[0], p[1], v[0], v[1], a[0], a[1]))
-        return rows
+            times = np.append(times, self.duration)
+        vel, acc, _ = self.eval_derivatives(times)
+        return np.column_stack((times, self.eval(times), vel, acc))
 
 
 def clamped_from_waypoints(waypoints: np.ndarray, dt_knot: float) -> SplineTrajectory:

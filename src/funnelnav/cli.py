@@ -57,7 +57,7 @@ def cmd_traj(args) -> int:
         json.dump(solution.to_dict(), f, indent=2)
     rows = solution.trajectory.sample_rows(dt_sample=scenario.sim_dt)
     harness.write_csv(os.path.join(args.out_dir, "trajectory_samples.csv"),
-                      ["t", "x", "y", "vx", "vy", "ax", "ay"], list(zip(*rows)))
+                      ["t", "x", "y", "vx", "vy", "ax", "ay"], list(rows.T))
     report = trajopt.validate(solution, harness.make_problem(scenario, path))
     with open(os.path.join(args.out_dir, "residuals.json"), "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)

@@ -186,14 +186,17 @@ def _episode_summary(scenario: Scenario, lead: float, positions: np.ndarray, *,
 
 def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
               lead: float, disturbance) -> EpisodeLog:
-    """The tick loop proper: sample reference, control, integrate, log.
+    """The tick loop proper: control against the sampled reference, integrate, log.
 
     The cascade always clamps: a channel whose normalized error left its
     funnel is pulled back to the edge and logged as violated.
     """
     dt = scenario.sim_dt
     n_max = int(round(scenario.horizon / dt))
-    duration = traj.duration
+    # The reference does not depend on the state: sample the whole episode's at once.
+    s_ref = np.minimum(np.arange(n_max) * dt + lead, traj.duration)
+    ref_p = traj.eval(s_ref)
+    ref_v, _, _ = traj.eval_derivatives(s_ref)
     goal = np.asarray(scenario.goal, dtype=float)
 
     state_row = operator.attrgetter(*_STATE_COLUMNS)
@@ -206,16 +209,14 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
 
     for i in range(n_max):
         t = i * dt
-        s_ref = min(t + lead, duration)
-        p_des = traj.eval(s_ref)
-        ref_v, _, _ = traj.eval_derivatives(s_ref)
+        p_des = ref_p[i]
         try:
             cmd, dbg = control_tick(state, p_des, t, cfg, clamp=True)
         except DegenerateDistance:
             fault = "degenerate_distance"
             break
 
-        rows.append((t, *state_row(state), *p_des, *ref_v, *error_row(dbg.errors),
+        rows.append((t, *state_row(state), *p_des, *ref_v[i], *error_row(dbg.errors),
                      *cascade_row(dbg), cmd.F_T, cmd.alpha_r,
                      1.0 if (dbg.u_F < 0.0 or dbg.u_F > cfg.F_T_max) else 0.0,
                      1.0 if abs(dbg.u_alpha) > cfg.alpha_r_max else 0.0,
@@ -264,7 +265,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     """
     dt = scenario.sim_dt
     n_max = int(round(scenario.horizon / dt))
-    duration = traj.duration
+    ref_p = traj.eval(np.minimum(np.arange(n_max) * dt + lead, traj.duration))
     goal_x, goal_y = (float(g) for g in scenario.goal)
     start = scenario.start
     n = len(disturbances)
@@ -300,7 +301,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
         if not len(idx):
             break
         t = i * dt
-        p_des = traj.eval(min(t + lead, duration))
+        p_des = ref_p[i]
         err = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
         e_d, e_o, psi_e = err.e_d, err.e_o, err.psi_e
         degenerate = e_d < EPS_DEGENERATE

@@ -8,8 +8,9 @@ alternates three exactly-solvable steps:
      one batched call over every (segment, obstacle) pair,
   B. control points by projected gradient descent on the convex quadratic
      cost under the velocity/acceleration/halfspace constraints,
-  C. knot spacing by a golden-section search over the interval where the
-     control-point constraints remain feasible.
+  C. knot spacing in closed form: the cost w3*dt is linear, so its minimum
+     over the interval where the control-point constraints remain feasible
+     is that interval's lower end (its upper end when w3 = 0).
 
 Each step is non-increasing in the total cost, so the outer loop is monotone
 by construction and asserts it.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .errors import InfeasibleSeed, TrajOptInfeasible
 from .geometry import ConvexPolygon, find_separators, padded_vertices, planar_dot, verify_separation
 from .geometry import find_separator  # noqa: F401  (unused; perfbench/tracing.py wraps this binding)
 from .rrt import RrtPath
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -253,28 +252,6 @@ def _feasible_dt_floor(C: np.ndarray, problem: TrajOptProblem) -> float:
     return max(dt_vel, dt_acc)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    if hi - lo < tol:
-        return lo
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    best = min((f(a), a), (fc, c), (fd, d), (f(b), b))
-    return best[1]
-
-
 @dataclass(frozen=True)
 class _Halfspaces:
     """The separation halfspaces of _project, regrouped by control point.
@@ -448,7 +425,7 @@ def _step_planes(C: np.ndarray, planes: dict, ws: _Workspace) -> dict:
             for m, pair in enumerate(pairs)}
 
 
-def _step_dt(C: np.ndarray, dt: float, ws: _Workspace) -> float:
+def _step_dt(C: np.ndarray, ws: _Workspace) -> float:
     problem = ws.problem
     lo, hi = problem.dt_bounds
     floor = max(lo, _feasible_dt_floor(C, problem))
@@ -462,9 +439,8 @@ def _step_dt(C: np.ndarray, dt: float, ws: _Workspace) -> float:
         # only loosens the velocity/acceleration sets for the next
         # control-point step, so the loosest spacing is optimal.
         return hi
-    best = _golden_section(lambda s: problem.w3 * s, floor, hi)
-    # dt entered this step feasible, so the search can only improve the cost.
-    return best if best <= dt else min(max(dt, floor), hi)
+    # The cost w3*dt is increasing, so the feasible floor minimizes it.
+    return min(floor, hi)
 
 
 def _dense_kinodynamic_check(traj: SplineTrajectory,
@@ -505,7 +481,7 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
     for n_outer in range(1, problem.max_outer + 1):
         planes = _step_planes(C, planes, ws)
         C = _step_control_points(C, dt, planes, ws)
-        dt = _step_dt(C, dt, ws)
+        dt = _step_dt(C, ws)
         cost = ws.total_cost(C, dt)
         if cost > cost_trace[-1] + 1e-9 * max(1.0, abs(cost_trace[-1])):
             raise AssertionError(
@@ -575,17 +551,7 @@ class ValidationReport:
                 and self.separation_all_verified)
 
     def to_dict(self) -> dict:
-        return {
-            "endpoint_error": self.endpoint_error,
-            "endpoint_rest_error": self.endpoint_rest_error,
-            "ctrl_velocity_excess": self.ctrl_velocity_excess,
-            "ctrl_acceleration_excess": self.ctrl_acceleration_excess,
-            "dense_speed_excess": self.dense_speed_excess,
-            "dense_accel_excess": self.dense_accel_excess,
-            "separation_min_slack": self.separation_min_slack,
-            "separation_all_verified": self.separation_all_verified,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate(solution: TrajOptSolution, problem: TrajOptProblem) -> ValidationReport:

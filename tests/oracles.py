@@ -1,14 +1,17 @@
 """Independent oracles the tests check the library against.
 
 Each oracle implements the quantity a different way than the library does:
-de Boor recursion vs the fixed-matrix segment form, combinatorial
+de Boor recursion vs the fixed-matrix segment form, the per-float
+vector-matrix products and the point-by-point grid scan of time_at_distance
+that array evaluation of the spline replaced, combinatorial
 segment-intersection vs closest-pair distances, shoelace areas, plain
 half-plane membership, the edge-by-edge segment collision check and the
 point-by-point obstacle clearance that geometry's one-pass versions
 replaced, the scalar per-pair closest-pair separator that the batched
 library kernel replaced, the plane-by-plane cyclic projection
 that trajopt's slot-batched one replaced, and the sample-by-sample
-feasibility audit that the batched estimate_bounds replaced.
+feasibility audit that the batched estimate_bounds replaced. It also holds
+random_polygon, the random convex obstacle the geometry tests draw.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import math
 import numpy as np
 
 from funnelnav import feasibility
+from funnelnav.bspline import BASIS_M, BASIS_M2
 from funnelnav.controller import saturate_and_allocate, velocity_references, wrench_references
 from funnelnav.dynamics import VesselState, lumped_forces, step, wrap_angle
 from funnelnav.errors import InsufficientSamples
 from funnelnav.funnels import compute_errors, transform
-from funnelnav.geometry import convex_hull
+from funnelnav.geometry import ConvexPolygon, convex_hull
 
 
 def deboor_eval(ctrl: np.ndarray, dt: float, t: float, degree: int = 3) -> np.ndarray:
@@ -60,6 +64,53 @@ def deboor_eval_batch(ctrl: np.ndarray, dt: float, ts: np.ndarray, degree: int =
             alpha = (ts - knots[i]) / (knots[i + degree - r + 1] - knots[i])
             d[j] = (1.0 - alpha)[:, None] * d[j - 1] + alpha[:, None] * d[j]
     return d[degree]
+
+
+def matrix_form_eval(traj, t: float):
+    """(position, velocity, acceleration) at one float time, one vector-matrix
+    product of the segment matrix form at a time: the bits that every spline
+    artifact was written with before evaluation took arrays of times."""
+    dt = traj.dt_knot
+    seg = min(int(t / dt), traj.n_segments - 1)
+    u = t / dt - seg
+    Q = traj.control_points[seg:seg + 4]
+    pos = (np.array([1.0, u, u * u, u * u * u]) @ BASIS_M) @ Q
+    v_ctrl = np.diff(Q, axis=0) / dt
+    vel = (np.array([1.0, u, u * u]) @ BASIS_M2) @ v_ctrl
+    a_ctrl = np.diff(v_ctrl, axis=0) / dt
+    return pos, vel, (1.0 - u) * a_ctrl[0] + u * a_ctrl[1]
+
+
+def time_at_distance_oracle(traj, dist: float, grid: int) -> float:
+    """SplineTrajectory.time_at_distance with its grid scanned one point at a
+    time, the first time whose point is at least dist from the start."""
+    start = traj.eval(0.0)
+    times = np.linspace(0.0, traj.duration, grid)
+    for t in times:
+        if float(np.linalg.norm(traj.eval(t) - start)) >= dist:
+            break
+    else:
+        return traj.duration
+    lo, hi = max(0.0, t - traj.duration / (grid - 1)), t
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if float(np.linalg.norm(traj.eval(mid) - start)) >= dist:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def random_polygon(rng, center, radius, n=None):
+    """Strictly convex polygon from sorted points on a noisy circle."""
+    n = n or int(rng.integers(3, 8))
+    angles = np.sort(rng.uniform(0, 2 * math.pi, n))
+    radii = radius * rng.uniform(0.6, 1.0, n)
+    pts = np.column_stack([center[0] + radii * np.cos(angles), center[1] + radii * np.sin(angles)])
+    hull = convex_hull(pts)
+    if len(hull) < 3:
+        return random_polygon(rng, center, radius, n)
+    return ConvexPolygon(hull)
 
 
 def _point_segment_distance(p, a, b) -> float:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acceptance_report import record
-from oracles import deboor_eval_batch, hulls_intersect_oracle
+from oracles import deboor_eval_batch, hulls_intersect_oracle, random_polygon
 
 from funnelnav import feasibility, harness, rrt, trajopt
 from funnelnav.bspline import clamped_from_waypoints
@@ -236,8 +236,6 @@ class TestCriterion8FeasibilitySoundness:
 
 class TestCriterion9GeometryRoundTrip:
     def test_ten_thousand_random_instances(self):
-        from test_geometry import random_polygon
-
         rng = np.random.default_rng(1234)
         n_sep = n_hit = 0
         for _ in range(10_000):
@@ -262,8 +260,6 @@ class TestCriterion9GeometryRoundTrip:
     def test_near_tangent_lines_verify(self, seed, log_gap):
         # A hull 1e-9..1e-6 outside one obstacle edge: any line returned for
         # it must separate strictly (uniform instances never come this close).
-        from test_geometry import random_polygon
-
         rng = np.random.default_rng(seed)
         poly = random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0))
         k = int(rng.integers(len(poly)))

@@ -1,11 +1,20 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnelnav.bspline import KNOT_WEIGHTS, SplineTrajectory, clamped_from_waypoints
 from funnelnav.errors import OutOfDomain
-from oracles import deboor_eval, deboor_eval_batch, point_in_hull
+from oracles import (
+    deboor_eval,
+    deboor_eval_batch,
+    matrix_form_eval,
+    point_in_hull,
+    time_at_distance_oracle,
+)
 
 
 def random_trajectory(rng, n_wp=None, scale=5.0):
@@ -88,6 +97,55 @@ class TestEval:
         shifted = traj.translated(offset)
         for t in np.linspace(0, traj.duration, 37):
             assert np.allclose(shifted.eval(t), traj.eval(t) + offset, atol=1e-12)
+
+
+class TestArrayEval:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(0, 30))
+    def test_matches_float_calls_bitwise(self, seed, n_random):
+        # Random times plus every knot and the duration, shuffled. Each entry
+        # equals the per-float call and the per-float matrix-form product.
+        rng = np.random.default_rng(seed)
+        traj = random_trajectory(rng)
+        knots = np.arange(traj.n_segments + 1) * traj.dt_knot
+        ts = rng.permutation(np.concatenate(
+            [rng.uniform(0.0, traj.duration, n_random), knots, [traj.duration]]))
+        points = traj.eval(ts)
+        derivatives = traj.eval_derivatives(ts)
+        assert points.shape == (len(ts), 2)
+        assert all(d.shape == (len(ts), 2) for d in derivatives)
+        for k, t in enumerate(ts.tolist()):
+            assert np.array_equal(points[k], traj.eval(t))
+            for column, single in zip(derivatives, traj.eval_derivatives(t)):
+                assert np.array_equal(column[k], single)
+            for got, want in zip((points[k], derivatives[0][k], derivatives[1][k]),
+                                 matrix_form_eval(traj, t)):
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           bad=st.sampled_from(["negative", "past_end", "nan", "inf"]))
+    def test_out_of_domain_entry(self, seed, bad):
+        rng = np.random.default_rng(seed)
+        traj = random_trajectory(rng)
+        ts = rng.uniform(0.0, traj.duration, int(rng.integers(1, 20)))
+        ts[rng.integers(len(ts))] = {
+            "negative": -float(rng.uniform(1e-12, 1.0)),
+            "past_end": np.nextafter(traj.duration, math.inf) + float(rng.uniform(0.0, 1.0)),
+            "nan": math.nan,
+            "inf": math.inf,
+        }[bad]
+        with pytest.raises(OutOfDomain):
+            traj.eval(ts)
+        with pytest.raises(OutOfDomain):
+            traj.eval_derivatives(ts)
+
+    def test_time_at_distance_matches_point_scan(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            traj = random_trajectory(rng)
+            for dist in rng.uniform(0.0, 12.0, 4):
+                assert traj.time_at_distance(dist, grid=500) == time_at_distance_oracle(traj, dist, 500)
 
 
 class TestDerivatives:
@@ -193,3 +251,6 @@ class TestSerialization:
         assert rows[0][0] == 0.0
         assert rows[-1][0] == pytest.approx(traj.duration)
         assert all(len(r) == 7 for r in rows)
+        for t, *rest in rows.tolist():
+            vel, acc, _ = traj.eval_derivatives(t)
+            assert rest == [*traj.eval(t), *vel, *acc]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from funnelnav.geometry import (
     ConvexPolygon,
     Workspace,
-    convex_hull,
     distances_to_obstacles,
     find_separator,
     find_separators,
@@ -24,24 +23,13 @@ from oracles import (
     min_distance_to_obstacles,
     point_free_oracle,
     point_in_hull,
+    random_polygon,
     segment_free_oracle,
     separator_oracle,
     shoelace_area,
 )
 
 UNIT_SQUARE = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-
-
-def random_polygon(rng, center, radius, n=None):
-    """Strictly convex polygon from sorted points on a noisy circle."""
-    n = n or int(rng.integers(3, 8))
-    angles = np.sort(rng.uniform(0, 2 * math.pi, n))
-    radii = radius * rng.uniform(0.6, 1.0, n)
-    pts = np.column_stack([center[0] + radii * np.cos(angles), center[1] + radii * np.sin(angles)])
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        return random_polygon(rng, center, radius, n)
-    return ConvexPolygon(hull)
 
 
 class TestConvexPolygon:

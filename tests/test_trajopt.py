@@ -13,6 +13,7 @@ from funnelnav.trajopt import (
     _Workspace,
     _feasible_dt_floor,
     _project,
+    _step_dt,
     build,
     solve,
     validate,
@@ -257,3 +258,19 @@ class TestValidate:
         floor = _feasible_dt_floor(C, problem)
         d1 = np.linalg.norm(np.diff(C, axis=0), axis=1).max()
         assert floor >= d1 / problem.v_max - 1e-12
+
+
+class TestStepDt:
+    def test_closed_form(self):
+        path = wiggly_path(np.random.default_rng(5))
+        timed = free_problem(path, w3=1.0)
+        C, _, _ = build(timed)
+        floor = _feasible_dt_floor(C, timed)
+        assert timed.dt_bounds[0] < floor < timed.dt_bounds[1]
+        # w3 > 0: the cost w3*dt is least at the feasible floor.
+        assert _step_dt(C, _Workspace(timed)) == floor
+        # w3 = 0: no time pressure, the loosest spacing.
+        assert _step_dt(C, _Workspace(free_problem(path, w3=0.0))) == timed.dt_bounds[1]
+        # A floor above the box has no feasible spacing.
+        with pytest.raises(TrajOptInfeasible):
+            _step_dt(C, _Workspace(free_problem(path, w3=1.0, dt_bounds=(0.01, 0.5 * floor))))
