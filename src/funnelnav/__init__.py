@@ -19,6 +19,7 @@ from .errors import (
     InfeasibleSeed,
     InitialComplianceError,
     InsufficientSamples,
+    InvalidScenario,
     NonFiniteState,
     OutOfDomain,
     PlanTimeout,

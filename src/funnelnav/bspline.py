@@ -27,9 +27,6 @@ BASIS_M = (1.0 / 6.0) * np.array([
     [-1.0, 3.0, -3.0, 1.0],
 ])
 
-# Value at a knot is m^T Q with m the first basis row.
-KNOT_WEIGHTS = BASIS_M[0]  # (1/6)[1, 4, 1, 0]
-
 # Third-derivative (jerk) weights: b^T Q / dt^3 per segment.
 JERK_WEIGHTS = np.array([-1.0, 3.0, -3.0, 1.0])
 
@@ -121,16 +118,6 @@ class SplineTrajectory:
         if not (0 <= i <= self.n_points - 4):
             raise IndexError(f"segment index {i} outside 0..{self.n_points - 4}")
         return self.control_points[i:i + 4]
-
-    def knot_values(self) -> np.ndarray:
-        """Spline value at every knot j*dt, j = 0..N-3 (endpoint included)."""
-        pts = self.control_points
-        inner = (pts[:-2] + 4.0 * pts[1:-1] + pts[2:]) / 6.0
-        return inner
-
-    def translated(self, offset) -> "SplineTrajectory":
-        return SplineTrajectory(self.control_points + np.asarray(offset, dtype=float),
-                                self.dt_knot)
 
     def time_at_distance(self, dist: float, grid: int = 4000) -> float:
         """Earliest time where the spline is `dist` away from its start point.

@@ -127,6 +127,22 @@ _NOISE_FREQ_HI = 0.5
 _NOISE_TERMS = 4
 
 
+def _wrench(terms, t):
+    """The disturbance formula: (3, B) wrenches of B profiles' term arrays bias,
+    sin_amp, noise_amp (3, B) and omega, phase (1 + _NOISE_TERMS, 3, B), term 0 the
+    sinusoid. t is a float, (B,) per-column times, or (n,) times when B = 1."""
+    bias, sin_amp, noise_amp, omega, phase = terms
+    s = np.sin(omega * t + phase)
+    noise = s[1]
+    for k in range(2, 1 + _NOISE_TERMS):
+        noise = noise + s[k]
+    return bias + sin_amp * s[0] + noise_amp * noise / _NOISE_TERMS
+
+
+# Zero-width term arrays, the terms of no profile: a batch starts from them.
+_NO_TERMS = (*[np.empty((3, 0))] * 3, *[np.empty((1 + _NOISE_TERMS, 3, 0))] * 2)
+
+
 class DisturbanceProfile:
     """Deterministic bounded disturbance wrench tau_d(t) = [tau_x, tau_y, tau_psi].
 
@@ -141,12 +157,16 @@ class DisturbanceProfile:
         self.y = y or AxisDisturbance()
         self.psi = psi or AxisDisturbance()
         self.seed = int(seed)
+        axes = self.axes
         rng = np.random.default_rng(self.seed)
-        self._noise = []
-        for _ in range(3):
-            freqs = rng.uniform(_NOISE_FREQ_LO, _NOISE_FREQ_HI, _NOISE_TERMS)
-            phases = rng.uniform(0.0, TWO_PI, _NOISE_TERMS)
-            self._noise.append((freqs, phases))
+        # (1 + _NOISE_TERMS, 3) frequencies and phases: per axis its sinusoid's,
+        # then its noise sinusoids' (drawn axis by axis, frequencies before phases).
+        freqs, phases = np.array([
+            [[ax.sin_freq_hz, *rng.uniform(_NOISE_FREQ_LO, _NOISE_FREQ_HI, _NOISE_TERMS)],
+             [ax.sin_phase, *rng.uniform(0.0, TWO_PI, _NOISE_TERMS)]] for ax in axes]).transpose(1, 2, 0)
+        amplitudes = np.array([[ax.bias, ax.sin_amp, ax.noise_amp] for ax in axes]).T
+        # _wrench's term arrays with one column, this profile's.
+        self._terms = (*amplitudes[..., None], TWO_PI * freqs[..., None], phases[..., None])
 
     @property
     def axes(self) -> tuple[AxisDisturbance, AxisDisturbance, AxisDisturbance]:
@@ -157,24 +177,10 @@ class DisturbanceProfile:
         """Declared per-axis bounds |tau_d,i(t)| never exceeds."""
         return (self.x.bound, self.y.bound, self.psi.bound)
 
-    def _axis_value(self, idx: int, axis: AxisDisturbance, t: float) -> float:
-        val = axis.bias
-        if axis.sin_amp != 0.0:
-            val += axis.sin_amp * math.sin(TWO_PI * axis.sin_freq_hz * t + axis.sin_phase)
-        if axis.noise_amp != 0.0:
-            freqs, phases = self._noise[idx]
-            s = 0.0
-            for k in range(_NOISE_TERMS):
-                s += math.sin(TWO_PI * freqs[k] * t + phases[k])
-            val += axis.noise_amp * s / _NOISE_TERMS
-        return val
-
-    def value(self, t: float) -> tuple[float, float, float]:
-        return (
-            self._axis_value(0, self.x, t),
-            self._axis_value(1, self.y, t),
-            self._axis_value(2, self.psi, t),
-        )
+    def value(self, t):
+        """The wrench at a float time as three floats, or at (n,) times as a (3, n) array."""
+        tau = _wrench(self._terms, t)
+        return tau if isinstance(t, np.ndarray) else tuple(tau[:, 0].tolist())
 
     def reseeded(self, seed: int) -> "DisturbanceProfile":
         """Same amplitudes/frequencies, fresh noise and sinusoid phases."""
@@ -224,12 +230,6 @@ def actuator_to_wrench(cmd: ActuatorCommand, params: VesselParams) -> tuple[floa
     return (X, Y, N)
 
 
-def rotation_matrix(psi: float) -> np.ndarray:
-    """R(psi) in SO(3) rotating body-frame [u, v, r] rates into eta_dot."""
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def lumped(u, v, r, tau, params: VesselParams):
     """Drag, optional Coriolis coupling and disturbance wrench tau as (f_u, f_v, f_r).
 
@@ -253,11 +253,17 @@ def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbancePro
     return lumped(state.u, state.v, state.r, tau, params)
 
 
-def _rk4(x, wrench, params: VesselParams, tau0, tau_half, tau1, h: float):
-    """RK4 step of x = [p_x, p_y, psi, u, v, r] (six floats or a (6, B) array), wrench held.
+def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float):
+    """One fixed-step RK4 integration of x = [p_x, p_y, psi, u, v, r], command held.
 
-    tau0, tau_half and tau1 are the disturbance wrenches at t0, t0 + h/2 and t0 + h."""
-    X, Y, N = wrench
+    x is six floats (one episode; returned as a list) or a (6, B) array of B
+    episodes; F_T and alpha_r are the saturated commands, floats or (B,).
+    tau0, tau_half and tau1 are the disturbance wrenches at t0, t0 + dt/2 and
+    t0 + dt: three floats each, or (3, B). The heading is wrapped to [0, 2*pi).
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    X, Y, N = actuator_to_wrench(SimpleNamespace(F_T=F_T, alpha_r=alpha_r), params)
     xp = namespace(x[2])
     stacked = xp is np
 
@@ -274,75 +280,29 @@ def _rk4(x, wrench, params: VesselParams, tau0, tau_half, tau1, h: float):
         return y + c * k if stacked else [a + c * b for a, b in zip(y, k)]
 
     k1 = derivative(x, tau0)
-    k2 = derivative(shift(x, 0.5 * h, k1), tau_half)
-    k3 = derivative(shift(x, 0.5 * h, k2), tau_half)
-    k4 = derivative(shift(x, h, k3), tau1)
-    # x + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-    return shift(x, h / 6.0, shift(shift(shift(k1, 2.0, k2), 2.0, k3), 1.0, k4))
-
-
-def step(state: VesselState, cmd: ActuatorCommand, params: VesselParams,
-         dist: DisturbanceProfile, dt: float) -> VesselState:
-    """One fixed-step RK4 integration with the command held over the step."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    t0 = state.t
-    out = _rk4((state.p_x, state.p_y, state.psi, state.u, state.v, state.r),
-               actuator_to_wrench(cmd, params), params,
-               dist.value(t0), dist.value(t0 + 0.5 * dt), dist.value(t0 + dt), dt)
-    if not all(math.isfinite(x) for x in out):
-        raise NonFiniteState(f"RK4 produced non-finite state at t={t0}: {out}")
-    return VesselState(
-        p_x=out[0], p_y=out[1], psi=wrap_angle(out[2]),
-        u=out[3], v=out[4], r=out[5], t=t0 + dt,
-    )
+    k2 = derivative(shift(x, 0.5 * dt, k1), tau_half)
+    k3 = derivative(shift(x, 0.5 * dt, k2), tau_half)
+    k4 = derivative(shift(x, dt, k3), tau1)
+    # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+    out = shift(x, dt / 6.0, shift(shift(shift(k1, 2.0, k2), 2.0, k3), 1.0, k4))
+    if stacked:
+        finite = np.isfinite(out).all(axis=0)
+        if not finite.all():
+            raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
+    elif not all(map(math.isfinite, out)):
+        raise NonFiniteState(f"RK4 produced a non-finite state: {out}")
+    out[2] = wrap_angle(out[2])
+    return out
 
 
 class DisturbanceBatch:
-    """The wrenches of B disturbance profiles at one time, as a (3, B) array.
-
-    Column b repeats DisturbanceProfile.value of profiles[b] term by term, in
-    the same order, so the two agree up to the last bit of a sine.
-    """
+    """The (3, B) wrenches of B profiles: their term arrays side by side, so column b
+    is profiles[b].value through the one formula, bit for bit."""
 
     def __init__(self, profiles: list[DisturbanceProfile]):
-        axes = [p.axes for p in profiles]
-        self.bias = np.array([[ax[a].bias for ax in axes] for a in range(3)])
-        self.sin_amp = np.array([[ax[a].sin_amp for ax in axes] for a in range(3)])
-        self.noise_amp = np.array([[ax[a].noise_amp for ax in axes] for a in range(3)])
-        # Term 0 is the sinusoid, terms 1.. the seeded noise sinusoids; each
-        # term's (3, B) block is contiguous.
-        self._omega = np.empty((1 + _NOISE_TERMS, 3, len(profiles)))
-        self._phase = np.empty_like(self._omega)
-        for b, p in enumerate(profiles):
-            for a, axis in enumerate(p.axes):
-                freqs, phases = p._noise[a]
-                self._omega[0, a, b] = TWO_PI * axis.sin_freq_hz
-                self._omega[1:, a, b] = TWO_PI * freqs
-                self._phase[0, a, b] = axis.sin_phase
-                self._phase[1:, a, b] = phases
+        self._terms = tuple(np.concatenate(arrays, axis=-1)
+                            for arrays in zip(_NO_TERMS, *(p._terms for p in profiles)))
 
-    def value(self, t: float) -> np.ndarray:
-        s = np.sin(self._omega * t + self._phase)
-        noise = s[1]
-        for k in range(2, 1 + _NOISE_TERMS):
-            noise = noise + s[k]
-        return self.bias + self.sin_amp * s[0] + self.noise_amp * noise / _NOISE_TERMS
-
-
-def step_batch(x: np.ndarray, F_T: np.ndarray, alpha_r: np.ndarray, params: VesselParams,
-               tau0: np.ndarray, tau_half: np.ndarray, tau1: np.ndarray, dt: float) -> np.ndarray:
-    """step for B episodes at once: x is the (6, B) state [p_x, p_y, psi, u, v, r].
-
-    tau0, tau_half and tau1 are the (3, B) disturbance wrenches at the RK4
-    stage times t0, t0 + dt/2 and t0 + dt; the commands are held over the
-    step and the heading is wrapped to [0, 2*pi) as in step.
-    """
-    # The commands come saturated and checked from control_batch.
-    wrench = actuator_to_wrench(SimpleNamespace(F_T=F_T, alpha_r=alpha_r), params)
-    out = _rk4(x, wrench, params, tau0, tau_half, tau1, dt)
-    finite = np.isfinite(out).all(axis=0)
-    if not finite.all():
-        raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
-    out[2] = wrap_angle(out[2])
-    return out
+    def value(self, t) -> np.ndarray:
+        """The (3, B) wrenches at a float time or at (B,) per-column times."""
+        return _wrench(self._terms, t)

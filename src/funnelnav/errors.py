@@ -5,6 +5,10 @@ class FunnelNavError(Exception):
     """Base class for all toolkit-specific failures."""
 
 
+class InvalidScenario(FunnelNavError, ValueError):
+    """Scenario data with a missing key, a value of the wrong type or a rejected value."""
+
+
 class NonFiniteState(FunnelNavError):
     """Integration produced NaN/Inf; dynamics blew up or dt is too large."""
 

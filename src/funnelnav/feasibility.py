@@ -14,7 +14,7 @@ floor and the initial-bearing condition |psi_e(0)| < pi/2.
 The reference-rate terms are measured by finite-differencing the cascade
 references along short closed-loop rollouts of the true dynamics; the
 samples of a pass roll out together through the batched cascade
-(controller.control_batch) and RK4 (dynamics.step_batch). Sampling
+(controller.control_batch) and RK4 (dynamics.step). Sampling
 covers the compact operating subset |xi| <= xi_max of the funnel interior,
 intersected with the physically sustainable velocity envelope (terminal
 speeds under full actuation); the supremum over the full open funnel box is
@@ -31,9 +31,9 @@ import numpy as np
 
 from .bspline import SplineTrajectory
 from .controller import control_batch
-# step and lumped_forces are unused here: perfbench/tracing.py wraps them by
-# name in this module, so they stay bound.
-from .dynamics import DisturbanceBatch, lumped, lumped_forces, step, step_batch  # noqa: F401
+# lumped_forces is unused here: perfbench/tracing.py wraps it by name in
+# this module, so it stays bound.
+from .dynamics import lumped, lumped_forces, step  # noqa: F401
 from .errors import DegenerateDistance, InsufficientSamples
 from .funnels import EPS_DEGENERATE, compute_errors
 from .scenario import Scenario, reference_lead
@@ -143,9 +143,11 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
     x = np.array((px, py, psi, u, v, r))
     p = np.array((px + e_d * np.cos(psi - psi_e), py + e_d * np.sin(psi - psi_e)))
     v_ref = ref_speed * np.array((np.cos(ref_dir), np.sin(ref_dir)))
-    dist = DisturbanceBatch([scenario.disturbance])
-    t_state, tau = t0, dist.value(t0)
-    f_u, _f_v, f_r = lumped(u, v, r, tau, vessel)
+    # The disturbance at the accumulated state times and the half steps between them.
+    t_state = (t0, t0 + dt_fd, t0 + dt_fd + dt_fd)
+    tau = [scenario.disturbance.value(t) for t in t_state]
+    tau_half = [scenario.disturbance.value(t + 0.5 * dt_fd) for t in t_state[:2]]
+    f_u, _f_v, f_r = lumped(u, v, r, tau[0], vessel)
 
     refs = []
     thrusts, sways = np.empty((2, 3, len(t0)))
@@ -160,11 +162,7 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
         thrusts[k] = F_T
         sways[k] = np.abs(x[4])
         if k < 2:
-            tau_half = dist.value(t_state + 0.5 * dt_fd)
-            tau1 = dist.value(t_state + dt_fd)
-            x = step_batch(x, F_T, alpha_r, vessel, tau, tau_half, tau1, dt_fd)
-            t_state = t_state + dt_fd
-            tau = tau1
+            x = step(x, F_T, alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], dt_fd)
             p = p + v_ref * dt_fd
     du_des = (refs[2][0] - refs[0][0]) / (2.0 * dt_fd)
     dr_des = (refs[2][1] - refs[0][1]) / (2.0 * dt_fd)

@@ -9,6 +9,7 @@ audit can re-derive every funnel inequality without trusting the controller.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -27,7 +28,7 @@ from .controller import (
     control_batch,
     control_tick,
 )
-from .dynamics import DisturbanceBatch, step, step_batch
+from .dynamics import DisturbanceBatch, VesselState, step
 from .errors import DegenerateDistance, InfeasibleSeed, InitialComplianceError, UnverifiedTrajectory
 from .funnels import EPS_DEGENERATE, FunnelSpec, compute_errors
 from .geometry import distances_to_obstacles
@@ -73,8 +74,12 @@ class EpisodeLog:
 
     @classmethod
     def load_csv(cls, path, scenario_name: str = "loaded", seed: int = 0) -> "EpisodeLog":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        columns = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+        with open(path, encoding="utf-8") as f:
+            names = f.readline().rstrip("\n").split(",")
+            lines = f.readlines()
+        # loadtxt warns on no rows; a header-only log has zero-length columns.
+        data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(names)))
+        columns = dict(zip(names, data.T))
         return cls(scenario_name=scenario_name, seed=seed, columns=columns, summary={})
 
     def save_summary(self, path) -> None:
@@ -193,10 +198,17 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     """
     dt = scenario.sim_dt
     n_max = int(round(scenario.horizon / dt))
-    # The reference does not depend on the state: sample the whole episode's at once.
-    s_ref = np.minimum(np.arange(n_max) * dt + lead, traj.duration)
+    # Neither the reference nor the disturbance depends on the state: sample
+    # the whole episode's at once.
+    t_log = np.arange(n_max) * dt
+    s_ref = np.minimum(t_log + lead, traj.duration)
     ref_p = traj.eval(s_ref)
     ref_v, _, _ = traj.eval_derivatives(s_ref)
+    # The state times accumulate as the RK4 steps them, t_{i+1} = t_i + dt.
+    t_state = list(itertools.accumulate(itertools.repeat(dt, n_max), initial=scenario.start.t))
+    tau_log, tau_state, tau_half = (
+        disturbance.value(ts).T.tolist()
+        for ts in (t_log, np.array(t_state), np.array(t_state[:-1]) + 0.5 * dt))
     goal = np.asarray(scenario.goal, dtype=float)
 
     state_row = operator.attrgetter(*_STATE_COLUMNS)
@@ -207,8 +219,7 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     fault = None
     goal_time = None
 
-    for i in range(n_max):
-        t = i * dt
+    for i, t in enumerate(t_log.tolist()):
         p_des = ref_p[i]
         try:
             cmd, dbg = control_tick(state, p_des, t, cfg, clamp=True)
@@ -220,9 +231,11 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
                      *cascade_row(dbg), cmd.F_T, cmd.alpha_r,
                      1.0 if (dbg.u_F < 0.0 or dbg.u_F > cfg.F_T_max) else 0.0,
                      1.0 if abs(dbg.u_alpha) > cfg.alpha_r_max else 0.0,
-                     *disturbance.value(t)))
+                     *tau_log[i]))
 
-        state = step(state, cmd, scenario.vessel, disturbance, dt)
+        x = step(state_row(state), cmd.F_T, cmd.alpha_r, scenario.vessel,
+                 tau_state[i], tau_half[i], tau_state[i + 1], dt)
+        state = VesselState(*x, t=t_state[i + 1])
         if (math.hypot(state.p_x - goal[0], state.p_y - goal[1]) <= scenario.goal_radius
                 and state.speed() <= scenario.goal_speed_threshold):
             goal_time = state.t
@@ -333,7 +346,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
 
         tau_half = dist.value(t_state + 0.5 * dt)
         tau1 = dist.value(t_state + dt)
-        x = step_batch(x, F_T, alpha_r, scenario.vessel, tau0, tau_half, tau1, dt)
+        x = step(x, F_T, alpha_r, scenario.vessel, tau0, tau_half, tau1, dt)
         t_state = t_state + dt
         tau0 = tau1
         arrived = ((np.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius)

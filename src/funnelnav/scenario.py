@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .bspline import SplineTrajectory
 from .controller import ControllerConfig
 from .dynamics import AxisDisturbance, DisturbanceProfile, DragCoeffs, VesselParams, VesselState
+from .errors import FunnelNavError, InvalidScenario
 from .funnels import FunnelSpec
 from .geometry import ConvexPolygon, Workspace, point_free
 from .rrt import RrtParams
@@ -35,6 +37,29 @@ class TrajOptSettings:
     max_outer: int = 200
     tol_outer: float = 1e-6
     tol_residual: float = 1e-8
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# The leaves of a scenario dict that need not be numbers, by key.
+_LEAF_CHECKS = {
+    "name": lambda v: isinstance(v, str),
+    **dict.fromkeys(("coriolis_on", "shortcut"), lambda v: isinstance(v, bool)),
+    **dict.fromkeys(("step_size", "goal_radius"), lambda v: v is None or _is_number(v)),
+    "reference_lead": lambda v: v == "auto" or _is_number(v),
+}
+
+
+def _check_leaves(node, key=None) -> None:
+    """TypeError unless every leaf under node passes its key's check in
+    _LEAF_CHECKS, or else is a number; a list's entries fall under its key."""
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else ((key, v) for v in node):
+            _check_leaves(v, k)
+    elif not _LEAF_CHECKS.get(key, _is_number)(node):
+        raise TypeError(f"{key!r} cannot be {node!r}")
 
 
 @dataclass
@@ -169,6 +194,16 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario of a JSON dict; InvalidScenario on a missing key, a value
+        of the wrong type (see _check_leaves) or a value a field rejects."""
+        try:
+            _check_leaves(data)
+            return cls._from_checked_dict(data)
+        except (AttributeError, KeyError, TypeError, ValueError, FunnelNavError) as exc:
+            raise InvalidScenario(f"{type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _from_checked_dict(cls, data: dict) -> "Scenario":
         ws_d = data["workspace"]
         workspace = Workspace(
             bounds=tuple(ws_d["bounds"]),

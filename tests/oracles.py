@@ -10,8 +10,10 @@ point-by-point obstacle clearance that geometry's one-pass versions
 replaced, the scalar per-pair closest-pair separator that the batched
 library kernel replaced, the plane-by-plane cyclic projection
 that trajopt's slot-batched one replaced, and the sample-by-sample
-feasibility audit that the batched estimate_bounds replaced. It also holds
-random_polygon, the random convex obstacle the geometry tests draw.
+feasibility audit that the batched estimate_bounds replaced, and the
+per-float, per-term disturbance that the one array formula replaced. It also
+holds random_polygon, the random convex obstacle the geometry tests draw, and
+step_state, one RK4 step of a VesselState through dynamics.step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ import numpy as np
 from funnelnav import feasibility
 from funnelnav.bspline import BASIS_M, BASIS_M2
 from funnelnav.controller import saturate_and_allocate, velocity_references, wrench_references
-from funnelnav.dynamics import VesselState, lumped_forces, step, wrap_angle
+from funnelnav.dynamics import (
+    _NOISE_FREQ_HI,
+    _NOISE_FREQ_LO,
+    _NOISE_TERMS,
+    TWO_PI,
+    VesselState,
+    lumped_forces,
+    step,
+    wrap_angle,
+)
 from funnelnav.errors import InsufficientSamples
 from funnelnav.funnels import compute_errors, transform
 from funnelnav.geometry import ConvexPolygon, convex_hull
@@ -435,6 +446,39 @@ def project_oracle(C: np.ndarray, dt: float, planes: dict, ws) -> float:
     return worst
 
 
+def step_state(state, cmd, params, dist, dt):
+    """dynamics.step of one VesselState, its disturbance sampled at the RK4 stage times."""
+    t0 = state.t
+    x = step((state.p_x, state.p_y, state.psi, state.u, state.v, state.r), cmd.F_T, cmd.alpha_r,
+             params, dist.value(t0), dist.value(t0 + 0.5 * dt), dist.value(t0 + dt), dt)
+    return VesselState(*x, t=t0 + dt)
+
+
+def disturbance_oracle(dist, t: float) -> tuple[float, float, float]:
+    """DisturbanceProfile.value from its axes and seed: axis by axis, term by
+    term, skipping zero amplitudes and summing the noise from 0.0.
+
+    It takes numpy's sine of one float, so an exact comparison with the
+    array formula checks the terms and their order on any host, not two
+    sine implementations.
+    """
+    rng = np.random.default_rng(dist.seed)
+    out = []
+    for axis in dist.axes:
+        freqs = rng.uniform(_NOISE_FREQ_LO, _NOISE_FREQ_HI, _NOISE_TERMS)
+        phases = rng.uniform(0.0, TWO_PI, _NOISE_TERMS)
+        val = axis.bias
+        if axis.sin_amp != 0.0:
+            val += axis.sin_amp * float(np.sin(TWO_PI * axis.sin_freq_hz * t + axis.sin_phase))
+        if axis.noise_amp != 0.0:
+            s = 0.0
+            for k in range(_NOISE_TERMS):
+                s += float(np.sin(TWO_PI * freqs[k] * t + phases[k]))
+            val += axis.noise_amp * s / _NOISE_TERMS
+        out.append(val)
+    return tuple(out)
+
+
 def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
     """Central finite differences of (u_des, r_des) along a 2-step closed-loop rollout.
 
@@ -456,7 +500,7 @@ def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
         thrusts.append(cmd.F_T)
         sways.append(abs(s.v))
         if k < 2:
-            s = step(s, cmd, scenario.vessel, scenario.disturbance, dt_fd)
+            s = step_state(s, cmd, scenario.vessel, scenario.disturbance, dt_fd)
             p = p + v_ref * dt_fd
     du_des = (u_series[2] - u_series[0]) / (2.0 * dt_fd)
     dr_des = (r_series[2] - r_series[0]) / (2.0 * dt_fd)

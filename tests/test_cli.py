@@ -195,6 +195,19 @@ class TestTypedErrors:
                               capsys)
         assert len(calls) == 4  # plan_and_solve's default number of attempts
 
+    @pytest.mark.parametrize("section, key, value", [("goal", "radius", None),
+                                                      ("start", "p_x", "0.0")])
+    def test_invalid_scenario(self, tmp_path, capsys, section, key, value):
+        data = benign_scenario().to_dict()
+        if value is None:
+            del data[section][key]
+        else:
+            data[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        self._main_fails_with("InvalidScenario",
+                              ["run", "--scenario", str(path), "--out-dir", str(tmp_path)], capsys)
+
     def test_trajopt_infeasible(self, tmp_path, scenario_file, monkeypatch, capsys):
         monkeypatch.setattr(trajopt, "solve",
                             _raising(TrajOptInfeasible("no knot spacing fits"), []))

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnelnav.dynamics import (
     ActuatorCommand,
@@ -13,12 +16,11 @@ from funnelnav.dynamics import (
     VesselState,
     actuator_to_wrench,
     lumped_forces,
-    rotation_matrix,
     step,
-    step_batch,
     wrap_angle,
 )
 from funnelnav.errors import NonFiniteState
+from oracles import disturbance_oracle, step_state
 
 NO_DRAG = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
 ZERO_DIST = DisturbanceProfile.zero()
@@ -61,13 +63,6 @@ class TestActuatorMap:
 
 
 class TestRotation:
-    def test_orthonormal_random_headings(self):
-        rng = np.random.default_rng(5)
-        for psi in rng.uniform(0, 2 * math.pi, 100):
-            R = rotation_matrix(psi)
-            assert np.max(np.abs(R @ R.T - np.eye(3))) < 1e-12
-            assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
-
     def test_wrap_angle(self):
         assert wrap_angle(2 * math.pi) == 0.0
         assert wrap_angle(-0.1) == pytest.approx(2 * math.pi - 0.1)
@@ -77,26 +72,26 @@ class TestRotation:
 class TestStep:
     def test_equilibrium(self):
         s0 = VesselState(1.0, 2.0, 0.3, 0.0, 0.0, 0.0, t=5.0)
-        s1 = step(s0, IDLE, NO_DRAG, ZERO_DIST, 0.1)
+        s1 = step_state(s0, IDLE, NO_DRAG, ZERO_DIST, 0.1)
         assert (s1.p_x, s1.p_y, s1.psi, s1.u, s1.v, s1.r) == (1.0, 2.0, 0.3, 0.0, 0.0, 0.0)
         assert s1.t == pytest.approx(5.1)
 
     def test_kinematic_translation(self):
         s0 = VesselState(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        s1 = step(s0, IDLE, NO_DRAG, ZERO_DIST, 0.1)
+        s1 = step_state(s0, IDLE, NO_DRAG, ZERO_DIST, 0.1)
         assert s1.p_x == pytest.approx(0.1, abs=1e-12)
         assert s1.p_y == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_yaw_matches_closed_form(self):
         s0 = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 0.5)
-        s1 = step(s0, IDLE, NO_DRAG, ZERO_DIST, 0.01)
+        s1 = step_state(s0, IDLE, NO_DRAG, ZERO_DIST, 0.01)
         assert s1.psi == pytest.approx(0.005, abs=1e-9)
         assert s1.p_x == 0.0 and s1.p_y == 0.0
 
     def test_momentum_conserved_without_forces(self):
         s = VesselState(0.0, 0.0, 1.0, 2.0, -0.5, 0.3)
         for _ in range(100):
-            s = step(s, IDLE, NO_DRAG, ZERO_DIST, 0.05)
+            s = step_state(s, IDLE, NO_DRAG, ZERO_DIST, 0.05)
         assert s.u == pytest.approx(2.0, abs=1e-12)
         assert s.v == pytest.approx(-0.5, abs=1e-12)
         assert s.r == pytest.approx(0.3, abs=1e-12)
@@ -115,7 +110,7 @@ class TestStep:
         def endpoint(dt):
             s = VesselState(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
             for _ in range(int(round(10.0 / dt))):
-                s = step(s, cmd, params, dist, dt)
+                s = step_state(s, cmd, params, dist, dt)
             return np.array([s.p_x, s.p_y, s.psi, s.u, s.v, s.r])
 
         ref = endpoint(0.003125)
@@ -128,7 +123,7 @@ class TestStep:
     def test_heading_wrapped_every_step(self):
         s = VesselState(0.0, 0.0, 6.2, 0.0, 0.0, 2.0)
         for _ in range(50):
-            s = step(s, IDLE, NO_DRAG, ZERO_DIST, 0.1)
+            s = step_state(s, IDLE, NO_DRAG, ZERO_DIST, 0.1)
             assert 0.0 <= s.psi < 2 * math.pi
 
     def test_nonfinite_detected(self):
@@ -138,11 +133,11 @@ class TestStep:
             # Quadratic drag with an absurd step size diverges within a
             # couple of steps; the integrator must flag it, not emit NaNs.
             for _ in range(5):
-                s = step(s, IDLE, params, ZERO_DIST, 10.0)
+                s = step_state(s, IDLE, params, ZERO_DIST, 10.0)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
-            step(VesselState(0, 0, 0, 0, 0, 0), IDLE, NO_DRAG, ZERO_DIST, 0.0)
+            step_state(VesselState(0, 0, 0, 0, 0, 0), IDLE, NO_DRAG, ZERO_DIST, 0.0)
 
 
 class TestBatch:
@@ -173,11 +168,11 @@ class TestBatch:
         F_T = rng.uniform(0.0, 5000.0, 8)
         alpha_r = rng.uniform(-0.5, 0.5, 8)
         t0, dt = 12.3, 0.05
-        out = step_batch(x, F_T, alpha_r, params, batch.value(t0),
-                         batch.value(t0 + 0.5 * dt), batch.value(t0 + dt), dt)
+        out = step(x, F_T, alpha_r, params, batch.value(t0),
+                   batch.value(t0 + 0.5 * dt), batch.value(t0 + dt), dt)
         for b in range(8):
-            s = step(VesselState(*x[:, b], t=t0), ActuatorCommand(F_T[b], alpha_r[b]),
-                     params, profiles[b], dt)
+            s = step_state(VesselState(*x[:, b], t=t0), ActuatorCommand(F_T[b], alpha_r[b]),
+                           params, profiles[b], dt)
             assert out[:, b] == pytest.approx([s.p_x, s.p_y, s.psi, s.u, s.v, s.r],
                                               rel=1e-12, abs=1e-12)
         assert np.all((0.0 <= out[2]) & (out[2] < 2 * math.pi))
@@ -189,7 +184,7 @@ class TestBatch:
         zero = np.zeros((3, 2))
         with pytest.raises(NonFiniteState), np.errstate(over="ignore", invalid="ignore"):
             for _ in range(5):
-                x = step_batch(x, np.zeros(2), np.zeros(2), params, zero, zero, zero, 10.0)
+                x = step(x, np.zeros(2), np.zeros(2), params, zero, zero, zero, 10.0)
 
 
 class TestDisturbance:
@@ -218,6 +213,52 @@ class TestDisturbance:
         assert a.bounds == b.bounds
         diffs = [abs(a.value(t)[0] - b.value(t)[0]) for t in np.linspace(0, 50, 200)]
         assert max(diffs) > 1e-3
+
+
+def random_profile(rng) -> DisturbanceProfile:
+    """Random axes and noise seed; each amplitude is zero one time in three."""
+    def amplitude(scale):
+        return float(rng.uniform(-scale, scale)) if rng.random() > 1.0 / 3.0 else 0.0
+
+    return DisturbanceProfile(*(
+        AxisDisturbance(bias=amplitude(50.0), sin_amp=amplitude(60.0),
+                        sin_freq_hz=float(rng.uniform(0.0, 0.5)),
+                        sin_phase=float(rng.uniform(0.0, 2 * math.pi)), noise_amp=amplitude(30.0))
+        for _ in range(3)), seed=int(rng.integers(2**32)))
+
+
+class TestOneFormula:
+    """Every evaluation of the disturbance goes through one formula, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_times_array_matches_float_calls(self, seed):
+        # t = 0, random times and state times accumulated as the RK4 steps them.
+        rng = np.random.default_rng(seed)
+        dist = random_profile(rng)
+        dt = float(rng.uniform(0.01, 0.1))
+        t_state = itertools.accumulate(itertools.repeat(dt, 40), initial=0.0)
+        ts = np.array([0.0, *rng.uniform(0.0, 600.0, 20), *t_state])
+        table = dist.value(ts)
+        assert table.shape == (3, len(ts))
+        for k, t in enumerate(ts.tolist()):
+            single = dist.value(t)
+            assert all(type(v) is float for v in single) and len(single) == 3
+            assert np.array_equal(table[:, k], single)
+            assert np.array_equal(single, disturbance_oracle(dist, t))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    def test_batch_columns_match_profiles(self, seed, n):
+        rng = np.random.default_rng(seed)
+        profiles = [random_profile(rng) for _ in range(n)] + [ZERO_DIST]
+        batch = DisturbanceBatch(profiles)
+        t = float(rng.uniform(0.0, 600.0))
+        per_column = rng.uniform(0.0, 600.0, len(profiles))
+        at_t, at_columns = batch.value(t), batch.value(per_column)
+        for b, p in enumerate(profiles):
+            assert np.array_equal(at_t[:, b], p.value(t))
+            assert np.array_equal(at_columns[:, b], p.value(float(per_column[b])))
 
 
 class TestLumpedForces:

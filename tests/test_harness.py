@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ from funnelnav.scenario import benign_scenario, long_run_scenario
 @pytest.fixture(scope="module")
 def benign_log():
     return run_episode(benign_scenario())
+
+
+@pytest.fixture(scope="module")
+def long_run_log():
+    return run_episode(long_run_scenario())
 
 
 class TestRunEpisode:
@@ -91,6 +97,29 @@ class TestRunEpisode:
         for name in LOG_COLUMNS:
             assert np.allclose(loaded.columns[name], benign_log.columns[name],
                                atol=0.0, rtol=0.0, equal_nan=True)
+
+    def test_csv_round_trip_real_one_row_and_header_only(self, long_run_log, tmp_path):
+        for n in (long_run_log.n_ticks, 1, 0):
+            log = EpisodeLog(scenario_name="long-run", seed=7, summary={},
+                             columns={c: v[:n] for c, v in long_run_log.columns.items()})
+            path = tmp_path / f"episode_{n}.csv"
+            log.save_csv(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = EpisodeLog.load_csv(path)
+            assert list(loaded.columns) == LOG_COLUMNS
+            for name in LOG_COLUMNS:
+                assert loaded.columns[name].dtype == np.float64
+                assert loaded.columns[name].shape == (n,)
+                assert np.array_equal(loaded.columns[name], log.columns[name])
+
+    def test_logged_disturbance_at_log_times(self, long_run_log):
+        sc = long_run_scenario()
+        n = long_run_log.n_ticks
+        assert long_run_log.summary["goal_reached"] and n > 2000
+        tau = np.array([sc.disturbance.value(i * sc.sim_dt) for i in range(n)]).T
+        for k, name in enumerate(("tau_x", "tau_y", "tau_psi")):
+            assert np.array_equal(long_run_log.columns[name], tau[k])
 
     def test_deterministic_byte_identical(self, tmp_path):
         sc = benign_scenario()
