@@ -15,7 +15,6 @@ from .dynamics import (
 from .errors import (
     DegenerateDistance,
     FunnelNavError,
-    FunnelViolation,
     InfeasibleSeed,
     InitialComplianceError,
     InsufficientSamples,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,67 +110,43 @@ class ControllerDebug:
         return [ch for ch, v in zip(CHANNELS, self.violated()) if v]
 
 
-def velocity_references(errors: TrackingErrors, t: float, cfg: ControllerConfig,
-                        debug: ControllerDebug | None = None,
-                        clamp: bool = False) -> tuple[float, float, ControllerDebug]:
-    """Stage 1+2: surge and yaw-rate references from the position errors.
+def cascade(u, r, e_d, e_o, t, cfg: ControllerConfig) -> tuple[ActuatorCommand, ControllerDebug]:
+    """Stages 1-4 and the allocation: the saturated command and every cascade signal.
 
-    errors needs only e_d and e_o, floats or (B,) arrays; t is a float or one
-    time per column. clamp=True pulls an error that left its funnel to the edge.
+    u, r (surge, yaw rate) and e_d, e_o (distance, orientation errors) are
+    floats or (B,) arrays; t is a float or one time per column. A normalized
+    error that left its funnel (|xi| >= 1) is pulled back to the edge and
+    reported by ControllerDebug.violated(). The rudder demand divides by
+    eps_u, which the running controller only ever sees negative (thrust
+    demand positive); the guard clamps it away from zero so an overspeed tick
+    (eps_u >= 0) steers the rudder toward -alpha_max * sign(eps_r) while the
+    thrust demand itself goes nonpositive and saturates to a clean thrust cut.
     """
-    dbg = debug if debug is not None else ControllerDebug()
-    dbg.rho_d = cfg.funnel_d.value(t)
-    dbg.rho_o = cfg.funnel_o.value(t)
+    xp = namespace(e_d)
+    rho_d = cfg.funnel_d.value(t)
+    rho_o = cfg.funnel_o.value(t)
+    xi_d = normalize_asymmetric(e_d, rho_d, cfg.rho_d_min)
+    eps_d = transform(xi_d)
+    u_des = cfg.k_d * eps_d
+    xi_o = normalize_symmetric(e_o, rho_o)
+    eps_o = transform(xi_o)
+    r_des = -cfg.k_o * eps_o
 
-    dbg.xi_d = normalize_asymmetric(errors.e_d, dbg.rho_d, cfg.rho_d_min)
-    dbg.eps_d = transform(dbg.xi_d, channel="d", t=t, clamp=clamp)
-    dbg.u_des = cfg.k_d * dbg.eps_d
+    rho_u = cfg.funnel_u.value(t)
+    rho_r = cfg.funnel_r.value(t)
+    xi_u = normalize_symmetric(u - u_des, rho_u)
+    eps_u = transform(xi_u)
+    xi_r = normalize_symmetric(r - r_des, rho_r)
+    eps_r = transform(xi_r)
 
-    dbg.xi_o = normalize_symmetric(errors.e_o, dbg.rho_o)
-    dbg.eps_o = transform(dbg.xi_o, channel="o", t=t, clamp=clamp)
-    dbg.r_des = -cfg.k_o * dbg.eps_o
-    return dbg.u_des, dbg.r_des, dbg
-
-
-def wrench_references(state: VesselState, u_des: float, r_des: float, t: float,
-                      cfg: ControllerConfig, debug: ControllerDebug | None = None,
-                      clamp: bool = False) -> tuple[float, float, ControllerDebug]:
-    """Stage 3+4: force/torque demands from the velocity errors.
-
-    state needs only the surge u and yaw rate r, floats or (B,) arrays.
-    """
-    dbg = debug if debug is not None else ControllerDebug()
-    dbg.rho_u = cfg.funnel_u.value(t)
-    dbg.rho_r = cfg.funnel_r.value(t)
-
-    dbg.xi_u = normalize_symmetric(state.u - u_des, dbg.rho_u)
-    dbg.eps_u = transform(dbg.xi_u, channel="u", t=t, clamp=clamp)
-    dbg.X_des = -cfg.k_u * dbg.eps_u
-
-    dbg.xi_r = normalize_symmetric(state.r - r_des, dbg.rho_r)
-    dbg.eps_r = transform(dbg.xi_r, channel="r", t=t, clamp=clamp)
-    dbg.N_des = -cfg.k_r * dbg.eps_r
-    return dbg.X_des, dbg.N_des, dbg
-
-
-def saturate_and_allocate(eps_u: float, eps_r: float, cfg: ControllerConfig,
-                          debug: ControllerDebug | None = None) -> tuple[ActuatorCommand, ControllerDebug]:
-    """Map transformed velocity errors onto saturated thrust and rudder.
-
-    The rudder demand divides by eps_u, which the running controller only
-    ever sees negative (thrust demand positive); the guard clamps it away
-    from zero so an overspeed tick (eps_u >= 0) steers the rudder toward
-    -alpha_max * sign(eps_r) while the thrust demand itself goes nonpositive
-    and saturates to a clean thrust cut.
-    """
-    dbg = debug if debug is not None else ControllerDebug()
-    xp = namespace(eps_u)
-    eps_u_guarded = xp.minimum(eps_u, -cfg.eps_u_guard)
-    dbg.u_alpha = xp.atan(cfg.k_alpha * eps_r / eps_u_guarded)
-    alpha_r = xp.minimum(xp.maximum(dbg.u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
-    dbg.u_F = -cfg.k_u * eps_u / xp.cos(alpha_r)
-    cmd = ActuatorCommand.clamped(dbg.u_F, dbg.u_alpha, cfg.F_T_max, cfg.alpha_r_max)
-    return cmd, dbg
+    u_alpha = xp.atan(cfg.k_alpha * eps_r / xp.minimum(eps_u, -cfg.eps_u_guard))
+    alpha_r = xp.minimum(xp.maximum(u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
+    u_F = -cfg.k_u * eps_u / xp.cos(alpha_r)
+    cmd = ActuatorCommand(F_T=xp.minimum(xp.maximum(u_F, 0.0), cfg.F_T_max), alpha_r=alpha_r)
+    return cmd, ControllerDebug(
+        xi_d=xi_d, xi_o=xi_o, xi_u=xi_u, xi_r=xi_r, eps_d=eps_d, eps_o=eps_o, eps_u=eps_u,
+        eps_r=eps_r, u_des=u_des, r_des=r_des, X_des=-cfg.k_u * eps_u, N_des=-cfg.k_r * eps_r,
+        u_alpha=u_alpha, u_F=u_F, rho_d=rho_d, rho_o=rho_o, rho_u=rho_u, rho_r=rho_r)
 
 
 def check_initial_compliance(errors: TrackingErrors, state: VesselState,
@@ -201,8 +176,9 @@ def check_initial_compliance(errors: TrackingErrors, state: VesselState,
     if "d" not in bad and "o" not in bad:
         # Velocity-channel checks need the stage-1 references, well-defined
         # only when the position channels comply.
-        u_des, r_des, _ = velocity_references(errors, 0.0, cfg)
-        for ch, e, funnel in (("u", state.u - u_des, cfg.funnel_u), ("r", state.r - r_des, cfg.funnel_r)):
+        _, dbg = cascade(state.u, state.r, errors.e_d, errors.e_o, 0.0, cfg)
+        for ch, e, funnel in (("u", state.u - dbg.u_des, cfg.funnel_u),
+                              ("r", state.r - dbg.r_des, cfg.funnel_r)):
             rho0 = funnel.value(0.0)
             if abs(e) >= rho0:
                 bad[ch] = {"value": e, "bound": rho0, "suggested_rho0": abs(e) * (1.0 + 1e-6)}
@@ -211,41 +187,18 @@ def check_initial_compliance(errors: TrackingErrors, state: VesselState,
         raise InitialComplianceError(bad)
 
 
-def _cascade(state, errors, t, cfg: ControllerConfig,
-             clamp: bool) -> tuple[ActuatorCommand, ControllerDebug]:
-    """Stages 1-4 and the allocation, for floats or (B,) arrays alike."""
-    dbg = ControllerDebug(errors=errors)
-    u_des, r_des, dbg = velocity_references(errors, t, cfg, debug=dbg, clamp=clamp)
-    _, _, dbg = wrench_references(state, u_des, r_des, t, cfg, debug=dbg, clamp=clamp)
-    return saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
-
-
-def control_tick(state: VesselState, p_des, t: float, cfg: ControllerConfig,
-                 clamp: bool = False) -> tuple[ActuatorCommand, ControllerDebug]:
+def control_tick(state: VesselState, p_des, t: float,
+                 cfg: ControllerConfig) -> tuple[ActuatorCommand, ControllerDebug]:
     """One full cascade evaluation: errors -> references -> demands -> command.
 
     At t == 0 the initial funnel compliance is validated first
-    (InitialComplianceError). Funnel violations at later times raise
-    FunnelViolation tagged with the first violated channel in CHANNELS
-    order, unless clamp=True, in which case the offending normalized errors
-    are pulled back to the funnel edge and the debug record names the
-    channels (ControllerDebug.violations).
+    (InitialComplianceError). A later funnel violation is clamped and named
+    by the debug record (ControllerDebug.violations), which also holds the
+    tick's tracking errors.
     """
     errors = compute_errors(state.p_x, state.p_y, state.psi, float(p_des[0]), float(p_des[1]))
     if t == 0.0:
         check_initial_compliance(errors, state, cfg)
-    return _cascade(state, errors, t, cfg, clamp)
-
-
-def control_batch(u: np.ndarray, r: np.ndarray, e_d: np.ndarray, e_o: np.ndarray, t,
-                  cfg: ControllerConfig):
-    """control_tick's cascade after the errors, for (B,) arrays of episodes.
-
-    t is one time for all columns or a (B,) array of times. Always takes
-    the clamp path. Returns the saturated thrust and rudder (B,), the (4, B)
-    violation mask in CHANNELS order, and the surge and yaw-rate references
-    u_des, r_des (B,). The initial compliance check is the caller's.
-    """
-    cmd, dbg = _cascade(SimpleNamespace(u=u, r=r), SimpleNamespace(e_d=e_d, e_o=e_o),
-                        t, cfg, clamp=True)
-    return cmd.F_T, cmd.alpha_r, dbg.violated(), dbg.u_des, dbg.r_des
+    cmd, dbg = cascade(state.u, state.r, errors.e_d, errors.e_o, t, cfg)
+    dbg.errors = errors
+    return cmd, dbg

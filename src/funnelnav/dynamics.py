@@ -209,14 +209,6 @@ class ActuatorCommand:
             raise ValueError("actuator command needs a finite thrust >= 0 and a finite rudder "
                              f"angle, got F_T={self.F_T}, alpha_r={self.alpha_r}")
 
-    @classmethod
-    def clamped(cls, u_F: float, u_alpha: float, F_T_max: float, alpha_r_max: float) -> "ActuatorCommand":
-        """Construct with bit-exact saturation to [0, F_T_max] x [-alpha_r_max, alpha_r_max]."""
-        xp = namespace(u_F)
-        alpha = xp.minimum(xp.maximum(u_alpha, -alpha_r_max), alpha_r_max)
-        thrust = xp.minimum(xp.maximum(u_F, 0.0), F_T_max)
-        return cls(F_T=thrust, alpha_r=alpha)
-
 
 def actuator_to_wrench(cmd: ActuatorCommand, params: VesselParams) -> tuple[float, float, float]:
     """Map (thrust, rudder) of the single rear thruster to (X, Y, N).

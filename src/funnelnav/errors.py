@@ -17,22 +17,6 @@ class DegenerateDistance(FunnelNavError):
     """Distance error below the numerical guard; orientation error undefined."""
 
 
-class FunnelViolation(FunnelNavError):
-    """A normalized error left its funnel (|xi| >= 1) on some channel.
-
-    Attributes:
-        channel: one of "d", "o", "u", "r".
-        xi: the offending normalized error.
-        t: simulation time of the violation (may be None when unknown).
-    """
-
-    def __init__(self, channel: str, xi: float, t: float | None = None):
-        self.channel = channel
-        self.xi = xi
-        self.t = t
-        super().__init__(f"funnel violation on channel {channel!r}: xi={xi:.6g} at t={t}")
-
-
 class InitialComplianceError(FunnelNavError):
     """Initial state violates the funnel-compliance preconditions.
 

@@ -14,7 +14,7 @@ floor and the initial-bearing condition |psi_e(0)| < pi/2.
 The reference-rate terms are measured by finite-differencing the cascade
 references along short closed-loop rollouts of the true dynamics; the
 samples of a pass roll out together through the batched cascade
-(controller.control_batch) and RK4 (dynamics.step). Sampling
+(controller.cascade) and RK4 (dynamics.step). Sampling
 covers the compact operating subset |xi| <= xi_max of the funnel interior,
 intersected with the physically sustainable velocity envelope (terminal
 speeds under full actuation); the supremum over the full open funnel box is
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bspline import SplineTrajectory
-from .controller import control_batch
+from .controller import cascade
 # lumped_forces is unused here: perfbench/tracing.py wraps it by name in
 # this module, so it stays bound.
 from .dynamics import lumped, lumped_forces, step  # noqa: F401
@@ -156,13 +156,12 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
         if (err.e_d < EPS_DEGENERATE).any():
             raise DegenerateDistance(f"feasibility rollout: distance error {err.e_d.min():.3e} "
                                      f"below guard {EPS_DEGENERATE:.0e}")
-        F_T, alpha_r, _viol, u_ref, r_ref = control_batch(
-            x[3], x[5], err.e_d, err.e_o, t0 + k * dt_fd, cfg)
-        refs.append((u_ref, r_ref))
-        thrusts[k] = F_T
+        cmd, dbg = cascade(x[3], x[5], err.e_d, err.e_o, t0 + k * dt_fd, cfg)
+        refs.append((dbg.u_des, dbg.r_des))
+        thrusts[k] = cmd.F_T
         sways[k] = np.abs(x[4])
         if k < 2:
-            x = step(x, F_T, alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], dt_fd)
+            x = step(x, cmd.F_T, cmd.alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], dt_fd)
             p = p + v_ref * dt_fd
     du_des = (refs[2][0] - refs[0][0]) / (2.0 * dt_fd)
     dr_des = (refs[2][1] - refs[0][1]) / (2.0 * dt_fd)

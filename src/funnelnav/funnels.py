@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import namespace
-from .errors import DegenerateDistance, FunnelViolation
+from .errors import DegenerateDistance
 
 # Below this distance the orientation error is undefined.
 EPS_DEGENERATE = 1e-9
 
-# Clamp target when a violation is tolerated instead of raised.
+# Where transform pulls a normalized error that left its funnel.
 XI_CLAMP = 1.0 - 1e-9
 
 
@@ -111,21 +111,11 @@ def normalize_symmetric(e: float, rho: float) -> float:
     return e / rho
 
 
-def transform(
-    xi: float,
-    channel: str = "?",
-    t: float | None = None,
-    clamp: bool = False,
-) -> float:
+def transform(xi):
     """Strictly increasing bijection (-1, 1) -> R: atanh(xi) = 0.5 ln((1+xi)/(1-xi)).
 
-    xi is a float or an array. Raises FunnelViolation (tagged with channel
-    and time, and the first offending entry of an array) when |xi| >= 1.
-    With clamp=True the input is pulled back to +/-(1 - 1e-9) instead, so a
-    simulation can continue past a violation the caller logs separately.
+    xi is a float or an array. An |xi| >= 1, a funnel violation the caller
+    flags, is pulled back to +/-(1 - 1e-9), so a simulation can continue.
     """
     xp = namespace(xi)
-    violated = abs(xi) >= 1.0
-    if not clamp and xp.any(violated):
-        raise FunnelViolation(channel, xi[violated][0] if xp is np else xi, t)
-    return xp.atanh(xp.where(violated, xp.copysign(XI_CLAMP, xi), xi))
+    return xp.atanh(xp.where(abs(xi) >= 1.0, xp.copysign(XI_CLAMP, xi), xi))

@@ -24,8 +24,8 @@ from .controller import (
     CHANNELS,
     ControllerConfig,
     ControllerDebug,
+    cascade,
     check_initial_compliance,
-    control_batch,
     control_tick,
 )
 from .dynamics import DisturbanceBatch, VesselState, step
@@ -222,7 +222,7 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     for i, t in enumerate(t_log.tolist()):
         p_des = ref_p[i]
         try:
-            cmd, dbg = control_tick(state, p_des, t, cfg, clamp=True)
+            cmd, dbg = control_tick(state, p_des, t, cfg)
         except DegenerateDistance:
             fault = "degenerate_distance"
             break
@@ -331,10 +331,11 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
             check_initial_compliance(
                 compute_errors(start.p_x, start.p_y, start.psi, p_des[0], p_des[1]), start, cfg)
 
-        F_T, alpha_r, violated, _, _ = control_batch(x[3], x[5], e_d, e_o, t, cfg)
+        cmd, dbg = cascade(x[3], x[5], e_d, e_o, t, cfg)
+        F_T, alpha_r = cmd.F_T, cmd.alpha_r
         # A basic slice while every episode still runs: cheaper than fancy indexing.
         sel = idx if len(idx) < n else slice(None)
-        violations[:, sel] += violated
+        violations[:, sel] += dbg.violated()
         thrust_cut[sel] += F_T < scenario.min_thrust_floor
         actuator[sel] += ~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
                            & (np.abs(alpha_r) <= cfg.alpha_r_max))

@@ -40,7 +40,10 @@ class TrajOptSettings:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite int or float. Python's json reads NaN and Infinity, which would slip
+    through the fields' range checks (nan <= 0.0 is false)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 # The leaves of a scenario dict that need not be numbers, by key.
@@ -277,8 +280,13 @@ class Scenario:
 
     @classmethod
     def load_json(cls, path) -> "Scenario":
+        """The scenario of a JSON file; InvalidScenario if the file is not valid JSON."""
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            try:
+                data = json.load(f)
+            except ValueError as exc:
+                raise InvalidScenario(f"{path}: not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
     def with_seed(self, seed: int) -> "Scenario":
         """Copy with re-derived planner seed and disturbance realization."""
@@ -429,4 +437,8 @@ def load_scenario(spec: str) -> Scenario:
     """Resolve a CLI scenario argument: a builtin name or a JSON file path."""
     if spec in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[spec]()
-    return Scenario.load_json(spec)
+    try:
+        return Scenario.load_json(spec)
+    except FileNotFoundError as exc:
+        raise InvalidScenario(f"{spec!r} is neither a file nor a builtin scenario "
+                              f"({', '.join(BUILTIN_SCENARIOS)})") from exc

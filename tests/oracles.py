@@ -10,8 +10,9 @@ point-by-point obstacle clearance that geometry's one-pass versions
 replaced, the scalar per-pair closest-pair separator that the batched
 library kernel replaced, the plane-by-plane cyclic projection
 that trajopt's slot-batched one replaced, and the sample-by-sample
-feasibility audit that the batched estimate_bounds replaced, and the
-per-float, per-term disturbance that the one array formula replaced. It also
+feasibility audit that the batched estimate_bounds replaced, the
+per-float, per-term disturbance that the one array formula replaced, and the
+funnel cascade written out on Python floats with math. It also
 holds random_polygon, the random convex obstacle the geometry tests draw, and
 step_state, one RK4 step of a VesselState through dynamics.step.
 """
@@ -19,12 +20,12 @@ step_state, one RK4 step of a VesselState through dynamics.step.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from funnelnav import feasibility
 from funnelnav.bspline import BASIS_M, BASIS_M2
-from funnelnav.controller import saturate_and_allocate, velocity_references, wrench_references
 from funnelnav.dynamics import (
     _NOISE_FREQ_HI,
     _NOISE_FREQ_LO,
@@ -36,7 +37,7 @@ from funnelnav.dynamics import (
     wrap_angle,
 )
 from funnelnav.errors import InsufficientSamples
-from funnelnav.funnels import compute_errors, transform
+from funnelnav.funnels import compute_errors
 from funnelnav.geometry import ConvexPolygon, convex_hull
 
 
@@ -479,6 +480,38 @@ def disturbance_oracle(dist, t: float) -> tuple[float, float, float]:
     return tuple(out)
 
 
+def _atanh_to_edge(xi: float) -> float:
+    """atanh, with an |xi| >= 1 taken at 1 - 1e-9 of its sign."""
+    return math.atanh(math.copysign(1.0 - 1e-9, xi) if abs(xi) >= 1.0 else xi)
+
+
+def cascade_oracle(u, r, e_d, e_o, t, cfg) -> SimpleNamespace:
+    """controller.cascade on one column, as Python floats through math.
+
+    Returns the saturated F_T and alpha_r, the references u_des and r_des,
+    and the violated channels in d, o, u, r order.
+    """
+    u, r, e_d, e_o, t = (float(a) for a in (u, r, e_d, e_o, t))
+    rho_d, rho_o, rho_u, rho_r = (
+        (f.rho0 - f.rho_inf) * math.exp(-f.l * t) + f.rho_inf
+        for f in (cfg.funnel_d, cfg.funnel_o, cfg.funnel_u, cfg.funnel_r))
+    xi_d = (2.0 * e_d - rho_d - cfg.rho_d_min) / (rho_d - cfg.rho_d_min)
+    xi_o = e_o / rho_o
+    u_des = cfg.k_d * _atanh_to_edge(xi_d)
+    r_des = -cfg.k_o * _atanh_to_edge(xi_o)
+    xi_u = (u - u_des) / rho_u
+    xi_r = (r - r_des) / rho_r
+    eps_u = _atanh_to_edge(xi_u)
+    eps_r = _atanh_to_edge(xi_r)
+    k_alpha = cfg.k_r / (cfg.delta_x_nominal * cfg.k_u)
+    u_alpha = math.atan(k_alpha * eps_r / min(eps_u, -cfg.eps_u_guard))
+    alpha_r = min(max(u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
+    F_T = min(max(-cfg.k_u * eps_u / math.cos(alpha_r), 0.0), cfg.F_T_max)
+    violations = [ch for ch, xi in zip("dour", (xi_d, xi_o, xi_u, xi_r)) if abs(xi) >= 1.0]
+    return SimpleNamespace(F_T=F_T, alpha_r=alpha_r, u_des=u_des, r_des=r_des,
+                           violations=violations)
+
+
 def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
     """Central finite differences of (u_des, r_des) along a 2-step closed-loop rollout.
 
@@ -490,17 +523,14 @@ def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
     s = state
     p = p_des.copy()
     for k in range(3):
-        t = t0 + k * dt_fd
         errors = compute_errors(s.p_x, s.p_y, s.psi, p[0], p[1])
-        u_des, r_des, dbg = velocity_references(errors, t, cfg, clamp=True)
-        _, _, dbg = wrench_references(s, u_des, r_des, t, cfg, debug=dbg, clamp=True)
-        cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
-        u_series.append(u_des)
-        r_series.append(r_des)
-        thrusts.append(cmd.F_T)
+        out = cascade_oracle(s.u, s.r, errors.e_d, errors.e_o, t0 + k * dt_fd, cfg)
+        u_series.append(out.u_des)
+        r_series.append(out.r_des)
+        thrusts.append(out.F_T)
         sways.append(abs(s.v))
         if k < 2:
-            s = step_state(s, cmd, scenario.vessel, scenario.disturbance, dt_fd)
+            s = step_state(s, out, scenario.vessel, scenario.disturbance, dt_fd)
             p = p + v_ref * dt_fd
     du_des = (u_series[2] - u_series[0]) / (2.0 * dt_fd)
     dr_des = (r_series[2] - r_series[0]) / (2.0 * dt_fd)
@@ -549,9 +579,9 @@ def feasibility_oracle(scenario, n_samples: int = 2000, seed: int | None = None,
 
         e_d = 0.5 * (xi_d * (rho_d - cfg.rho_d_min) + rho_d + cfg.rho_d_min)
         psi_e = math.asin(xi_o * rho_o)
-        u_des = cfg.k_d * transform(xi_d, channel="d", t=t0)
+        u_des = cfg.k_d * math.atanh(xi_d)
         u = min(max(u_des + xi_u * rho_u, 0.0), u_cap)
-        r_des = -cfg.k_o * transform(xi_o, channel="o", t=t0)
+        r_des = -cfg.k_o * math.atanh(xi_o)
         r = min(max(r_des + xi_r * rho_r, -r_cap), r_cap)
         xi_u_real = (u - u_des) / rho_u
         xi_r_real = (r - r_des) / rho_r

@@ -95,7 +95,7 @@ class TestCriterion4SplineOracle:
             traj = clamped_from_waypoints(rng.uniform(-10, 10, (n_wp, 2)),
                                           float(rng.uniform(0.1, 3.0)))
             ts = rng.uniform(0.0, traj.duration * (1.0 - 1e-12), 1000)
-            ours = np.array([traj.eval(t) for t in ts])
+            ours = traj.eval(ts)  # bit for bit the per-float calls (TestArrayEval)
             oracle = deboor_eval_batch(traj.control_points, traj.dt_knot, ts)
             worst = max(worst, float(np.max(np.abs(ours - oracle))))
         ok = worst < 1e-10

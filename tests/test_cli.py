@@ -171,6 +171,7 @@ class TestTypedErrors:
         assert err.startswith(f"funnelnav: {name}: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        return err
 
     def test_unverified_trajectory(self, tmp_path, scenario_file, monkeypatch, capsys):
         real_solve = trajopt.solve
@@ -207,6 +208,19 @@ class TestTypedErrors:
         path.write_text(json.dumps(data))
         self._main_fails_with("InvalidScenario",
                               ["run", "--scenario", str(path), "--out-dir", str(tmp_path)], capsys)
+
+    def test_truncated_scenario_file(self, tmp_path, scenario_file, capsys):
+        path = tmp_path / "truncated.json"
+        text = open(scenario_file, encoding="utf-8").read()
+        path.write_text(text[:len(text) // 2])
+        self._main_fails_with("InvalidScenario",
+                              ["run", "--scenario", str(path), "--out-dir", str(tmp_path)], capsys)
+
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        err = self._main_fails_with("InvalidScenario",
+                                    ["run", "--scenario", str(tmp_path / "absent.json"),
+                                     "--out-dir", str(tmp_path)], capsys)
+        assert "benign" in err and "long-run" in err
 
     def test_trajopt_infeasible(self, tmp_path, scenario_file, monkeypatch, capsys):
         monkeypatch.setattr(trajopt, "solve",

@@ -5,19 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funnelnav.controller import (
-    ControllerConfig,
-    ControllerDebug,
-    check_initial_compliance,
-    control_batch,
-    control_tick,
-    saturate_and_allocate,
-    velocity_references,
-    wrench_references,
-)
+from funnelnav.controller import ControllerConfig, cascade, check_initial_compliance, control_tick
 from funnelnav.dynamics import VesselState
-from funnelnav.errors import DegenerateDistance, FunnelViolation, InitialComplianceError
-from funnelnav.funnels import FunnelSpec, TrackingErrors, compute_errors
+from funnelnav.errors import DegenerateDistance, InitialComplianceError
+from funnelnav.funnels import XI_CLAMP, FunnelSpec, compute_errors
+from oracles import cascade_oracle
 
 
 def make_config(**overrides):
@@ -35,8 +27,21 @@ def make_config(**overrides):
     return ControllerConfig(**base)
 
 
-def errors_at(e_d, e_o=0.0):
-    return TrackingErrors(e_x=e_d, e_y=0.0, e_d=e_d, e_o=e_o, psi_e=math.asin(e_o))
+# Mid-funnel distance error of make_config's distance funnel: xi_d = 0, so u_des = 0.
+MID = (28.0 + 0.5) / 2.0
+
+
+def references(e_d, e_o=0.0, t=0.0, cfg=None):
+    """Stages 1+2 alone: the cascade at zero surge and yaw rate."""
+    return cascade(0.0, 0.0, e_d, e_o, t, cfg or make_config())[1]
+
+
+def allocate(eps_u, eps_r, cfg):
+    """The allocation alone: zero references (e_d mid-funnel, e_o = 0) and the
+    velocity errors whose transformed values are eps_u and eps_r, where the
+    funnel edge does not clamp them."""
+    return cascade(cfg.funnel_u.rho0 * math.tanh(eps_u), cfg.funnel_r.rho0 * math.tanh(eps_r),
+                   MID, 0.0, 0.0, cfg)
 
 
 class TestConfig:
@@ -59,121 +64,120 @@ class TestConfig:
 
 class TestVelocityReferences:
     def test_zero_errors_zero_references(self):
-        cfg = make_config()
-        mid = (28.0 + 0.5) / 2.0
-        u_des, r_des, dbg = velocity_references(errors_at(mid), 0.0, cfg)
-        assert u_des == 0.0
-        assert r_des == 0.0
+        dbg = references(MID)
+        assert dbg.u_des == 0.0
+        assert dbg.r_des == 0.0
         assert dbg.xi_d == pytest.approx(0.0)
 
     def test_distance_reference_value(self):
         # e_d=20 in the loose funnel: xi = 11.5/27.5, u_des = 2 atanh(xi)
-        cfg = make_config(k_d=2.0)
-        u_des, _, dbg = velocity_references(errors_at(20.0), 0.0, cfg)
+        dbg = references(20.0, cfg=make_config(k_d=2.0))
         assert dbg.xi_d == pytest.approx(11.5 / 27.5, abs=1e-15)
-        assert u_des == pytest.approx(2.0 * math.atanh(11.5 / 27.5), abs=1e-12)
-        assert u_des == pytest.approx(0.891, abs=1e-3)
+        assert dbg.u_des == pytest.approx(2.0 * math.atanh(11.5 / 27.5), abs=1e-12)
+        assert dbg.u_des == pytest.approx(0.891, abs=1e-3)
 
     def test_orientation_reference_value(self):
-        cfg = make_config(k_o=1.0)
-        _, r_des, _ = velocity_references(errors_at(20.0, e_o=0.5), 0.0, cfg)
+        r_des = references(20.0, e_o=0.5, cfg=make_config(k_o=1.0)).r_des
         assert r_des == pytest.approx(-math.atanh(0.5 / 0.9999), abs=1e-12)
         assert r_des == pytest.approx(-0.54937, abs=1e-4)
 
     def test_funnel_violation_tagged(self):
-        cfg = make_config()
-        with pytest.raises(FunnelViolation) as exc:
-            velocity_references(errors_at(30.0), 1.5, cfg)
-        assert exc.value.channel == "d"
+        # e_d = 30 lies beyond the distance funnel: clamped to its edge and flagged
+        dbg = references(30.0, t=1.5)
+        assert dbg.violations == ["d"]
+        assert dbg.eps_d == math.atanh(XI_CLAMP)
+        assert dbg.u_des == 2.0 * math.atanh(XI_CLAMP)
 
     def test_monotone_in_distance_error(self):
-        cfg = make_config()
         eds = np.linspace(1.0, 27.5, 100)
-        vals = [velocity_references(errors_at(e), 0.0, cfg)[0] for e in eds]
+        vals = [references(e).u_des for e in eds]
         assert np.all(np.diff(vals) > 0.0)
 
     def test_orientation_reference_decreasing(self):
-        cfg = make_config()
         eos = np.linspace(-0.95, 0.95, 50)
-        vals = [velocity_references(errors_at(10.0, e_o=e), 0.0, cfg)[1] for e in eos]
+        vals = [references(10.0, e_o=e).r_des for e in eos]
         assert np.all(np.diff(vals) < 0.0)
 
 
 class TestWrenchReferences:
     def test_zero_velocity_errors(self):
+        # surge and yaw rate equal to their nonzero references
         cfg = make_config()
-        state = VesselState(0, 0, 0, 1.2, 0, -0.3)
-        X, N, _ = wrench_references(state, 1.2, -0.3, 0.0, cfg)
-        assert X == 0.0 and N == 0.0
+        refs = references(20.0, e_o=0.5, cfg=cfg)
+        _, dbg = cascade(refs.u_des, refs.r_des, 20.0, 0.5, 0.0, cfg)
+        assert refs.u_des != 0.0 and refs.r_des != 0.0
+        assert dbg.X_des == 0.0 and dbg.N_des == 0.0
 
     def test_surge_demand_value(self):
-        cfg = make_config(k_u=50.0)
-        state = VesselState(0, 0, 0, -12.5, 0, 0.0)
-        X, _, dbg = wrench_references(state, 0.0, 0.0, 0.0, cfg)
+        _, dbg = cascade(-12.5, 0.0, MID, 0.0, 0.0, make_config(k_u=50.0))
         assert dbg.xi_u == pytest.approx(-0.5)
-        assert X == pytest.approx(50.0 * math.atanh(0.5), abs=1e-12)
-        assert X == pytest.approx(27.465, abs=1e-3)
+        assert dbg.X_des == pytest.approx(50.0 * math.atanh(0.5), abs=1e-12)
+        assert dbg.X_des == pytest.approx(27.465, abs=1e-3)
 
     def test_torque_demand_value(self):
-        cfg = make_config(k_r=10.0)
-        state = VesselState(0, 0, 0, 0.0, 0, 7.5)
-        _, N, dbg = wrench_references(state, 0.0, 0.0, 0.0, cfg)
+        _, dbg = cascade(0.0, 7.5, MID, 0.0, 0.0, make_config(k_r=10.0))
         assert dbg.xi_r == pytest.approx(0.5)
-        assert N == pytest.approx(-10.0 * math.atanh(0.5), abs=1e-12)
-        assert N == pytest.approx(-5.4931, abs=1e-4)
+        assert dbg.N_des == pytest.approx(-10.0 * math.atanh(0.5), abs=1e-12)
+        assert dbg.N_des == pytest.approx(-5.4931, abs=1e-4)
 
     def test_scale_consistency(self):
         # doubling rho_u while halving e_u leaves the demand unchanged
         cfg1 = make_config(funnel_u=FunnelSpec.static(25.0))
         cfg2 = make_config(funnel_u=FunnelSpec.static(50.0))
-        s1 = VesselState(0, 0, 0, -10.0, 0, 0)
-        s2 = VesselState(0, 0, 0, -20.0, 0, 0)
-        X1, _, _ = wrench_references(s1, 0.0, 0.0, 0.0, cfg1)
-        X2, _, _ = wrench_references(s2, 0.0, 0.0, 0.0, cfg2)
-        assert X1 == pytest.approx(X2, abs=1e-12)
+        _, dbg1 = cascade(-10.0, 0.0, MID, 0.0, 0.0, cfg1)
+        _, dbg2 = cascade(-20.0, 0.0, MID, 0.0, 0.0, cfg2)
+        assert dbg1.X_des == pytest.approx(dbg2.X_des, abs=1e-12)
 
 
 class TestAllocation:
     def test_pure_surge_demand(self):
         cfg = make_config(k_u=50.0, F_T_max=1000.0)
-        cmd, dbg = saturate_and_allocate(-1.0, 0.0, cfg)
+        cmd, dbg = allocate(-1.0, 0.0, cfg)
         assert dbg.u_alpha == 0.0
         assert cmd.alpha_r == 0.0
         assert cmd.F_T == pytest.approx(min(50.0, 1000.0))
 
     def test_overspeed_cuts_thrust(self):
         cfg = make_config()
-        cmd, _ = saturate_and_allocate(0.3, 0.0, cfg)
+        cmd, _ = allocate(0.3, 0.0, cfg)
         assert cmd.F_T == 0.0
-        cmd, _ = saturate_and_allocate(0.0, 0.5, cfg)
+        cmd, _ = allocate(0.0, 0.5, cfg)
         assert cmd.F_T == 0.0
 
     def test_rudder_clamp_sign(self):
         # strong torque demand with weak surge demand saturates the rudder
         # toward -alpha_max * sign(eps_r)
         cfg = make_config(k_u=10.0, k_r=10.0)  # k_alpha = 1
-        cmd, dbg = saturate_and_allocate(-1.0, 10.0, cfg)
-        assert dbg.u_alpha == pytest.approx(math.atan(-10.0), abs=1e-12)
+        cmd, dbg = allocate(-1.0, 10.0, cfg)
+        # eps_r = atanh(tanh(10)) is 10 up to the map's conditioning near the edge
+        assert dbg.eps_r == pytest.approx(10.0, rel=1e-6)
+        assert dbg.u_alpha == pytest.approx(math.atan(dbg.eps_r / dbg.eps_u), abs=1e-12)
+        assert dbg.u_alpha == pytest.approx(math.atan(-10.0), abs=1e-8)
         assert cmd.alpha_r == -cfg.alpha_r_max
-        cmd, _ = saturate_and_allocate(-1.0, -10.0, cfg)
+        cmd, _ = allocate(-1.0, -10.0, cfg)
         assert cmd.alpha_r == cfg.alpha_r_max
 
     def test_overspeed_rudder_follows_proof_sign(self):
         cfg = make_config()
-        cmd, _ = saturate_and_allocate(0.5, 2.0, cfg)
+        cmd, _ = allocate(0.5, 2.0, cfg)
         assert cmd.alpha_r == -cfg.alpha_r_max
-        cmd, _ = saturate_and_allocate(0.5, -2.0, cfg)
+        cmd, _ = allocate(0.5, -2.0, cfg)
         assert cmd.alpha_r == cfg.alpha_r_max
 
     def test_bounds_bit_exact(self):
-        cfg = make_config()
+        # k_u = 200: the funnel edge caps |eps_u| at atanh(1 - 1e-9) ~ 10.7,
+        # so the thrust demand still reaches past F_T_max
+        cfg = make_config(k_u=200.0)
         rng = np.random.default_rng(0)
+        saturated = 0
         for _ in range(2000):
             eps_u = float(rng.uniform(-50, 50))
             eps_r = float(rng.uniform(-50, 50))
-            cmd, _ = saturate_and_allocate(eps_u, eps_r, cfg)
+            cmd, _ = allocate(eps_u, eps_r, cfg)
             assert 0.0 <= cmd.F_T <= cfg.F_T_max
             assert abs(cmd.alpha_r) <= cfg.alpha_r_max
+            saturated += cmd.F_T == cfg.F_T_max
+        assert saturated > 0
 
     def test_unsaturated_wrench_reconstruction(self):
         # Inside the saturation limits the allocated actuators reproduce the
@@ -182,16 +186,14 @@ class TestAllocation:
         rng = np.random.default_rng(1)
         checked = 0
         for _ in range(3000):
-            eps_u = float(rng.uniform(-2.0, -1e-3))
-            eps_r = float(rng.uniform(-1.0, 1.0))
-            cmd, dbg = saturate_and_allocate(eps_u, eps_r, cfg)
+            cmd, dbg = allocate(float(rng.uniform(-2.0, -1e-3)), float(rng.uniform(-1.0, 1.0)), cfg)
             if abs(dbg.u_alpha) > cfg.alpha_r_max or not (0.0 <= dbg.u_F <= cfg.F_T_max):
                 continue
             checked += 1
             X = cmd.F_T * math.cos(cmd.alpha_r)
             N = cfg.delta_x_nominal * cmd.F_T * math.sin(cmd.alpha_r)
-            assert X == pytest.approx(-cfg.k_u * eps_u, rel=1e-9)
-            assert N == pytest.approx(-cfg.k_r * eps_r, rel=1e-9, abs=1e-12)
+            assert X == pytest.approx(-cfg.k_u * dbg.eps_u, rel=1e-9)
+            assert N == pytest.approx(-cfg.k_r * dbg.eps_r, rel=1e-9, abs=1e-12)
         assert checked > 500
 
 
@@ -199,23 +201,22 @@ class TestControlTick:
     def test_bounds_always_hold(self):
         cfg = make_config()
         rng = np.random.default_rng(2)
+        violated = 0
         for _ in range(500):
             state = VesselState(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                 rng.uniform(0, 2 * math.pi), rng.uniform(-3, 8),
                                 rng.uniform(-2, 2), rng.uniform(-2, 2))
             p_des = state.p_x + rng.uniform(1, 27), state.p_y + rng.uniform(-2, 2)
-            try:
-                cmd, _ = control_tick(state, p_des, 1.0, cfg)
-            except FunnelViolation:
-                cmd, _ = control_tick(state, p_des, 1.0, cfg, clamp=True)
+            cmd, dbg = control_tick(state, p_des, 1.0, cfg)
             assert 0.0 <= cmd.F_T <= cfg.F_T_max
             assert abs(cmd.alpha_r) <= cfg.alpha_r_max
+            violated += bool(dbg.violations)
+        assert violated > 0  # the clamped ticks are among them
 
     def test_equilibrium_near_zero_actuation(self):
         cfg = make_config()
-        mid = (28.0 + 0.5) / 2.0
         state = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        cmd, dbg = control_tick(state, (mid, 0.0), 1.0, cfg)
+        cmd, dbg = control_tick(state, (MID, 0.0), 1.0, cfg)
         assert dbg.u_alpha == 0.0
         assert cmd.alpha_r == 0.0
         assert cmd.F_T == pytest.approx(0.0, abs=1e-9)
@@ -251,21 +252,19 @@ class TestControlTick:
 
 
 def _assert_batch_matches_scalar(u, r, e_d, e_o, t, cfg):
-    """control_batch against control_tick's clamped cascade, column by column."""
-    F_T, alpha_r, violated, u_des_b, r_des_b = control_batch(u, r, e_d, e_o, t, cfg)
+    """The array cascade against the float cascade and the oracle, column by column."""
+    cmd_b, dbg_b = cascade(u, r, e_d, e_o, t, cfg)
+    F_T, alpha_r, violated = cmd_b.F_T, cmd_b.alpha_r, dbg_b.violated()
     for k in range(len(u)):
-        dbg = ControllerDebug()
         t_k = t[k] if np.ndim(t) else t
-        state = VesselState(0.0, 0.0, 0.0, u[k], 0.0, r[k])
-        errors = TrackingErrors(e_x=e_d[k], e_y=0.0, e_d=e_d[k], e_o=e_o[k], psi_e=0.0)
-        u_des, r_des, dbg = velocity_references(errors, t_k, cfg, debug=dbg, clamp=True)
-        wrench_references(state, u_des, r_des, t_k, cfg, debug=dbg, clamp=True)
-        cmd, dbg = saturate_and_allocate(dbg.eps_u, dbg.eps_r, cfg, debug=dbg)
-        assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
-        assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
-        assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
-        assert u_des_b[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
-        assert r_des_b[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
+        cmd, dbg = cascade(float(u[k]), float(r[k]), float(e_d[k]), float(e_o[k]), t_k, cfg)
+        oracle = cascade_oracle(u[k], r[k], e_d[k], e_o[k], t_k, cfg)
+        for cmd, dbg in ((cmd, dbg), (oracle, oracle)):
+            assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
+            assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
+            assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
+            assert dbg_b.u_des[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
+            assert dbg_b.r_des[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
     assert violated.any(axis=1).all() and not violated.all(axis=0).all()
     return F_T
 
@@ -297,12 +296,12 @@ class TestControlBatch:
 
     def test_nonfinite_command_rejected(self):
         with pytest.raises(ValueError):
-            control_batch(np.array([np.nan]), np.zeros(1), np.array([10.0]), np.zeros(1),
-                          0.0, make_config())
+            cascade(np.array([np.nan]), np.zeros(1), np.array([10.0]), np.zeros(1),
+                    0.0, make_config())
 
 
 class TestCascadeBounds:
-    """Extreme states: control_tick's clamped cascade and control_batch agree, saturated."""
+    """Extreme states: control_tick, the array cascade and the oracle agree, saturated."""
 
     CFG = make_config(funnel_d=FunnelSpec(40.0, 28.0, 0.3), funnel_o=FunnelSpec(0.9999, 0.8, 0.2),
                       funnel_u=FunnelSpec(6.0, 2.0, 0.5), funnel_r=FunnelSpec(1.5, 0.5, 0.4))
@@ -324,23 +323,28 @@ class TestCascadeBounds:
             states.append((VesselState(0.0, 0.0, 0.0, u, 0.0, r), p_des))
             errors.append(compute_errors(0.0, 0.0, 0.0, *p_des))
         u, r, _, _, t = (np.array(c) for c in zip(*columns))
-        F_T, alpha_r, violated, u_des, r_des = control_batch(
-            u, r, np.array([e.e_d for e in errors]), np.array([e.e_o for e in errors]), t, cfg)
+        e_d, e_o = np.array([e.e_d for e in errors]), np.array([e.e_o for e in errors])
+        cmd_b, dbg_b = cascade(u, r, e_d, e_o, t, cfg)
+        F_T, alpha_r, violated, u_des, r_des = (
+            cmd_b.F_T, cmd_b.alpha_r, dbg_b.violated(), dbg_b.u_des, dbg_b.r_des)
         assert np.all((0.0 <= F_T) & (F_T <= cfg.F_T_max))
         assert np.all(np.abs(alpha_r) <= cfg.alpha_r_max)
         for k, (state, p_des) in enumerate(states):
+            # The oracle returns one record that serves as command and debug record.
+            oracle = cascade_oracle(u[k], r[k], e_d[k], e_o[k], t[k], cfg)
+            refs = [(oracle, oracle)]
             try:
-                cmd, dbg = control_tick(state, p_des, t[k], cfg, clamp=True)
+                refs.append(control_tick(state, p_des, t[k], cfg))
             except InitialComplianceError:
                 assert t[k] == 0.0  # the t = 0 precondition, not the cascade
-                continue
-            assert 0.0 <= cmd.F_T <= cfg.F_T_max
-            assert abs(cmd.alpha_r) <= cfg.alpha_r_max
-            assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
-            assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
-            assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
-            assert u_des[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
-            assert r_des[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
+            for cmd, dbg in refs:
+                assert 0.0 <= cmd.F_T <= cfg.F_T_max
+                assert abs(cmd.alpha_r) <= cfg.alpha_r_max
+                assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
+                assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
+                assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
+                assert u_des[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
+                assert r_des[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
 
 
 class TestInitialCompliance:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from funnelnav.errors import DegenerateDistance, FunnelViolation
+from funnelnav.errors import DegenerateDistance
 from funnelnav.funnels import (
     FunnelSpec,
     compute_errors,
@@ -129,16 +129,18 @@ class TestTransform:
         assert transform(0.999) == pytest.approx(math.atanh(0.999), abs=1e-15)
         assert transform(0.999) == pytest.approx(3.80020116725, abs=1e-10)
 
-    def test_violation_raises_with_channel(self):
-        with pytest.raises(FunnelViolation) as exc:
-            transform(1.0, channel="u", t=2.5)
-        assert exc.value.channel == "u"
-        assert exc.value.t == 2.5
+    def test_edge_is_clamped(self):
+        # the funnel edge itself is a violation: taken at 1 - 1e-9
+        assert transform(1.0) == math.atanh(1.0 - 1e-9)
+        assert transform(-1.0) == -transform(1.0)
+        # numpy's atanh may differ from math's in the last bit
+        assert transform(np.array([1.0, 0.5, -1.0])) == pytest.approx(
+            [transform(1.0), transform(0.5), transform(-1.0)], rel=1e-15)
 
     def test_clamp_mode_continues(self):
-        val = transform(1.7, channel="d", clamp=True)
+        val = transform(1.7)
         assert val == pytest.approx(math.atanh(1.0 - 1e-9))
-        assert transform(-1.7, channel="d", clamp=True) == -val
+        assert transform(-1.7) == -val
 
     def test_odd_and_strictly_increasing(self):
         xs = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 10_000)

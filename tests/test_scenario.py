@@ -121,6 +121,15 @@ class TestMalformed:
             Scenario.from_dict(data)
         data["reference_lead"] = 2.5
         assert Scenario.from_dict(data).reference_lead == 2.5
+        # Python's json reads NaN and Infinity, which every comparison lets through
+        data = benign_scenario().to_dict()
+        data["workspace"]["clearance"] = float("nan")
+        with pytest.raises(InvalidScenario, match="clearance"):
+            Scenario.from_dict(data)
+        data = benign_scenario().to_dict()
+        data["sim"]["horizon"] = float("inf")
+        with pytest.raises(InvalidScenario, match="horizon"):
+            Scenario.from_dict(data)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(target=st.sampled_from(KEYS))
