@@ -130,7 +130,8 @@ _NOISE_TERMS = 4
 def _wrench(terms, t):
     """The disturbance formula: (3, B) wrenches of B profiles' term arrays bias,
     sin_amp, noise_amp (3, B) and omega, phase (1 + _NOISE_TERMS, 3, B), term 0 the
-    sinusoid. t is a float, (B,) per-column times, or (n,) times when B = 1."""
+    sinusoid. t is a float, (B,) per-column times, (n,) times when B = 1, or (n, 1, 1)
+    times for (n, 3, B) wrenches with omega and phase given a time axis at 1."""
     bias, sin_amp, noise_amp, omega, phase = terms
     s = np.sin(omega * t + phase)
     noise = s[1]
@@ -222,16 +223,20 @@ def actuator_to_wrench(cmd: ActuatorCommand, params: VesselParams) -> tuple[floa
     return (X, Y, N)
 
 
+def _drag(d1, d2, w):
+    """The drag d1*w + d2*w*|w| of one axis, or of a (3, B) block with coefficient rows."""
+    return d1 * w + d2 * w * abs(w)
+
+
 def lumped(u, v, r, tau, params: VesselParams):
     """Drag, optional Coriolis coupling and disturbance wrench tau as (f_u, f_v, f_r).
 
-    Plain arithmetic, so u, v, r and the rows of tau may be floats or (B,)
-    arrays alike, as the one RK4 for both needs.
+    u, v, r and the rows of tau may be floats or (B,) arrays alike.
     """
     d = params.drag
-    f_u = tau[0] - (d.d1_u * u + d.d2_u * u * abs(u))
-    f_v = tau[1] - (d.d1_v * v + d.d2_v * v * abs(v))
-    f_r = tau[2] - (d.d1_r * r + d.d2_r * r * abs(r))
+    f_u = tau[0] - _drag(d.d1_u, d.d2_u, u)
+    f_v = tau[1] - _drag(d.d1_v, d.d2_v, v)
+    f_r = tau[2] - _drag(d.d1_r, d.d2_r, r)
     if params.coriolis_on:
         f_u += params.m * v * r
         f_v -= params.m * u * r
@@ -258,14 +263,31 @@ def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float)
     X, Y, N = actuator_to_wrench(SimpleNamespace(F_T=F_T, alpha_r=alpha_r), params)
     xp = namespace(x[2])
     stacked = xp is np
+    if stacked:
+        # The kinetic rows as one (3, B) block: lumped's operations, row by row.
+        d, W = params.drag, np.array((X, Y, N))
+        coeffs = np.array([[d.d1_u, d.d1_v, d.d1_r], [d.d2_u, d.d2_v, d.d2_r],
+                           [params.m, params.m, params.Iz]])
+        # Tiled to (3, B): numpy is faster on equal shapes than on broadcast (3, 1) columns.
+        d1, d2, M = np.repeat(coeffs[:, :, None], x.shape[1], axis=2)
 
     def derivative(y, tau):
         _p_x, _p_y, psi, u, v, r = y
         c, s = xp.cos(psi), xp.sin(psi)
-        f_u, f_v, f_r = lumped(u, v, r, tau, params)
-        k = (u * c - v * s, u * s + v * c, r,
-             (X + f_u) / params.m, (Y + f_v) / params.m, (N + f_r) / params.Iz)
-        return np.array(k) if stacked else k
+        if not stacked:
+            f_u, f_v, f_r = lumped(u, v, r, tau, params)
+            return (u * c - v * s, u * s + v * c, r,
+                    (X + f_u) / params.m, (Y + f_v) / params.m, (N + f_r) / params.Iz)
+        k = np.empty(y.shape)
+        np.subtract(u * c, v * s, out=k[0])
+        np.add(u * s, v * c, out=k[1])
+        k[2] = r
+        f = tau - _drag(d1, d2, y[3:])
+        if params.coriolis_on:
+            f[0] += params.m * v * r
+            f[1] -= params.m * u * r
+        np.divide(W + f, M, out=k[3:])
+        return k
 
     def shift(y, c, k):
         """y + c k: one numpy operation per term for a batch, float by float for one episode."""
@@ -278,8 +300,8 @@ def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float)
     # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
     out = shift(x, dt / 6.0, shift(shift(shift(k1, 2.0, k2), 2.0, k3), 1.0, k4))
     if stacked:
-        finite = np.isfinite(out).all(axis=0)
-        if not finite.all():
+        if not np.isfinite(out).all():
+            finite = np.isfinite(out).all(axis=0)
             raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
     elif not all(map(math.isfinite, out)):
         raise NonFiniteState(f"RK4 produced a non-finite state: {out}")
@@ -298,3 +320,8 @@ class DisturbanceBatch:
     def value(self, t) -> np.ndarray:
         """The (3, B) wrenches at a float time or at (B,) per-column times."""
         return _wrench(self._terms, t)
+
+    def table(self, ts: np.ndarray) -> np.ndarray:
+        """The contiguous (n, 3, B) wrenches at (n,) times: row i is value(ts[i])."""
+        bias, sin_amp, noise_amp, omega, phase = self._terms
+        return _wrench((bias, sin_amp, noise_amp, omega[:, None], phase[:, None]), ts[:, None, None])

@@ -48,6 +48,8 @@ LOG_COLUMNS = [
     "viol_d", "viol_o", "viol_u", "viol_r",
 ]
 
+_TABLE_TICKS = 64  # per disturbance table of the sweep: each temporary < 1 MB at B = 100
+
 
 def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
     """One row per entry of the equal-length float arrays, each value as its repr."""
@@ -288,8 +290,8 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     x = np.tile(np.array([[start.p_x], [start.p_y], [start.psi],
                           [start.u], [start.v], [start.r]]), (1, n))
     dist = DisturbanceBatch(disturbances)
-    t_state = start.t
-    tau0 = dist.value(t_state)
+    # The state times accumulate as the RK4 steps them, t_{i+1} = t_i + dt.
+    t_state = list(itertools.accumulate(itertools.repeat(dt, n_max), initial=start.t))
 
     # Per episode, indexed by episode number.
     positions = np.empty((n_max, 2, n))
@@ -305,10 +307,8 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     goal_time: list[float | None] = [None] * n
 
     def leave(done: np.ndarray) -> None:
-        nonlocal idx, x, dist, tau0
-        keep = ~done
-        idx, x, tau0 = idx[keep], x[:, keep], tau0[:, keep]
-        dist = DisturbanceBatch([disturbances[k] for k in idx])
+        nonlocal idx, x
+        idx, x = idx[~done], x[:, ~done]
 
     for i in range(n_max):
         if not len(idx):
@@ -345,17 +345,19 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
         final_e_d[sel] = e_d
         positions[i][:, sel] = x[:2]
 
-        tau_half = dist.value(t_state + 0.5 * dt)
-        tau1 = dist.value(t_state + dt)
-        x = step(x, F_T, alpha_r, scenario.vessel, tau0, tau_half, tau1, dt)
-        t_state = t_state + dt
-        tau0 = tau1
+        j = i % _TABLE_TICKS
+        if j == 0:
+            # Every episode's disturbance at the next state times and their half steps.
+            ts = np.array(t_state[i:i + _TABLE_TICKS + 1])
+            tau_state, tau_half = dist.table(ts), dist.table(ts[:-1] + 0.5 * dt)
+        x = step(x, F_T, alpha_r, scenario.vessel, tau_state[j][:, sel], tau_half[j][:, sel],
+                 tau_state[j + 1][:, sel], dt)
         arrived = ((np.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius)
                    & (np.hypot(x[3], x[4]) <= scenario.goal_speed_threshold))
         if arrived.any():
             ticks[idx[arrived]] = i + 1
             for k in idx[arrived]:
-                goal_time[k] = t_state
+                goal_time[k] = t_state[i + 1]
             leave(arrived)
 
     return [
@@ -417,27 +419,19 @@ class SweepResult:
         return len(self.episodes)
 
     def aggregate(self) -> dict:
-        total = {ch: 0 for ch in CHANNELS}
-        failures = 0
-        actuator = 0
-        max_psi_e = 0.0
-        for s in self.episodes:
-            for ch in CHANNELS:
-                total[ch] += s["violations"][ch]
-            failures += int(s["failed"])
-            actuator += s["actuator_violations"]
-            if s["max_abs_psi_e"] is not None:
-                max_psi_e = max(max_psi_e, s["max_abs_psi_e"])
+        eps = self.episodes
+        total = {ch: sum(s["violations"][ch] for s in eps) for ch in CHANNELS}
         return {
             "scenario": self.scenario_name,
             "master_seed": self.master_seed,
             "episodes": self.n_episodes,
-            "failed_episodes": failures,
+            "failed_episodes": sum(int(s["failed"]) for s in eps),
             "violations_per_channel": total,
             "total_violations": sum(total.values()),
-            "actuator_violations": actuator,
-            "max_abs_psi_e": max_psi_e,
-            "goal_reached": sum(int(s["goal_reached"]) for s in self.episodes),
+            "actuator_violations": sum(s["actuator_violations"] for s in eps),
+            "max_abs_psi_e": max([0.0, *(s["max_abs_psi_e"] for s in eps
+                                        if s["max_abs_psi_e"] is not None)]),
+            "goal_reached": sum(int(s["goal_reached"]) for s in eps),
         }
 
     def save_json(self, path) -> None:
@@ -495,9 +489,11 @@ class AuditReport:
 def audit(log: EpisodeLog, scenario: Scenario) -> AuditReport:
     """Re-derive every funnel inequality per tick from the logged raw signals.
 
-    Uses only the state/reference columns plus the scenario configuration --
-    nothing the controller wrote (its xi/eps columns are cross-checked
-    implicitly through the violation recount).
+    Uses the state/reference columns and the scenario configuration, plus
+    three columns the controller wrote: the velocity references u_des and
+    r_des, which the u and r channels are measured against, and psi_e for
+    the bearing margin. Its xi/eps columns are not read; they are
+    cross-checked implicitly through the violation recount.
     """
     cfg = scenario.controller
     cols = log.columns

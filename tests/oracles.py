@@ -13,8 +13,9 @@ that trajopt's slot-batched one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced, the
 per-float, per-term disturbance that the one array formula replaced, and the
 funnel cascade written out on Python floats with math. It also
-holds random_polygon, the random convex obstacle the geometry tests draw, and
-step_state, one RK4 step of a VesselState through dynamics.step.
+holds random_polygon, the random convex obstacle the geometry tests draw,
+step_state, one RK4 step of a VesselState through dynamics.step, and the
+row-by-row batch RK4 step that the one-block kinetic derivative replaced.
 """
 
 from __future__ import annotations
@@ -453,6 +454,37 @@ def step_state(state, cmd, params, dist, dt):
     x = step((state.p_x, state.p_y, state.psi, state.u, state.v, state.r), cmd.F_T, cmd.alpha_r,
              params, dist.value(t0), dist.value(t0 + 0.5 * dt), dist.value(t0 + dt), dt)
     return VesselState(*x, t=t0 + dt)
+
+
+def step_rows_oracle(x, F_T, alpha_r, params, tau0, tau_half, tau1, dt):
+    """dynamics.step of a (6, B) batch with each derivative row its own (B,)
+    expression, the six rows stacked by np.array: the batch step as it was
+    before its kinetic rows became one (3, B) block. Same operations per
+    element, so the two agree bit for bit."""
+    X, Y = F_T * np.cos(alpha_r), F_T * np.sin(alpha_r)
+    N = params.Delta_x * Y
+    d, m, Iz = params.drag, params.m, params.Iz
+
+    def derivative(y, tau):
+        _p_x, _p_y, psi, u, v, r = y
+        f_u = tau[0] - (d.d1_u * u + d.d2_u * u * np.abs(u))
+        f_v = tau[1] - (d.d1_v * v + d.d2_v * v * np.abs(v))
+        f_r = tau[2] - (d.d1_r * r + d.d2_r * r * np.abs(r))
+        if params.coriolis_on:
+            f_u = f_u + m * v * r
+            f_v = f_v - m * u * r
+        c, s = np.cos(psi), np.sin(psi)
+        return np.array((u * c - v * s, u * s + v * c, r,
+                         (X + f_u) / m, (Y + f_v) / m, (N + f_r) / Iz))
+
+    k1 = derivative(x, tau0)
+    k2 = derivative(x + 0.5 * dt * k1, tau_half)
+    k3 = derivative(x + 0.5 * dt * k2, tau_half)
+    k4 = derivative(x + dt * k3, tau1)
+    out = x + dt / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + 1.0 * k4)
+    psi = np.fmod(out[2], TWO_PI)
+    out[2] = np.where(psi < 0.0, psi + TWO_PI, psi)
+    return out
 
 
 def disturbance_oracle(dist, t: float) -> tuple[float, float, float]:

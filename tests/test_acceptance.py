@@ -19,7 +19,7 @@ from oracles import deboor_eval_batch, hulls_intersect_oracle, random_polygon
 from funnelnav import feasibility, harness, rrt, trajopt
 from funnelnav.bspline import clamped_from_waypoints
 from funnelnav.cli import main as cli_main
-from funnelnav.geometry import find_separator, verify_separation
+from funnelnav.geometry import find_separator, find_separators, verify_separation
 from funnelnav.rrt import RrtPath
 from funnelnav.scenario import benign_scenario, long_run_scenario, trajectory_demo_scenario
 from funnelnav.trajopt import TrajOptProblem
@@ -237,11 +237,16 @@ class TestCriterion8FeasibilitySoundness:
 class TestCriterion9GeometryRoundTrip:
     def test_ten_thousand_random_instances(self):
         rng = np.random.default_rng(1234)
-        n_sep = n_hit = 0
+        polys, hulls = [], []
         for _ in range(10_000):
-            poly = random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0))
-            hull = rng.uniform(-6, 6, (4, 2))
-            sep = find_separator(hull, poly)
+            polys.append(random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0)))
+            hulls.append(rng.uniform(-6, 6, (4, 2)))
+        # The library's separators of all instances in one batched call; the
+        # oracle stays scalar, one instance at a time.
+        found, h_all, d_all = find_separators(np.array(hulls), polys)
+        n_sep = n_hit = 0
+        for k, (poly, hull) in enumerate(zip(polys, hulls)):
+            sep = (h_all[k], float(d_all[k])) if found[k] else None
             intersects = hulls_intersect_oracle(hull, poly.vertices)
             if sep is None:
                 assert intersects, "NoSeparator without hull intersection"
@@ -297,3 +302,10 @@ class TestCriterion10Determinism:
         record(10, run_same and traj_same,
                "repeated `run` and `traj` invocations produce byte-identical artifacts")
         assert run_same and traj_same
+
+    def test_sweep_byte_identical(self, tmp_path):
+        dirs = [tmp_path / "sweep1", tmp_path / "sweep2"]
+        for d in dirs:
+            assert cli_main(["sweep", "--scenario", "long-run", "--episodes", "8",
+                             "--out-dir", str(d)]) == 0
+        assert (dirs[0] / "sweep.json").read_bytes() == (dirs[1] / "sweep.json").read_bytes()

@@ -20,7 +20,7 @@ from funnelnav.dynamics import (
     wrap_angle,
 )
 from funnelnav.errors import NonFiniteState
-from oracles import disturbance_oracle, step_state
+from oracles import disturbance_oracle, step_rows_oracle, step_state
 
 NO_DRAG = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
 ZERO_DIST = DisturbanceProfile.zero()
@@ -172,6 +172,19 @@ class TestBatch:
             assert out[:, b] == pytest.approx([s.p_x, s.p_y, s.psi, s.u, s.v, s.r],
                                               rel=1e-12, abs=1e-12)
         assert np.all((0.0 <= out[2]) & (out[2] < 2 * math.pi))
+
+    @pytest.mark.parametrize("coriolis_on", [False, True])
+    def test_step_batch_matches_row_oracle(self, coriolis_on):
+        # the one-block kinetic derivative runs the row-by-row operations, bit for bit
+        params = VesselParams(coriolis_on=coriolis_on)
+        rng = np.random.default_rng(1)
+        for b in (1, 7, 512):
+            x = rng.uniform(-3.0, 3.0, (6, b))
+            x[2] = rng.uniform(-1.0, 7.0, b)  # headings on both sides of [0, 2 pi)
+            F_T, alpha_r = rng.uniform(0.0, 5000.0, b), rng.uniform(-0.5, 0.5, b)
+            taus = rng.uniform(-300.0, 300.0, (3, 3, b))
+            args = (x, F_T, alpha_r, params, *taus, 0.05)
+            assert np.array_equal(step(*args), step_rows_oracle(*args))
 
     def test_step_batch_nonfinite_detected(self):
         params = VesselParams(drag=DragCoeffs(d2_u=1e6))

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from funnelnav import trajopt
-from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile
+from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile, VesselParams
 from funnelnav.errors import InitialComplianceError, UnverifiedTrajectory
 from funnelnav.funnels import FunnelSpec
 from funnelnav.harness import (
+    _TABLE_TICKS,
     EpisodeLog,
     LOG_COLUMNS,
     _with_inflation,
@@ -229,6 +230,36 @@ class TestLockstepSweep:
         failed = [e["failed"] for e in batch]
         assert any(failed) and not all(failed)
         assert len({e["ticks"] for e in batch}) > 1
+
+    @staticmethod
+    def _disturbed_benign():
+        sc = benign_scenario()
+        sc.disturbance = DisturbanceProfile(
+            x=AxisDisturbance(bias=30.0, sin_amp=60.0, sin_freq_hz=0.05, noise_amp=30.0),
+            y=AxisDisturbance(bias=-20.0, sin_amp=50.0, sin_freq_hz=0.08),
+            psi=AxisDisturbance(bias=5.0, noise_amp=10.0),
+            seed=4,
+        )
+        return sc
+
+    def test_coriolis_truth_model_matches_scalar(self):
+        sc = self._disturbed_benign()
+        sc.vessel = VesselParams(coriolis_on=True)
+        batch = _assert_lockstep_matches_scalar(sc, 6)
+        assert all(e["goal_reached"] for e in batch)
+        assert len({e["ticks"] for e in batch}) > 1
+
+    def test_arrival_in_last_partial_table(self):
+        # 900 ticks: the last disturbance table covers ticks 896-899 only,
+        # and one episode arrives inside it
+        sc = self._disturbed_benign()
+        sc.horizon = 45.0
+        n_max = int(round(sc.horizon / sc.sim_dt))
+        last_table = n_max - n_max % _TABLE_TICKS
+        assert n_max % _TABLE_TICKS != 0
+        batch = _assert_lockstep_matches_scalar(sc, 6)
+        assert any(e["goal_reached"] and e["ticks"] > last_table for e in batch)
+        assert any(e["goal_reached"] and e["ticks"] <= last_table for e in batch)
 
     def test_degenerate_distance_at_first_tick(self):
         sc = benign_scenario()
