@@ -10,6 +10,7 @@ plain CSV/JSON artifacts under --out-dir.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -125,6 +126,7 @@ def cmd_audit(args) -> int:
     return 0 if clean else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="funnelnav", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,12 +3,13 @@
 Everything works on planar convex sets: obstacles are strictly convex CCW
 polygons, spline-segment hulls are arbitrary (possibly degenerate) sets of
 four control points. Separating lines come from the closest pair between
-the two convex hulls, in one numpy pass over a batch of (hull, polygon)
-pairs; a line is returned only where it separates strictly.
+the two convex hulls, in one box-screened numpy pass over a batch of
+(hull, polygon) pairs; a line is returned only where it separates strictly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -115,8 +116,14 @@ def inflate(poly: ConvexPolygon, rho_bar: float, k_gon: int = 16) -> ConvexPolyg
     """Minkowski sum of poly with a regular k-gon circumscribing the rho_bar disk.
 
     The circumscribed polygon contains the disk, so the result conservatively
-    over-approximates the true disk inflation.
+    over-approximates the true disk inflation. Memoized on the inputs'
+    values, so copies of one obstacle set share one result: do not edit it.
     """
+    return _inflate(poly.vertices.tobytes(), rho_bar, k_gon)
+
+
+@functools.lru_cache(maxsize=256)
+def _inflate(vertex_bytes: bytes, rho_bar: float, k_gon: int) -> ConvexPolygon:
     if rho_bar <= 0.0:
         raise ValueError(f"clearance must be positive, got {rho_bar}")
     if k_gon < 8 and k_gon != 4:
@@ -124,7 +131,7 @@ def inflate(poly: ConvexPolygon, rho_bar: float, k_gon: int = 16) -> ConvexPolyg
     radius = rho_bar / math.cos(math.pi / k_gon)
     angles = np.arange(k_gon) * (2.0 * math.pi / k_gon) + math.pi / k_gon
     disk = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-    sums = (poly.vertices[:, None, :] + disk[None, :, :]).reshape(-1, 2)
+    sums = (np.frombuffer(vertex_bytes).reshape(-1, 2)[:, None, :] + disk[None, :, :]).reshape(-1, 2)
     return ConvexPolygon(convex_hull(sums))
 
 
@@ -288,14 +295,15 @@ def _closest_points(p1, p2, q1, q2):
 def padded_vertices(polys) -> np.ndarray:
     """(M, K, 2) vertices of M polygons; a shorter polygon repeats its last
     vertex, which adds only zero-length edges at an existing vertex."""
-    table = {id(p): p.vertices for p in polys}
-    k = max((len(v) for v in table.values()), default=3)
-    for key, v in table.items():
-        table[key] = np.concatenate([v, np.repeat(v[-1:], k - len(v), axis=0)])
-    return np.array([table[id(p)] for p in polys]).reshape(len(polys), k, 2)
+    rows = {id(p): p for p in polys}
+    k = max((len(p) for p in rows.values()), default=3)
+    table = np.array([np.concatenate([p.vertices, np.repeat(p.vertices[-1:], k - len(p), axis=0)])
+                      for p in rows.values()]).reshape(len(rows), k, 2)
+    index = {key: m for m, key in enumerate(rows)}
+    return table[[index[id(p)] for p in polys]]
 
 
-_BLOCK = 64  # pairs per numpy pass; keeps the kernel's temporaries near 1 MB
+_BLOCK = 256  # pairs per numpy pass; a solve's (segment, obstacle) pairs take one
 
 
 def find_separators(hulls: np.ndarray, polys):
@@ -307,6 +315,8 @@ def find_separators(hulls: np.ndarray, polys):
     every polygon vertex; elsewhere h and d are NaN. Pairs that cross (by
     orientation signs), contain a point of each other (boundary included) or
     lie within 1e-12 of the coordinate scale (tangency) have no line.
+    Overlap is tested only where the boxes (widened by 1e-9 of the scale) meet, closest
+    points only where a (chord, edge) box gap is within the nearest point/vertex distance.
     """
     hulls = np.asarray(hulls, dtype=float)
     parts = [_separator_block(hulls[k:k + _BLOCK], padded_vertices(polys[k:k + _BLOCK]))
@@ -316,36 +326,54 @@ def find_separators(hulls: np.ndarray, polys):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _separator_block(hulls: np.ndarray, verts: np.ndarray):
-    """find_separators on one block, with the polygons as padded vertices."""
-    m, n_pts = hulls.shape[:2]
-    q1 = verts[:, None]                                   # (M, 1, K, 2)
-    q2 = np.roll(verts, -1, axis=1)[:, None]
-    # Every pair of hull points: the hull edges plus inner chords, which are
-    # never closer to a disjoint polygon than the edges are. A pair with a
-    # point on its right turns round, so hull edges run CCW.
-    i, j = np.triu_indices(n_pts, 1) if n_pts > 1 else (np.zeros(1, int), np.zeros(1, int))
-    flip = (_orient(hulls[:, i, None], hulls[:, j, None], hulls[:, None]) < 0.0).any(axis=2)
-    p1 = np.where(flip[..., None], hulls[:, j], hulls[:, i])[:, :, None]   # (M, S, 1, 2)
-    p2 = np.where(flip[..., None], hulls[:, i], hulls[:, j])[:, :, None]
+def _overlapping(hulls, p1, p2, q1, q2):
+    """Per pair, whether a chord crosses an edge or either set holds a point of the other."""
+    p1, p2, q1, q2 = p1[:, :, None], p2[:, :, None], q1[:, None], q2[:, None]
     crossing = (((_orient(q1, q2, p1) > 0) != (_orient(q1, q2, p2) > 0))
                 & ((_orient(p1, p2, q1) > 0) != (_orient(p1, p2, q2) > 0))).any(axis=(1, 2))
     hull_in_poly = (_orient(q1, q2, hulls[:, :, None]) >= 0.0).all(axis=2).any(axis=1)
     # A polygon vertex lies in the hull iff it lies in a triangle of hull points.
-    tri = np.array(list(combinations(range(n_pts), 3)), dtype=int).reshape(-1, 3)
+    tri = np.array(list(combinations(range(hulls.shape[1]), 3)), dtype=int).reshape(-1, 3)
     ta, tb, tc = (hulls[:, tri[:, k], None] for k in range(3))   # (M, T, 1, 2)
     turn = _orient(ta, tb, tc)
     sides = np.stack([_orient(ta, tb, q1), _orient(tb, tc, q1), _orient(tc, ta, q1)])
     poly_in_hull = (((turn > 0) & (sides >= 0.0).all(axis=0))
                     | ((turn < 0) & (sides <= 0.0).all(axis=0))).any(axis=(1, 2))
+    return crossing | hull_in_poly | poly_in_hull
 
-    cp, cq = _closest_points(p1, p2, q1, q2)
-    gap = cp - cq
-    dist = np.sqrt(planar_dot(gap, gap)).reshape(m, -1)
-    best = (np.arange(m), dist.argmin(axis=1))
-    dist, cp, cq = dist[best], cp.reshape(m, -1, 2)[best], cq.reshape(m, -1, 2)[best]
+
+def _separator_block(hulls: np.ndarray, verts: np.ndarray):
+    """find_separators on one block, with the polygons as padded vertices."""
+    m, n_pts = hulls.shape[:2]
+    q1, q2 = verts, np.roll(verts, -1, axis=1)            # (M, K, 2)
+    # Every pair of hull points: the hull edges plus inner chords, which are
+    # never closer to a disjoint polygon than the edges are. A pair with a
+    # point on its right turns round, so hull edges run CCW.
+    i, j = np.triu_indices(n_pts, 1) if n_pts > 1 else (np.zeros(1, int), np.zeros(1, int))
+    flip = (_orient(hulls[:, i, None], hulls[:, j, None], hulls[:, None]) < 0.0).any(axis=2)
+    p1 = np.where(flip[..., None], hulls[:, j], hulls[:, i])   # (M, S, 2)
+    p2 = np.where(flip[..., None], hulls[:, i], hulls[:, j])
     scale = np.maximum(1.0, np.maximum(np.abs(hulls).max(axis=(1, 2)), np.abs(verts).max(axis=(1, 2))))
-    found = ~(crossing | hull_in_poly | poly_in_hull) & (dist > 1e-12 * scale)
+    pad = 2e-9 * scale   # per coordinate: numpy reduces a (M, K, 2) middle axis slowly
+    meet = np.logical_and.reduce([(hulls[..., a].min(1) <= verts[..., a].max(1) + pad)
+                                  & (verts[..., a].min(1) <= hulls[..., a].max(1) + pad) for a in (0, 1)])
+    blocked = np.zeros(m, dtype=bool)
+    blocked[meet] = _overlapping(hulls[meet], p1[meet], p2[meet], q1[meet], q2[meet])
+    # Rounding is monotone, so the box gap of the nearest hull point's chord and
+    # vertex's edge is within their distance: every pair keeps a candidate.
+    apart = hulls[:, :, None] - verts[:, None]
+    limit = (np.sqrt(planar_dot(apart, apart).min(axis=(1, 2))) * (1.0 + 1e-6) + 1e-9 * scale) ** 2
+    lo, hi = np.minimum(q1, q2)[:, None], np.maximum(q1, q2)[:, None]
+    box_gap = np.maximum(0.0, np.maximum(np.minimum(p1, p2)[:, :, None] - hi,
+                                         lo - np.maximum(p1, p2)[:, :, None]))
+    mi, si, ki = np.nonzero(~(planar_dot(box_gap, box_gap) > limit[:, None, None]))
+    cp, cq = _closest_points(p1[mi, si], p2[mi, si], q1[mi, ki], q2[mi, ki])
+    gap = cp - cq
+    dist = np.sqrt(planar_dot(gap, gap))
+    # Per pair the first minimum (or NaN, as argmin): candidates run in (chord, edge) order.
+    best = np.lexsort((np.where(np.isnan(dist), -np.inf, dist), mi))[np.searchsorted(mi, np.arange(m))]
+    dist, cp, cq = dist[best], cp[best], cq[best]
+    found = ~blocked & (dist > 1e-12 * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = (cp - cq) / dist[:, None]
     d = planar_dot(h, cp + cq) / 2.0

@@ -292,6 +292,9 @@ class _Halfspaces:
         slots = [(k[a:b], hx[a:b], hy[a:b], target[a:b]) for a, b in zip(bounds, bounds[1:])]
         return cls(k, hx, hy, target, slot, slots)
 
+    def short(self, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
+        return self.target - (X[self.point] * self.hx + Y[self.point] * self.hy) > tol
+
 
 def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
     """Cyclic projections onto every constraint set, in place.
@@ -303,14 +306,22 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
     runs one array update per slot of _Halfspaces. Each point sees the
     same floating-point operations in the same order as a plane-by-plane
     loop (tests/oracles.py::project_oracle).
+    A C that violates nothing returns 0.0 untouched, as the first sweep would
+    (in numpy, with a 1e-15 relative margin for np.hypot's one-ulp rounding).
     """
     problem = ws.problem
-    free = ws.free.tolist()
     v_bound = problem.v_max * dt
     a_bound = problem.a_max * (dt * dt)
-    N = ws.N
     tol = problem.tol_residual
     halfspaces = ws.halfspaces(planes)
+    vel, acc = np.diff(C, axis=0), C[2:] - 2.0 * C[1:-1] + C[:-2]
+    if (problem.projection_sweeps > 0
+            and np.hypot(*vel.T).max() * (1.0 + 1e-15) <= v_bound + tol
+            and np.hypot(*acc.T).max() * (1.0 + 1e-15) <= a_bound + tol
+            and not (halfspaces is not None and halfspaces.short(C[:, 0], C[:, 1], tol).any())):
+        return 0.0
+    free = ws.free.tolist()
+    N = ws.N
     xs, ys = C[:, 0].tolist(), C[:, 1].tolist()
 
     worst = math.inf
@@ -363,8 +374,7 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
         if halfspaces is not None:
             X, Y = np.array(xs), np.array(ys)
             # Slots ahead of the first violated entry move no point: skip them.
-            hit = halfspaces.target - (X[halfspaces.point] * halfspaces.hx
-                                       + Y[halfspaces.point] * halfspaces.hy) > tol
+            hit = halfspaces.short(X, Y, tol)
             if hit.any():
                 for ks, hx, hy, target in halfspaces.slots[halfspaces.slot[hit.argmax()]:]:
                     x, y = X[ks], Y[ks]

@@ -8,7 +8,8 @@ segment-intersection vs closest-pair distances, shoelace areas, plain
 half-plane membership, the edge-by-edge segment collision check and the
 point-by-point obstacle clearance that geometry's one-pass versions
 replaced, the scalar per-pair closest-pair separator that the batched
-library kernel replaced, the plane-by-plane cyclic projection
+library kernel replaced, the brute-force batched separator kernel (every
+chord against every edge) that the screened one replaced, the plane-by-plane cyclic projection
 that trajopt's slot-batched one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced, the
 per-float, per-term disturbance that the one array formula replaced, and the
@@ -21,6 +22,7 @@ row-by-row batch RK4 step that the one-block kinetic derivative replaced.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +41,8 @@ from funnelnav.dynamics import (
 )
 from funnelnav.errors import InsufficientSamples
 from funnelnav.funnels import compute_errors
-from funnelnav.geometry import ConvexPolygon, convex_hull
+from funnelnav import geometry
+from funnelnav.geometry import ConvexPolygon, convex_hull, planar_dot
 
 
 def deboor_eval(ctrl: np.ndarray, dt: float, t: float, degree: int = 3) -> np.ndarray:
@@ -367,6 +370,44 @@ def separator_oracle(hull_points: np.ndarray, poly_vertices: np.ndarray):
         return None
     h = (cp - cq) / dist
     return h, _dot(h, cp + cq) / 2.0
+
+
+def separator_block_oracle(hulls: np.ndarray, verts: np.ndarray):
+    """geometry._separator_block without its screens: the crossing and
+    containment tests on every pair, the closest points of every (hull
+    chord, polygon edge) combination and the first minimum over all of
+    them. verts are the polygons' padded vertices; returns (found, h, d)."""
+    m, n_pts = hulls.shape[:2]
+    q1 = verts[:, None]                                   # (M, 1, K, 2)
+    q2 = np.roll(verts, -1, axis=1)[:, None]
+    i, j = np.triu_indices(n_pts, 1) if n_pts > 1 else (np.zeros(1, int), np.zeros(1, int))
+    flip = (geometry._orient(hulls[:, i, None], hulls[:, j, None], hulls[:, None]) < 0.0).any(axis=2)
+    p1 = np.where(flip[..., None], hulls[:, j], hulls[:, i])[:, :, None]   # (M, S, 1, 2)
+    p2 = np.where(flip[..., None], hulls[:, i], hulls[:, j])[:, :, None]
+    crossing = (((geometry._orient(q1, q2, p1) > 0) != (geometry._orient(q1, q2, p2) > 0))
+                & ((geometry._orient(p1, p2, q1) > 0) != (geometry._orient(p1, p2, q2) > 0))).any(axis=(1, 2))
+    hull_in_poly = (geometry._orient(q1, q2, hulls[:, :, None]) >= 0.0).all(axis=2).any(axis=1)
+    tri = np.array(list(combinations(range(n_pts), 3)), dtype=int).reshape(-1, 3)
+    ta, tb, tc = (hulls[:, tri[:, k], None] for k in range(3))   # (M, T, 1, 2)
+    turn = geometry._orient(ta, tb, tc)
+    sides = np.stack([geometry._orient(ta, tb, q1), geometry._orient(tb, tc, q1), geometry._orient(tc, ta, q1)])
+    poly_in_hull = (((turn > 0) & (sides >= 0.0).all(axis=0))
+                    | ((turn < 0) & (sides <= 0.0).all(axis=0))).any(axis=(1, 2))
+
+    cp, cq = geometry._closest_points(p1, p2, q1, q2)
+    gap = cp - cq
+    dist = np.sqrt(planar_dot(gap, gap)).reshape(m, -1)
+    best = (np.arange(m), dist.argmin(axis=1))
+    dist, cp, cq = dist[best], cp.reshape(m, -1, 2)[best], cq.reshape(m, -1, 2)[best]
+    scale = np.maximum(1.0, np.maximum(np.abs(hulls).max(axis=(1, 2)), np.abs(verts).max(axis=(1, 2))))
+    found = ~(crossing | hull_in_poly | poly_in_hull) & (dist > 1e-12 * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = (cp - cq) / dist[:, None]
+    d = planar_dot(h, cp + cq) / 2.0
+    found &= ((planar_dot(hulls, h[:, None]) > d[:, None]).all(axis=1)
+              & (planar_dot(verts, h[:, None]) < d[:, None]).all(axis=1))
+    h[~found], d[~found] = np.nan, np.nan
+    return found, h, d
 
 
 def project_oracle(C: np.ndarray, dt: float, planes: dict, ws) -> float:

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funnelnav import harness, rrt, trajopt
 from funnelnav.geometry import (
+    _BLOCK,
     ConvexPolygon,
     Workspace,
     distances_to_obstacles,
     find_separator,
     find_separators,
     inflate,
+    padded_vertices,
     point_free,
     segment_free,
     verify_separation,
 )
-from funnelnav.scenario import long_run_scenario
+from funnelnav.scenario import long_run_scenario, trajectory_demo_scenario
 from oracles import (
     closest_between_hulls,
     hulls_intersect_oracle,
@@ -25,6 +28,7 @@ from oracles import (
     point_in_hull,
     random_polygon,
     segment_free_oracle,
+    separator_block_oracle,
     separator_oracle,
     shoelace_area,
 )
@@ -267,6 +271,18 @@ def degenerate_hull(rng, poly):
     return vertex + np.array([[-back], [-back], [1.0], [2.0]]) * u
 
 
+def assert_equals_brute_force(hulls, polys):
+    """find_separators equals the brute-force kernel on the same blocks, bit
+    for bit (NaN where no line); returns its found."""
+    hulls = np.asarray(hulls, dtype=float)
+    got = find_separators(hulls, polys)
+    parts = [separator_block_oracle(hulls[k:k + _BLOCK], padded_vertices(polys[k:k + _BLOCK]))
+             for k in range(0, len(hulls), _BLOCK)]
+    for have, want in zip(got, (np.concatenate(part) for part in zip(*parts))):
+        assert np.array_equal(have, want, equal_nan=True)
+    return got[0]
+
+
 class TestBatchedSeparators:
     @staticmethod
     def _instances(rng, n, make_hull):
@@ -275,6 +291,7 @@ class TestBatchedSeparators:
 
     @staticmethod
     def _assert_matches_oracle(hulls, polys):
+        assert_equals_brute_force(hulls, polys)
         found, h, d = find_separators(hulls, polys)
         for m, (hull, poly) in enumerate(zip(hulls, polys)):
             ref = separator_oracle(hull, poly.vertices)
@@ -316,6 +333,87 @@ class TestBatchedSeparators:
     def test_empty_batch(self):
         found, h, d = find_separators(np.zeros((0, 4, 2)), [])
         assert found.shape == (0,) and h.shape == (0, 2) and d.shape == (0,)
+
+
+def tangent_hull(rng, poly, gap):
+    """Four hull points: one gap outside an edge of poly or outside one of
+    its vertices, the others spread from it along and away from that edge."""
+    n = len(poly)
+    k = int(rng.integers(n))
+    a, b = poly.vertices[k], poly.vertices[(k + 1) % n]
+    along = (b - a) / np.linalg.norm(b - a)
+    out = np.array([along[1], -along[0]])
+    if rng.integers(2):
+        base, normal = a + rng.uniform(0.1, 0.9) * (b - a), out
+    else:
+        prev = poly.vertices[k - 1]
+        back = (a - prev) / np.linalg.norm(a - prev)
+        w = rng.uniform()
+        normal = w * out + (1.0 - w) * np.array([back[1], -back[0]])
+        base, normal = a, normal / np.linalg.norm(normal)
+    spread = rng.uniform(-2.0, 2.0, (4, 1)) * along + rng.uniform(0.0, 2.0, (4, 1)) * normal
+    spread[0] = 0.0
+    if rng.integers(2):
+        spread[1] = rng.uniform(0.5, 2.0) * along   # a chord parallel to the edge
+    return base + gap * normal + spread
+
+
+class TestScreenedKernel:
+    """The screened kernel against the brute-force one, with no tolerance."""
+
+    def test_near_tangent_gaps(self):
+        rng = np.random.default_rng(24)
+        for gap in np.logspace(-9, -6, 7):
+            polys = [random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0))
+                     for _ in range(300)]
+            found = assert_equals_brute_force([tangent_hull(rng, p, gap) for p in polys], polys)
+            assert found.any() and not found.all()
+
+    def test_nan_hull(self):
+        hulls = np.array([[[2.0, 0.0], [3.0, 0.0], [np.nan, 1.0], [3.0, 1.0]],
+                          [[2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]]])
+        found = assert_equals_brute_force(hulls, [UNIT_SQUARE, UNIT_SQUARE])
+        assert found.tolist() == [False, True]
+
+    def test_far_and_touching_pairs_in_one_batch(self):
+        rng = np.random.default_rng(25)
+        polys = [random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0))
+                 for _ in range(2 * _BLOCK + 7)]
+        hulls = []
+        for m, poly in enumerate(polys):
+            if m % 3 == 0:      # far: a box's diagonal away
+                hulls.append(rng.uniform(-6, 6, (4, 2)) + rng.choice([-1.0, 1.0], 2) * 1e3)
+            elif m % 3 == 1:    # touching a vertex or an edge point
+                on = poly.vertices[int(rng.integers(len(poly)))] if m % 2 else poly.vertices[:2].mean(axis=0)
+                hulls.append(on + rng.uniform(-3, 3, (4, 2)) * [[0.0], [1.0], [1.0], [1.0]])
+            else:
+                hulls.append(rng.uniform(-6, 6, (4, 2)))
+        found = assert_equals_brute_force(np.array(hulls), polys)
+        assert found[::3].all() and not found[1::3].all()
+
+    def test_benchmark_plan_and_cold_start_pairs(self, monkeypatch):
+        # Every batch the solver sends to the kernel on the inputs of
+        # `perfbench/run.py --seed 7` for plan (12) and cold-start (6).
+        batches = []
+        real = trajopt.find_separators
+
+        def checked(hulls, polys):
+            batches.append(len(polys))
+            assert_equals_brute_force(hulls, polys)
+            return real(hulls, polys)
+
+        monkeypatch.setattr(trajopt, "find_separators", checked)
+        seeds = [int(np.random.SeedSequence([7, i]).generate_state(1)[0]) for i in range(12)]
+        for seed in seeds:
+            harness.plan_and_solve(long_run_scenario().with_seed(seed))
+        for seed in seeds[:6]:
+            scenario = trajectory_demo_scenario().with_seed(seed)
+            path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
+                            scenario.goal, scenario.planner)
+            problem = harness.make_problem(scenario, path, w1=0.0, init="line")
+            problem.max_outer = 4
+            trajopt.solve(problem)
+        assert len(batches) > 50 and max(batches) <= _BLOCK
 
 
 class TestDistances:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,55 @@ class TestProjection:
         worst_scalar = project_oracle(C_scalar, dt, planes, ws)
         assert C_batched.tobytes() == C_scalar.tobytes()
         assert worst_batched == worst_scalar
+
+    def test_feasible_input_returns_at_once(self, monkeypatch):
+        problem = free_problem(straight_path(), v_max=10.0, a_max=4.0)
+        ws = _Workspace(problem)
+        C, _, _ = build(problem)
+        planes = {(i, 0): (np.array([0.0, 1.0]), -5.0) for i in range(ws.N - 3)}
+        before = C.tobytes()
+        monkeypatch.setattr(trajopt.math, "hypot", None)   # no scalar sweep runs
+        assert _project(C, 2.0, planes, ws) == 0.0
+        assert C.tobytes() == before
+
+    @staticmethod
+    def _assert_matches_oracle(C, dt, planes, ws):
+        C_batched, C_scalar = C.copy(), C.copy()
+        assert _project(C_batched, dt, planes, ws) == project_oracle(C_scalar, dt, planes, ws)
+        assert C_batched.tobytes() == C_scalar.tobytes()
+
+    @pytest.mark.parametrize("bound", ["velocity", "acceleration"])
+    def test_norms_within_ulps_of_the_bound(self, bound):
+        # The largest norm lands a few ulps either side of bound*dt + tol,
+        # where np.hypot and math.hypot may disagree by one ulp, and far
+        # enough inside for the early exit to take it.
+        rng = np.random.default_rng(26)
+        path = RrtPath(np.cumsum(rng.uniform(0.5, 3.0, (9, 2)), axis=0))
+        C, _, _ = build(free_problem(path))
+        if bound == "velocity":
+            g = C[1:] - C[:-1]
+        else:
+            g = C[2:] - 2.0 * C[1:-1] + C[:-2]
+        top = max(math.hypot(x, y) for x, y in g.tolist())
+        dt = 1.5
+        for steps in [*range(-4, 5), 8, 16, 64]:
+            edge = top + steps * math.ulp(top) - 1e-8
+            limit = edge / dt if bound == "velocity" else edge / (dt * dt)
+            loose = dict(v_max=1e6) if bound == "acceleration" else dict(a_max=1e6)
+            problem = free_problem(path, **{f"{bound[0]}_max": limit}, **loose)
+            self._assert_matches_oracle(C, dt, {}, _Workspace(problem))
+
+    def test_one_short_halfspace(self):
+        problem = free_problem(wiggly_path(np.random.default_rng(27)), v_max=1e6, a_max=1e6)
+        ws = _Workspace(problem)
+        C, _, _ = build(problem)
+        h = np.array([0.0, 1.0])
+        planes = {(i, 0): (h, float(C[i:i + 4, 1].min()) - 1.0) for i in range(ws.N - 3)}
+        tol = problem.tol_residual
+        for short in (0.5 * tol, tol, 2.0 * tol, 0.3):
+            i = ws.N // 2 - 3
+            target = float(C[i:i + 4, 1].min()) + short - problem.sep_margin
+            self._assert_matches_oracle(C, 1.0, {**planes, (i, 0): (h, target)}, ws)
 
     @pytest.mark.parametrize("cold", [False, True], ids=["seeded", "no-prior"])
     def test_solve_matches_scalar_oracle(self, monkeypatch, cold):
