@@ -17,12 +17,12 @@ import sys
 
 from . import feasibility, harness, rrt, trajopt
 from .errors import FunnelNavError
-from .scenario import BUILTIN_SCENARIOS, load_scenario
+from .scenario import BUILTIN_NAMES, load_scenario
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True,
-                   help=f"scenario JSON path or builtin name ({', '.join(BUILTIN_SCENARIOS)})")
+                   help=f"scenario JSON path or builtin name ({', '.join(BUILTIN_NAMES)})")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out-dir", default=".", help="output directory (created if missing)")
     p.add_argument("--dt", type=float, default=None, help="override the simulation step [s]")

@@ -52,9 +52,9 @@ class VesselState:
     p_x: float
     p_y: float
     psi: float
-    u: float
-    v: float
-    r: float
+    u: float = 0.0
+    v: float = 0.0
+    r: float = 0.0
     t: float = 0.0
 
     def __post_init__(self):

@@ -1,10 +1,12 @@
-"""Scenario definition, JSON (de)serialization and built-in scenario factories.
+"""Scenario definition and its JSON schema; the builtin scenarios are the JSON
+files packaged under funnelnav/scenarios.
 
 A scenario bundles everything one closed-loop episode needs: the workspace
 with obstacles, the vessel truth model and disturbance, the controller
 configuration, the planner/optimizer settings and the simulation horizon.
-The JSON schema mirrors the dataclasses field-for-field; units are SI
-(meters, seconds, newtons, radians) throughout.
+The JSON schema mirrors the dataclasses field-for-field, and each default is
+the one its dataclass states; units are SI (meters, seconds, newtons,
+radians) throughout.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from importlib import resources
 
 from .bspline import SplineTrajectory
 from .controller import ControllerConfig
@@ -46,12 +47,14 @@ def _is_number(value) -> bool:
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
-# The leaves of a scenario dict that need not be numbers, by key.
+# The leaves of a scenario dict that need not be any number, by key.
 _LEAF_CHECKS = {
     "name": lambda v: isinstance(v, str),
     **dict.fromkeys(("coriolis_on", "shortcut"), lambda v: isinstance(v, bool)),
     **dict.fromkeys(("step_size", "goal_radius"), lambda v: v is None or _is_number(v)),
     "reference_lead": lambda v: v == "auto" or _is_number(v),
+    **dict.fromkeys(("seed", "inflation_k_gon", "max_iters", "max_outer"),
+                    lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
 }
 
 
@@ -63,6 +66,33 @@ def _check_leaves(node, key=None) -> None:
             _check_leaves(v, k)
     elif not _LEAF_CHECKS.get(key, _is_number)(node):
         raise TypeError(f"{key!r} cannot be {node!r}")
+
+
+def _check_written(data: dict, written: dict, path: str = "") -> None:
+    """ValueError on a key of data that to_dict did not write at the same path.
+    TypeError on a dict or list that to_dict gave back as it came: to_dict builds
+    each section and list anew, so a field took that value where a number belongs."""
+    for key, value in data.items():
+        where = path + key
+        if key not in written:
+            raise ValueError(f"unknown key {where!r}")
+        if isinstance(value, (dict, list)) and (
+                written[key] is value or isinstance(value, dict) != isinstance(written[key], dict)):
+            raise TypeError(f"{where!r} cannot be {value!r}")
+        if isinstance(value, dict):
+            _check_written(value, written[key], where + ".")
+
+
+def _converted(section: dict, **convert) -> dict:
+    """section with convert[key] applied to the value of each key it has."""
+    return {key: convert[key](value) if key in convert else value for key, value in section.items()}
+
+
+# The Scenario field of each key of the goal, kinodynamic and sim sections, where the two differ.
+_FIELD_OF = {"position": "goal", "radius": "goal_radius",
+             "speed_threshold": "goal_speed_threshold", "dt": "sim_dt"}
+# Keys a scenario must state although their dataclass gives a default.
+_REQUIRED = {"workspace": ("clearance",), "vessel": ("m", "Iz", "Delta_x")}
 
 
 @dataclass
@@ -197,81 +227,48 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """The scenario of a JSON dict; InvalidScenario on a missing key, a value
-        of the wrong type (see _check_leaves) or a value a field rejects."""
+        """The scenario of a JSON dict; InvalidScenario on a missing required key, an
+        unknown key, a value of the wrong type (see _check_leaves and _check_written)
+        or a value a field rejects."""
         try:
             _check_leaves(data)
-            return cls._from_checked_dict(data)
+            scenario = cls._from_checked_dict(data)
+            _check_written(data, scenario.to_dict())
+            return scenario
         except (AttributeError, KeyError, TypeError, ValueError, FunnelNavError) as exc:
             raise InvalidScenario(f"{type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def _from_checked_dict(cls, data: dict) -> "Scenario":
-        ws_d = data["workspace"]
-        workspace = Workspace(
-            bounds=tuple(ws_d["bounds"]),
-            obstacles=[ConvexPolygon(np.array(v)) for v in ws_d.get("obstacles", [])],
-            clearance=float(ws_d["clearance"]),
-            inflation_k_gon=int(ws_d.get("inflation_k_gon", 16)),
-        )
-        s = data["start"]
-        start = VesselState(p_x=s["p_x"], p_y=s["p_y"], psi=s["psi"],
-                            u=s.get("u", 0.0), v=s.get("v", 0.0), r=s.get("r", 0.0), t=0.0)
-        v_d = data["vessel"]
-        vessel = VesselParams(
-            m=v_d["m"], Iz=v_d["Iz"], Delta_x=v_d["Delta_x"],
-            coriolis_on=bool(v_d.get("coriolis_on", False)),
-            drag=DragCoeffs(**v_d.get("drag", {})),
-        )
-        d_d = data.get("disturbance", {"seed": 0, "axes": {}})
-        axes = {name: AxisDisturbance(**spec) for name, spec in d_d.get("axes", {}).items()}
-        disturbance = DisturbanceProfile(
-            x=axes.get("x"), y=axes.get("y"), psi=axes.get("psi"),
-            seed=int(d_d.get("seed", 0)),
-        )
-        c_d = data["controller"]
-        funnels = {name: FunnelSpec(**spec) for name, spec in c_d["funnels"].items()}
-        controller = ControllerConfig(
-            k_d=c_d["k_d"], k_u=c_d["k_u"], k_o=c_d["k_o"], k_r=c_d["k_r"],
-            funnel_d=funnels["d"], funnel_u=funnels["u"],
-            funnel_o=funnels["o"], funnel_r=funnels["r"],
-            rho_d_min=c_d["rho_d_min"], F_T_max=c_d["F_T_max"],
-            alpha_r_max=c_d["alpha_r_max"],
-            eps_u_guard=c_d.get("eps_u_guard", 1e-6),
-            delta_x_nominal=c_d.get("delta_x_nominal", 1.0),
-        )
-        p_d = data.get("planner", {})
-        planner = RrtParams(
-            step_size=p_d.get("step_size"), goal_bias=p_d.get("goal_bias", 0.1),
-            max_iters=p_d.get("max_iters", 20000), goal_radius=p_d.get("goal_radius"),
-            seed=p_d.get("seed", data.get("seed", 0)), shortcut=p_d.get("shortcut", True),
-        )
-        t_d = data.get("trajopt", {})
-        trajopt = TrajOptSettings(
-            w1=t_d.get("w1", 1.0), w2=t_d.get("w2", 0.1), w3=t_d.get("w3", 0.05),
-            dt_bounds=tuple(t_d.get("dt_bounds", (0.05, 60.0))),
-            sep_margin=t_d.get("sep_margin", 0.01),
-            max_outer=int(t_d.get("max_outer", 200)),
-            tol_outer=t_d.get("tol_outer", 1e-6),
-            tol_residual=t_d.get("tol_residual", 1e-8),
-        )
-        goal_d = data["goal"]
-        sim = data.get("sim", {})
+        """Each section's keys are the field names of its dataclass (of Scenario for
+        goal, kinodynamic, sim and the top level, through _FIELD_OF), so an absent
+        key takes the default its dataclass states."""
+        for section, keys in _REQUIRED.items():
+            for key in keys:
+                if key not in data[section]:
+                    raise KeyError(f"{section}.{key}")
+        disturbance = dict(data.get("disturbance", {}))
+        axes = {name: AxisDisturbance(**spec) for name, spec in disturbance.pop("axes", {}).items()}
+        controller = dict(data["controller"])
+        funnels = {f"funnel_{name}": FunnelSpec(**spec)
+                   for name, spec in controller.pop("funnels").items()}
+        # The goal, kinodynamic and sim sections hold Scenario fields.
+        flattened = {**_converted(data["goal"], position=tuple), **data["kinodynamic"],
+                     **data.get("sim", {})}
+        # The planner's seed defaults to the scenario's.
+        inherited = {"seed": data["seed"]} if "seed" in data else {}
         return cls(
-            workspace=workspace, start=start,
-            goal=tuple(goal_d["position"]), goal_radius=float(goal_d["radius"]),
-            vessel=vessel, disturbance=disturbance, controller=controller,
-            v_max=data["kinodynamic"]["v_max"], a_max=data["kinodynamic"]["a_max"],
-            planner=planner, trajopt=trajopt,
-            sim_dt=float(sim.get("dt", 0.01)), horizon=float(sim.get("horizon", 120.0)),
-            seed=int(data.get("seed", 0)),
-            footprint_radius=float(data.get("footprint_radius", 0.0)),
-            min_thrust_floor=float(data.get("min_thrust_floor", 1.0)),
-            sway_bound=float(data.get("sway_bound", 2.0)),
-            reference_lead=data.get("reference_lead", "auto"),
-            goal_speed_threshold=float(goal_d.get("speed_threshold", 0.2)),
-            planner_margin_frac=float(data.get("planner_margin_frac", 0.2)),
-            name=data.get("name", "scenario"),
+            **{key: value for key, value in data.items() if not isinstance(value, dict)},
+            **{_FIELD_OF.get(key, key): value for key, value in flattened.items()},
+            workspace=Workspace(**_converted(
+                data["workspace"], bounds=tuple,
+                obstacles=lambda polygons: [ConvexPolygon(v) for v in polygons])),
+            start=VesselState(**data["start"]),
+            vessel=VesselParams(**_converted(data["vessel"], drag=lambda d: DragCoeffs(**d))),
+            disturbance=DisturbanceProfile(**disturbance, **axes),
+            controller=ControllerConfig(**controller, **funnels),
+            planner=RrtParams(**{**inherited, **data.get("planner", {})}),
+            trajopt=TrajOptSettings(**_converted(data.get("trajopt", {}), dt_bounds=tuple)),
         )
 
     def save_json(self, path) -> None:
@@ -307,138 +304,26 @@ def reference_lead(scenario: Scenario, traj: SplineTrajectory) -> float:
     return traj.time_at_distance(target)
 
 
-# ---------------------------------------------------------------------------
-# Built-in scenarios
-# ---------------------------------------------------------------------------
-
-def _rect(cx: float, cy: float, hw: float, hh: float) -> ConvexPolygon:
-    return ConvexPolygon(np.array([
-        [cx - hw, cy - hh], [cx + hw, cy - hh], [cx + hw, cy + hh], [cx - hw, cy + hh],
-    ]))
-
-
-def _diamond(cx: float, cy: float, rx: float, ry: float) -> ConvexPolygon:
-    return ConvexPolygon(np.array([
-        [cx + rx, cy], [cx, cy + ry], [cx - rx, cy], [cx, cy - ry],
-    ]))
-
-
-def open_water_obstacles() -> list[ConvexPolygon]:
-    """The obstacle course used by the long-run and trajectory-generation demos."""
-    return [
-        _rect(120.0, -45.0, 25.0, 18.0),
-        _diamond(205.0, 72.0, 28.0, 22.0),
-        _rect(305.0, -30.0, 22.0, 20.0),
-        _diamond(385.0, 70.0, 20.0, 24.0),
-    ]
-
-
-def _long_run_controller() -> ControllerConfig:
-    # Static funnels sized for the loose open-water tracking regime; the
-    # gains are artifact tuning (validated by the feasibility audit and the
-    # violation-free Monte-Carlo sweep).
-    return ControllerConfig(
-        k_d=9.0, k_u=9000.0, k_o=1.2, k_r=18000.0,
-        funnel_d=FunnelSpec.static(28.0),
-        funnel_u=FunnelSpec.static(25.0),
-        funnel_o=FunnelSpec.static(0.9999),
-        funnel_r=FunnelSpec.static(15.0),
-        rho_d_min=0.5,
-        F_T_max=12000.0,
-        alpha_r_max=math.pi / 6.0,
-        delta_x_nominal=1.0,
-    )
-
-
-def long_run_scenario(seed: int = 7) -> Scenario:
-    """~450 m goal with obstacles, static loose funnels, 3-minute horizon."""
-    workspace = Workspace(
-        bounds=(-60.0, -160.0, 560.0, 200.0),
-        obstacles=open_water_obstacles(),
-        clearance=30.0,
-    )
-    start = VesselState(p_x=0.0, p_y=0.0, psi=0.15, u=0.0, v=0.0, r=0.0, t=0.0)
-    disturbance = DisturbanceProfile(
-        x=AxisDisturbance(bias=30.0, sin_amp=60.0, sin_freq_hz=0.05, noise_amp=30.0),
-        y=AxisDisturbance(bias=-20.0, sin_amp=50.0, sin_freq_hz=0.08, noise_amp=25.0),
-        psi=AxisDisturbance(bias=5.0, sin_amp=20.0, sin_freq_hz=0.03, noise_amp=10.0),
-        seed=seed,
-    )
-    return Scenario(
-        workspace=workspace,
-        start=start,
-        goal=(450.0, 20.0),
-        goal_radius=20.0,
-        vessel=VesselParams(),
-        disturbance=disturbance,
-        controller=_long_run_controller(),
-        v_max=6.0,
-        a_max=1.0,
-        planner=RrtParams(step_size=12.0, goal_bias=0.15, max_iters=60000, seed=seed),
-        trajopt=TrajOptSettings(w1=1.0, w2=0.05, w3=2.0, dt_bounds=(0.5, 30.0)),
-        sim_dt=0.05,
-        horizon=180.0,
-        seed=seed,
-        footprint_radius=1.0,
-        min_thrust_floor=3000.0,
-        sway_bound=3.0,
-        # Arrival is "in the goal ball, drifting below 0.75 m/s": the rudder
-        # has no authority once the deceleration demand cuts thrust, so the
-        # bearing to the stopped reference degenerates if the episode idles
-        # in the coast phase instead of terminating.
-        goal_speed_threshold=0.75,
-        name="long-run",
-    )
-
-
-def trajectory_demo_scenario(seed: int = 3) -> Scenario:
-    """Obstacle layout for the trajectory-generation demo (v_max 10, a_max 2)."""
-    sc = long_run_scenario(seed=seed)
-    sc.v_max = 10.0
-    sc.a_max = 2.0
-    sc.trajopt = TrajOptSettings(w1=1.0, w2=0.05, w3=2.0, dt_bounds=(0.2, 30.0))
-    sc.name = "trajectory-demo"
-    return sc
-
-
-def benign_scenario(seed: int = 1) -> Scenario:
-    """Short obstacle-free, disturbance-free run: start ~80 m from the goal."""
-    workspace = Workspace(bounds=(-50.0, -60.0, 200.0, 60.0), obstacles=[], clearance=30.0)
-    start = VesselState(p_x=0.0, p_y=0.0, psi=0.0, u=0.0, v=0.0, r=0.0, t=0.0)
-    return Scenario(
-        workspace=workspace,
-        start=start,
-        goal=(80.0, 0.0),
-        goal_radius=16.0,
-        vessel=VesselParams(),
-        disturbance=DisturbanceProfile.zero(),
-        controller=_long_run_controller(),
-        v_max=4.0,
-        a_max=0.8,
-        planner=RrtParams(step_size=10.0, seed=seed),
-        trajopt=TrajOptSettings(w1=1.0, w2=0.1, w3=1.0, dt_bounds=(0.5, 30.0)),
-        sim_dt=0.05,
-        horizon=90.0,
-        seed=seed,
-        footprint_radius=1.0,
-        min_thrust_floor=3000.0,
-        name="benign",
-    )
-
-
-BUILTIN_SCENARIOS = {
-    "long-run": long_run_scenario,
-    "trajectory-demo": trajectory_demo_scenario,
-    "benign": benign_scenario,
-}
+# The builtin scenarios: one JSON file each, packaged under funnelnav/scenarios.
+BUILTIN_NAMES = ("benign", "long-run", "trajectory-demo")
 
 
 def load_scenario(spec: str) -> Scenario:
     """Resolve a CLI scenario argument: a builtin name or a JSON file path."""
-    if spec in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[spec]()
+    if spec in BUILTIN_NAMES:
+        with resources.as_file(resources.files(__package__) / "scenarios" / f"{spec}.json") as path:
+            return Scenario.load_json(path)
     try:
         return Scenario.load_json(spec)
     except FileNotFoundError as exc:
         raise InvalidScenario(f"{spec!r} is neither a file nor a builtin scenario "
-                              f"({', '.join(BUILTIN_SCENARIOS)})") from exc
+                              f"({', '.join(BUILTIN_NAMES)})") from exc
+
+
+# Only the benchmark (perfbench/workloads.py) imports these two; drop them when it next changes.
+def long_run_scenario() -> Scenario:
+    return load_scenario("long-run")
+
+
+def trajectory_demo_scenario() -> Scenario:
+    return load_scenario("trajectory-demo")

@@ -21,7 +21,7 @@ from funnelnav.bspline import clamped_from_waypoints
 from funnelnav.cli import main as cli_main
 from funnelnav.geometry import find_separator, find_separators, verify_separation
 from funnelnav.rrt import RrtPath
-from funnelnav.scenario import benign_scenario, long_run_scenario, trajectory_demo_scenario
+from funnelnav.scenario import load_scenario
 from funnelnav.trajopt import TrajOptProblem
 
 N_SWEEP = 100
@@ -30,7 +30,7 @@ SWEEP_BUDGET_S = 300.0
 
 @pytest.fixture(scope="module")
 def long_run_sweep():
-    scenario = long_run_scenario()
+    scenario = load_scenario("long-run")
     report = feasibility.estimate_bounds(scenario, n_samples=1000)
     t0 = time.perf_counter()
     result = harness.sweep(scenario, N_SWEEP)
@@ -123,7 +123,7 @@ class TestCriterion4SplineOracle:
 
 @pytest.fixture(scope="module")
 def demo_problem_and_solution():
-    scenario = trajectory_demo_scenario()
+    scenario = load_scenario("trajectory-demo")
     assert scenario.v_max == 10.0 and scenario.a_max == 2.0
     scenario.validate()
     path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
@@ -210,13 +210,13 @@ class TestCriterion8FeasibilitySoundness:
         from funnelnav.scenario import Scenario
 
         # overwhelming surge disturbance: must fail the surge-authority condition
-        bad = benign_scenario()
+        bad = load_scenario("benign")
         authority = bad.controller.F_T_max * math.cos(bad.controller.alpha_r_max)
         bad.disturbance = DisturbanceProfile(x=AxisDisturbance(bias=1.5 * authority), seed=0)
         bad_report = feasibility.estimate_bounds(bad, n_samples=500, seed=0)
 
         # quiet, overpowered scenario: must pass all four conditions
-        good = benign_scenario()
+        good = load_scenario("benign")
         good.vessel = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
         good.disturbance = DisturbanceProfile.zero()
         data = good.to_dict()
@@ -282,7 +282,7 @@ class TestCriterion9GeometryRoundTrip:
 class TestCriterion10Determinism:
     def test_run_and_traj_byte_identical(self, tmp_path):
         sc_file = tmp_path / "benign.json"
-        benign_scenario().save_json(sc_file)
+        load_scenario("benign").save_json(sc_file)
 
         run_dirs = [tmp_path / "run1", tmp_path / "run2"]
         for d in run_dirs:

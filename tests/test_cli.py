@@ -7,13 +7,13 @@ import pytest
 from funnelnav import rrt, trajopt
 from funnelnav.cli import main
 from funnelnav.errors import InfeasibleSeed, PlanTimeout, TrajOptInfeasible
-from funnelnav.scenario import benign_scenario
+from funnelnav.scenario import load_scenario
 
 
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "benign.json"
-    benign_scenario().save_json(path)
+    load_scenario("benign").save_json(path)
     return str(path)
 
 
@@ -199,7 +199,7 @@ class TestTypedErrors:
     @pytest.mark.parametrize("section, key, value", [("goal", "radius", None),
                                                       ("start", "p_x", "0.0")])
     def test_invalid_scenario(self, tmp_path, capsys, section, key, value):
-        data = benign_scenario().to_dict()
+        data = load_scenario("benign").to_dict()
         if value is None:
             del data[section][key]
         else:

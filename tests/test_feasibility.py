@@ -10,13 +10,13 @@ from funnelnav.feasibility import (
     terminal_surge_speed,
     terminal_yaw_rate,
 )
-from funnelnav.scenario import Scenario, benign_scenario, long_run_scenario, reference_lead
+from funnelnav.scenario import Scenario, load_scenario, reference_lead
 from oracles import feasibility_oracle
 
 
 def powerful_quiet_scenario():
     """Zero disturbance, zero drag, huge actuator authority."""
-    sc = benign_scenario()
+    sc = load_scenario("benign")
     sc.vessel = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
     sc.disturbance = DisturbanceProfile.zero()
     data = sc.to_dict()
@@ -29,20 +29,20 @@ def powerful_quiet_scenario():
 
 def overwhelming_bias_scenario():
     """A constant surge disturbance twice the surge authority."""
-    sc = benign_scenario()
+    sc = load_scenario("benign")
     authority = sc.controller.F_T_max * math.cos(sc.controller.alpha_r_max)
     sc.disturbance = DisturbanceProfile(x=AxisDisturbance(bias=2.0 * authority), seed=1)
     return sc
 
 
 def coriolis_scenario():
-    sc = long_run_scenario()
+    sc = load_scenario("long-run")
     sc.vessel = VesselParams(coriolis_on=True)
     return sc
 
 
 def decaying_funnels_scenario():
-    data = benign_scenario().to_dict()
+    data = load_scenario("benign").to_dict()
     data["controller"]["funnels"] = {
         "d": {"rho0": 28.0, "rho_inf": 10.0, "l": 0.1},
         "u": {"rho0": 25.0, "rho_inf": 5.0, "l": 0.2},
@@ -55,7 +55,7 @@ def decaying_funnels_scenario():
 class TestEstimateBounds:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
-            estimate_bounds(benign_scenario(), n_samples=99)
+            estimate_bounds(load_scenario("benign"), n_samples=99)
 
     def test_quiet_powerful_scenario_passes_everything(self):
         rep = estimate_bounds(powerful_quiet_scenario(), n_samples=400, seed=0)
@@ -71,7 +71,7 @@ class TestEstimateBounds:
         assert not rep.passed
 
     def test_surge_authority_is_cos_scaled_thrust(self):
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         rep = estimate_bounds(sc, n_samples=200, seed=0)
         authority = rep.margins["surge_authority"] + rep.F_bar_u
         assert authority == pytest.approx(
@@ -81,7 +81,7 @@ class TestEstimateBounds:
     def test_monotone_in_thrust_limit(self):
         # raising F_T_max can only widen the surge margin here (the sampled
         # velocity envelope is pinned by 1.5 v_max, not the terminal speed)
-        sc1 = benign_scenario()
+        sc1 = load_scenario("benign")
         assert terminal_surge_speed(sc1) > 1.5 * sc1.v_max
         rep1 = estimate_bounds(sc1, n_samples=300, seed=5)
         data = sc1.to_dict()
@@ -93,25 +93,25 @@ class TestEstimateBounds:
         assert rep1.verdicts["surge_authority"] <= rep2.verdicts["surge_authority"]
 
     def test_running_max_nondecreasing_in_samples(self):
-        sc = long_run_scenario()
+        sc = load_scenario("long-run")
         small = estimate_bounds(sc, n_samples=200, seed=3)
         big = estimate_bounds(sc, n_samples=600, seed=3)
         assert big.F_bar_u >= small.F_bar_u
         assert big.F_bar_r >= small.F_bar_r
 
     def test_achieving_sample_recorded(self):
-        rep = estimate_bounds(long_run_scenario(), n_samples=300, seed=2)
+        rep = estimate_bounds(load_scenario("long-run"), n_samples=300, seed=2)
         for best in (rep.achieving_sample_u, rep.achieving_sample_r):
             assert {"t", "u", "v", "r", "psi"} <= set(best)
 
     def test_long_run_scenario_is_feasible(self):
-        rep = estimate_bounds(long_run_scenario(), n_samples=800)
+        rep = estimate_bounds(load_scenario("long-run"), n_samples=800)
         assert rep.passed
 
     def test_initial_bearing_at_fixed_lead(self):
         # The bearing judged is the one the episode starts with, at the
         # scenario's fixed lead rather than the automatic one.
-        sc = long_run_scenario()
+        sc = load_scenario("long-run")
         traj = harness.plan_and_solve(sc)[1].trajectory
         auto = estimate_bounds(sc, n_samples=100, seed=0, trajectory=traj).psi_e0
         sc.reference_lead = 0.8 * reference_lead(sc, traj)
@@ -120,7 +120,7 @@ class TestEstimateBounds:
         assert rep.psi_e0 != auto
 
     def test_report_serializes(self, tmp_path):
-        rep = estimate_bounds(benign_scenario(), n_samples=150, seed=0)
+        rep = estimate_bounds(load_scenario("benign"), n_samples=150, seed=0)
         out = tmp_path / "feas.json"
         rep.save_json(out)
         import json
@@ -143,8 +143,8 @@ def _assert_reports_agree(batch: dict, oracle: dict) -> None:
 
 PASS = feasibility._PASS
 SCENARIOS = {
-    "benign": benign_scenario,
-    "long-run": long_run_scenario,
+    "benign": lambda: load_scenario("benign"),
+    "long-run": lambda: load_scenario("long-run"),
     "powerful-quiet": powerful_quiet_scenario,
     "overwhelming-bias": overwhelming_bias_scenario,
     "coriolis": coriolis_scenario,
@@ -164,7 +164,7 @@ class TestBatchedBounds:
         _assert_reports_agree(batch, feasibility_oracle(sc, n_samples=n_samples, seed=seed).to_dict())
 
     def test_achieving_samples_are_plain_floats(self):
-        rep = estimate_bounds(long_run_scenario(), n_samples=PASS + 1, seed=4)
+        rep = estimate_bounds(load_scenario("long-run"), n_samples=PASS + 1, seed=4)
         values = [rep.F_bar_u, rep.F_bar_r, rep.F_T_lower_observed, rep.v_bar_observed,
                   *rep.achieving_sample_u.values(), *rep.achieving_sample_r.values()]
         assert all(type(v) is float for v in values)
@@ -173,7 +173,7 @@ class TestBatchedBounds:
     def test_degenerate_distance_raises(self):
         # A distance funnel far below the degeneracy guard puts every sampled
         # reference point on top of the vessel.
-        data = benign_scenario().to_dict()
+        data = load_scenario("benign").to_dict()
         data["controller"]["rho_d_min"] = 1e-12
         data["controller"]["funnels"]["d"] = {"rho0": 2e-12, "rho_inf": 2e-12, "l": 0.0}
         sc = Scenario.from_dict(data)
@@ -185,13 +185,13 @@ class TestBatchedBounds:
 
 class TestTerminalRates:
     def test_surge_terminal_balances_drag(self):
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         u = terminal_surge_speed(sc)
         d = sc.vessel.drag
         assert d.d1_u * u + d.d2_u * u * u == pytest.approx(sc.controller.F_T_max, rel=1e-9)
 
     def test_yaw_terminal_balances_drag(self):
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         r = terminal_yaw_rate(sc)
         d = sc.vessel.drag
         torque = sc.vessel.Delta_x * sc.controller.F_T_max * math.sin(sc.controller.alpha_r_max)

@@ -19,7 +19,7 @@ from funnelnav.geometry import (
     segment_free,
     verify_separation,
 )
-from funnelnav.scenario import long_run_scenario, trajectory_demo_scenario
+from funnelnav.scenario import load_scenario
 from oracles import (
     closest_between_hulls,
     hulls_intersect_oracle,
@@ -194,7 +194,7 @@ class TestCollisionChecks:
         # workspace to all of them, checked against the scenario's smaller
         # inflation and against the raw obstacles: endpoints just outside
         # the obstacles, with both free and blocked verdicts.
-        scenario = long_run_scenario()
+        scenario = load_scenario("long-run")
         verts = np.concatenate([o.vertices for o in scenario.planner_workspace().inflated_obstacles()])
         for inflated in (True, False):
             verdicts = []
@@ -405,9 +405,9 @@ class TestScreenedKernel:
         monkeypatch.setattr(trajopt, "find_separators", checked)
         seeds = [int(np.random.SeedSequence([7, i]).generate_state(1)[0]) for i in range(12)]
         for seed in seeds:
-            harness.plan_and_solve(long_run_scenario().with_seed(seed))
+            harness.plan_and_solve(load_scenario("long-run").with_seed(seed))
         for seed in seeds[:6]:
-            scenario = trajectory_demo_scenario().with_seed(seed)
+            scenario = load_scenario("trajectory-demo").with_seed(seed)
             path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
                             scenario.goal, scenario.planner)
             problem = harness.make_problem(scenario, path, w1=0.0, init="line")

@@ -25,17 +25,17 @@ from funnelnav.harness import (
     sweep,
     write_plotdata,
 )
-from funnelnav.scenario import benign_scenario, long_run_scenario
+from funnelnav.scenario import load_scenario
 
 
 @pytest.fixture(scope="module")
 def benign_log():
-    return run_episode(benign_scenario())
+    return run_episode(load_scenario("benign"))
 
 
 @pytest.fixture(scope="module")
 def long_run_log():
-    return run_episode(long_run_scenario())
+    return run_episode(load_scenario("long-run"))
 
 
 class TestRunEpisode:
@@ -61,7 +61,7 @@ class TestRunEpisode:
     def test_unverified_trajectory_is_not_tracked(self, monkeypatch):
         monkeypatch.setattr(trajopt, "_dense_kinodynamic_check", lambda traj: (math.inf, 0.0))
         with pytest.raises(UnverifiedTrajectory) as exc:
-            plan_and_solve(benign_scenario())
+            plan_and_solve(load_scenario("benign"))
         assert exc.value.residuals["max_speed"] == math.inf
 
     def test_log_columns_complete(self, benign_log):
@@ -70,7 +70,7 @@ class TestRunEpisode:
         assert all(len(v) == n for v in benign_log.columns.values())
 
     def test_obstacle_scenario_clearance_positive(self):
-        log = run_episode(long_run_scenario())
+        log = run_episode(load_scenario("long-run"))
         s = log.summary
         assert s["total_violations"] == 0
         assert s["min_obstacle_clearance"] > 0.0
@@ -84,7 +84,7 @@ class TestRunEpisode:
     def test_coriolis_truth_model_still_tracked(self):
         # the coupling folds into the unknown dynamics the funnels absorb
         from funnelnav.dynamics import VesselParams
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         sc.vessel = VesselParams(coriolis_on=True)
         log = run_episode(sc)
         assert log.summary["total_violations"] == 0
@@ -115,7 +115,7 @@ class TestRunEpisode:
                 assert np.array_equal(loaded.columns[name], log.columns[name])
 
     def test_logged_disturbance_at_log_times(self, long_run_log):
-        sc = long_run_scenario()
+        sc = load_scenario("long-run")
         n = long_run_log.n_ticks
         assert long_run_log.summary["goal_reached"] and n > 2000
         tau = np.array([sc.disturbance.value(i * sc.sim_dt) for i in range(n)]).T
@@ -123,9 +123,9 @@ class TestRunEpisode:
             assert np.array_equal(long_run_log.columns[name], tau[k])
 
     def test_deterministic_byte_identical(self, tmp_path):
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         a = run_episode(sc)
-        b = run_episode(benign_scenario())
+        b = run_episode(load_scenario("benign"))
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         a.save_csv(pa)
         b.save_csv(pb)
@@ -138,7 +138,7 @@ class TestRunEpisode:
 
 class TestInitialCompliance:
     def _noncompliant(self):
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         sc.reference_lead = sc.horizon  # reference clock starts at the goal
         return sc
 
@@ -165,7 +165,7 @@ class TestSweep:
         assert episode_seed(8, 0) != episode_seed(7, 0)
 
     def test_small_sweep_aggregates(self):
-        res = sweep(benign_scenario(), 3)
+        res = sweep(load_scenario("benign"), 3)
         agg = res.aggregate()
         assert agg["episodes"] == 3
         assert agg["total_violations"] == 0
@@ -174,7 +174,7 @@ class TestSweep:
         assert len(set(seeds)) == 3
 
     def test_sweep_serializes(self, tmp_path):
-        res = sweep(benign_scenario(), 2)
+        res = sweep(load_scenario("benign"), 2)
         out = tmp_path / "sweep.json"
         res.save_json(out)
         data = json.loads(out.read_text())
@@ -211,14 +211,14 @@ def _assert_lockstep_matches_scalar(scenario, n_episodes, auto_inflate=False):
 
 class TestLockstepSweep:
     def test_long_run_matches_scalar(self):
-        batch = _assert_lockstep_matches_scalar(long_run_scenario(), 16)
+        batch = _assert_lockstep_matches_scalar(load_scenario("long-run"), 16)
         assert all(e["goal_reached"] for e in batch)
         assert len({e["ticks"] for e in batch}) > 1  # arrivals at different ticks
 
     def test_clamped_and_clean_episodes_match_scalar(self):
         # a 1 m/s surge funnel under a strong disturbance: some realizations
         # leave it (clamp path) and some do not
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         sc.disturbance = DisturbanceProfile(
             x=AxisDisturbance(sin_amp=300.0, sin_freq_hz=0.05, noise_amp=200.0),
             y=AxisDisturbance(sin_amp=200.0, sin_freq_hz=0.08, noise_amp=100.0),
@@ -233,7 +233,7 @@ class TestLockstepSweep:
 
     @staticmethod
     def _disturbed_benign():
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         sc.disturbance = DisturbanceProfile(
             x=AxisDisturbance(bias=30.0, sin_amp=60.0, sin_freq_hz=0.05, noise_amp=30.0),
             y=AxisDisturbance(bias=-20.0, sin_amp=50.0, sin_freq_hz=0.08),
@@ -262,7 +262,7 @@ class TestLockstepSweep:
         assert any(e["goal_reached"] and e["ticks"] <= last_table for e in batch)
 
     def test_degenerate_distance_at_first_tick(self):
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         sc.reference_lead = 0.0  # the reference starts on the vessel
         batch = _assert_lockstep_matches_scalar(sc, 3)
         assert all(e["ticks"] == 0 and e["fault"] == "degenerate_distance" for e in batch)
@@ -281,7 +281,7 @@ class TestLockstepSweep:
 
 class TestAudit:
     def test_clean_log_no_discrepancies(self, benign_log):
-        report = audit(benign_log, benign_scenario())
+        report = audit(benign_log, load_scenario("benign"))
         assert report.summary_matches
         assert report.discrepancies == []
         assert report.actuator_violations == 0
@@ -290,7 +290,7 @@ class TestAudit:
         assert report.min_margins["psi_e"] > 0.0
 
     def test_injected_violation_flagged_once(self, benign_log):
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         tampered = EpisodeLog(
             scenario_name=benign_log.scenario_name,
             seed=benign_log.seed,
@@ -309,7 +309,7 @@ class TestAudit:
 
     def test_audit_recomputes_independently(self, benign_log):
         # corrupting a controller-written column must not change the audit
-        sc = benign_scenario()
+        sc = load_scenario("benign")
         tampered = EpisodeLog(
             scenario_name=benign_log.scenario_name,
             seed=benign_log.seed,
@@ -324,7 +324,7 @@ class TestAudit:
 
 class TestPlotdata:
     def test_files_written(self, benign_log, tmp_path):
-        files = write_plotdata(benign_log, benign_scenario(), tmp_path / "plotdata")
+        files = write_plotdata(benign_log, load_scenario("benign"), tmp_path / "plotdata")
         assert len(files) == 3
         for f in files:
             lines = open(f).read().strip().splitlines()
@@ -336,7 +336,7 @@ class TestPlotdata:
 
 class TestCollisionGuaranteeChain:
     def test_passing_episode_has_positive_clearance(self):
-        sc = long_run_scenario()
+        sc = load_scenario("long-run")
         log = run_episode(sc)
         s = log.summary
         if s["violations"]["d"] == 0:

@@ -9,7 +9,7 @@ from funnelnav import harness, rrt, trajopt
 from funnelnav.errors import InfeasibleSeed, TrajOptInfeasible
 from funnelnav.geometry import ConvexPolygon, verify_separation
 from funnelnav.rrt import RrtPath
-from funnelnav.scenario import trajectory_demo_scenario
+from funnelnav.scenario import load_scenario
 from funnelnav.trajopt import (
     TrajOptProblem,
     _Workspace,
@@ -267,7 +267,7 @@ class TestProjection:
 
     @pytest.mark.parametrize("cold", [False, True], ids=["seeded", "no-prior"])
     def test_solve_matches_scalar_oracle(self, monkeypatch, cold):
-        scenario = trajectory_demo_scenario()
+        scenario = load_scenario("trajectory-demo")
         path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
                         scenario.goal, scenario.planner)
 
