@@ -14,6 +14,7 @@ except the measured VesselState.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ TWO_PI = 2.0 * math.pi
 # math and the builtins serve floats at float speed.
 _FLOAT_MATH = SimpleNamespace(
     sin=math.sin, cos=math.cos, atan=math.atan, atan2=math.atan2, atanh=math.atanh,
-    hypot=math.hypot, copysign=math.copysign, fmod=math.fmod, isfinite=math.isfinite,
+    hypot=math.hypot, copysign=math.copysign, fmod=math.fmod,
     minimum=min, maximum=max, where=lambda cond, a, b: a if cond else b, all=bool, any=bool)
 
 
@@ -205,8 +206,11 @@ class ActuatorCommand:
     alpha_r: float
 
     def __post_init__(self):
-        xp = namespace(self.F_T)
-        if not xp.all((0.0 <= self.F_T) & (self.F_T < math.inf) & xp.isfinite(self.alpha_r)):
+        F_T, alpha_r = self.F_T, self.alpha_r
+        # Arrays: two reductions, initial=0.0 keeping [] valid. NaN fails every comparison.
+        if not ((F_T.min(initial=0.0) >= 0.0 and F_T.max(initial=0.0) < math.inf
+                 and np.isfinite(alpha_r).all()) if isinstance(F_T, np.ndarray)
+                else 0.0 <= F_T < math.inf and math.isfinite(alpha_r)):
             raise ValueError("actuator command needs a finite thrust >= 0 and a finite rudder "
                              f"angle, got F_T={self.F_T}, alpha_r={self.alpha_r}")
 
@@ -250,6 +254,16 @@ def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbancePro
     return lumped(state.u, state.v, state.r, tau, params)
 
 
+@functools.lru_cache(maxsize=1)
+def _coefficient_tiles(params: VesselParams, width: int) -> tuple[np.ndarray, ...]:
+    """Read-only (3, width) d1, d2 and mass tiles: numpy is faster on equal shapes."""
+    d = params.drag
+    tiles = np.repeat(np.array([[d.d1_u, d.d1_v, d.d1_r], [d.d2_u, d.d2_v, d.d2_r],
+                                [params.m, params.m, params.Iz]])[:, :, None], width, axis=2)
+    tiles.flags.writeable = False
+    return tuple(tiles)
+
+
 def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float):
     """One fixed-step RK4 integration of x = [p_x, p_y, psi, u, v, r], command held.
 
@@ -261,23 +275,19 @@ def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     X, Y, N = actuator_to_wrench(SimpleNamespace(F_T=F_T, alpha_r=alpha_r), params)
-    xp = namespace(x[2])
-    stacked = xp is np
+    stacked = isinstance(x[2], np.ndarray)
     if stacked:
         # The kinetic rows as one (3, B) block: lumped's operations, row by row.
-        d, W = params.drag, np.array((X, Y, N))
-        coeffs = np.array([[d.d1_u, d.d1_v, d.d1_r], [d.d2_u, d.d2_v, d.d2_r],
-                           [params.m, params.m, params.Iz]])
-        # Tiled to (3, B): numpy is faster on equal shapes than on broadcast (3, 1) columns.
-        d1, d2, M = np.repeat(coeffs[:, :, None], x.shape[1], axis=2)
+        W, (d1, d2, M) = np.array((X, Y, N)), _coefficient_tiles(params, x.shape[1])
 
     def derivative(y, tau):
         _p_x, _p_y, psi, u, v, r = y
-        c, s = xp.cos(psi), xp.sin(psi)
         if not stacked:
+            c, s = math.cos(psi), math.sin(psi)
             f_u, f_v, f_r = lumped(u, v, r, tau, params)
             return (u * c - v * s, u * s + v * c, r,
                     (X + f_u) / params.m, (Y + f_v) / params.m, (N + f_r) / params.Iz)
+        c, s = np.cos(psi), np.sin(psi)
         k = np.empty(y.shape)
         np.subtract(u * c, v * s, out=k[0])
         np.add(u * s, v * c, out=k[1])
@@ -300,7 +310,7 @@ def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float)
     # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
     out = shift(x, dt / 6.0, shift(shift(shift(k1, 2.0, k2), 2.0, k3), 1.0, k4))
     if stacked:
-        if not np.isfinite(out).all():
+        if np.count_nonzero(np.isfinite(out)) < out.size:
             finite = np.isfinite(out).all(axis=0)
             raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
     elif not all(map(math.isfinite, out)):

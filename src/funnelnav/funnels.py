@@ -118,4 +118,6 @@ def transform(xi):
     flags, is pulled back to +/-(1 - 1e-9), so a simulation can continue.
     """
     xp = namespace(xi)
+    if xp is np and not np.count_nonzero(abs(xi) >= 1.0):  # none to pull back: skip the where
+        return np.atanh(xi)
     return xp.atanh(xp.where(abs(xi) >= 1.0, xp.copysign(XI_CLAMP, xi), xi))

@@ -275,8 +275,8 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     (B,) columns. The cascade clamps and masks the violated channels, as in
     run_ticks. An episode leaves the batch, its counters frozen, on a
     degenerate distance (before its tick counts) or on reaching the goal
-    (after its step). No log is kept: only the summary's running reductions
-    and the positions for the clearance.
+    (after its step). No log is kept: the ticks' raw values are reduced, in any
+    order, by table, before an episode leaves and at the end.
     """
     dt = scenario.sim_dt
     n_max = int(round(scenario.horizon / dt))
@@ -285,7 +285,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     start = scenario.start
     n = len(disturbances)
 
-    # Working columns: the episodes still running, idx their episode numbers.
+    # Working columns (of x, dist, the tables, the record): the running episodes, idx their numbers.
     idx = np.arange(n)
     x = np.tile(np.array([[start.p_x], [start.p_y], [start.psi],
                           [start.u], [start.v], [start.r]]), (1, n))
@@ -293,32 +293,55 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     # The state times accumulate as the RK4 steps them, t_{i+1} = t_i + dt.
     t_state = list(itertools.accumulate(itertools.repeat(dt, n_max), initial=start.t))
 
-    # Per episode, indexed by episode number.
+    # Per episode, indexed by episode number. counts holds the violations per channel
+    # (in CHANNELS order), then the thrust cuts and the actuator violations.
     positions = np.empty((n_max, 2, n))
-    violations = np.zeros((len(CHANNELS), n), dtype=np.int64)
-    thrust_cut = np.zeros(n, dtype=np.int64)
-    actuator = np.zeros(n, dtype=np.int64)
-    max_abs_psi_e = np.zeros(n)
-    max_abs_sway = np.zeros(n)
-    max_speed = np.zeros(n)
+    counts = np.zeros((len(CHANNELS) + 2, n), dtype=np.int64)
+    maxima = np.zeros((3, n))  # of |psi_e|, |v| and the speed
     final_e_d = np.zeros(n)
     ticks = np.full(n, n_max)
     fault: list[str | None] = [None] * n
     goal_time: list[float | None] = [None] * n
 
+    # Ticks first, first + 1, ...: pre-step p_x, p_y, psi, u, v, psi_e, e_d, F_T, alpha_r, xi_*.
+    record, first = np.empty((_TABLE_TICKS, 13, n)), 0
+
+    def flush(end: int) -> None:
+        nonlocal first
+        rec, first = record[:end - first, :, :len(idx)], end
+        if rec.size:
+            sel = idx if len(idx) < n else slice(None)  # a basic slice is cheaper
+            _p_x, _p_y, _psi, u, v, psi_e, e_d, F_T, alpha_r = rec[:, :9].transpose(1, 0, 2)
+            counts[:4, sel] += np.count_nonzero(np.abs(rec[:, 9:]) >= 1.0, axis=0)
+            counts[4, sel] += np.count_nonzero(F_T < scenario.min_thrust_floor, axis=0)
+            counts[5, sel] += np.count_nonzero(~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
+                                                 & (np.abs(alpha_r) <= cfg.alpha_r_max)), axis=0)
+            maxima[:, sel] = np.maximum(maxima[:, sel], np.array(
+                (np.abs(psi_e), np.abs(v), np.hypot(u, v))).max(axis=1))
+            final_e_d[sel] = e_d[-1]
+            positions[end - len(rec):end, :, sel] = rec[:, :2]
+
     def leave(done: np.ndarray) -> None:
-        nonlocal idx, x
+        nonlocal idx, x, dist, tau_state, tau_half
         idx, x = idx[~done], x[:, ~done]
+        dist = DisturbanceBatch([disturbances[k] for k in idx])
+        tau_state, tau_half = tau_state[..., ~done], tau_half[..., ~done]
 
     for i in range(n_max):
         if not len(idx):
             break
-        t = i * dt
+        j = i % _TABLE_TICKS
+        if j == 0:
+            flush(i)
+            # The running episodes' disturbances at the next state times and their half steps.
+            ts = np.array(t_state[i:i + _TABLE_TICKS + 1])
+            tau_state, tau_half = dist.table(ts), dist.table(ts[:-1] + 0.5 * dt)
         p_des = ref_p[i]
         err = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
         e_d, e_o, psi_e = err.e_d, err.e_o, err.psi_e
         degenerate = e_d < EPS_DEGENERATE
-        if degenerate.any():
+        if np.count_nonzero(degenerate):
+            flush(i)
             ticks[idx[degenerate]] = i
             for k in idx[degenerate]:
                 fault[k] = "degenerate_distance"
@@ -331,42 +354,29 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
             check_initial_compliance(
                 compute_errors(start.p_x, start.p_y, start.psi, p_des[0], p_des[1]), start, cfg)
 
-        cmd, dbg = cascade(x[3], x[5], e_d, e_o, t, cfg)
-        F_T, alpha_r = cmd.F_T, cmd.alpha_r
-        # A basic slice while every episode still runs: cheaper than fancy indexing.
-        sel = idx if len(idx) < n else slice(None)
-        violations[:, sel] += dbg.violated()
-        thrust_cut[sel] += F_T < scenario.min_thrust_floor
-        actuator[sel] += ~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
-                           & (np.abs(alpha_r) <= cfg.alpha_r_max))
-        max_abs_psi_e[sel] = np.maximum(max_abs_psi_e[sel], np.abs(psi_e))
-        max_abs_sway[sel] = np.maximum(max_abs_sway[sel], np.abs(x[4]))
-        max_speed[sel] = np.maximum(max_speed[sel], np.hypot(x[3], x[4]))
-        final_e_d[sel] = e_d
-        positions[i][:, sel] = x[:2]
-
-        j = i % _TABLE_TICKS
-        if j == 0:
-            # Every episode's disturbance at the next state times and their half steps.
-            ts = np.array(t_state[i:i + _TABLE_TICKS + 1])
-            tau_state, tau_half = dist.table(ts), dist.table(ts[:-1] + 0.5 * dt)
-        x = step(x, F_T, alpha_r, scenario.vessel, tau_state[j][:, sel], tau_half[j][:, sel],
-                 tau_state[j + 1][:, sel], dt)
-        arrived = ((np.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius)
-                   & (np.hypot(x[3], x[4]) <= scenario.goal_speed_threshold))
-        if arrived.any():
+        cmd, dbg = cascade(x[3], x[5], e_d, e_o, i * dt, cfg)
+        row = record[i - first, :, :len(idx)]
+        row[:5] = x[:5]
+        row[5:] = (psi_e, e_d, cmd.F_T, cmd.alpha_r, dbg.xi_d, dbg.xi_o, dbg.xi_u, dbg.xi_r)
+        x = step(x, cmd.F_T, cmd.alpha_r, scenario.vessel, tau_state[j], tau_half[j],
+                 tau_state[j + 1], dt)
+        # The speed only once some episode is inside the goal ball.
+        arrived = np.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius
+        if np.count_nonzero(arrived) and np.count_nonzero(
+                arrived := arrived & (np.hypot(x[3], x[4]) <= scenario.goal_speed_threshold)):
+            flush(i + 1)
             ticks[idx[arrived]] = i + 1
             for k in idx[arrived]:
                 goal_time[k] = t_state[i + 1]
             leave(arrived)
+    flush(n_max)  # the episodes that ran to the horizon, if any
 
     return [
         _episode_summary(
-            scenario, lead, positions[:ticks[k], :, k], violations=violations[:, k],
-            fault=fault[k], goal_time=goal_time[k],
-            max_abs_psi_e=max_abs_psi_e[k], max_abs_sway=max_abs_sway[k],
-            max_speed=max_speed[k], final_e_d=final_e_d[k],
-            thrust_cut_ticks=thrust_cut[k], actuator_violations=actuator[k])
+            scenario, lead, positions[:ticks[k], :, k], violations=counts[:4, k],
+            fault=fault[k], goal_time=goal_time[k], max_abs_psi_e=maxima[0, k],
+            max_abs_sway=maxima[1, k], max_speed=maxima[2, k], final_e_d=final_e_d[k],
+            thrust_cut_ticks=counts[4, k], actuator_violations=counts[5, k])
         for k in range(n)
     ]
 

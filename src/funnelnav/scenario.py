@@ -43,8 +43,10 @@ class TrajOptSettings:
 def _is_number(value) -> bool:
     """A finite int or float. Python's json reads NaN and Infinity, which would slip
     through the fields' range checks (nan <= 0.0 is false)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+    if type(value) is float:  # json's own types skip the slower ABC checks
+        return math.isfinite(value)
+    return type(value) is int or (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                                  and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 # The leaves of a scenario dict that need not be any number, by key.
@@ -93,6 +95,8 @@ _FIELD_OF = {"position": "goal", "radius": "goal_radius",
              "speed_threshold": "goal_speed_threshold", "dt": "sim_dt"}
 # Keys a scenario must state although their dataclass gives a default.
 _REQUIRED = {"workspace": ("clearance",), "vessel": ("m", "Iz", "Delta_x")}
+# The lists of a fixed count of numbers, by section and key.
+_COUNTS = {("workspace", "bounds"): 4, ("goal", "position"): 2, ("trajopt", "dt_bounds"): 2}
 
 
 @dataclass
@@ -247,6 +251,10 @@ class Scenario:
             for key in keys:
                 if key not in data[section]:
                     raise KeyError(f"{section}.{key}")
+        for (section, key), count in _COUNTS.items():
+            got = data.get(section, {}).get(key, [0.0] * count)  # absent: its default
+            if not (isinstance(got, list) and len(got) == count and all(map(_is_number, got))):
+                raise TypeError(f"{section}.{key} must be {count} numbers, got {got!r}")
         disturbance = dict(data.get("disturbance", {}))
         axes = {name: AxisDisturbance(**spec) for name, spec in disturbance.pop("axes", {}).items()}
         controller = dict(data["controller"])

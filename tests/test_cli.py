@@ -197,7 +197,9 @@ class TestTypedErrors:
         assert len(calls) == 4  # plan_and_solve's default number of attempts
 
     @pytest.mark.parametrize("section, key, value", [("goal", "radius", None),
-                                                      ("start", "p_x", "0.0")])
+                                                      ("start", "p_x", "0.0"),
+                                                      ("goal", "position", [80.0, 0.0, 5.0]),
+                                                      ("goal", "position", [80.0, [0.0]])])
     def test_invalid_scenario(self, tmp_path, capsys, section, key, value):
         data = load_scenario("benign").to_dict()
         if value is None:

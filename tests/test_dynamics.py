@@ -57,6 +57,21 @@ class TestActuatorMap:
         with pytest.raises(ValueError):
             ActuatorCommand(math.nan, 0.0)
 
+    @pytest.mark.parametrize("F_T, alpha_r, valid", [
+        (0.0, 0.0, True), (-0.0, -0.0, True), (5000.0, -0.5, True), (-1.0, 0.0, False),
+        (-1e-300, 0.0, False), (math.nan, 0.0, False), (math.inf, 0.0, False),
+        (-math.inf, 0.0, False), (1.0, math.nan, False), (1.0, math.inf, False),
+        (1.0, -math.inf, False)])
+    def test_floats_and_arrays_accepted_alike(self, F_T, alpha_r, valid):
+        # the pair as floats, and as the middle entries of arrays whose other entries are valid
+        for args in ((F_T, alpha_r), (np.array([5.0, F_T, 0.0]), np.array([0.1, alpha_r, 0.0]))):
+            if valid:
+                ActuatorCommand(*args)
+            else:
+                with pytest.raises(ValueError, match="actuator command"):
+                    ActuatorCommand(*args)
+        ActuatorCommand(np.empty(0), np.empty(0))  # no episode, nothing to reject
+
 
 class TestRotation:
     def test_wrap_angle(self):

@@ -261,6 +261,18 @@ class TestLockstepSweep:
         assert any(e["goal_reached"] and e["ticks"] > last_table for e in batch)
         assert any(e["goal_reached"] and e["ticks"] <= last_table for e in batch)
 
+    def test_arrivals_at_both_ends_of_a_table(self):
+        # the summaries are reduced by table and before each arrival: one episode's last
+        # step is a table's last tick, another's the next table's first, and two run on
+        sc = self._disturbed_benign()
+        sc.seed = 608
+        batch = _assert_lockstep_matches_scalar(sc, 6)
+        last_steps = [e["ticks"] - 1 for e in batch]
+        assert all(e["goal_reached"] for e in batch)
+        ends = [s for s in last_steps if s % _TABLE_TICKS in (_TABLE_TICKS - 1, 0)]
+        assert sorted(s % _TABLE_TICKS for s in ends) == [0, _TABLE_TICKS - 1]
+        assert sum(s > max(ends) for s in last_steps) == 2
+
     def test_degenerate_distance_at_first_tick(self):
         sc = load_scenario("benign")
         sc.reference_lead = 0.0  # the reference starts on the vessel

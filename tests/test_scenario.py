@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelnav.errors import InvalidScenario
-from funnelnav.scenario import BUILTIN_NAMES, Scenario, load_scenario
+from funnelnav.scenario import BUILTIN_NAMES, Scenario, _is_number, load_scenario
 
 
 class TestSerialization:
@@ -163,6 +164,24 @@ class TestMalformed:
         data["sim"]["horizon"] = float("inf")
         with pytest.raises(InvalidScenario, match="horizon"):
             Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("section, key", [("workspace", "bounds"), ("goal", "position"),
+                                              ("trajopt", "dt_bounds")])
+    def test_fixed_length_lists(self, section, key):
+        good = BUILTIN_DICTS["long-run"][section][key]
+        for value in (good[:-1], [*good, 1.0], [*good[:-1], [good[-1]]], good[0], []):
+            data = copy.deepcopy(BUILTIN_DICTS["long-run"])
+            data[section][key] = value
+            with pytest.raises(InvalidScenario, match=key):
+                Scenario.from_dict(data)
+
+    def test_number_leaves(self):
+        # finite ints and floats of any numeric type, never a bool
+        accepted = (1, 1.0, -0.0, 2**70, np.float64(1.0), np.int64(1), np.float32(1.5))
+        rejected = (True, False, np.True_, math.nan, math.inf, -math.inf, np.float64("nan"),
+                    "1", None, [1.0])
+        assert all(map(_is_number, accepted))
+        assert not any(map(_is_number, rejected))
 
     def test_tables_cover_the_builtins(self):
         assert {name for name, _ in KEYS} == {name for name, _ in LEAVES} == set(BUILTIN_NAMES)
