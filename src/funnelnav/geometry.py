@@ -138,16 +138,21 @@ def _inflate(vertex_bytes: bytes, rho_bar: float, k_gon: int) -> ConvexPolygon:
 class EdgeTable:
     """Every edge of a list of CCW polygons, stacked for one-pass tests.
 
-    Edge k runs from ends[0, k] to ends[1, k], with bounding box lo[k]..hi[k];
-    polygon m owns the edges first[m] up to first[m + 1].
+    Edge k runs from vertex ends[0, k] to ends[1, k], which is vertex nxt[k],
+    with bounding box lo[k]..hi[k]; polygon m owns the edges first[m] up to
+    first[m + 1] and has the bounding box boxes[m], (x_lo, y_lo, x_hi, y_hi)
+    as Python floats.
     """
 
     def __init__(self, polys: list[ConvexPolygon]):
         self.ends = np.stack((np.concatenate([p.vertices for p in polys]),
                               np.concatenate([np.roll(p.vertices, -1, axis=0) for p in polys])))
         self.first = np.cumsum([0] + [len(p) for p in polys[:-1]])
+        self.nxt = np.concatenate([f + np.roll(np.arange(len(p)), -1) for f, p in zip(self.first, polys)])
         self.lo = self.ends.min(axis=0)
         self.hi = self.ends.max(axis=0)
+        self.boxes = np.hstack((np.minimum.reduceat(self.ends[0], self.first),
+                                np.maximum.reduceat(self.ends[0], self.first))).tolist()
 
     def sides(self, points: np.ndarray) -> np.ndarray:
         """(..., E) orientation of each point against each edge: >= 0 on its inner side."""
@@ -221,40 +226,58 @@ def point_free(p, ws: Workspace, inflated: bool = True) -> bool:
 def segment_free(a, b, ws: Workspace, inflated: bool = True):
     """Exact collision check of segment a-b against the (inflated) obstacles.
 
-    b may also be a (J, 2) array of ends, giving a (J,) array with one
-    verdict per segment from a. A segment collides when an endpoint is out
-    of bounds or in an obstacle, or when it meets an obstacle edge, touching
+    a and b may also be (J, 2) arrays, giving a (J,) array with one verdict
+    per segment a[j]-b[j]; a single point is shared by all J segments, as
+    one start against J ends. A segment collides when an endpoint is out of
+    bounds or in an obstacle, or when it meets an obstacle edge, touching
     and collinear overlap included. Exactness (orientation predicates, no
     sub-sampling) is what makes arbitrarily fine sampled rechecks of returned
-    paths pass by construction.
+    paths pass by construction. A single segment in bounds whose bounding
+    box is strictly apart from every obstacle's is free without the numpy
+    edge test; boxes that touch take it.
     """
     edges = ws.edges(inflated)
-    if edges is None and np.ndim(b) == 1:
-        return bool(ws.in_bounds(a) and ws.in_bounds(b))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ends = b.reshape(-1, 2)
-    x0, y0, x1, y1 = ws.bounds
-    free = ((x0 <= ends[:, 0]) & (ends[:, 0] <= x1) & (y0 <= ends[:, 1]) & (ends[:, 1] <= y1)
-            & ws.in_bounds(a))
-    if edges is not None and free.any():
-        points = np.vstack((a, ends))
-        sides = edges.sides(points)                               # (J+1, E)
-        turns = _orient(a, ends[:, None, None], edges.ends)       # (J, 2, E)
-        inside = edges.inside(sides)
-        s, t = sides > 0.0, turns > 0.0
-        hit = (s[0] != s[1:]) & (t[:, 0] != t[:, 1])
-        if not (sides.all() and turns.all()):
-            # Collinear cases: a zero orientation counts where the point
-            # lies in the other segment's bounding box.
-            p = points[:, None]
-            on_edge = (sides == 0.0) & ((edges.lo <= p) & (p <= edges.hi)).all(axis=-1)
-            lo = np.minimum(a, ends)[:, None, None]
-            hi = np.maximum(a, ends)[:, None, None]
-            on_seg = (turns == 0.0) & ((lo <= edges.ends) & (edges.ends <= hi)).all(axis=-1)
-            hit |= on_edge[0] | on_edge[1:] | on_seg.any(axis=1)
-        free &= ~(inside[0] | inside[1:] | hit.any(axis=1))
-    return bool(free[0]) if b.ndim == 1 else free
+    if np.ndim(a) == 1 and np.ndim(b) == 1:
+        (ax, ay), (bx, by) = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+        if not (ws.in_bounds((ax, ay)) and ws.in_bounds((bx, by))):
+            return False
+        lx, hx, ly, hy = min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)
+        if edges is None or all(hx < x_lo or x_hi < lx or hy < y_lo or y_hi < ly
+                                for x_lo, y_lo, x_hi, y_hi in edges.boxes):
+            return True
+        return not bool(_edge_hits(np.array([[ax, ay]]), np.array([[bx, by]]), edges)[0])
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    bounds = np.array(ws.bounds, dtype=float)
+    in_bounds = (np.minimum(a, b) >= bounds[:2]) & (np.maximum(a, b) <= bounds[2:])
+    free = in_bounds[:, 0] & in_bounds[:, 1]
+    if edges is not None and np.count_nonzero(free):
+        free &= ~_edge_hits(a, b, edges)
+    return free
+
+
+def _edge_hits(a: np.ndarray, b: np.ndarray, edges: EdgeTable) -> np.ndarray:
+    """Per segment a[j]-b[j] ((1 or J, 2) each), whether an endpoint lies in an
+    obstacle or the segment meets an edge, touching and collinear overlap included."""
+    n = len(a)
+    points = np.concatenate((a, b))
+    sides = edges.sides(points)                          # (len(a) + len(b), E)
+    turns = _orient(a[:, None], b[:, None], edges.ends[0])  # (J, E): each vertex against each segment
+    ahead = turns > 0.0
+    above = sides > 0.0
+    hit = (above[:n] != above[n:]) & (ahead != ahead[:, edges.nxt])
+    if not (sides.all() and turns.all()):
+        # Collinear cases: a zero orientation counts where the point lies in
+        # the other segment's bounding box. A vertex's column stands for
+        # either edge it ends: only the row's any() is read.
+        p = points[:, None]
+        on_edge = (sides == 0.0) & ((edges.lo <= p) & (p <= edges.hi)).all(axis=-1)
+        lo = np.minimum(a, b)[:, None]
+        hi = np.maximum(a, b)[:, None]
+        on_seg = (turns == 0.0) & ((lo <= edges.ends[0]) & (edges.ends[0] <= hi)).all(axis=-1)
+        hit |= on_edge[:n] | on_edge[n:] | on_seg
+    inside = edges.inside(sides)
+    return inside[:n] | inside[n:] | hit.any(axis=1)
 
 
 def planar_dot(points: np.ndarray, h: np.ndarray) -> np.ndarray:

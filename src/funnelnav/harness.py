@@ -143,26 +143,47 @@ def _inflated_config(cfg: ControllerConfig, diagnostics: dict) -> ControllerConf
     return replace(cfg, **updates)
 
 
-def _episode_summary(scenario: Scenario, lead: float, positions: np.ndarray, *,
+_CLEARANCE_BLOCK = 8192  # points per distance pass: about 64 KB per temporary
+
+
+def _min_clearances(scenario: Scenario, positions: list[np.ndarray]) -> list[float | None]:
+    """Per episode, the least footprint clearance from the raw obstacles.
+
+    positions holds each episode's (ticks, 2) pre-step vessel positions, one
+    row per counted tick. Consecutive episodes share a distance pass of about
+    _CLEARANCE_BLOCK points; distances are per point, so grouping does not
+    change them. One pass over a whole 40-episode sweep would hold 10 MB of
+    temporaries and run slower than cache-sized blocks. None for an episode
+    without ticks or a scenario without obstacles.
+    """
+    obstacles = scenario.workspace.obstacles
+    out: list[float | None] = [None] * len(positions)
+    counts = np.array([len(p) for p in positions], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    groups = starts // _CLEARANCE_BLOCK
+    for g in np.unique(groups[counts > 0]) if obstacles else ():
+        members = np.flatnonzero((groups == g) & (counts > 0))
+        dists = distances_to_obstacles(np.concatenate([positions[k] for k in members]), obstacles)
+        minima = np.minimum.reduceat(dists, starts[members] - starts[members[0]]) - scenario.footprint_radius
+        for k, m in zip(members, minima.tolist()):
+            out[k] = m
+    return out
+
+
+def _episode_summary(scenario: Scenario, lead: float, n_ticks: int, min_clear: float | None, *,
                      violations, fault: str | None, goal_time: float | None,
                      max_abs_psi_e: float, max_abs_sway: float, max_speed: float,
                      final_e_d: float, thrust_cut_ticks: int,
                      actuator_violations: int) -> dict:
     """summary.json of one episode from the reductions over its counted ticks.
 
-    positions is the (ticks, 2) array of pre-step vessel positions, one row
-    per counted tick; violations holds the tick counts in CHANNELS order.
-    An episode fails on any violation or fault. The extremes and final_e_d
-    are reported as None when no tick counted.
+    min_clear comes from _min_clearances; violations holds the tick counts in
+    CHANNELS order. An episode fails on any violation or fault. The extremes
+    and final_e_d are reported as None when no tick counted.
     """
-    n_ticks = len(positions)
     violations = {ch: int(n) for ch, n in zip(CHANNELS, violations)}
     failed = fault is not None or any(violations.values())
     raw_obstacles = scenario.workspace.obstacles
-    min_clear = None
-    if raw_obstacles and n_ticks:
-        min_clear = float(distances_to_obstacles(positions, raw_obstacles).min()
-                          - scenario.footprint_radius)
     summary = {
         "scenario": scenario.name,
         "seed": scenario.seed,
@@ -251,8 +272,9 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     flags = ControllerDebug(**{f"xi_{ch}": columns[f"xi_{ch}"] for ch in CHANNELS}).violated()
     columns.update((f"viol_{ch}", flag.astype(float)) for ch, flag in zip(CHANNELS, flags))
     F_T, alpha_r = columns["F_T"], columns["alpha_r"]
+    positions = np.column_stack((columns["p_x"], columns["p_y"]))
     summary = _episode_summary(
-        scenario, lead, np.column_stack((columns["p_x"], columns["p_y"])),
+        scenario, lead, len(positions), _min_clearances(scenario, [positions])[0],
         violations=flags.sum(axis=1), fault=fault, goal_time=goal_time,
         max_abs_psi_e=np.max(np.abs(columns["psi_e"]), initial=0.0),
         max_abs_sway=np.max(np.abs(columns["v"]), initial=0.0),
@@ -371,9 +393,10 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
             leave(arrived)
     flush(n_max)  # the episodes that ran to the horizon, if any
 
+    min_clear = _min_clearances(scenario, [positions[:ticks[k], :, k] for k in range(n)])
     return [
         _episode_summary(
-            scenario, lead, positions[:ticks[k], :, k], violations=counts[:4, k],
+            scenario, lead, int(ticks[k]), min_clear[k], violations=counts[:4, k],
             fault=fault[k], goal_time=goal_time[k], max_abs_psi_e=maxima[0, k],
             max_abs_sway=maxima[1, k], max_speed=maxima[2, k], final_e_d=final_e_d[k],
             thrust_cut_ticks=counts[4, k], actuator_violations=counts[5, k])

@@ -84,16 +84,39 @@ def _resample(points: list[np.ndarray], spacing: float, min_points: int = 4) -> 
     n_legs = max(min_points - 1, int(math.ceil(total / spacing)))
     targets = np.linspace(0.0, total, n_legs + 1)
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    out = []
-    for s in targets:
-        k = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg_len) - 1)
-        k = max(k, 0)
-        denom = seg_len[k] if seg_len[k] > 0.0 else 1.0
-        frac = (s - cum[k]) / denom
-        out.append(pts[k] + frac * (pts[k + 1] - pts[k]))
+    k = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg_len) - 1)
+    frac = (targets - cum[k]) / np.where(seg_len[k] > 0.0, seg_len[k], 1.0)
+    out = pts[k] + frac[:, None] * (pts[k + 1] - pts[k])
     out[0] = pts[0]
     out[-1] = pts[-1]
-    return np.array(out)
+    return out
+
+
+_BATCH = 16  # iterations drawn, steered and edge-checked in one numpy pass
+
+
+def _length(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D vector, which is sqrt(v.dot(v)). Norms along
+    an axis of a stack can differ from it in the last bit."""
+    return math.sqrt(v.dot(v))
+
+
+def _sq_dists(points: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Squared distances of points to p, rounded as the batch's nearest-node pass rounds them."""
+    diffs = points - p
+    return np.einsum("ij,ij->i", diffs, diffs)
+
+
+def _steer(origin: np.ndarray, sample: np.ndarray, step: float, ws: Workspace):
+    """The new node one step from origin toward sample, or None when the step
+    is empty or its edge collides."""
+    direction = sample - origin
+    dist = _length(direction)
+    if dist < 1e-12:
+        return None
+    new = origin + direction * (min(step, dist) / dist)
+    # Also rejects a new node out of bounds or in an obstacle.
+    return new if segment_free(origin, new, ws) else None
 
 
 def plan(ws: Workspace, start, goal, params: RrtParams | None = None) -> RrtPath:
@@ -101,6 +124,14 @@ def plan(ws: Workspace, start, goal, params: RrtParams | None = None) -> RrtPath
 
     Deterministic for a fixed seed. Raises StartOrGoalInCollision when either
     endpoint is not free, PlanTimeout when the iteration budget runs out.
+
+    Each iteration extends the nearest node one step toward a goal-biased
+    uniform sample. Iterations run in speculative batches: a batch's samples
+    are drawn, matched to their nearest nodes, steered and edge-checked in
+    one pass against the tree as it stood, then accepted in order. A sample
+    to which a node accepted earlier in its batch is strictly closer than its
+    matched node reruns on its own, so the tree grows node for node as one
+    iteration at a time would grow it.
     """
     params = (params or RrtParams()).resolved(ws)
     start = np.asarray(start, dtype=float)
@@ -111,40 +142,69 @@ def plan(ws: Workspace, start, goal, params: RrtParams | None = None) -> RrtPath
         raise StartOrGoalInCollision(f"goal {goal.tolist()} not in inflated free space")
 
     step = params.step_size
+    reach = min(params.goal_radius, step)
     rng = np.random.default_rng(params.seed)
-    x0, y0, x1, y1 = ws.bounds
+    x0, y0, x1, y1 = (float(v) for v in ws.bounds)
+    goal_xy = tuple(goal.tolist())
 
-    nodes = np.empty((params.max_iters + 1, 2))
+    nodes = np.empty((params.max_iters + 2, 2))
     nodes[0] = start
     parents = [-1]
     n_nodes = 1
     goal_idx = None
+    draws: list[float] = []  # drawn, not yet used
+    iters = 0
 
-    for _ in range(params.max_iters):
-        if rng.random() < params.goal_bias:
-            sample = goal
-        else:
-            sample = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-        diffs = nodes[:n_nodes] - sample
-        nearest = int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
-        direction = sample - nodes[nearest]
-        dist = float(np.linalg.norm(direction))
-        if dist < 1e-12:
-            continue
-        new = nodes[nearest] + direction * (min(step, dist) / dist)
-        # Also rejects a new node out of bounds or in an obstacle.
-        if not segment_free(nodes[nearest], new, ws):
-            continue
-        nodes[n_nodes] = new
-        parents.append(nearest)
-        n_nodes += 1
-        hop = float(np.linalg.norm(goal - new))
-        if hop <= min(params.goal_radius, step) and segment_free(new, goal, ws):
-            nodes[n_nodes] = goal
-            parents.append(n_nodes - 1)
-            goal_idx = n_nodes
+    while goal_idx is None and iters < params.max_iters:
+        k = min(_BATCH, params.max_iters - iters)
+        # In stream order, one draw for a goal sample and three otherwise;
+        # x0 + (x1 - x0) * u is how rng.uniform(x0, x1) maps a draw u.
+        draws += rng.random(max(0, 3 * k - len(draws))).tolist()
+        samples, used = [], 0
+        for _ in range(k):
+            if draws[used] < params.goal_bias:
+                samples.append(goal_xy)
+                used += 1
+            else:
+                samples.append((x0 + (x1 - x0) * draws[used + 1], y0 + (y1 - y0) * draws[used + 2]))
+                used += 3
+        del draws[:used]
+
+        batch = np.array(samples)
+        diffs = nodes[:n_nodes, None] - batch
+        sq = np.einsum("ijk,ijk->ij", diffs, diffs)                 # (nodes, k)
+        nearest = sq.argmin(axis=0)
+        bound = sq[nearest, np.arange(k)].tolist()
+        origin = nodes[nearest]
+        direction = batch - origin
+        dist = [_length(v) for v in direction]
+        new = origin + direction * np.array([min(step, d) / d if d >= 1e-12 else 0.0
+                                             for d in dist])[:, None]
+        free = segment_free(origin, new, ws).tolist()
+
+        n_old = n_nodes
+        for j in range(k):
+            iters += 1
+            if n_nodes > n_old and (sq_new := _sq_dists(nodes[n_old:n_nodes], batch[j])).min() < bound[j]:
+                # A node accepted earlier in the batch is nearer (the first
+                # of the nearest, as argmin picks): step from it instead.
+                parent = n_old + int(sq_new.argmin())
+                node = _steer(nodes[parent], batch[j], step, ws)
+                if node is None:
+                    continue
+            elif dist[j] < 1e-12 or not free[j]:
+                continue
+            else:
+                parent, node = int(nearest[j]), new[j]
+            nodes[n_nodes] = node
+            parents.append(parent)
             n_nodes += 1
-            break
+            if _length(goal - node) <= reach and segment_free(node, goal, ws):
+                nodes[n_nodes] = goal
+                parents.append(n_nodes - 1)
+                goal_idx = n_nodes
+                n_nodes += 1
+                break
 
     if goal_idx is None:
         raise PlanTimeout(f"no path after {params.max_iters} iterations")

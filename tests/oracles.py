@@ -10,7 +10,9 @@ point-by-point obstacle clearance that geometry's one-pass versions
 replaced, the scalar per-pair closest-pair separator that the batched
 library kernel replaced, the brute-force batched separator kernel (every
 chord against every edge) that the screened one replaced, the plane-by-plane cyclic projection
-that trajopt's slot-batched one replaced, and the sample-by-sample
+that trajopt's slot-batched one replaced, the one-iteration-at-a-time RRT
+loop that the speculative batches replaced and the target-by-target
+resampling that the array one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced, the
 per-float, per-term disturbance that the one array formula replaced, and the
 funnel cascade written out on Python floats with math. It also
@@ -39,9 +41,9 @@ from funnelnav.dynamics import (
     step,
     wrap_angle,
 )
-from funnelnav.errors import InsufficientSamples
+from funnelnav.errors import InsufficientSamples, PlanTimeout, StartOrGoalInCollision
 from funnelnav.funnels import compute_errors
-from funnelnav import geometry
+from funnelnav import geometry, rrt
 from funnelnav.geometry import ConvexPolygon, convex_hull, planar_dot
 
 
@@ -348,6 +350,92 @@ def shortcut_oracle(points: list, ws) -> list:
         out.append(points[j])
         i = j
     return out
+
+
+def rrt_oracle(ws, start, goal, params=None):
+    """rrt.plan one iteration at a time: each draws its sample, finds its
+    nearest node and checks its edge on its own. The node table holds one
+    row more than the loop first had, for a goal reached on the last
+    iteration with every iteration accepted."""
+    params = (params or rrt.RrtParams()).resolved(ws)
+    start = np.asarray(start, dtype=float)
+    goal = np.asarray(goal, dtype=float)
+    if not geometry.point_free(start, ws):
+        raise StartOrGoalInCollision(f"start {start.tolist()} not in inflated free space")
+    if not geometry.point_free(goal, ws):
+        raise StartOrGoalInCollision(f"goal {goal.tolist()} not in inflated free space")
+
+    step = params.step_size
+    rng = np.random.default_rng(params.seed)
+    x0, y0, x1, y1 = ws.bounds
+
+    nodes = np.empty((params.max_iters + 2, 2))
+    nodes[0] = start
+    parents = [-1]
+    n_nodes = 1
+    goal_idx = None
+
+    for _ in range(params.max_iters):
+        if rng.random() < params.goal_bias:
+            sample = goal
+        else:
+            sample = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
+        diffs = nodes[:n_nodes] - sample
+        nearest = int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
+        direction = sample - nodes[nearest]
+        dist = float(np.linalg.norm(direction))
+        if dist < 1e-12:
+            continue
+        new = nodes[nearest] + direction * (min(step, dist) / dist)
+        # Also rejects a new node out of bounds or in an obstacle.
+        if not geometry.segment_free(nodes[nearest], new, ws):
+            continue
+        nodes[n_nodes] = new
+        parents.append(nearest)
+        n_nodes += 1
+        hop = float(np.linalg.norm(goal - new))
+        if hop <= min(params.goal_radius, step) and geometry.segment_free(new, goal, ws):
+            nodes[n_nodes] = goal
+            parents.append(n_nodes - 1)
+            goal_idx = n_nodes
+            n_nodes += 1
+            break
+
+    if goal_idx is None:
+        raise PlanTimeout(f"no path after {params.max_iters} iterations")
+
+    chain = []
+    idx = goal_idx
+    while idx != -1:
+        chain.append(nodes[idx].copy())
+        idx = parents[idx]
+    chain.reverse()
+
+    if params.shortcut and len(chain) > 2:
+        chain = rrt._shortcut(chain, ws)
+    return rrt.RrtPath(waypoints=resample_oracle(chain, spacing=step))
+
+
+def resample_oracle(points: list, spacing: float, min_points: int = 4) -> np.ndarray:
+    """rrt._resample one target at a time."""
+    pts = np.asarray(points, dtype=float)
+    seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    total = float(seg_len.sum())
+    if total <= 0.0:
+        raise ValueError("degenerate path with zero length")
+    n_legs = max(min_points - 1, int(math.ceil(total / spacing)))
+    targets = np.linspace(0.0, total, n_legs + 1)
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    out = []
+    for s in targets:
+        k = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg_len) - 1)
+        k = max(k, 0)
+        denom = seg_len[k] if seg_len[k] > 0.0 else 1.0
+        frac = (s - cum[k]) / denom
+        out.append(pts[k] + frac * (pts[k + 1] - pts[k]))
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    return np.array(out)
 
 
 def min_distance_to_obstacles(p, obstacles) -> float:

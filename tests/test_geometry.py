@@ -189,6 +189,47 @@ class TestCollisionChecks:
         assert free.tolist() == [segment_free_oracle(a, e, ws) for e in ends]
         assert segment_free(a, np.zeros((0, 2)), ws).shape == (0,)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SEGMENT_KINDS))
+    def test_pairs_match_oracle(self, seed, kind):
+        # J starts against J ends, one start or one end shared by J
+        # segments, and each segment alone (the box-screened path).
+        ws, a, b = collision_instance(seed, kind)
+        rng = np.random.default_rng(seed)
+        verts = np.concatenate([o.vertices for o in ws.obstacles + ws.inflated_obstacles()]
+                               + [np.zeros((0, 2))])
+        points = np.concatenate([[a, b], rng.uniform(-22, 22, (8, 2)), verts])
+        starts, ends = points[rng.permutation(len(points))], points
+        for inflated in (True, False):
+            want = [segment_free_oracle(p, q, ws, inflated) for p, q in zip(starts, ends)]
+            assert segment_free(starts, ends, ws, inflated).tolist() == want
+            assert [segment_free(p, q, ws, inflated) for p, q in zip(starts, ends)] == want
+            assert segment_free(ends, a, ws, inflated).tolist() == [
+                segment_free_oracle(q, a, ws, inflated) for q in ends]
+
+    def test_box_screen_touching_and_collinear(self):
+        # Segments whose bounding boxes touch the square's box or lie just
+        # apart from it, along its edge lines and through its corners.
+        ws = Workspace(bounds=(-5.0, -5.0, 5.0, 5.0), obstacles=[UNIT_SQUARE], clearance=0.5)
+        apart = 1.0 + 2.0**-40
+        cases = [((1.0, 1.5), (2.0, 0.5)),      # boxes touch at x = 1, segment passes above
+                 ((1.0, 1.0), (2.0, 2.0)),      # touches the corner
+                 ((1.5, 0.0), (3.0, 0.0)),      # on the bottom edge's line, boxes apart
+                 ((1.0, 0.0), (3.0, 0.0)),      # on that line, ending at the corner
+                 ((apart, 0.0), (3.0, 0.0)),    # on that line, just apart
+                 ((apart, -1.0), (apart, 2.0)),  # parallel to the right edge, just apart
+                 ((1.0, -1.0), (1.0, 2.0)),     # along the right edge
+                 ((-1.0, 2.0), (2.0, -1.0)),    # crosses the corner region diagonally
+                 ((0.5, 1.0), (0.5, 3.0))]      # from the top edge outward
+        for inflated in (False, True):
+            want = [segment_free_oracle(p, q, ws, inflated) for p, q in cases]
+            assert [segment_free(p, q, ws, inflated) for p, q in cases] == want
+            assert [segment_free(q, p, ws, inflated) for p, q in cases] == want
+            starts, ends = np.array(cases).transpose(1, 0, 2)
+            assert segment_free(starts, ends, ws, inflated).tolist() == want
+        assert [segment_free(p, q, ws, False) for p, q in cases] == [
+            True, False, True, False, True, True, False, False, False]
+
     def test_long_run_vertices_pairwise(self):
         # Segments from every third inflated vertex of the long-run planner
         # workspace to all of them, checked against the scenario's smaller

@@ -7,14 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from funnelnav import trajopt
+from funnelnav import harness, trajopt
 from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile, VesselParams
 from funnelnav.errors import InitialComplianceError, UnverifiedTrajectory
 from funnelnav.funnels import FunnelSpec
+from funnelnav.geometry import distances_to_obstacles
 from funnelnav.harness import (
     _TABLE_TICKS,
     EpisodeLog,
     LOG_COLUMNS,
+    _min_clearances,
     _with_inflation,
     audit,
     episode_seed,
@@ -283,6 +285,39 @@ class TestLockstepSweep:
         batch = _assert_lockstep_matches_scalar(
             TestInitialCompliance()._noncompliant(), 2, auto_inflate=True)
         assert all(e["auto_inflated"][0] == "d" for e in batch)
+
+    def test_sweep_clearances_equal_per_episode_passes(self, monkeypatch):
+        # Episodes share distance passes by blocks of points; each clearance
+        # equals the pass over that episode's logged positions alone, bit for bit.
+        sc = load_scenario("long-run")
+        _path, solution = plan_and_solve(sc)
+        lead = reference_lead(sc, solution.trajectory)
+        logs = [run_ticks(sc, sc.controller, solution.trajectory, lead,
+                          sc.disturbance.reseeded(episode_seed(sc.seed, k))) for k in range(3)]
+        want = [float(distances_to_obstacles(np.column_stack((log.columns["p_x"], log.columns["p_y"])),
+                                             sc.workspace.obstacles).min() - sc.footprint_radius)
+                for log in logs]
+        calls = []
+        monkeypatch.setattr(harness, "distances_to_obstacles",
+                            lambda points, obstacles: calls.append(len(points))
+                            or distances_to_obstacles(points, obstacles))
+        monkeypatch.setattr(harness, "_CLEARANCE_BLOCK", logs[0].n_ticks + 1)
+        batch = sweep(sc, 3).episodes
+        assert [e["min_obstacle_clearance"] for e in batch] == want
+        # The first two episodes start in the first block, the third in the next.
+        assert calls == [batch[0]["ticks"] + batch[1]["ticks"], batch[2]["ticks"]]
+
+    @pytest.mark.parametrize("block", [8192, 4, 1])
+    def test_min_clearances_skip_empty_episodes(self, block, monkeypatch):
+        monkeypatch.setattr(harness, "_CLEARANCE_BLOCK", block)
+        sc = load_scenario("long-run")
+        rng = np.random.default_rng(2)
+        positions = [rng.uniform((-60.0, -160.0), (560.0, 200.0), (n, 2)) for n in (0, 5, 0, 1, 3, 300, 0)]
+        want = [float(distances_to_obstacles(p, sc.workspace.obstacles).min() - sc.footprint_radius)
+                if len(p) else None for p in positions]
+        assert _min_clearances(sc, positions) == want
+        assert _min_clearances(sc, positions[:1]) == [None]
+        assert _min_clearances(load_scenario("benign"), positions) == [None] * len(positions)
 
     def test_noncompliant_sweep_raises_without_optin(self):
         sc = TestInitialCompliance()._noncompliant()
