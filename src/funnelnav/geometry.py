@@ -338,8 +338,9 @@ def find_separators(hulls: np.ndarray, polys):
     every polygon vertex; elsewhere h and d are NaN. Pairs that cross (by
     orientation signs), contain a point of each other (boundary included) or
     lie within 1e-12 of the coordinate scale (tangency) have no line.
-    Overlap is tested only where the boxes (widened by 1e-9 of the scale) meet, closest
-    points only where a (chord, edge) box gap is within the nearest point/vertex distance.
+    Closest points are computed only where a (chord, edge) box gap is within the nearest
+    point/vertex distance, and chord boxes only for edges whose box is that near the hull's;
+    overlap is tested only where a line was found and the boxes (widened by 1e-9 of the scale) meet.
     """
     hulls = np.asarray(hulls, dtype=float)
     parts = [_separator_block(hulls[k:k + _BLOCK], padded_vertices(polys[k:k + _BLOCK]))
@@ -368,42 +369,61 @@ def _overlapping(hulls, p1, p2, q1, q2):
 def _separator_block(hulls: np.ndarray, verts: np.ndarray):
     """find_separators on one block, with the polygons as padded vertices."""
     m, n_pts = hulls.shape[:2]
+    n_edges = verts.shape[1]
+    edge_rows = verts.reshape(-1, 2), np.roll(verts, -1, axis=1).reshape(-1, 2)   # edge m*K + k
+    # Coordinate-major copies: a broadcast over them runs its inner loop along
+    # the pairs instead of along the two coordinates. Values are unchanged.
+    hulls, verts = np.asfortranarray(hulls), np.asfortranarray(verts)
     q1, q2 = verts, np.roll(verts, -1, axis=1)            # (M, K, 2)
     # Every pair of hull points: the hull edges plus inner chords, which are
     # never closer to a disjoint polygon than the edges are. A pair with a
     # point on its right turns round, so hull edges run CCW.
-    i, j = np.triu_indices(n_pts, 1) if n_pts > 1 else (np.zeros(1, int), np.zeros(1, int))
+    i, j = np.array(list(combinations(range(n_pts), 2)) or [(0, 0)]).T
     flip = (_orient(hulls[:, i, None], hulls[:, j, None], hulls[:, None]) < 0.0).any(axis=2)
     p1 = np.where(flip[..., None], hulls[:, j], hulls[:, i])   # (M, S, 2)
     p2 = np.where(flip[..., None], hulls[:, i], hulls[:, j])
     scale = np.maximum(1.0, np.maximum(np.abs(hulls).max(axis=(1, 2)), np.abs(verts).max(axis=(1, 2))))
-    pad = 2e-9 * scale   # per coordinate: numpy reduces a (M, K, 2) middle axis slowly
-    meet = np.logical_and.reduce([(hulls[..., a].min(1) <= verts[..., a].max(1) + pad)
-                                  & (verts[..., a].min(1) <= hulls[..., a].max(1) + pad) for a in (0, 1)])
-    blocked = np.zeros(m, dtype=bool)
-    blocked[meet] = _overlapping(hulls[meet], p1[meet], p2[meet], q1[meet], q2[meet])
     # Rounding is monotone, so the box gap of the nearest hull point's chord and
     # vertex's edge is within their distance: every pair keeps a candidate.
     apart = hulls[:, :, None] - verts[:, None]
     limit = (np.sqrt(planar_dot(apart, apart).min(axis=(1, 2))) * (1.0 + 1e-6) + 1e-9 * scale) ** 2
-    lo, hi = np.minimum(q1, q2)[:, None], np.maximum(q1, q2)[:, None]
-    box_gap = np.maximum(0.0, np.maximum(np.minimum(p1, p2)[:, :, None] - hi,
-                                         lo - np.maximum(p1, p2)[:, :, None]))
-    mi, si, ki = np.nonzero(~(planar_dot(box_gap, box_gap) > limit[:, None, None]))
-    cp, cq = _closest_points(p1[mi, si], p2[mi, si], q1[mi, ki], q2[mi, ki])
+    lo, hi = np.minimum(*edge_rows), np.maximum(*edge_rows)
+    # A chord's box lies in its hull's box, so an edge whose box gap to the
+    # hull's box is over the limit has no (chord, edge) candidate.
+    edge_gap = np.maximum(0.0, np.maximum(hulls.min(axis=1)[:, None] - hi.reshape(m, -1, 2),
+                                          lo.reshape(m, -1, 2) - hulls.max(axis=1)[:, None]))
+    me, ke = np.nonzero(~(planar_dot(edge_gap, edge_gap) > limit[:, None]))
+    kept = me * n_edges + ke
+    chord_lo, chord_hi = np.take(np.minimum(p1, p2), me, axis=0), np.take(np.maximum(p1, p2), me, axis=0)
+    box_gap = np.maximum(0.0, np.maximum(chord_lo - np.take(hi, kept, axis=0)[:, None],
+                                         np.take(lo, kept, axis=0)[:, None] - chord_hi))
+    e, si = np.nonzero(~(planar_dot(box_gap, box_gap) > limit[me, None]))
+    mi, ki, edge, chord = me[e], ke[e], kept[e], me[e] * len(i) + si
+    cp, cq = _closest_points(*(np.take(p.reshape(-1, 2), chord, axis=0) for p in (p1, p2)),
+                             *(np.take(q, edge, axis=0) for q in edge_rows))
     gap = cp - cq
     dist = np.sqrt(planar_dot(gap, gap))
-    # Per pair the first minimum (or NaN, as argmin): candidates run in (chord, edge) order.
-    best = np.lexsort((np.where(np.isnan(dist), -np.inf, dist), mi))[np.searchsorted(mi, np.arange(m))]
-    dist, cp, cq = dist[best], cp[best], cq[best]
-    found = ~blocked & (dist > 1e-12 * scale)
+    # Per pair the first minimum (or NaN, as argmin) in (chord, edge) order.
+    start = np.searchsorted(mi, np.arange(m))
+    key = np.where(np.isnan(dist), -np.inf, dist)
+    rank = np.where(key == np.minimum.reduceat(key, start)[mi], si * n_edges + ki, len(i) * n_edges)
+    best = np.flatnonzero(rank == np.minimum.reduceat(rank, start)[mi])
+    dist, cp, cq = dist[best], np.take(cp, best, axis=0), np.take(cq, best, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = (cp - cq) / dist[:, None]
     d = planar_dot(h, cp + cq) / 2.0
     # Near tangency h's direction is only good to about ulp(scale)/dist, which
     # can tilt the line across far vertices: keep only strict separators.
-    found &= ((planar_dot(hulls, h[:, None]) > d[:, None]).all(axis=1)
-              & (planar_dot(verts, h[:, None]) < d[:, None]).all(axis=1))
+    found = ((dist > 1e-12 * scale)
+             & (planar_dot(hulls, h[:, None]) > d[:, None]).all(axis=1)
+             & (planar_dot(verts, h[:, None]) < d[:, None]).all(axis=1))
+    # Crossing or containment blocks a line; it is tested only where a line
+    # was found and the boxes (widened by 1e-9 of the scale) meet.
+    pad = 2e-9 * scale   # per coordinate: numpy reduces a (M, K, 2) middle axis slowly
+    meet = found & np.logical_and.reduce([(hulls[..., a].min(1) <= verts[..., a].max(1) + pad)
+                                          & (verts[..., a].min(1) <= hulls[..., a].max(1) + pad)
+                                          for a in (0, 1)])
+    found[meet] = ~_overlapping(hulls[meet], p1[meet], p2[meet], q1[meet], q2[meet])
     h[~found], d[~found] = np.nan, np.nan
     return found, h, d
 

@@ -106,8 +106,8 @@ def plan_and_solve(scenario: Scenario,
     A freshly planned path can occasionally wrap an inflated obstacle corner
     so tightly that a four-point hull clips it; those seeds are rejected by
     the optimizer and replanned with a derived seed (deterministically). A
-    converged trajectory that fails its final verification is not tracked:
-    it raises UnverifiedTrajectory.
+    trajectory that fails its final verification, converged or not, is not
+    tracked: it raises UnverifiedTrajectory.
     """
     scenario.validate()
     planner_ws = scenario.planner_workspace()

@@ -137,6 +137,10 @@ class _Workspace:
         H_free = H[np.ix_(self.free, self.free)]
         eigs = np.linalg.eigvalsh(H_free)
         self.lipschitz = max(float(eigs[-1]), 1e-12)
+        # The gradient's scaled transposes, as `2.0 * w * A.T @ r` forms them.
+        self.fit_grad = 2.0 * problem.w1 * A_fit.T
+        self.jerk_grad = 2.0 * problem.w2 * A_jerk.T
+        self.free_list = self.free.tolist()
         self._halfspaces_of = (None, None)
 
     def halfspaces(self, planes: dict) -> _Halfspaces | None:
@@ -146,19 +150,19 @@ class _Workspace:
             self._halfspaces_of = (planes, _Halfspaces.of(planes, self))
         return self._halfspaces_of[1]
 
-    def quad_cost(self, C: np.ndarray) -> tuple[float, float]:
-        fit_res = self.A_fit @ C - self.T_fit
-        jerk_res = self.A_jerk @ C
-        return (self.problem.w1 * float(np.sum(fit_res ** 2)),
-                self.problem.w2 * float(np.sum(jerk_res ** 2)))
+    def residuals(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The fit and jerk residuals of C; cost and gradient both read them."""
+        return self.A_fit @ C - self.T_fit, self.A_jerk @ C
 
-    def total_cost(self, C: np.ndarray, dt: float) -> float:
-        f, j = self.quad_cost(C)
+    def quad_cost(self, res: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+        return self.problem.w1 * float((res[0] ** 2).sum()), self.problem.w2 * float((res[1] ** 2).sum())
+
+    def total_cost(self, res: tuple[np.ndarray, np.ndarray], dt: float) -> float:
+        f, j = self.quad_cost(res)
         return f + j + self.problem.w3 * dt
 
-    def grad(self, C: np.ndarray) -> np.ndarray:
-        g = (2.0 * self.problem.w1 * self.A_fit.T @ (self.A_fit @ C - self.T_fit)
-             + 2.0 * self.problem.w2 * self.A_jerk.T @ (self.A_jerk @ C))
+    def grad(self, res: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        g = self.fit_grad @ res[0] + self.jerk_grad @ res[1]
         g[~self.free] = 0.0
         return g
 
@@ -258,18 +262,17 @@ class _Halfspaces:
 
     A halfspace projection reads and writes only its own point, so each free
     point can take the planes of the (at most four) segments covering it in
-    the dict's order, independently of every other point. Slot s pairs every
-    free point having more than s covering planes with its s-th plane. The
-    entries (point index, normal components, target d + margin) are stored
-    slot-major; slots holds each slot's views into them.
+    the dict's order, independently of every other point. The entries (point
+    index, normal components, target d + margin) are stored point-major, each
+    point's in dict order; rows repeats each as Python numbers, with the index
+    one past its point's last entry: (point, end, hx, hy, target).
     """
 
     point: np.ndarray
     hx: np.ndarray
     hy: np.ndarray
     target: np.ndarray
-    slot: np.ndarray
-    slots: list
+    rows: list
 
     @classmethod
     def of(cls, planes: dict, ws: _Workspace) -> _Halfspaces | None:
@@ -281,19 +284,35 @@ class _Halfspaces:
         m = np.repeat(np.arange(len(seg)), 4)
         k = (seg[:, None] + np.arange(4)).ravel()
         m, k = m[ws.free[k]], k[ws.free[k]]
-        # Per point, its planes in dict order; an entry's slot is its rank there.
-        by_point = np.lexsort((m, k))
+        by_point = np.argsort(k, kind="stable")
         m, k = m[by_point], k[by_point]
-        slot = np.arange(len(k)) - np.searchsorted(k, k)
-        by_slot = np.argsort(slot, kind="stable")
-        m, k, slot = m[by_slot], k[by_slot], slot[by_slot]
         hx, hy, target = h[m, 0], h[m, 1], d[m] + ws.problem.sep_margin
-        bounds = np.searchsorted(slot, np.arange(slot[-1] + 2)).tolist()
-        slots = [(k[a:b], hx[a:b], hy[a:b], target[a:b]) for a, b in zip(bounds, bounds[1:])]
-        return cls(k, hx, hy, target, slot, slots)
+        end = np.searchsorted(k, k, side="right")
+        rows = list(zip(k.tolist(), end.tolist(), hx.tolist(), hy.tolist(), target.tolist()))
+        return cls(k, hx, hy, target, rows)
 
-    def short(self, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
-        return self.target - (X[self.point] * self.hx + Y[self.point] * self.hy) > tol
+    def project(self, X: np.ndarray, Y: np.ndarray, tol: float) -> float:
+        """One pass over every plane, in place on the rows X and Y; returns the
+        largest shortfall it corrected (0.0 when none was over tol).
+
+        Only points short on some plane at the start of the pass move, and
+        each runs its own planes on Python floats from the first short one:
+        the planes before it see the point unmoved and are not short.
+        """
+        short = self.target - (X[self.point] * self.hx + Y[self.point] * self.hy) > tol
+        worst, end = 0.0, 0
+        for first in short.nonzero()[0].tolist():
+            if first < end:
+                continue
+            k, end = self.rows[first][:2]
+            x, y = X.item(k), Y.item(k)
+            for _, _, hx, hy, target in self.rows[first:end]:
+                gap = target - (x * hx + y * hy)
+                if gap > tol:
+                    worst = max(worst, gap)
+                    x, y = x + hx * gap, y + hy * gap
+            X[k], Y[k] = x, y
+        return worst
 
 
 def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
@@ -303,92 +322,78 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
     constraints touching only pins are identically satisfied by the tripled
     endpoints. The velocity and acceleration chains are Gauss-Seidel
     recurrences and run point by point on Python floats; the halfspace pass
-    runs one array update per slot of _Halfspaces. Each point sees the
-    same floating-point operations in the same order as a plane-by-plane
-    loop (tests/oracles.py::project_oracle).
-    A C that violates nothing returns 0.0 untouched, as the first sweep would
-    (in numpy, with a 1e-15 relative margin for np.hypot's one-ulp rounding).
+    moves only the points short on a plane (_Halfspaces.project). Each
+    point sees the same floating-point operations in the same order as a
+    plane-by-plane loop (tests/oracles.py::project_oracle), and a C that
+    violates nothing returns 0.0 untouched.
     """
     problem = ws.problem
     v_bound = problem.v_max * dt
     a_bound = problem.a_max * (dt * dt)
     tol = problem.tol_residual
     halfspaces = ws.halfspaces(planes)
-    vel, acc = np.diff(C, axis=0), C[2:] - 2.0 * C[1:-1] + C[:-2]
-    if (problem.projection_sweeps > 0
-            and np.hypot(*vel.T).max() * (1.0 + 1e-15) <= v_bound + tol
-            and np.hypot(*acc.T).max() * (1.0 + 1e-15) <= a_bound + tol
-            and not (halfspaces is not None and halfspaces.short(C[:, 0], C[:, 1], tol).any())):
-        return 0.0
-    free = ws.free.tolist()
+    free = ws.free_list
     N = ws.N
-    xs, ys = C[:, 0].tolist(), C[:, 1].tolist()
+    P = C.T  # rows x and y, a view: every update lands in C
 
     worst = math.inf
     for _ in range(problem.projection_sweeps):
         worst = 0.0
-        # Velocity pairs: ||q_k - q_{k-1}|| <= v_max dt.
-        for k in range(1, N):
-            gx = xs[k] - xs[k - 1]
-            gy = ys[k] - ys[k - 1]
-            norm = math.hypot(gx, gy)
-            over = norm - v_bound
-            if over <= tol:
-                continue
-            worst = max(worst, over)
-            scale = (1.0 - v_bound / norm)
-            denom = float(free[k]) + float(free[k - 1])
-            if denom == 0.0:
-                continue
-            cx, cy = scale * gx / denom, scale * gy / denom
-            if free[k]:
-                xs[k] -= cx
-                ys[k] -= cy
-            if free[k - 1]:
-                xs[k - 1] += cx
-                ys[k - 1] += cy
-        # Acceleration triples.
-        for k in range(2, N):
-            gx = xs[k] - 2.0 * xs[k - 1] + xs[k - 2]
-            gy = ys[k] - 2.0 * ys[k - 1] + ys[k - 2]
-            norm = math.hypot(gx, gy)
-            over = norm - a_bound
-            if over <= tol:
-                continue
-            worst = max(worst, over)
-            denom = float(free[k]) + 4.0 * float(free[k - 1]) + float(free[k - 2])
-            if denom == 0.0:
-                continue
-            s = (1.0 - a_bound / norm) / denom
-            dx, dy = s * gx, s * gy
-            if free[k]:
-                xs[k] -= dx
-                ys[k] -= dy
-            if free[k - 1]:
-                xs[k - 1] += 2.0 * dx
-                ys[k - 1] += 2.0 * dy
-            if free[k - 2]:
-                xs[k - 2] -= dx
-                ys[k - 2] -= dy
+        # The chains run only where numpy finds a pair or triple over its bound
+        # (with a 1e-15 relative margin for np.hypot's one-ulp rounding).
+        (vx, vy), (ax, ay) = P[:, 1:] - P[:, :-1], P[:, 2:] - 2.0 * P[:, 1:-1] + P[:, :-2]
+        if not (np.hypot(vx, vy).max() * (1.0 + 1e-15) <= v_bound + tol
+                and np.hypot(ax, ay).max() * (1.0 + 1e-15) <= a_bound + tol):
+            xs, ys = P.tolist()
+            # Velocity pairs: ||q_k - q_{k-1}|| <= v_max dt.
+            for k in range(1, N):
+                gx = xs[k] - xs[k - 1]
+                gy = ys[k] - ys[k - 1]
+                norm = math.hypot(gx, gy)
+                over = norm - v_bound
+                if over <= tol:
+                    continue
+                worst = max(worst, over)
+                scale = (1.0 - v_bound / norm)
+                denom = float(free[k]) + float(free[k - 1])
+                if denom == 0.0:
+                    continue
+                cx, cy = scale * gx / denom, scale * gy / denom
+                if free[k]:
+                    xs[k] -= cx
+                    ys[k] -= cy
+                if free[k - 1]:
+                    xs[k - 1] += cx
+                    ys[k - 1] += cy
+            # Acceleration triples.
+            for k in range(2, N):
+                gx = xs[k] - 2.0 * xs[k - 1] + xs[k - 2]
+                gy = ys[k] - 2.0 * ys[k - 1] + ys[k - 2]
+                norm = math.hypot(gx, gy)
+                over = norm - a_bound
+                if over <= tol:
+                    continue
+                worst = max(worst, over)
+                denom = float(free[k]) + 4.0 * float(free[k - 1]) + float(free[k - 2])
+                if denom == 0.0:
+                    continue
+                s = (1.0 - a_bound / norm) / denom
+                dx, dy = s * gx, s * gy
+                if free[k]:
+                    xs[k] -= dx
+                    ys[k] -= dy
+                if free[k - 1]:
+                    xs[k - 1] += 2.0 * dx
+                    ys[k - 1] += 2.0 * dy
+                if free[k - 2]:
+                    xs[k - 2] -= dx
+                    ys[k - 2] -= dy
+            P[:] = xs, ys
         # Separation halfspaces: h.q >= d + margin for the four hull points.
         if halfspaces is not None:
-            X, Y = np.array(xs), np.array(ys)
-            # Slots ahead of the first violated entry move no point: skip them.
-            hit = halfspaces.short(X, Y, tol)
-            if hit.any():
-                for ks, hx, hy, target in halfspaces.slots[halfspaces.slot[hit.argmax()]:]:
-                    x, y = X[ks], Y[ks]
-                    short = target - (x * hx + y * hy)
-                    hit = short > tol
-                    if hit.any():
-                        worst = max(worst, float(short[hit].max()))
-                        X[ks] = np.where(hit, x + hx * short, x)
-                        Y[ks] = np.where(hit, y + hy * short, y)
-                xs, ys = X.tolist(), Y.tolist()
+            worst = max(worst, halfspaces.project(P[0], P[1], tol))
         if worst <= tol:
             break
-    C[:, 0] = xs
-    C[:, 1] = ys
     return worst
 
 
@@ -396,17 +401,19 @@ def _step_control_points(C: np.ndarray, dt: float, planes: dict, ws: _Workspace)
     """Projected gradient descent with backtracking; never increases cost."""
     problem = ws.problem
     base_eta = 1.0 / ws.lipschitz
-    cost = ws.total_cost(C, dt)
+    res = ws.residuals(C)
+    cost = ws.total_cost(res, dt)
     for _ in range(problem.pgd_max_iters):
-        g = ws.grad(C)
+        g = ws.grad(res)
         eta = base_eta
         accepted = False
         for _bt in range(30):
             trial = C - eta * g
             _project(trial, dt, planes, ws)
-            trial_cost = ws.total_cost(trial, dt)
+            trial_res = ws.residuals(trial)
+            trial_cost = ws.total_cost(trial_res, dt)
             if trial_cost < cost - 1e-15:
-                C = trial
+                C, res = trial, trial_res
                 improvement = cost - trial_cost
                 cost = trial_cost
                 accepted = True
@@ -485,14 +492,14 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
         raise TrajOptInfeasible(f"initial guess needs dt {dt:.6g} > dt_max {hi}")
     _project(C, dt, planes, ws)
 
-    cost_trace = [ws.total_cost(C, dt)]
+    cost_trace = [ws.total_cost(ws.residuals(C), dt)]
     status = "max_iters"
     n_outer = 0
     for n_outer in range(1, problem.max_outer + 1):
         planes = _step_planes(C, planes, ws)
         C = _step_control_points(C, dt, planes, ws)
         dt = _step_dt(C, ws)
-        cost = ws.total_cost(C, dt)
+        cost = ws.total_cost(ws.residuals(C), dt)
         if cost > cost_trace[-1] + 1e-9 * max(1.0, abs(cost_trace[-1])):
             raise AssertionError(
                 f"outer cost increased: {cost_trace[-1]:.12g} -> {cost:.12g}"
@@ -510,7 +517,7 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
     sep_ok = bool(np.all(_plane_residual(hulls, padded_vertices(polys),
                                          *_plane_arrays(planes), 0.0) > 0.0))
     slack = 1.0 + 1e-6
-    if status == "converged" and not (
+    if not (
         residual <= problem.tol_residual * 10.0
         and max_v <= problem.v_max * slack
         and max_a <= problem.a_max * slack
@@ -518,7 +525,7 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
     ):
         status = "unverified"
 
-    fit, jerk = ws.quad_cost(C)
+    fit, jerk = ws.quad_cost(ws.residuals(C))
     return TrajOptSolution(
         trajectory=traj,
         hyperplanes=planes,

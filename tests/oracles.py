@@ -499,8 +499,8 @@ def separator_block_oracle(hulls: np.ndarray, verts: np.ndarray):
 
 
 def project_oracle(C: np.ndarray, dt: float, planes: dict, ws) -> float:
-    """trajopt._project one scalar update at a time: the plane-by-plane,
-    point-by-point loop that the slot-batched halfspace pass replaced.
+    """trajopt._project one scalar update at a time: every chain in every
+    sweep, and the plane-by-plane, point-by-point halfspace loop.
 
     Returns the worst remaining violation. Pinned control points never move;
     constraints touching only pins are identically satisfied by the tripled

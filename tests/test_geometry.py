@@ -432,6 +432,30 @@ class TestScreenedKernel:
         found = assert_equals_brute_force(np.array(hulls), polys)
         assert found[::3].all() and not found[1::3].all()
 
+    def test_inflated_polygons_far_near_and_around(self):
+        # The long-run obstacles inflated to 16- and 20-gons. Far hulls leave
+        # the edge screen the polygon's far side to prune; hulls a tiny gap
+        # outside an edge or a vertex keep the edges near it; hulls round the
+        # polygon's box meet every edge's box, so it keeps them all.
+        polys = load_scenario("long-run").workspace.inflated_obstacles()
+        assert sorted(len(p) for p in polys) == [16, 16, 20, 20]
+        rng = np.random.default_rng(27)
+        hulls, pair_polys = [], []
+        for poly in polys:
+            lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+            corners = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+            size = float((hi - lo).max())
+            for _ in range(30):
+                u = rng.normal(size=2)
+                far = poly.centroid() + size * (1.5 * u / np.linalg.norm(u) + rng.uniform(-0.2, 0.2, (4, 2)))
+                near = tangent_hull(rng, poly, 10.0 ** rng.uniform(-9, -3))
+                around = corners + rng.uniform(0.0, 1.0, (4, 2)) * [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+                hulls += [far, near, around]
+                pair_polys += [poly] * 3
+        hulls = np.array(hulls)
+        found = assert_equals_brute_force(hulls, pair_polys)
+        assert found[0::3].all() and found[1::3].any() and not found[2::3].any()
+
     def test_benchmark_plan_and_cold_start_pairs(self, monkeypatch):
         # Every batch the solver sends to the kernel on the inputs of
         # `perfbench/run.py --seed 7` for plan (12) and cold-start (6).

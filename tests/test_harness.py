@@ -66,6 +66,15 @@ class TestRunEpisode:
             plan_and_solve(load_scenario("benign"))
         assert exc.value.residuals["max_speed"] == math.inf
 
+    def test_unverified_solve_at_the_outer_cap_is_not_tracked(self, monkeypatch):
+        scenario = load_scenario("benign")
+        scenario = dataclasses.replace(scenario, trajopt=dataclasses.replace(scenario.trajopt, max_outer=1))
+        _, solution = plan_and_solve(scenario)
+        assert solution.status == "max_iters"
+        monkeypatch.setattr(trajopt, "_dense_kinodynamic_check", lambda traj: (math.inf, 0.0))
+        with pytest.raises(UnverifiedTrajectory):
+            run_episode(scenario)
+
     def test_log_columns_complete(self, benign_log):
         assert set(benign_log.columns) == set(LOG_COLUMNS)
         n = benign_log.n_ticks

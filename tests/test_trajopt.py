@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -161,6 +162,14 @@ class TestSolve:
                             lambda traj: (2.0 * problem.v_max, 0.0))
         assert solve(problem).status == "unverified"
 
+    def test_failed_verification_at_the_outer_cap_is_unverified(self, monkeypatch):
+        path = wiggly_path(np.random.default_rng(5))
+        problem = free_problem(path, w2=0.05, w3=0.1, max_outer=1)
+        assert solve(problem).status == "max_iters"
+        monkeypatch.setattr(trajopt, "_dense_kinodynamic_check",
+                            lambda traj: (2.0 * problem.v_max, 0.0))
+        assert solve(problem).status == "unverified"
+
     def test_infeasible_dt_box(self):
         path = straight_path(n=6, spacing=50.0)
         with pytest.raises(TrajOptInfeasible):
@@ -265,6 +274,34 @@ class TestProjection:
             target = float(C[i:i + 4, 1].min()) + short - problem.sep_margin
             self._assert_matches_oracle(C, 1.0, {**planes, (i, 0): (h, target)}, ws)
 
+    def test_nan_point_runs_the_chains(self):
+        # No screen passes a NaN, so the scalar chains run and spread it.
+        problem = free_problem(wiggly_path(np.random.default_rng(29)), projection_sweeps=3)
+        ws = _Workspace(problem)
+        C, _, _ = build(problem)
+        C[ws.N // 2, 0] = np.nan
+        plane = (np.array([0.0, 1.0]), float(C[0:4, 1].min()) + 0.1)
+        self._assert_matches_oracle(C, 1.0, {(0, 0): plane}, ws)
+
+    @pytest.mark.parametrize("sweeps", [1, 300])
+    def test_points_short_from_a_later_plane(self, sweeps):
+        # Point k's first plane is not short, its second is, and its third
+        # turns short only once the second has moved it. Every segment also
+        # gets a plane at its mean height, so several points are short on
+        # several planes.
+        problem = free_problem(wiggly_path(np.random.default_rng(28), n=12), v_max=1e6, a_max=1e6,
+                               projection_sweeps=sweeps)
+        ws = _Workspace(problem)
+        C, _, _ = build(problem)
+        up, down, margin = np.array([0.0, 1.0]), np.array([0.0, -1.0]), problem.sep_margin
+        i = ws.N // 2 - 3
+        y = float(C[i + 3, 1])
+        planes = {(i, 0): (up, float(C[i:i + 4, 1].min()) - 1.0 - margin),
+                  (i + 1, 0): (up, y + 0.5 - margin),
+                  (i + 2, 0): (down, -(y + 0.3) - margin)}
+        planes.update({(s, 1): (up, float(C[s:s + 4, 1].mean()) - margin) for s in range(ws.N - 3)})
+        self._assert_matches_oracle(C, 1.0, planes, ws)
+
     @pytest.mark.parametrize("cold", [False, True], ids=["seeded", "no-prior"])
     def test_solve_matches_scalar_oracle(self, monkeypatch, cold):
         scenario = load_scenario("trajectory-demo")
@@ -283,6 +320,44 @@ class TestProjection:
         scalar = solve_demo()
         assert batched.cost_trace == scalar.cost_trace
         assert batched.to_dict() == scalar.to_dict()
+
+
+class TestGoldenTrajectories:
+    """sha256 of control_points.tobytes() and repr(dt_knot), recorded before
+    the per-point halfspace pass, the edge-level separator screen and the
+    residual hand-off: those changes keep every trajectory bit-identical.
+    Recorded with numpy 2.4.6 on x86-64; another BLAS may round the solver's
+    matrix products differently."""
+
+    @staticmethod
+    def _digest(solution):
+        traj = solution.trajectory
+        return hashlib.sha256(traj.control_points.tobytes()).hexdigest(), repr(traj.dt_knot)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("benign", ("c81cdec40dfafa3ea230f4103f34a1f0307e7cfdf822c14525c8297ca39084d6", "3.177473535174501")),
+        ("long-run", ("a537c6bc96808be9fa9fdcd5febb8d8513e7d69730c2800e16a64f37bbb4a63b",
+                      "3.2024875908151498")),
+        ("trajectory-demo", ("a8a5bf7541f66500f6ac7fe1a5a21e6fc7ff64dece9a46da4ac5824e450dfbf9",
+                             "2.260853745869754")),
+    ])
+    def test_seeded_builtins(self, name, digest):
+        _, solution = harness.plan_and_solve(load_scenario(name))
+        assert self._digest(solution) == digest
+
+    @pytest.mark.parametrize("max_outer, digest", [
+        (4, ("531cbd6ccd74973d352d57ccc7a656f4ab29624077ef05a83111921bf13b245c", "1.6291801194561208")),
+        (20, ("3a6e4a38ef70548dbb112a6fae0e6f73802be949a9eeab2541398ec3560e217b", "1.4944092146693793")),
+    ])
+    def test_no_prior_cold_start(self, max_outer, digest):
+        scenario = load_scenario("trajectory-demo")
+        path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
+                        scenario.goal, scenario.planner)
+        problem = harness.make_problem(scenario, path, w1=0.0, init="line")
+        problem.max_outer = max_outer
+        solution = solve(problem)
+        assert solution.status == "max_iters"
+        assert self._digest(solution) == digest
 
 
 class TestValidate:
