@@ -342,9 +342,22 @@ def find_separators(hulls: np.ndarray, polys):
     point/vertex distance, and chord boxes only for edges whose box is that near the hull's;
     overlap is tested only where a line was found and the boxes (widened by 1e-9 of the scale) meet.
     """
+    return find_separators_padded(hulls, padded_vertices(polys))
+
+
+def find_separators_padded(hulls: np.ndarray, verts: np.ndarray):
+    """find_separators with the polygons as (M, K, 2) padded_vertices, which
+    a caller with fixed polygons pads once. Each block of _BLOCK pairs is cut
+    to the width padded_vertices gives it alone, so any K from the widest
+    polygon up gives the same result: by strict convexity a polygon's last
+    vertex differs from the one before it, and padding repeats it."""
     hulls = np.asarray(hulls, dtype=float)
-    parts = [_separator_block(hulls[k:k + _BLOCK], padded_vertices(polys[k:k + _BLOCK]))
-             for k in range(0, len(hulls), _BLOCK)]
+    parts = []
+    for k in range(0, len(hulls), _BLOCK):
+        block = verts[k:k + _BLOCK]
+        differs = (block[:, 1:] != block[:, :-1]).any(axis=(0, 2))   # column c + 1 against c
+        width = 2 + int(np.flatnonzero(differs)[-1])
+        parts.append(_separator_block(hulls[k:k + _BLOCK], block[:, :width]))
     if not parts:
         return np.zeros(0, dtype=bool), np.zeros((0, 2)), np.zeros(0)
     return tuple(np.concatenate(part) for part in zip(*parts))

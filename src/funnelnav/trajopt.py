@@ -23,10 +23,11 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import BASIS_M, SplineTrajectory
 from .errors import InfeasibleSeed, TrajOptInfeasible
-from .geometry import ConvexPolygon, find_separators, padded_vertices, planar_dot, verify_separation
+from .geometry import ConvexPolygon, find_separators_padded, padded_vertices, planar_dot
 from .geometry import find_separator  # noqa: F401  (unused; perfbench/tracing.py wraps this binding)
 from .rrt import RrtPath
 
@@ -142,13 +143,31 @@ class _Workspace:
         self.jerk_grad = 2.0 * problem.w2 * A_jerk.T
         self.free_list = self.free.tolist()
         self._halfspaces_of = (None, None)
+        self._arrays_of = (None, None)
 
+        # Every (segment, obstacle) pair has a line, segment-major: build
+        # inserts them in this order and each refit keeps its dict's order.
+        # Pair m's hull is C[pair_index[m]], its obstacle's padded vertices
+        # pair_verts[m], and pair_order is _Halfspaces.order of the pairs.
+        n_obs = len(problem.obstacles)
+        self.pairs = [(i, j) for i in range(n_seg) for j in range(n_obs)]
+        self.pair_index = np.repeat(np.arange(n_seg), n_obs)[:, None] + np.arange(4)
+        self.pair_verts = padded_vertices([problem.obstacles[j] for _, j in self.pairs])
+        self.pair_order = _Halfspaces.order(self.pairs, self.free)
+
+    # Both caches below hold the last planes dict seen; planes dicts are never
+    # edited in place (each refit makes one).
     def halfspaces(self, planes: dict) -> _Halfspaces | None:
-        """_Halfspaces.of the planes, rebuilt only when a new dict comes in;
-        planes dicts are never edited in place (each refit makes one)."""
+        """_Halfspaces.of the planes, rebuilt only when a new dict comes in."""
         if planes is not self._halfspaces_of[0]:
             self._halfspaces_of = (planes, _Halfspaces.of(planes, self))
         return self._halfspaces_of[1]
+
+    def plane_arrays(self, planes: dict) -> tuple[np.ndarray, np.ndarray]:
+        """_plane_arrays of the planes, rebuilt only when a new dict comes in."""
+        if planes is not self._arrays_of[0]:
+            self._arrays_of = (planes, _plane_arrays(planes))
+        return self._arrays_of[1]
 
     def residuals(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The fit and jerk residuals of C; cost and gradient both read them."""
@@ -184,17 +203,6 @@ def _initial_dt(problem: TrajOptProblem) -> float:
     return min(max(dt0, lo), hi)
 
 
-def _plane_pairs(C: np.ndarray, problem: TrajOptProblem):
-    """(segment, obstacle) index pairs subject to a separating line."""
-    return [(i, j) for i in range(len(C) - 3) for j in range(len(problem.obstacles))]
-
-
-def _pair_sets(C: np.ndarray, pairs, problem: TrajOptProblem):
-    """The pairs' (M, 4, 2) segment hulls and their M obstacles."""
-    seg = np.array([i for i, _ in pairs], dtype=int)
-    return C[seg[:, None] + np.arange(4)], [problem.obstacles[j] for _, j in pairs]
-
-
 def _plane_arrays(planes: dict) -> tuple[np.ndarray, np.ndarray]:
     """Normals (M, 2) and offsets (M,) of the planes, in the dict's order."""
     h = np.array([h for h, _ in planes.values()], dtype=float).reshape(-1, 2)
@@ -225,25 +233,25 @@ def _plane_residual(hulls: np.ndarray, verts: np.ndarray, h: np.ndarray, d: np.n
     return np.minimum(hull_side, poly_side)
 
 
-def build(problem: TrajOptProblem):
+def build(ws: _Workspace):
     """Initial guess: control points, knot spacing and separating lines.
 
     Raises InfeasibleSeed when an initial segment hull intersects an obstacle
     in "rrt" mode; the cold-start mode falls back to recovery lines instead.
     """
+    problem = ws.problem
     C = _initial_control_points(problem)
     dt = _initial_dt(problem)
-    pairs = _plane_pairs(C, problem)
-    hulls, polys = _pair_sets(C, pairs, problem)
-    found, h, d = find_separators(hulls, polys)
+    hulls = C[ws.pair_index]
+    found, h, d = find_separators_padded(hulls, ws.pair_verts)
     planes = {}
-    for m, (i, j) in enumerate(pairs):
-        if found[m]:
-            planes[(i, j)] = (h[m], float(d[m]))
+    for m, ((i, j), ok, d_m) in enumerate(zip(ws.pairs, found.tolist(), d.tolist())):
+        if ok:
+            planes[(i, j)] = (h[m], d_m)
         elif problem.init == "rrt":
             raise InfeasibleSeed(i, j)
         else:
-            planes[(i, j)] = _recovery_plane(hulls[m], polys[m], problem.sep_margin)
+            planes[(i, j)] = _recovery_plane(hulls[m], problem.obstacles[j], problem.sep_margin)
     return C, dt, planes
 
 
@@ -274,21 +282,30 @@ class _Halfspaces:
     target: np.ndarray
     rows: list
 
+    @staticmethod
+    def order(keys: list, free: np.ndarray):
+        """For planes with these keys: each entry's plane m and point k,
+        point-major and each point's in key order, and the rows' points and
+        ends as lists."""
+        seg = np.array([i for i, _ in keys], dtype=int)
+        m = np.repeat(np.arange(len(seg)), 4)
+        k = (seg[:, None] + np.arange(4)).ravel()
+        m, k = m[free[k]], k[free[k]]
+        by_point = np.argsort(k, kind="stable")
+        m, k = m[by_point], k[by_point]
+        end = np.searchsorted(k, k, side="right")
+        return m, k, k.tolist(), end.tolist()
+
     @classmethod
     def of(cls, planes: dict, ws: _Workspace) -> _Halfspaces | None:
         """The planes regrouped, or None for an empty dict."""
         if not planes:
             return None
-        h, d = _plane_arrays(planes)
-        seg = np.array([i for i, _ in planes], dtype=int)
-        m = np.repeat(np.arange(len(seg)), 4)
-        k = (seg[:, None] + np.arange(4)).ravel()
-        m, k = m[ws.free[k]], k[ws.free[k]]
-        by_point = np.argsort(k, kind="stable")
-        m, k = m[by_point], k[by_point]
+        h, d = ws.plane_arrays(planes)
+        keys = list(planes)
+        m, k, points, ends = ws.pair_order if keys == ws.pairs else cls.order(keys, ws.free)
         hx, hy, target = h[m, 0], h[m, 1], d[m] + ws.problem.sep_margin
-        end = np.searchsorted(k, k, side="right")
-        rows = list(zip(k.tolist(), end.tolist(), hx.tolist(), hy.tolist(), target.tolist()))
+        rows = list(zip(points, ends, hx.tolist(), hy.tolist(), target.tolist()))
         return cls(k, hx, hy, target, rows)
 
     def project(self, X: np.ndarray, Y: np.ndarray, tol: float) -> float:
@@ -429,17 +446,15 @@ def _step_control_points(C: np.ndarray, dt: float, planes: dict, ws: _Workspace)
 def _step_planes(C: np.ndarray, planes: dict, ws: _Workspace) -> dict:
     """Re-fit every separating line in one batched call, keeping the old line
     where no refit was found or the refit would not improve the current
-    worst slack (keeps the iterate feasible)."""
+    worst slack (keeps the iterate feasible). planes holds ws.pairs in order."""
     margin = ws.problem.sep_margin
-    pairs = list(planes)
-    hulls, polys = _pair_sets(C, pairs, ws.problem)
-    verts = padded_vertices(polys)
-    old_h, old_d = _plane_arrays(planes)
-    found, h, d = find_separators(hulls, polys)
+    hulls, verts = C[ws.pair_index], ws.pair_verts
+    old_h, old_d = ws.plane_arrays(planes)
+    found, h, d = find_separators_padded(hulls, verts)
     take = found & (_plane_residual(hulls, verts, h, d, margin)
                     >= _plane_residual(hulls, verts, old_h, old_d, margin))
-    return {pair: (h[m], float(d[m])) if take[m] else planes[pair]
-            for m, pair in enumerate(pairs)}
+    h, d = np.where(take[:, None], h, old_h), np.where(take, d, old_d)
+    return dict(zip(planes, zip(h, d.tolist())))
 
 
 def _step_dt(C: np.ndarray, ws: _Workspace) -> float:
@@ -460,32 +475,50 @@ def _step_dt(C: np.ndarray, ws: _Workspace) -> float:
     return min(floor, hi)
 
 
-def _dense_kinodynamic_check(traj: SplineTrajectory,
-                             samples_per_segment: int = 1000) -> tuple[float, float]:
-    """Max sampled speed and acceleration magnitude over the whole spline."""
-    us = np.linspace(0.0, 1.0, samples_per_segment)
-    vel_basis = np.column_stack([np.zeros_like(us), np.ones_like(us), 2.0 * us, 3.0 * us ** 2])
-    acc_basis = np.column_stack([np.zeros_like(us), np.zeros_like(us),
-                                 np.full_like(us, 2.0), 6.0 * us])
-    vel_w = vel_basis @ BASIS_M
-    acc_w = acc_basis @ BASIS_M
+# The dense check's (1000, 4) velocity and acceleration weights: sample u of
+# a segment is row u of the weights times its four control points.
+_us = np.linspace(0.0, 1.0, 1000)
+_DENSE_VEL_W = np.column_stack([np.zeros_like(_us), np.ones_like(_us), 2.0 * _us, 3.0 * _us ** 2]) @ BASIS_M
+_DENSE_ACC_W = np.column_stack([np.zeros_like(_us), np.zeros_like(_us),
+                                np.full_like(_us, 2.0), 6.0 * _us]) @ BASIS_M
+del _us
+_DENSE_BLOCK = 8   # segments per pass: each (8, 1000, 2) temporary is 128 KB
+
+
+def _dense_kinodynamic_check(traj: SplineTrajectory) -> tuple[float, float]:
+    """Max sampled speed and acceleration magnitude over the whole spline,
+    NaN when any sample is NaN.
+
+    Each block of segments takes one stacked product per quantity, which
+    repeats the (1000, 4) @ (4, 2) product of each segment. The squared
+    norms are x*x + y*y, as np.linalg.norm sums them; sqrt is correctly
+    rounded and monotone, so the sqrt of the largest is the largest norm.
+    """
     dt = traj.dt_knot
-    max_v = 0.0
-    max_a = 0.0
-    for i in range(traj.n_segments):
-        Q = traj.control_points[i:i + 4]
-        v = vel_w @ Q / dt
-        a = acc_w @ Q / (dt * dt)
-        max_v = max(max_v, float(np.linalg.norm(v, axis=1).max()))
-        max_a = max(max_a, float(np.linalg.norm(a, axis=1).max()))
+    windows = sliding_window_view(traj.control_points, 4, axis=0).transpose(0, 2, 1)   # (S, 4, 2)
+    peaks = []
+    for k in range(0, len(windows), _DENSE_BLOCK):
+        Q = windows[k:k + _DENSE_BLOCK]
+        v = np.matmul(_DENSE_VEL_W, Q)
+        v /= dt
+        a = np.matmul(_DENSE_ACC_W, Q)
+        a /= dt * dt
+        peaks.append([_peak_square(v), _peak_square(a)])
+    max_v, max_a = np.sqrt(np.max(peaks, axis=0)).tolist()
     return max_v, max_a
+
+
+def _peak_square(p: np.ndarray) -> float:
+    """The largest x*x + y*y over the rows of p (..., 2), squaring p in place."""
+    p *= p
+    return (p[..., 0] + p[..., 1]).max()
 
 
 def solve(problem: TrajOptProblem) -> TrajOptSolution:
     """Run the alternating scheme to a monotone fixed point and verify it."""
     t_start = time.perf_counter()
     ws = _Workspace(problem)
-    C, dt, planes = build(problem)
+    C, dt, planes = build(ws)
     dt = max(dt, _feasible_dt_floor(C, problem))
     lo, hi = problem.dt_bounds
     if dt > hi * (1.0 + 1e-12):
@@ -513,9 +546,8 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
     residual = _project(C, dt, planes, ws)
     traj = SplineTrajectory(C, dt)
     max_v, max_a = _dense_kinodynamic_check(traj)
-    hulls, polys = _pair_sets(C, list(planes), problem)
-    sep_ok = bool(np.all(_plane_residual(hulls, padded_vertices(polys),
-                                         *_plane_arrays(planes), 0.0) > 0.0))
+    sep_ok = bool(np.all(_plane_residual(C[ws.pair_index], ws.pair_verts,
+                                         *ws.plane_arrays(planes), 0.0) > 0.0))
     slack = 1.0 + 1e-6
     if not (
         residual <= problem.tol_residual * 10.0
@@ -593,14 +625,24 @@ def validate(solution: TrajOptSolution, problem: TrajOptProblem) -> ValidationRe
 
     max_v, max_a = _dense_kinodynamic_check(traj)
 
+    # Every line at once. The stacked products repeat each pair's h @ h,
+    # hull @ h and vertices @ h (a padding vertex repeats a real one); the
+    # strict verdict is verify_separation's, with its zero-normal error.
+    planes = solution.hyperplanes
+    seg = np.array([i for i, _ in planes], dtype=int)
+    hulls = C[seg[:, None] + np.arange(4)]
+    verts = padded_vertices([problem.obstacles[j] for _, j in planes])
+    H = np.array([h for h, _ in planes.values()], dtype=float).reshape(-1, 2)
+    D = np.array([d for _, d in planes.values()], dtype=float)
+    if np.any(np.matmul(H[:, None], H[:, :, None]) <= 0.0):
+        raise ValueError("separator normal must be non-zero")
     min_slack = math.inf
-    all_ok = True
-    for (i, j), (h, d) in solution.hyperplanes.items():
-        poly = problem.obstacles[j]
-        hull = C[i:i + 4]
-        min_slack = min(min_slack, float(np.min(hull @ h)) - d, d - float(np.max(poly.vertices @ h)))
-        if not verify_separation(hull, poly, h, d, margin=0.0):
-            all_ok = False
+    if planes:
+        hull_slack = np.matmul(hulls, H[:, :, None]).min(axis=(1, 2)) - D
+        poly_slack = D - np.matmul(verts, H[:, :, None]).max(axis=(1, 2))
+        min_slack = float(np.minimum(hull_slack, poly_slack).min())
+    all_ok = bool(np.all(planar_dot(hulls, H[:, None]) > D[:, None])
+                  and np.all(planar_dot(verts, H[:, None]) < D[:, None]))
 
     return ValidationReport(
         endpoint_error=endpoint_error,
@@ -609,6 +651,6 @@ def validate(solution: TrajOptSolution, problem: TrajOptProblem) -> ValidationRe
         ctrl_acceleration_excess=acc_excess,
         dense_speed_excess=max_v - problem.v_max,
         dense_accel_excess=max_a - problem.a_max,
-        separation_min_slack=min_slack if solution.hyperplanes else math.inf,
+        separation_min_slack=min_slack,
         separation_all_verified=all_ok,
     )

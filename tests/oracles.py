@@ -14,7 +14,9 @@ that trajopt's slot-batched one replaced, the one-iteration-at-a-time RRT
 loop that the speculative batches replaced and the target-by-target
 resampling that the array one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced, the
-per-float, per-term disturbance that the one array formula replaced, and the
+per-float, per-term disturbance that the one array formula replaced, the
+segment-by-segment dense kinodynamic check and the pair-by-pair separation
+check of trajopt.validate that their one-pass forms replaced, and the
 funnel cascade written out on Python floats with math. It also
 holds random_polygon, the random convex obstacle the geometry tests draw,
 step_state, one RK4 step of a VesselState through dynamics.step, and the
@@ -575,6 +577,46 @@ def project_oracle(C: np.ndarray, dt: float, planes: dict, ws) -> float:
         if worst <= tol:
             break
     return worst
+
+
+def dense_kinodynamic_oracle(traj, samples_per_segment: int = 1000) -> tuple[float, float]:
+    """Max sampled speed and acceleration magnitude, segment by segment with
+    (1000, 4) @ (4, 2) products and np.linalg.norm; a NaN sample gives NaN."""
+    us = np.linspace(0.0, 1.0, samples_per_segment)
+    vel_basis = np.column_stack([np.zeros_like(us), np.ones_like(us), 2.0 * us, 3.0 * us ** 2])
+    acc_basis = np.column_stack([np.zeros_like(us), np.zeros_like(us),
+                                 np.full_like(us, 2.0), 6.0 * us])
+    vel_w = vel_basis @ BASIS_M
+    acc_w = acc_basis @ BASIS_M
+    dt = traj.dt_knot
+    max_v = 0.0
+    max_a = 0.0
+    for i in range(traj.n_segments):
+        Q = traj.control_points[i:i + 4]
+        v = vel_w @ Q / dt
+        a = acc_w @ Q / (dt * dt)
+        max_v = _max_or_nan(max_v, float(np.linalg.norm(v, axis=1).max()))
+        max_a = _max_or_nan(max_a, float(np.linalg.norm(a, axis=1).max()))
+    return max_v, max_a
+
+
+def _max_or_nan(a: float, b: float) -> float:
+    """max(a, b), or NaN when either is NaN (the builtin max keeps a then)."""
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
+def separation_report_oracle(C: np.ndarray, planes: dict, obstacles) -> tuple[float, bool]:
+    """validate's (min slack, all verified) pair by pair: hull @ h and
+    vertices @ h for the slack, verify_separation for the strict verdict."""
+    min_slack = math.inf
+    all_ok = True
+    for (i, j), (h, d) in planes.items():
+        poly = obstacles[j]
+        hull = C[i:i + 4]
+        min_slack = min(min_slack, float(np.min(hull @ h)) - d, d - float(np.max(poly.vertices @ h)))
+        if not geometry.verify_separation(hull, poly, h, d, margin=0.0):
+            all_ok = False
+    return min_slack, all_ok
 
 
 def step_state(state, cmd, params, dist, dt):

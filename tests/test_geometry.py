@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from funnelnav import harness, rrt, trajopt
 from funnelnav.geometry import (
     _BLOCK,
+    _separator_block,
     ConvexPolygon,
     Workspace,
     distances_to_obstacles,
     find_separator,
     find_separators,
+    find_separators_padded,
     inflate,
     padded_vertices,
     point_free,
@@ -312,14 +314,19 @@ def degenerate_hull(rng, poly):
     return vertex + np.array([[-back], [-back], [1.0], [2.0]]) * u
 
 
+def brute_force(hulls, polys):
+    """The brute-force kernel on each block of _BLOCK pairs, padded alone."""
+    parts = [separator_block_oracle(hulls[k:k + _BLOCK], padded_vertices(polys[k:k + _BLOCK]))
+             for k in range(0, len(hulls), _BLOCK)]
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
 def assert_equals_brute_force(hulls, polys):
     """find_separators equals the brute-force kernel on the same blocks, bit
     for bit (NaN where no line); returns its found."""
     hulls = np.asarray(hulls, dtype=float)
     got = find_separators(hulls, polys)
-    parts = [separator_block_oracle(hulls[k:k + _BLOCK], padded_vertices(polys[k:k + _BLOCK]))
-             for k in range(0, len(hulls), _BLOCK)]
-    for have, want in zip(got, (np.concatenate(part) for part in zip(*parts))):
+    for have, want in zip(got, brute_force(hulls, polys)):
         assert np.array_equal(have, want, equal_nan=True)
     return got[0]
 
@@ -374,7 +381,37 @@ class TestBatchedSeparators:
     def test_empty_batch(self):
         found, h, d = find_separators(np.zeros((0, 4, 2)), [])
         assert found.shape == (0,) and h.shape == (0, 2) and d.shape == (0,)
+        found, h, d = find_separators_padded(np.zeros((0, 4, 2)), padded_vertices([]))
+        assert found.shape == (0,) and h.shape == (0, 2) and d.shape == (0,)
 
+    def test_padding_width_does_not_matter(self):
+        # Hulls a tiny gap outside each polygon's closing edge (last vertex to
+        # first), with chords parallel to it. There a further zero-length edge
+        # at the last vertex can move the closest pair in its last bits, so
+        # the padding width matters to the block kernel; padded once for all
+        # pairs to the widest polygon and beyond, each block is cut back to
+        # the width padded_vertices gives it alone.
+        rng = np.random.default_rng(31)
+        polys = [random_polygon(rng, rng.uniform(-5, 5, 2), rng.uniform(0.3, 3.0))
+                 for _ in range(8 * _BLOCK + 7)]
+        hulls = []
+        for poly in polys:
+            a, b = poly.vertices[-1], poly.vertices[0]
+            along = (b - a) / np.linalg.norm(b - a)
+            out = np.array([along[1], -along[0]])
+            hulls.append(a + 10.0 ** rng.uniform(-12, -2) * out + rng.uniform(-0.3, 0.3, (4, 1)) * along
+                         + rng.uniform(0.0, 2.0) * np.array([[0.0], [0.0], [1.0], [1.0]]) * out)
+        hulls = np.array(hulls)
+        want = brute_force(hulls, polys)
+        verts = padded_vertices(polys)
+        assert verts.shape[1] > min(len(p) for p in polys)
+        for extra in (0, 1, 3):
+            wide = np.concatenate([verts, np.repeat(verts[:, -1:], extra, axis=1)], axis=1)
+            for have, expected in zip(find_separators_padded(hulls, wide), want):
+                assert np.array_equal(have, expected, equal_nan=True)
+        uncut = [np.concatenate(part) for part in zip(*(
+            _separator_block(hulls[k:k + _BLOCK], wide[k:k + _BLOCK]) for k in range(0, len(hulls), _BLOCK)))]
+        assert not all(np.array_equal(u, w, equal_nan=True) for u, w in zip(uncut, want))
 
 def tangent_hull(rng, poly, gap):
     """Four hull points: one gap outside an edge of poly or outside one of
@@ -460,14 +497,16 @@ class TestScreenedKernel:
         # Every batch the solver sends to the kernel on the inputs of
         # `perfbench/run.py --seed 7` for plan (12) and cold-start (6).
         batches = []
-        real = trajopt.find_separators
+        real = trajopt.find_separators_padded
 
-        def checked(hulls, polys):
-            batches.append(len(polys))
-            assert_equals_brute_force(hulls, polys)
-            return real(hulls, polys)
+        def checked(hulls, verts):
+            batches.append(len(verts))
+            got = real(hulls, verts)
+            for have, want in zip(got, separator_block_oracle(hulls, verts)):
+                assert np.array_equal(have, want, equal_nan=True)
+            return got
 
-        monkeypatch.setattr(trajopt, "find_separators", checked)
+        monkeypatch.setattr(trajopt, "find_separators_padded", checked)
         seeds = [int(np.random.SeedSequence([7, i]).generate_state(1)[0]) for i in range(12)]
         for seed in seeds:
             harness.plan_and_solve(load_scenario("long-run").with_seed(seed))

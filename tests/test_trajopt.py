@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelnav import harness, rrt, trajopt
+from funnelnav.bspline import SplineTrajectory
 from funnelnav.errors import InfeasibleSeed, TrajOptInfeasible
 from funnelnav.geometry import ConvexPolygon, verify_separation
 from funnelnav.rrt import RrtPath
@@ -14,6 +16,7 @@ from funnelnav.scenario import load_scenario
 from funnelnav.trajopt import (
     TrajOptProblem,
     _Workspace,
+    _dense_kinodynamic_check,
     _feasible_dt_floor,
     _project,
     _step_dt,
@@ -21,7 +24,7 @@ from funnelnav.trajopt import (
     solve,
     validate,
 )
-from oracles import project_oracle
+from oracles import dense_kinodynamic_oracle, project_oracle, separation_report_oracle
 
 
 def straight_path(n=6, spacing=5.0):
@@ -56,7 +59,7 @@ class TestProblemValidation:
 class TestBuild:
     def test_tripled_endpoints_and_waypoint_interior(self):
         path = straight_path(n=6)
-        C, dt, planes = build(free_problem(path))
+        C, dt, planes = build(_Workspace(free_problem(path)))
         assert len(C) == 6 + 4
         assert np.array_equal(C[0], C[2]) and np.array_equal(C[0], path.waypoints[0])
         assert np.array_equal(C[-1], C[-3]) and np.array_equal(C[-1], path.waypoints[-1])
@@ -66,14 +69,14 @@ class TestBuild:
     def test_initial_dt_rule(self):
         # fastest leg at half the velocity bound
         path = straight_path(n=5, spacing=4.0)
-        _, dt, _ = build(free_problem(path, v_max=2.0))
+        _, dt, _ = build(_Workspace(free_problem(path, v_max=2.0)))
         assert dt == pytest.approx(2.0 * 4.0 / 2.0)
 
     def test_infeasible_seed_reported(self):
         blocker = ConvexPolygon(np.array([[8.0, -3.0], [12.0, -3.0], [12.0, 3.0], [8.0, 3.0]]))
         problem = free_problem(straight_path(n=6), obstacles=[blocker])
         with pytest.raises(InfeasibleSeed) as exc:
-            build(problem)
+            build(_Workspace(problem))
         seg, obs = exc.value.pair
         assert obs == 0
         assert 0 <= seg
@@ -82,7 +85,7 @@ class TestBuild:
         blocker = ConvexPolygon(np.array([[8.0, -3.0], [12.0, -3.0], [12.0, 3.0], [8.0, 3.0]]))
         problem = free_problem(straight_path(n=6), obstacles=[blocker], init="line",
                                w1=0.0, w2=1.0)
-        C, _, planes = build(problem)
+        C, _, planes = build(_Workspace(problem))
         assert planes  # every (segment, obstacle) pair got a line
 
     def test_fit_targets_cover_interior_waypoints_once(self):
@@ -207,7 +210,7 @@ class TestProjection:
         problem = free_problem(path, v_max=float(rng.uniform(0.5, 4.0)),
                                a_max=float(rng.uniform(0.2, 2.0)), projection_sweeps=sweeps)
         ws = _Workspace(problem)
-        C, _, _ = build(problem)
+        C, _, _ = build(ws)
         pairs = [(i, j) for i in range(ws.N - 3) for j in range(int(rng.integers(1, 5)))]
         order = rng.permutation(len(pairs))
         if np.all(np.diff(order) > 0):
@@ -228,7 +231,7 @@ class TestProjection:
     def test_feasible_input_returns_at_once(self, monkeypatch):
         problem = free_problem(straight_path(), v_max=10.0, a_max=4.0)
         ws = _Workspace(problem)
-        C, _, _ = build(problem)
+        C, _, _ = build(ws)
         planes = {(i, 0): (np.array([0.0, 1.0]), -5.0) for i in range(ws.N - 3)}
         before = C.tobytes()
         monkeypatch.setattr(trajopt.math, "hypot", None)   # no scalar sweep runs
@@ -248,7 +251,7 @@ class TestProjection:
         # enough inside for the early exit to take it.
         rng = np.random.default_rng(26)
         path = RrtPath(np.cumsum(rng.uniform(0.5, 3.0, (9, 2)), axis=0))
-        C, _, _ = build(free_problem(path))
+        C, _, _ = build(_Workspace(free_problem(path)))
         if bound == "velocity":
             g = C[1:] - C[:-1]
         else:
@@ -265,7 +268,7 @@ class TestProjection:
     def test_one_short_halfspace(self):
         problem = free_problem(wiggly_path(np.random.default_rng(27)), v_max=1e6, a_max=1e6)
         ws = _Workspace(problem)
-        C, _, _ = build(problem)
+        C, _, _ = build(ws)
         h = np.array([0.0, 1.0])
         planes = {(i, 0): (h, float(C[i:i + 4, 1].min()) - 1.0) for i in range(ws.N - 3)}
         tol = problem.tol_residual
@@ -278,7 +281,7 @@ class TestProjection:
         # No screen passes a NaN, so the scalar chains run and spread it.
         problem = free_problem(wiggly_path(np.random.default_rng(29)), projection_sweeps=3)
         ws = _Workspace(problem)
-        C, _, _ = build(problem)
+        C, _, _ = build(ws)
         C[ws.N // 2, 0] = np.nan
         plane = (np.array([0.0, 1.0]), float(C[0:4, 1].min()) + 0.1)
         self._assert_matches_oracle(C, 1.0, {(0, 0): plane}, ws)
@@ -292,7 +295,7 @@ class TestProjection:
         problem = free_problem(wiggly_path(np.random.default_rng(28), n=12), v_max=1e6, a_max=1e6,
                                projection_sweeps=sweeps)
         ws = _Workspace(problem)
-        C, _, _ = build(problem)
+        C, _, _ = build(ws)
         up, down, margin = np.array([0.0, 1.0]), np.array([0.0, -1.0]), problem.sep_margin
         i = ws.N // 2 - 3
         y = float(C[i + 3, 1])
@@ -377,20 +380,113 @@ class TestValidate:
         assert not report.separation_all_verified
         assert not report.ok
 
+    @pytest.mark.parametrize("name", ["long-run", "trajectory-demo"])
+    def test_separation_matches_pair_by_pair_oracle(self, name):
+        # The stacked slack and verdict against the per-pair loop, on the
+        # seeded solve, with one hull point pushed into each obstacle in
+        # turn, and on the no-prior cold start's first iterates.
+        scenario = load_scenario(name)
+        path, sol = harness.plan_and_solve(scenario)
+        problem = harness.make_problem(scenario, path)
+        cases = [sol.trajectory.control_points]
+        for poly in problem.obstacles:
+            C = sol.trajectory.control_points.copy()
+            C[len(C) // 2] = poly.centroid()
+            cases.append(C)
+        cold = harness.make_problem(scenario, path, w1=0.0, init="line")
+        cold.max_outer = 1
+        cold_sol = solve(cold)
+        verdicts = set()
+        for C, planes in [(C, sol.hyperplanes) for C in cases] + [
+                (cold_sol.trajectory.control_points, cold_sol.hyperplanes)]:
+            sol.trajectory = SplineTrajectory(C, sol.trajectory.dt_knot)
+            sol.hyperplanes = planes
+            report = validate(sol, problem)
+            oracle = separation_report_oracle(C, planes, problem.obstacles)
+            assert (report.separation_min_slack, report.separation_all_verified) == oracle
+            verdicts.add(oracle[1])
+        assert verdicts == {True, False}
+
+    def test_zero_normal_raises(self):
+        box = ConvexPolygon(np.array([[10.0, -4.0], [20.0, -4.0], [20.0, 1.5], [10.0, 1.5]]))
+        waypoints = np.array([[0.0, 0.0], [5.0, 2.5], [10.0, 5.0], [15.0, 5.5],
+                              [20.0, 5.0], [25.0, 2.5], [30.0, 0.0]])
+        problem = free_problem(RrtPath(waypoints), obstacles=[box], w2=0.05, w3=0.2)
+        sol = solve(problem)
+        pair = next(iter(sol.hyperplanes))
+        sol.hyperplanes = {**sol.hyperplanes, pair: (np.zeros(2), 0.0)}
+        with pytest.raises(ValueError, match="non-zero"):
+            validate(sol, problem)
+
     def test_dt_floor_helper(self):
         path = straight_path(n=6, spacing=3.0)
         problem = free_problem(path, v_max=1.5, a_max=1.0)
-        C, _, _ = build(problem)
+        C, _, _ = build(_Workspace(problem))
         floor = _feasible_dt_floor(C, problem)
         d1 = np.linalg.norm(np.diff(C, axis=0), axis=1).max()
         assert floor >= d1 / problem.v_max - 1e-12
+
+
+class TestDenseCheck:
+    """The one-pass dense check against the segment-by-segment loop, bit for bit."""
+
+    @pytest.mark.parametrize("n_seg", [1, 2, 7, 8, 9, 17, 45])
+    def test_random_splines_match_oracle(self, n_seg):
+        # From one segment to several passes of trajopt._DENSE_BLOCK (8)
+        # segments. The check reads only control_points and dt_knot, and
+        # SplineTrajectory needs five segments, so shorter ones are stand-ins.
+        rng = np.random.default_rng(40 + n_seg)
+        for _ in range(10):
+            C = np.cumsum(rng.normal(size=(n_seg + 3, 2)) * rng.uniform(0.01, 10.0), axis=0)
+            traj = SimpleNamespace(control_points=C, dt_knot=float(rng.uniform(0.05, 5.0)),
+                                   n_segments=n_seg)
+            got = _dense_kinodynamic_check(traj)
+            assert got == dense_kinodynamic_oracle(traj)
+            assert all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize("name", ["benign", "long-run", "trajectory-demo"])
+    def test_seeded_builtins_match_oracle(self, name):
+        _, solution = harness.plan_and_solve(load_scenario(name))
+        traj = solution.trajectory
+        assert _dense_kinodynamic_check(traj) == dense_kinodynamic_oracle(traj)
+
+    def test_nan_control_point(self):
+        # The oracle, like the dense check, must not drop the NaN samples.
+        problem = free_problem(wiggly_path(np.random.default_rng(5)), w2=0.05, w3=0.1)
+        sol = solve(problem)
+        assert validate(sol, problem).ok
+        C = sol.trajectory.control_points.copy()
+        C[len(C) // 2, 1] = np.nan
+        sol.trajectory = SplineTrajectory(C, sol.trajectory.dt_knot)
+        for max_v, max_a in (_dense_kinodynamic_check(sol.trajectory),
+                             dense_kinodynamic_oracle(sol.trajectory)):
+            assert math.isnan(max_v) and math.isnan(max_a)
+        report = validate(sol, problem)
+        assert math.isnan(report.dense_speed_excess) and math.isnan(report.dense_accel_excess)
+        assert not report.ok
+
+    def test_nan_iterate_is_unverified(self, monkeypatch):
+        # Obstacle-free, so no plane checks the iterate, and _project reports
+        # 0.0 for a NaN: only the dense check sees it.
+        problem = free_problem(wiggly_path(np.random.default_rng(5)), w2=0.05, w3=0.1, max_outer=3)
+        real = trajopt._step_control_points
+
+        def corrupting(C, dt, planes, ws):
+            C = real(C, dt, planes, ws)
+            C[ws.N // 2, 0] = np.nan
+            return C
+
+        monkeypatch.setattr(trajopt, "_step_control_points", corrupting)
+        sol = solve(problem)
+        assert math.isnan(sol.residuals["max_speed"])
+        assert sol.status == "unverified"
 
 
 class TestStepDt:
     def test_closed_form(self):
         path = wiggly_path(np.random.default_rng(5))
         timed = free_problem(path, w3=1.0)
-        C, _, _ = build(timed)
+        C, _, _ = build(_Workspace(timed))
         floor = _feasible_dt_floor(C, timed)
         assert timed.dt_bounds[0] < floor < timed.dt_bounds[1]
         # w3 > 0: the cost w3*dt is least at the feasible floor.
