@@ -10,21 +10,17 @@ of the single rear thruster.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dynamics import ActuatorCommand, VesselState, namespace
 from .errors import InitialComplianceError
-from .funnels import (
-    FunnelSpec,
-    TrackingErrors,
-    compute_errors,
-    normalize_asymmetric,
-    normalize_symmetric,
-    transform,
-)
+from .funnels import (FunnelSpec, TrackingErrors, compute_errors, normalize_asymmetric,
+                      normalize_symmetric, transform)
 
 CHANNELS = ("d", "o", "u", "r")
 
@@ -64,8 +60,8 @@ class ControllerConfig:
             raise ValueError("orientation funnel radius must start below 1")
         if not (0.0 < self.alpha_r_max <= math.pi / 6.0):
             raise ValueError("rudder limit must lie in (0, pi/6]")
-        if self.F_T_max <= 0.0:
-            raise ValueError("thrust limit must be positive")
+        if not 0.0 < self.F_T_max < math.inf:
+            raise ValueError("thrust limit must be positive and finite")
         if self.eps_u_guard <= 0.0:
             raise ValueError("eps_u_guard must be positive")
         if self.delta_x_nominal <= 0.0:
@@ -74,6 +70,14 @@ class ControllerConfig:
     @property
     def k_alpha(self) -> float:
         return self.k_r / (self.delta_x_nominal * self.k_u)
+
+    @functools.cached_property
+    def _constants(self) -> tuple[SimpleNamespace, SimpleNamespace]:
+        """stages' constants as floats, then as 0-d arrays: numpy is faster on those."""
+        c = dict(k_d=self.k_d, k_alpha=self.k_alpha, neg_k_o=-self.k_o, neg_k_u=-self.k_u,
+                 neg_k_r=-self.k_r, neg_guard=-self.eps_u_guard, alpha_max=self.alpha_r_max,
+                 neg_alpha_max=-self.alpha_r_max, F_T_max=self.F_T_max, zero=0.0)
+        return SimpleNamespace(**c), SimpleNamespace(**{k: np.array(v) for k, v in c.items()})
 
 
 @dataclass
@@ -102,7 +106,7 @@ class ControllerDebug:
 
     def violated(self) -> np.ndarray:
         """Whether |xi| >= 1, per channel in CHANNELS order: (4,), or (4, B) for arrays."""
-        return np.abs(np.array((self.xi_d, self.xi_o, self.xi_u, self.xi_r))) >= 1.0
+        return violated(np.array((self.xi_d, self.xi_o, self.xi_u, self.xi_r)))
 
     @property
     def violations(self) -> list[str]:
@@ -110,43 +114,60 @@ class ControllerDebug:
         return [ch for ch, v in zip(CHANNELS, self.violated()) if v]
 
 
-def cascade(u, r, e_d, e_o, t, cfg: ControllerConfig) -> tuple[ActuatorCommand, ControllerDebug]:
-    """Stages 1-4 and the allocation: the saturated command and every cascade signal.
 
-    u, r (surge, yaw rate) and e_d, e_o (distance, orientation errors) are
-    floats or (B,) arrays; t is a float or one time per column. A normalized
-    error that left its funnel (|xi| >= 1) is pulled back to the edge and
-    reported by ControllerDebug.violated(). The rudder demand divides by
-    eps_u, which the running controller only ever sees negative (thrust
-    demand positive); the guard clamps it away from zero so an overspeed tick
-    (eps_u >= 0) steers the rudder toward -alpha_max * sign(eps_r) while the
-    thrust demand itself goes nonpositive and saturates to a clean thrust cut.
+def violated(xi):
+    """Whether a normalized error left its funnel, |xi| >= 1, elementwise."""
+    return np.abs(xi) >= 1.0
+
+
+def funnel_radii(cfg: ControllerConfig, t) -> np.ndarray:
+    """The funnel radii in CHANNELS order at a time, (4,), or at (n,) times, (4, n), checked
+    once for all the times against the normalizations' domain rho_d > rho_d_min, rho > 0."""
+    rho = np.array([f.value(t) for f in (cfg.funnel_d, cfg.funnel_o, cfg.funnel_u, cfg.funnel_r)])
+    if not (np.all(rho[0] > cfg.rho_d_min) and np.all(rho > 0.0)):
+        raise ValueError(f"need rho_d > rho_d_min and positive funnel radii, got {rho.tolist()}")
+    return rho
+
+
+def stages(u, r, e_d, e_o, rho, cfg: ControllerConfig, xi=None):
+    """Stages 1-4 and the allocation at one tick's funnel radii: (F_T, alpha_r, signals).
+
+    u, r, e_d, e_o and the funnel_radii rho are floats or (B,) arrays. The normalized errors
+    go to xi (for arrays (4, B), by default new): one transform per channel pair pulls an
+    |xi| >= 1 back to the funnel edge. The rudder demand divides by eps_u clamped below zero:
+    an overspeed tick steers toward -alpha_max * sign(eps_r) and cuts the thrust cleanly.
+    signals are (xi, eps, u_des, r_des, X_des, N_des, u_alpha, u_F), xi and eps by channel.
     """
     xp = namespace(e_d)
-    rho_d = cfg.funnel_d.value(t)
-    rho_o = cfg.funnel_o.value(t)
-    xi_d = normalize_asymmetric(e_d, rho_d, cfg.rho_d_min)
-    eps_d = transform(xi_d)
-    u_des = cfg.k_d * eps_d
-    xi_o = normalize_symmetric(e_o, rho_o)
-    eps_o = transform(xi_o)
-    r_des = -cfg.k_o * eps_o
+    c = cfg._constants[xp is np]
+    rho_d, rho_o, rho_u, rho_r = rho
+    if xi is None:
+        xi = np.empty((4, len(e_d))) if xp is np else [0.0] * 4
+    xi[0] = normalize_asymmetric(e_d, rho_d, cfg.rho_d_min)
+    xi[1] = normalize_symmetric(e_o, rho_o)
+    eps_d, eps_o = transform(xi[0:2])
+    u_des = c.k_d * eps_d
+    r_des = c.neg_k_o * eps_o
+    xi[2] = normalize_symmetric(u - u_des, rho_u)
+    xi[3] = normalize_symmetric(r - r_des, rho_r)
+    eps_u, eps_r = transform(xi[2:4])
 
-    rho_u = cfg.funnel_u.value(t)
-    rho_r = cfg.funnel_r.value(t)
-    xi_u = normalize_symmetric(u - u_des, rho_u)
-    eps_u = transform(xi_u)
-    xi_r = normalize_symmetric(r - r_des, rho_r)
-    eps_r = transform(xi_r)
+    X_des, N_des = c.neg_k_u * eps_u, c.neg_k_r * eps_r
+    u_alpha = xp.atan(c.k_alpha * eps_r / xp.minimum(eps_u, c.neg_guard))
+    alpha_r = xp.minimum(xp.maximum(u_alpha, c.neg_alpha_max), c.alpha_max)
+    u_F = X_des / xp.cos(alpha_r)
+    F_T = xp.minimum(xp.maximum(u_F, c.zero), c.F_T_max)
+    # Past the clips only NaN is invalid, and a NaN rudder angle makes F_T NaN too.
+    if xp.count_nonzero(xp.isnan(F_T)):
+        ActuatorCommand(F_T=F_T, alpha_r=alpha_r)  # raises its ValueError
+    return F_T, alpha_r, (xi, (eps_d, eps_o, eps_u, eps_r), u_des, r_des, X_des, N_des, u_alpha, u_F)
 
-    u_alpha = xp.atan(cfg.k_alpha * eps_r / xp.minimum(eps_u, -cfg.eps_u_guard))
-    alpha_r = xp.minimum(xp.maximum(u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)
-    u_F = -cfg.k_u * eps_u / xp.cos(alpha_r)
-    cmd = ActuatorCommand(F_T=xp.minimum(xp.maximum(u_F, 0.0), cfg.F_T_max), alpha_r=alpha_r)
-    return cmd, ControllerDebug(
-        xi_d=xi_d, xi_o=xi_o, xi_u=xi_u, xi_r=xi_r, eps_d=eps_d, eps_o=eps_o, eps_u=eps_u,
-        eps_r=eps_r, u_des=u_des, r_des=r_des, X_des=-cfg.k_u * eps_u, N_des=-cfg.k_r * eps_r,
-        u_alpha=u_alpha, u_F=u_F, rho_d=rho_d, rho_o=rho_o, rho_u=rho_u, rho_r=rho_r)
+
+def cascade(u, r, e_d, e_o, t, cfg: ControllerConfig) -> tuple[ActuatorCommand, ControllerDebug]:
+    """stages at time t, a float or one per column: the command and its ControllerDebug."""
+    rho = funnel_radii(cfg, t)
+    F_T, alpha_r, (xi, eps, *signals) = stages(u, r, e_d, e_o, rho, cfg)
+    return ActuatorCommand(F_T=F_T, alpha_r=alpha_r), ControllerDebug(None, *xi, *eps, *signals, *rho)
 
 
 def check_initial_compliance(errors: TrackingErrors, state: VesselState,
@@ -158,13 +179,12 @@ def check_initial_compliance(errors: TrackingErrors, state: VesselState,
     distance error at or below rho_d_min).
     """
     bad: dict[str, dict] = {}
-    rho_d0 = cfg.funnel_d.value(0.0)
+    rho_d0, rho_o0, rho_u0, rho_r0 = funnel_radii(cfg, 0.0)
     if not (cfg.rho_d_min < errors.e_d < rho_d0):
         suggestion = errors.e_d * (1.0 + 1e-6) if errors.e_d > cfg.rho_d_min else None
         bound = rho_d0 if errors.e_d >= rho_d0 else cfg.rho_d_min
         bad["d"] = {"value": errors.e_d, "bound": bound, "suggested_rho0": suggestion}
 
-    rho_o0 = cfg.funnel_o.value(0.0)
     if abs(errors.e_o) >= rho_o0:
         needed = abs(errors.e_o) * (1.0 + 1e-6)
         bad["o"] = {"value": errors.e_o, "bound": rho_o0,
@@ -177,9 +197,7 @@ def check_initial_compliance(errors: TrackingErrors, state: VesselState,
         # Velocity-channel checks need the stage-1 references, well-defined
         # only when the position channels comply.
         _, dbg = cascade(state.u, state.r, errors.e_d, errors.e_o, 0.0, cfg)
-        for ch, e, funnel in (("u", state.u - dbg.u_des, cfg.funnel_u),
-                              ("r", state.r - dbg.r_des, cfg.funnel_r)):
-            rho0 = funnel.value(0.0)
+        for ch, e, rho0 in (("u", state.u - dbg.u_des, rho_u0), ("r", state.r - dbg.r_des, rho_r0)):
             if abs(e) >= rho0:
                 bad[ch] = {"value": e, "bound": rho0, "suggested_rho0": abs(e) * (1.0 + 1e-6)}
 
@@ -189,13 +207,9 @@ def check_initial_compliance(errors: TrackingErrors, state: VesselState,
 
 def control_tick(state: VesselState, p_des, t: float,
                  cfg: ControllerConfig) -> tuple[ActuatorCommand, ControllerDebug]:
-    """One full cascade evaluation: errors -> references -> demands -> command.
-
-    At t == 0 the initial funnel compliance is validated first
-    (InitialComplianceError). A later funnel violation is clamped and named
-    by the debug record (ControllerDebug.violations), which also holds the
-    tick's tracking errors.
-    """
+    """One full cascade evaluation: errors -> references -> demands -> command. At t == 0
+    the initial funnel compliance is validated first (InitialComplianceError); the debug
+    record names a clamped funnel violation and holds the tick's tracking errors."""
     errors = compute_errors(state.p_x, state.p_y, state.psi, float(p_des[0]), float(p_des[1]))
     if t == 0.0:
         check_initial_compliance(errors, state, cfg)

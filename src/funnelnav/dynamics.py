@@ -14,7 +14,6 @@ except the measured VesselState.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -30,8 +29,8 @@ TWO_PI = 2.0 * math.pi
 # math and the builtins serve floats at float speed.
 _FLOAT_MATH = SimpleNamespace(
     sin=math.sin, cos=math.cos, atan=math.atan, atan2=math.atan2, atanh=math.atanh,
-    hypot=math.hypot, copysign=math.copysign, fmod=math.fmod,
-    minimum=min, maximum=max, where=lambda cond, a, b: a if cond else b, all=bool, any=bool)
+    hypot=math.hypot, copysign=math.copysign, fmod=math.fmod, isnan=math.isnan,
+    minimum=min, maximum=max, where=lambda cond, a, b: a if cond else b, count_nonzero=int)
 
 
 def namespace(x):
@@ -43,7 +42,9 @@ def wrap_angle(psi):
     """Wrap a float or an array of angles to [0, 2*pi)."""
     xp = namespace(psi)
     psi = xp.fmod(psi, TWO_PI)
-    return xp.where(psi < 0.0, psi + TWO_PI, psi)
+    negative = psi < 0.0
+    # psi + 2 pi rounds up to 2 pi just below 0: the outer fmod makes that 0.
+    return xp.where(negative, xp.fmod(psi + TWO_PI, TWO_PI), psi) if xp.count_nonzero(negative) else psi
 
 
 @dataclass(frozen=True)
@@ -254,14 +255,20 @@ def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbancePro
     return lumped(state.u, state.v, state.r, tau, params)
 
 
-@functools.lru_cache(maxsize=1)
-def _coefficient_tiles(params: VesselParams, width: int) -> tuple[np.ndarray, ...]:
-    """Read-only (3, width) d1, d2 and mass tiles: numpy is faster on equal shapes."""
-    d = params.drag
-    tiles = np.repeat(np.array([[d.d1_u, d.d1_v, d.d1_r], [d.d2_u, d.d2_v, d.d2_r],
-                                [params.m, params.m, params.Iz]])[:, :, None], width, axis=2)
-    tiles.flags.writeable = False
-    return tuple(tiles)
+def _batch_constants(params: VesselParams, width: int, dt: float) -> tuple[np.ndarray, ...]:
+    """A batch's (3, width) d1, d2 and mass tiles and step sizes as arrays (numpy is faster
+    on those), kept on params for the last width and dt: a frozen dataclass hashes slowly."""
+    cached = params.__dict__.get("_batch_constants")
+    if cached is None or cached[0] != (width, dt):
+        d = params.drag
+        tiles = np.repeat(np.array([[d.d1_u, d.d1_v, d.d1_r], [d.d2_u, d.d2_v, d.d2_r],
+                                    [params.m, params.m, params.Iz]])[:, :, None], width, axis=2)
+        tiles.flags.writeable = False
+        shifts = [0.5 * dt, 0.5 * dt, dt]  # of stages 2, 3 and 4 from x
+        sizes = (*shifts, np.array(shifts)[:, None], 2.0, dt / 6.0)
+        cached = (width, dt), (*tiles, *map(np.array, sizes))
+        object.__setattr__(params, "_batch_constants", cached)
+    return cached[1]
 
 
 def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float):
@@ -275,48 +282,57 @@ def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     X, Y, N = actuator_to_wrench(SimpleNamespace(F_T=F_T, alpha_r=alpha_r), params)
-    stacked = isinstance(x[2], np.ndarray)
-    if stacked:
-        # The kinetic rows as one (3, B) block: lumped's operations, row by row.
-        W, (d1, d2, M) = np.array((X, Y, N)), _coefficient_tiles(params, x.shape[1])
-
-    def derivative(y, tau):
-        _p_x, _p_y, psi, u, v, r = y
-        if not stacked:
+    if isinstance(x[2], np.ndarray):
+        out = _batched_rk4(x, np.array((X, Y, N)), params, tau0, tau_half, tau1, dt)
+        if np.count_nonzero(np.isfinite(out)) < out.size:
+            finite = np.isfinite(out).all(axis=0)
+            raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
+    else:
+        def derivative(y, tau):
+            _p_x, _p_y, psi, u, v, r = y
             c, s = math.cos(psi), math.sin(psi)
             f_u, f_v, f_r = lumped(u, v, r, tau, params)
             return (u * c - v * s, u * s + v * c, r,
                     (X + f_u) / params.m, (Y + f_v) / params.m, (N + f_r) / params.Iz)
-        c, s = np.cos(psi), np.sin(psi)
-        k = np.empty(y.shape)
-        np.subtract(u * c, v * s, out=k[0])
-        np.add(u * s, v * c, out=k[1])
-        k[2] = r
-        f = tau - _drag(d1, d2, y[3:])
-        if params.coriolis_on:
-            f[0] += params.m * v * r
-            f[1] -= params.m * u * r
-        np.divide(W + f, M, out=k[3:])
-        return k
 
-    def shift(y, c, k):
-        """y + c k: one numpy operation per term for a batch, float by float for one episode."""
-        return y + c * k if stacked else [a + c * b for a, b in zip(y, k)]
-
-    k1 = derivative(x, tau0)
-    k2 = derivative(shift(x, 0.5 * dt, k1), tau_half)
-    k3 = derivative(shift(x, 0.5 * dt, k2), tau_half)
-    k4 = derivative(shift(x, dt, k3), tau1)
-    # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-    out = shift(x, dt / 6.0, shift(shift(shift(k1, 2.0, k2), 2.0, k3), 1.0, k4))
-    if stacked:
-        if np.count_nonzero(np.isfinite(out)) < out.size:
-            finite = np.isfinite(out).all(axis=0)
-            raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
-    elif not all(map(math.isfinite, out)):
-        raise NonFiniteState(f"RK4 produced a non-finite state: {out}")
+        def shift(y, c, k):
+            return [a + c * b for a, b in zip(y, k)]
+        k1 = derivative(x, tau0)
+        k2 = derivative(shift(x, 0.5 * dt, k1), tau_half)
+        k3 = derivative(shift(x, 0.5 * dt, k2), tau_half)
+        k4 = derivative(shift(x, dt, k3), tau1)
+        # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+        out = shift(x, dt / 6.0, [a + b for a, b in zip(shift(shift(k1, 2.0, k2), 2.0, k3), k4)])
+        if not all(map(math.isfinite, out)):
+            raise NonFiniteState(f"RK4 produced a non-finite state: {out}")
     out[2] = wrap_angle(out[2])
     return out
+
+
+def _batched_rk4(x, W, params: VesselParams, tau0, tau_half, tau1, dt: float) -> np.ndarray:
+    """step's RK4 of a (6, B) batch under the wrench W, heading unwrapped, element by element
+    as for floats: the velocities, free of the pose, step first; then the pose of all stages."""
+    d1, d2, M, *shifts, stage_shifts, two, dt6 = _batch_constants(params, x.shape[1], dt)
+    k, w = np.empty((4, *x.shape)), np.empty((4, 3, x.shape[1]))  # stage derivatives, velocities
+    w[0] = x[3:]
+    for stage, tau in enumerate((tau0, tau_half, tau_half, tau1)):
+        f = tau - _drag(d1, d2, w[stage])  # lumped's rows as one (3, B) block
+        if params.coriolis_on:
+            u, v, r = w[stage]
+            f[0] += params.m * v * r
+            f[1] -= params.m * u * r
+        np.divide(W + f, M, out=k[stage, 3:])
+        if stage < 3:
+            np.add(x[3:], shifts[stage] * k[stage, 3:], out=w[stage + 1])
+    psi = np.empty((4, x.shape[1]))  # x's heading, then x's shifted by the previous stage's yaw rate
+    psi[0] = x[2]
+    np.add(x[2], stage_shifts * w[:3, 2], out=psi[1:])
+    c, s = np.cos(psi), np.sin(psi)
+    u, v = w[:, 0], w[:, 1]
+    np.subtract(u * c, v * s, out=k[:, 0])
+    np.add(u * s, v * c, out=k[:, 1])
+    k[:, 2] = w[:, 2]
+    return x + dt6 * (k[0] + two * k[1] + two * k[2] + k[3])  # summed left to right
 
 
 class DisturbanceBatch:

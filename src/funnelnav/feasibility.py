@@ -14,7 +14,7 @@ floor and the initial-bearing condition |psi_e(0)| < pi/2.
 The reference-rate terms are measured by finite-differencing the cascade
 references along short closed-loop rollouts of the true dynamics; the
 samples of a pass roll out together through the batched cascade
-(controller.cascade) and RK4 (dynamics.step). Sampling
+(controller.stages) and RK4 (dynamics.step). Sampling
 covers the compact operating subset |xi| <= xi_max of the funnel interior,
 intersected with the physically sustainable velocity envelope (terminal
 speeds under full actuation); the supremum over the full open funnel box is
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bspline import SplineTrajectory
-from .controller import cascade
+from .controller import funnel_radii, stages
 # lumped_forces is unused here: perfbench/tracing.py wraps it by name in
 # this module, so it stays bound.
 from .dynamics import lumped, lumped_forces, step  # noqa: F401
@@ -127,8 +127,7 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
     vessel = scenario.vessel
     t0, xi_d, xi_o, xi_u, xi_r, v, psi, px, py, ref_dir, ref_speed = draws.T
 
-    rho_d, rho_o, rho_u, rho_r = (
-        f.value(t0) for f in (cfg.funnel_d, cfg.funnel_o, cfg.funnel_u, cfg.funnel_r))
+    rho_d, rho_o, rho_u, rho_r = funnel_radii(cfg, t0)
     e_d = 0.5 * (xi_d * (rho_d - cfg.rho_d_min) + rho_d + cfg.rho_d_min)
     psi_e = np.arcsin(xi_o * rho_o)
     u_des = cfg.k_d * np.arctanh(xi_d)
@@ -156,12 +155,13 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
         if (err.e_d < EPS_DEGENERATE).any():
             raise DegenerateDistance(f"feasibility rollout: distance error {err.e_d.min():.3e} "
                                      f"below guard {EPS_DEGENERATE:.0e}")
-        cmd, dbg = cascade(x[3], x[5], err.e_d, err.e_o, t0 + k * dt_fd, cfg)
-        refs.append((dbg.u_des, dbg.r_des))
-        thrusts[k] = cmd.F_T
+        F_T, alpha_r, (_xi, _eps, u_des_k, r_des_k, *_) = stages(
+            x[3], x[5], err.e_d, err.e_o, funnel_radii(cfg, t0 + k * dt_fd), cfg)
+        refs.append((u_des_k, r_des_k))
+        thrusts[k] = F_T
         sways[k] = np.abs(x[4])
         if k < 2:
-            x = step(x, cmd.F_T, cmd.alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], dt_fd)
+            x = step(x, F_T, alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], dt_fd)
             p = p + v_ref * dt_fd
     du_des = (refs[2][0] - refs[0][0]) / (2.0 * dt_fd)
     dr_des = (refs[2][1] - refs[0][1]) / (2.0 * dt_fd)

@@ -69,27 +69,29 @@ class TrackingErrors:
     psi_e: float
 
 
-def compute_errors(p_x, p_y, psi, p_des_x, p_des_y) -> TrackingErrors:
-    """Compute distance/orientation errors of the vessel w.r.t. a reference point.
-
-    Floats, or (B,) arrays of poses against one or B reference points. A float
-    pose on its reference point raises DegenerateDistance (orientation error
-    undefined); for arrays the caller masks e_d < EPS_DEGENERATE (e_o meaningless).
-    """
+def error_terms(p_x, p_y, psi, p_des_x, p_des_y) -> tuple:
+    """compute_errors' (e_x, e_y, e_d, e_o, psi_e) as a plain tuple."""
     e_x = p_des_x - p_x
     e_y = p_des_y - p_y
     xp = namespace(e_x)
     e_d = xp.hypot(e_x, e_y)
-    degenerate = e_d < EPS_DEGENERATE
-    if xp is not np and degenerate:
+    if xp is not np and e_d < EPS_DEGENERATE:
         raise DegenerateDistance(f"distance error {e_d:.3e} below guard {EPS_DEGENERATE:.0e}")
     # Body-frame components of the error vector: forward b_x, port-negative b_y.
     c, s = xp.cos(psi), xp.sin(psi)
+    e_x_s, e_y_c = e_x * s, e_y * c
     b_x = e_x * c + e_y * s
-    b_y = -e_x * s + e_y * c
+    b_y = e_y_c - e_x_s
     psi_e = xp.atan2(-b_y, b_x)
-    e_o = (e_x * s - e_y * c) / xp.where(degenerate, 1.0, e_d)
-    return TrackingErrors(e_x=e_x, e_y=e_y, e_d=e_d, e_o=e_o, psi_e=psi_e)
+    e_o = (e_x_s - e_y_c) / xp.maximum(e_d, EPS_DEGENERATE)
+    return e_x, e_y, e_d, e_o, psi_e
+
+
+def compute_errors(p_x, p_y, psi, p_des_x, p_des_y) -> TrackingErrors:
+    """Distance/orientation errors of floats, or (B,) arrays of poses, against a reference
+    point: a float pose on it raises DegenerateDistance (orientation undefined); for arrays
+    the caller masks e_d < EPS_DEGENERATE (e_o meaningless)."""
+    return TrackingErrors(*error_terms(p_x, p_y, psi, p_des_x, p_des_y))
 
 
 def normalize_asymmetric(e_d: float, rho_d: float, rho_d_min: float) -> float:
@@ -97,27 +99,27 @@ def normalize_asymmetric(e_d: float, rho_d: float, rho_d_min: float) -> float:
 
     xi_d = (2 e_d - rho_d - rho_d_min) / (rho_d - rho_d_min); lands in (-1, 1)
     exactly when rho_d_min < e_d < rho_d. May return |xi| >= 1 -- the caller
-    decides whether that is a violation. Arguments may be floats or arrays.
+    decides whether that is a violation. Floats or arrays (funnel_radii checks the radii).
     """
-    if not (rho_d_min > 0.0 and namespace(rho_d).all(rho_d > rho_d_min)):
-        raise ValueError(f"need rho_d > rho_d_min > 0, got rho_d={rho_d}, rho_d_min={rho_d_min}")
-    return (2.0 * e_d - rho_d - rho_d_min) / (rho_d - rho_d_min)
+    return (e_d + e_d - rho_d - rho_d_min) / (rho_d - rho_d_min)
 
 
 def normalize_symmetric(e: float, rho: float) -> float:
     """xi = e / rho for a symmetric funnel of radius rho > 0 (floats or arrays)."""
-    if not namespace(rho).all(rho > 0.0):
-        raise ValueError(f"funnel value must be positive, got {rho}")
     return e / rho
+
+
+_ONE = np.array(1.0)  # numpy compares an array faster with a 0-d array than with a float
 
 
 def transform(xi):
     """Strictly increasing bijection (-1, 1) -> R: atanh(xi) = 0.5 ln((1+xi)/(1-xi)).
 
-    xi is a float or an array. An |xi| >= 1, a funnel violation the caller
-    flags, is pulled back to +/-(1 - 1e-9), so a simulation can continue.
-    """
+    xi is a float, an array or a list of floats. An |xi| >= 1, a funnel violation the caller
+    flags, is pulled back to +/-(1 - 1e-9), so a simulation can continue."""
+    if isinstance(xi, list):
+        return [transform(v) for v in xi]
     xp = namespace(xi)
-    if xp is np and not np.count_nonzero(abs(xi) >= 1.0):  # none to pull back: skip the where
+    if xp is np and not np.count_nonzero(abs(xi) >= _ONE):  # none to pull back: skip the where
         return np.atanh(xi)
     return xp.atanh(xp.where(abs(xi) >= 1.0, xp.copysign(XI_CLAMP, xi), xi))

@@ -20,21 +20,16 @@ import numpy as np
 
 from . import rrt, trajopt
 from .bspline import SplineTrajectory
-from .controller import (
-    CHANNELS,
-    ControllerConfig,
-    ControllerDebug,
-    cascade,
-    check_initial_compliance,
-    control_tick,
-)
-from .dynamics import DisturbanceBatch, VesselState, step
+# control_tick is unused here: perfbench/tracing.py wraps it by name in this module.
+from .controller import (CHANNELS, ControllerConfig, check_initial_compliance,  # noqa: F401
+                         control_tick, funnel_radii, stages, violated)
+from .dynamics import DisturbanceBatch, step
 from .errors import DegenerateDistance, InfeasibleSeed, InitialComplianceError, UnverifiedTrajectory
-from .funnels import EPS_DEGENERATE, FunnelSpec, compute_errors
+from .funnels import EPS_DEGENERATE, FunnelSpec, TrackingErrors, compute_errors, error_terms
 from .geometry import distances_to_obstacles
 from .scenario import Scenario, reference_lead
 
-# The episode log columns read from each tick's records, by attribute name.
+# The episode log columns, in the order run_ticks writes them.
 _STATE_COLUMNS = ("p_x", "p_y", "psi", "u", "v", "r")
 _ERROR_COLUMNS = ("e_x", "e_y", "e_d", "e_o", "psi_e")
 _CASCADE_COLUMNS = ("rho_d", "rho_o", "rho_u", "rho_r", "xi_d", "xi_o", "xi_u", "xi_r",
@@ -48,7 +43,11 @@ LOG_COLUMNS = [
     "viol_d", "viol_o", "viol_u", "viol_r",
 ]
 
-_TABLE_TICKS = 64  # per disturbance table of the sweep: each temporary < 1 MB at B = 100
+_TABLE_TICKS = 64  # per table of state-independent inputs: each temporary < 1 MB at B = 100
+
+# The rows of the (ticks, rows, episodes) tick record both loops reduce.
+_RECORD_ROWS = ("p_x", "p_y", "psi", "u", "v", "psi_e", "e_d", "F_T", "alpha_r",
+                "xi_d", "xi_o", "xi_u", "xi_r")
 
 
 def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
@@ -147,15 +146,9 @@ _CLEARANCE_BLOCK = 8192  # points per distance pass: about 64 KB per temporary
 
 
 def _min_clearances(scenario: Scenario, positions: list[np.ndarray]) -> list[float | None]:
-    """Per episode, the least footprint clearance from the raw obstacles.
-
-    positions holds each episode's (ticks, 2) pre-step vessel positions, one
-    row per counted tick. Consecutive episodes share a distance pass of about
-    _CLEARANCE_BLOCK points; distances are per point, so grouping does not
-    change them. One pass over a whole 40-episode sweep would hold 10 MB of
-    temporaries and run slower than cache-sized blocks. None for an episode
-    without ticks or a scenario without obstacles.
-    """
+    """Per episode, the least footprint clearance from the raw obstacles over its (ticks, 2)
+    pre-step positions; None without ticks or obstacles. Consecutive episodes share a pass of
+    about _CLEARANCE_BLOCK points: cache-sized blocks beat one 10-MB pass."""
     obstacles = scenario.workspace.obstacles
     out: list[float | None] = [None] * len(positions)
     counts = np.array([len(p) for p in positions], dtype=np.int64)
@@ -170,20 +163,42 @@ def _min_clearances(scenario: Scenario, positions: list[np.ndarray]) -> list[flo
     return out
 
 
-def _episode_summary(scenario: Scenario, lead: float, n_ticks: int, min_clear: float | None, *,
-                     violations, fault: str | None, goal_time: float | None,
-                     max_abs_psi_e: float, max_abs_sway: float, max_speed: float,
-                     final_e_d: float, thrust_cut_ticks: int,
-                     actuator_violations: int) -> dict:
-    """summary.json of one episode from the reductions over its counted ticks.
+def _horizon(scenario: Scenario) -> tuple[float, int, list[float]]:
+    """The step, the tick count, and the state times as the RK4 steps them: t + dt each."""
+    dt, n_max = scenario.sim_dt, int(round(scenario.horizon / scenario.sim_dt))
+    return dt, n_max, list(itertools.accumulate(itertools.repeat(dt, n_max), initial=scenario.start.t))
 
-    min_clear comes from _min_clearances; violations holds the tick counts in
-    CHANNELS order. An episode fails on any violation or fault. The extremes
-    and final_e_d are reported as None when no tick counted.
-    """
-    violations = {ch: int(n) for ch, n in zip(CHANNELS, violations)}
+
+def _table_inputs(cfg: ControllerConfig, traj: SplineTrajectory, lead: float, dt: float,
+                  t_state: list[float], i: int, n_max: int):
+    """What does not depend on the state in ticks i, i + 1, ... < n_max of a table: times,
+    spline times, reference points, radii (floats), state times and their half steps."""
+    t = np.arange(i, min(i + _TABLE_TICKS, n_max)) * dt
+    s_ref = np.minimum(t + lead, traj.duration)
+    ts = np.array(t_state[i:i + len(t) + 1])
+    return t, s_ref, traj.eval(s_ref), funnel_radii(cfg, t).T.tolist(), ts, ts[:-1] + 0.5 * dt
+
+
+def _reduce_ticks(rec: np.ndarray, scenario: Scenario, cfg: ControllerConfig):
+    """Per episode of a (ticks, _RECORD_ROWS, B) record: (6, B) counts of the violations by
+    channel, thrust cuts and actuator violations; (3, B) maxima (0 or more) of |psi_e|, |v|, speed."""
+    _p_x, _p_y, _psi, u, v, psi_e, _e_d, F_T, alpha_r = rec[:, :9].transpose(1, 0, 2)
+    counts = np.concatenate((np.count_nonzero(violated(rec[:, 9:]), axis=0), [
+        np.count_nonzero(F_T < scenario.min_thrust_floor, axis=0),
+        np.count_nonzero(~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
+                           & (np.abs(alpha_r) <= cfg.alpha_r_max)), axis=0)]))
+    maxima = np.array((np.abs(psi_e), np.abs(v), np.hypot(u, v))).max(axis=1, initial=0.0)
+    return counts, maxima
+
+
+def _episode_summary(scenario: Scenario, lead: float, n_ticks: int, min_clear: float | None,
+                     counts: np.ndarray, maxima: np.ndarray, final_e_d: float, *,
+                     fault: str | None, goal_time: float | None) -> dict:
+    """summary.json of one episode from _min_clearances and its _reduce_ticks column. It
+    fails on any violation or fault; the extremes and final_e_d are None without ticks."""
+    violations = {ch: int(n) for ch, n in zip(CHANNELS, counts)}
     failed = fault is not None or any(violations.values())
-    raw_obstacles = scenario.workspace.obstacles
+    max_abs_psi_e, max_abs_sway, max_speed = (float(m) if n_ticks else None for m in maxima)
     summary = {
         "scenario": scenario.name,
         "seed": scenario.seed,
@@ -196,93 +211,72 @@ def _episode_summary(scenario: Scenario, lead: float, n_ticks: int, min_clear: f
         "goal_reached": goal_time is not None,
         "goal_time": goal_time,
         "min_obstacle_clearance": min_clear,
-        "max_abs_psi_e": float(max_abs_psi_e) if n_ticks else None,
-        "max_abs_sway": float(max_abs_sway) if n_ticks else None,
-        "max_speed": float(max_speed) if n_ticks else None,
-        "thrust_cut_ticks": int(thrust_cut_ticks),
-        "actuator_violations": int(actuator_violations),
+        "max_abs_psi_e": max_abs_psi_e,
+        "max_abs_sway": max_abs_sway,
+        "max_speed": max_speed,
+        "thrust_cut_ticks": int(counts[4]),
+        "actuator_violations": int(counts[5]),
         "reference_lead": lead,
         "final_e_d": float(final_e_d) if n_ticks else None,
     }
     # Collision-guarantee chain: a clean distance channel inside a trajectory
     # planned with clearance > funnel radius must keep the vessel off the
     # obstacles.
-    if raw_obstacles and summary["total_violations"] == 0 and not failed:
+    if scenario.workspace.obstacles and summary["total_violations"] == 0 and not failed:
         assert summary["min_obstacle_clearance"] > 0.0, "collision guarantee chain broke"
     return summary
 
 
 def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
               lead: float, disturbance) -> EpisodeLog:
-    """The tick loop proper: control against the sampled reference, integrate, log.
+    """The tick loop proper: control against the sampled reference, integrate, log. The
+    cascade clamps: a normalized error that left its funnel is pulled back and logged."""
+    dt, n_max, t_state = _horizon(scenario)
+    goal_x, goal_y = scenario.goal
+    x = operator.attrgetter(*_STATE_COLUMNS)(scenario.start)
+    rows, fault, goal_time = [], None, None
 
-    The cascade always clamps: a channel whose normalized error left its
-    funnel is pulled back to the edge and logged as violated.
-    """
-    dt = scenario.sim_dt
-    n_max = int(round(scenario.horizon / dt))
-    # Neither the reference nor the disturbance depends on the state: sample
-    # the whole episode's at once.
-    t_log = np.arange(n_max) * dt
-    s_ref = np.minimum(t_log + lead, traj.duration)
-    ref_p = traj.eval(s_ref)
-    ref_v, _, _ = traj.eval_derivatives(s_ref)
-    # The state times accumulate as the RK4 steps them, t_{i+1} = t_i + dt.
-    t_state = list(itertools.accumulate(itertools.repeat(dt, n_max), initial=scenario.start.t))
-    tau_log, tau_state, tau_half = (
-        disturbance.value(ts).T.tolist()
-        for ts in (t_log, np.array(t_state), np.array(t_state[:-1]) + 0.5 * dt))
-    goal = np.asarray(scenario.goal, dtype=float)
-
-    state_row = operator.attrgetter(*_STATE_COLUMNS)
-    error_row = operator.attrgetter(*_ERROR_COLUMNS)
-    cascade_row = operator.attrgetter(*_CASCADE_COLUMNS)
-    rows = []
-    state = scenario.start
-    fault = None
-    goal_time = None
-
-    for i, t in enumerate(t_log.tolist()):
-        p_des = ref_p[i]
-        try:
-            cmd, dbg = control_tick(state, p_des, t, cfg)
+    for i in range(n_max):
+        j = i % _TABLE_TICKS
+        if j == 0:
+            t_log, s_ref, ref_p, radii, ts, ts_half = _table_inputs(
+                cfg, traj, lead, dt, t_state, i, n_max)
+            ref_v = traj.eval_derivatives(s_ref)[0]
+            tau_log, tau_state, tau_half = (disturbance.value(times).T.tolist()
+                                            for times in (t_log, ts, ts_half))
+            t_log = t_log.tolist()
+        p_des, rho = ref_p[j], radii[j]
+        try:  # the _ERROR_COLUMNS
+            errors = error_terms(x[0], x[1], x[2], float(p_des[0]), float(p_des[1]))
         except DegenerateDistance:
             fault = "degenerate_distance"
             break
-
-        rows.append((t, *state_row(state), *p_des, *ref_v[i], *error_row(dbg.errors),
-                     *cascade_row(dbg), cmd.F_T, cmd.alpha_r,
-                     1.0 if (dbg.u_F < 0.0 or dbg.u_F > cfg.F_T_max) else 0.0,
-                     1.0 if abs(dbg.u_alpha) > cfg.alpha_r_max else 0.0,
-                     *tau_log[i]))
-
-        x = step(state_row(state), cmd.F_T, cmd.alpha_r, scenario.vessel,
-                 tau_state[i], tau_half[i], tau_state[i + 1], dt)
-        state = VesselState(*x, t=t_state[i + 1])
-        if (math.hypot(state.p_x - goal[0], state.p_y - goal[1]) <= scenario.goal_radius
-                and state.speed() <= scenario.goal_speed_threshold):
-            goal_time = state.t
+        if i == 0:
+            check_initial_compliance(TrackingErrors(*errors), scenario.start, cfg)
+        F_T, alpha_r, (xi, eps, *signals) = stages(x[3], x[5], errors[2], errors[3], rho, cfg)
+        u_alpha, u_F = signals[-2:]
+        rows.append((t_log[j], *x, *p_des, *ref_v[j], *errors, *rho, *xi, *eps, *signals,
+                     F_T, alpha_r, 1.0 if (u_F < 0.0 or u_F > cfg.F_T_max) else 0.0,
+                     1.0 if abs(u_alpha) > cfg.alpha_r_max else 0.0, *tau_log[j]))
+        x = step(x, F_T, alpha_r, scenario.vessel, tau_state[j], tau_half[j], tau_state[j + 1], dt)
+        if (math.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius
+                and math.hypot(x[3], x[4]) <= scenario.goal_speed_threshold):
+            goal_time = t_state[i + 1]
             break
 
     # A row holds every column but the violation flags, which come last.
     row_columns = LOG_COLUMNS[:-len(CHANNELS)]
     table = np.array(rows, dtype=float).reshape(-1, len(row_columns))
     columns = dict(zip(row_columns, table.T.copy()))
-    # The logged columns are the cascade record of the whole episode.
-    flags = ControllerDebug(**{f"xi_{ch}": columns[f"xi_{ch}"] for ch in CHANNELS}).violated()
+    flags = violated(np.array([columns[f"xi_{ch}"] for ch in CHANNELS]))
     columns.update((f"viol_{ch}", flag.astype(float)) for ch, flag in zip(CHANNELS, flags))
-    F_T, alpha_r = columns["F_T"], columns["alpha_r"]
-    positions = np.column_stack((columns["p_x"], columns["p_y"]))
+    # The logged columns are the tick record of one episode.
+    counts, maxima = _reduce_ticks(np.array([columns[name] for name in _RECORD_ROWS]).T[:, :, None],
+                                   scenario, cfg)
+    n = len(table)
     summary = _episode_summary(
-        scenario, lead, len(positions), _min_clearances(scenario, [positions])[0],
-        violations=flags.sum(axis=1), fault=fault, goal_time=goal_time,
-        max_abs_psi_e=np.max(np.abs(columns["psi_e"]), initial=0.0),
-        max_abs_sway=np.max(np.abs(columns["v"]), initial=0.0),
-        max_speed=np.max(np.hypot(columns["u"], columns["v"]), initial=0.0),
-        final_e_d=columns["e_d"][-1] if len(columns["e_d"]) else math.nan,
-        thrust_cut_ticks=np.count_nonzero(F_T < scenario.min_thrust_floor),
-        actuator_violations=np.count_nonzero(~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
-                                               & (np.abs(alpha_r) <= cfg.alpha_r_max))))
+        scenario, lead, n, _min_clearances(scenario, [table[:, 1:3]])[0], counts[:, 0],
+        maxima[:, 0], columns["e_d"][-1] if n else math.nan, fault=fault, goal_time=goal_time)
     return EpisodeLog(scenario_name=scenario.name, seed=scenario.seed,
                       columns=columns, summary=summary)
 
@@ -291,60 +285,54 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
                  lead: float, disturbances: list) -> list[dict]:
     """run_ticks for many disturbance realizations in lockstep; their summaries.
 
-    Every episode starts from the same state and follows the same reference,
-    so the reference point, the funnel radii and the initial-compliance
-    check are shared per tick, while states, commands and disturbances are
-    (B,) columns. The cascade clamps and masks the violated channels, as in
-    run_ticks. An episode leaves the batch, its counters frozen, on a
-    degenerate distance (before its tick counts) or on reaching the goal
-    (after its step). No log is kept: the ticks' raw values are reduced, in any
-    order, by table, before an episode leaves and at the end.
+    The episodes share the start state, the reference, the funnel radii and the
+    initial-compliance check; states, commands and disturbances are (B,) columns.
+    An episode leaves the batch on a degenerate distance (before its tick counts)
+    or on reaching the goal (after its step). No log is kept: the tick record is
+    reduced by table, before an episode leaves and at the end.
     """
-    dt = scenario.sim_dt
-    n_max = int(round(scenario.horizon / dt))
-    ref_p = traj.eval(np.minimum(np.arange(n_max) * dt + lead, traj.duration))
-    goal_x, goal_y = (float(g) for g in scenario.goal)
+    dt, n_max, t_state = _horizon(scenario)
+    # 0-d arrays: numpy is faster on arrays than on floats.
+    goal_x, goal_y, goal_radius, speed_bound, eps_degenerate = map(np.array, (
+        *scenario.goal, scenario.goal_radius, scenario.goal_speed_threshold, EPS_DEGENERATE))
     start = scenario.start
     n = len(disturbances)
 
     # Working columns (of x, dist, the tables, the record): the running episodes, idx their numbers.
     idx = np.arange(n)
-    x = np.tile(np.array([[start.p_x], [start.p_y], [start.psi],
-                          [start.u], [start.v], [start.r]]), (1, n))
+    x = np.tile(np.array(operator.attrgetter(*_STATE_COLUMNS)(start))[:, None], (1, n))
     dist = DisturbanceBatch(disturbances)
-    # The state times accumulate as the RK4 steps them, t_{i+1} = t_i + dt.
-    t_state = list(itertools.accumulate(itertools.repeat(dt, n_max), initial=start.t))
 
-    # Per episode, indexed by episode number. counts holds the violations per channel
-    # (in CHANNELS order), then the thrust cuts and the actuator violations.
+    # Per episode, indexed by episode number: the _reduce_ticks counts and maxima.
     positions = np.empty((n_max, 2, n))
     counts = np.zeros((len(CHANNELS) + 2, n), dtype=np.int64)
-    maxima = np.zeros((3, n))  # of |psi_e|, |v| and the speed
+    maxima = np.zeros((3, n))
     final_e_d = np.zeros(n)
     ticks = np.full(n, n_max)
     fault: list[str | None] = [None] * n
     goal_time: list[float | None] = [None] * n
 
-    # Ticks first, first + 1, ...: pre-step p_x, p_y, psi, u, v, psi_e, e_d, F_T, alpha_r, xi_*.
-    record, first = np.empty((_TABLE_TICKS, 13, n)), 0
+    # Ticks first, first + 1, ...: the _RECORD_ROWS, state rows pre-step.
+    record, first = np.empty((_TABLE_TICKS, len(_RECORD_ROWS), n)), 0
 
     def flush(end: int) -> None:
         nonlocal first
         rec, first = record[:end - first, :, :len(idx)], end
         if rec.size:
             sel = idx if len(idx) < n else slice(None)  # a basic slice is cheaper
-            _p_x, _p_y, _psi, u, v, psi_e, e_d, F_T, alpha_r = rec[:, :9].transpose(1, 0, 2)
-            counts[:4, sel] += np.count_nonzero(np.abs(rec[:, 9:]) >= 1.0, axis=0)
-            counts[4, sel] += np.count_nonzero(F_T < scenario.min_thrust_floor, axis=0)
-            counts[5, sel] += np.count_nonzero(~((0.0 <= F_T) & (F_T <= cfg.F_T_max)
-                                                 & (np.abs(alpha_r) <= cfg.alpha_r_max)), axis=0)
-            maxima[:, sel] = np.maximum(maxima[:, sel], np.array(
-                (np.abs(psi_e), np.abs(v), np.hypot(u, v))).max(axis=1))
-            final_e_d[sel] = e_d[-1]
+            table_counts, table_maxima = _reduce_ticks(rec, scenario, cfg)
+            counts[:, sel] += table_counts
+            maxima[:, sel] = np.maximum(maxima[:, sel], table_maxima)
+            final_e_d[sel] = rec[-1, 6]
             positions[end - len(rec):end, :, sel] = rec[:, :2]
 
-    def leave(done: np.ndarray) -> None:
+    def leave(done: np.ndarray, end: int, outcome: list, value) -> None:
+        """The done episodes leave after tick end - 1, each with outcome[k] = value."""
         nonlocal idx, x, dist, tau_state, tau_half
+        flush(end)
+        ticks[idx[done]] = end
+        for k in idx[done]:
+            outcome[k] = value
         idx, x = idx[~done], x[:, ~done]
         dist = DisturbanceBatch([disturbances[k] for k in idx])
         tau_state, tau_half = tau_state[..., ~done], tau_half[..., ~done]
@@ -355,53 +343,36 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
         j = i % _TABLE_TICKS
         if j == 0:
             flush(i)
-            # The running episodes' disturbances at the next state times and their half steps.
-            ts = np.array(t_state[i:i + _TABLE_TICKS + 1])
-            tau_state, tau_half = dist.table(ts), dist.table(ts[:-1] + 0.5 * dt)
-        p_des = ref_p[i]
-        err = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
-        e_d, e_o, psi_e = err.e_d, err.e_o, err.psi_e
-        degenerate = e_d < EPS_DEGENERATE
+            _t, _s_ref, ref_p, radii, ts, ts_half = _table_inputs(cfg, traj, lead, dt, t_state, i, n_max)
+            tau_state, tau_half = dist.table(ts), dist.table(ts_half)  # of the running episodes
+        p_des = ref_p[j]
+        _e_x, _e_y, e_d, e_o, psi_e = error_terms(x[0], x[1], x[2], p_des[0], p_des[1])
+        degenerate = e_d < eps_degenerate
         if np.count_nonzero(degenerate):
-            flush(i)
-            ticks[idx[degenerate]] = i
-            for k in idx[degenerate]:
-                fault[k] = "degenerate_distance"
             e_d, e_o, psi_e = e_d[~degenerate], e_o[~degenerate], psi_e[~degenerate]
-            leave(degenerate)
+            leave(degenerate, i, fault, "degenerate_distance")
             if not len(idx):
                 break
-        if i == 0:
-            # Same start state and reference for every episode: one check.
-            check_initial_compliance(
-                compute_errors(start.p_x, start.p_y, start.psi, p_des[0], p_des[1]), start, cfg)
+        if i == 0:  # the same start state and reference for every episode: one check
+            check_initial_compliance(compute_errors(start.p_x, start.p_y, start.psi, *p_des), start, cfg)
 
-        cmd, dbg = cascade(x[3], x[5], e_d, e_o, i * dt, cfg)
         row = record[i - first, :, :len(idx)]
+        F_T, alpha_r, _signals = stages(x[3], x[5], e_d, e_o, radii[j], cfg, row[9:])
         row[:5] = x[:5]
-        row[5:] = (psi_e, e_d, cmd.F_T, cmd.alpha_r, dbg.xi_d, dbg.xi_o, dbg.xi_u, dbg.xi_r)
-        x = step(x, cmd.F_T, cmd.alpha_r, scenario.vessel, tau_state[j], tau_half[j],
+        row[5], row[6], row[7], row[8] = psi_e, e_d, F_T, alpha_r
+        x = step(x, F_T, alpha_r, scenario.vessel, tau_state[j], tau_half[j],
                  tau_state[j + 1], dt)
         # The speed only once some episode is inside the goal ball.
-        arrived = np.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius
+        arrived = np.hypot(x[0] - goal_x, x[1] - goal_y) <= goal_radius
         if np.count_nonzero(arrived) and np.count_nonzero(
-                arrived := arrived & (np.hypot(x[3], x[4]) <= scenario.goal_speed_threshold)):
-            flush(i + 1)
-            ticks[idx[arrived]] = i + 1
-            for k in idx[arrived]:
-                goal_time[k] = t_state[i + 1]
-            leave(arrived)
+                arrived := arrived & (np.hypot(x[3], x[4]) <= speed_bound)):
+            leave(arrived, i + 1, goal_time, t_state[i + 1])
     flush(n_max)  # the episodes that ran to the horizon, if any
 
     min_clear = _min_clearances(scenario, [positions[:ticks[k], :, k] for k in range(n)])
-    return [
-        _episode_summary(
-            scenario, lead, int(ticks[k]), min_clear[k], violations=counts[:4, k],
-            fault=fault[k], goal_time=goal_time[k], max_abs_psi_e=maxima[0, k],
-            max_abs_sway=maxima[1, k], max_speed=maxima[2, k], final_e_d=final_e_d[k],
-            thrust_cut_ticks=counts[4, k], actuator_violations=counts[5, k])
-        for k in range(n)
-    ]
+    return [_episode_summary(scenario, lead, int(ticks[k]), min_clear[k], counts[:, k],
+                             maxima[:, k], final_e_d[k], fault=fault[k], goal_time=goal_time[k])
+            for k in range(n)]
 
 
 def _with_inflation(run, cfg: ControllerConfig, auto_inflate: bool,
@@ -491,14 +462,10 @@ def sweep(scenario: Scenario, n_episodes: int, auto_inflate: bool = False) -> Sw
     summaries, inflated = _with_inflation(
         lambda cfg: _sweep_ticks(scenario, cfg, traj, lead, disturbances),
         scenario.controller, auto_inflate)
-    result = SweepResult(scenario_name=scenario.name, master_seed=scenario.seed)
     for k, (entry, seed_k) in enumerate(zip(summaries, seeds)):
-        if inflated:
-            entry["auto_inflated"] = list(inflated)
-        entry["episode_index"] = k
-        entry["episode_seed"] = seed_k
-        result.episodes.append(entry)
-    return result
+        entry.update({"auto_inflated": list(inflated)} if inflated else {},
+                     episode_index=k, episode_seed=seed_k)
+    return SweepResult(scenario_name=scenario.name, master_seed=scenario.seed, episodes=summaries)
 
 
 @dataclass

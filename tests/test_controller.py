@@ -54,6 +54,8 @@ class TestConfig:
             make_config(alpha_r_max=math.pi / 4.0)
         with pytest.raises(ValueError):
             make_config(rho_d_min=30.0)  # funnel floor above the funnel
+        with pytest.raises(ValueError):
+            make_config(F_T_max=math.inf)  # the clipped thrust must be finite
 
     def test_k_alpha(self):
         cfg = make_config(k_u=10.0, k_r=10.0, delta_x_nominal=1.0)

@@ -79,6 +79,30 @@ class TestRotation:
         assert wrap_angle(-0.1) == pytest.approx(2 * math.pi - 0.1)
         assert 0.0 <= wrap_angle(123.456) < 2 * math.pi
 
+    @pytest.mark.parametrize("psi, want", [
+        (-1e-17, 0.0), (-5e-324, 0.0), (-4.4e-16, 0.0), (-5e-16, math.nextafter(2 * math.pi, 0.0)),
+        (2 * math.pi, 0.0), (4 * math.pi, 0.0), (-2 * math.pi, 0.0), (-0.0, 0.0),
+        (3 * (2 * math.pi), math.fmod(3 * (2 * math.pi), 2 * math.pi)),
+        (-3 * (2 * math.pi), 0.0), (-7 * (2 * math.pi), 0.0)])
+    def test_wrap_angle_below_two_pi(self, psi, want):
+        # psi + 2 pi rounds up to 2 pi just below 0; that is 0 in [0, 2 pi)
+        for got in (wrap_angle(psi), wrap_angle(np.array([psi, 1.0]))[0]):
+            assert 0.0 <= got < 2 * math.pi
+            assert got == want
+        if math.fmod(psi, 2 * math.pi) == 0.0:  # -0.0 stays -0.0, as fmod leaves it
+            assert math.copysign(1.0, wrap_angle(psi)) == math.copysign(1.0, math.fmod(psi, 2 * math.pi))
+
+    def test_wrap_angle_keeps_every_other_value(self):
+        rng = np.random.default_rng(5)
+        psi = np.concatenate((rng.uniform(-60.0, 60.0, 4000), -rng.uniform(0.0, 2e-15, 200),
+                              rng.uniform(-1e6, 1e6, 200)))
+        old = np.fmod(psi, 2 * math.pi)
+        old = np.where(old < 0.0, old + 2 * math.pi, old)
+        moved = old == 2 * math.pi
+        got = wrap_angle(psi)
+        assert moved.any() and np.array_equal(got[~moved], old[~moved]) and not got[moved].any()
+        assert [wrap_angle(float(p)) for p in psi] == got.tolist()
+
 
 class TestStep:
     def test_equilibrium(self):

