@@ -31,7 +31,7 @@ from .funnels import FunnelSpec, TrackingErrors, compute_errors, transform
 from .geometry import ConvexPolygon, Workspace, find_separator, inflate, point_free, verify_separation
 from .harness import EpisodeLog, audit, run_episode, sweep
 from .rrt import RrtParams, RrtPath, plan
-from .scenario import Scenario, TrajOptSettings, load_scenario
-from .trajopt import TrajOptProblem, TrajOptSolution, solve, validate
+from .scenario import Scenario, load_scenario
+from .trajopt import TrajOptProblem, TrajOptSettings, TrajOptSolution, solve, validate
 
 __version__ = "0.1.0"

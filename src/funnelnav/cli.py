@@ -62,9 +62,9 @@ def cmd_traj(args) -> int:
     report = trajopt.validate(solution, harness.make_problem(scenario, path))
     with open(os.path.join(args.out_dir, "residuals.json"), "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)
-    print(f"trajopt {solution.status}: duration {solution.trajectory.duration:.1f} s, "
-          f"cost {solution.cost_total:.4g} -> {traj_path}")
-    return 0 if solution.status == "converged" else 1
+    print(f"trajopt {solution.status}, residual check {'ok' if report.ok else 'FAILED'}: "
+          f"duration {solution.trajectory.duration:.1f} s, cost {solution.cost_total:.4g} -> {traj_path}")
+    return 0 if solution.status == "converged" and report.ok else 1
 
 
 def cmd_run(args) -> int:

@@ -90,7 +90,7 @@ class EpisodeLog:
 
 def make_problem(scenario: Scenario, path: rrt.RrtPath, w1: float | None = None,
                  init: str = "rrt") -> trajopt.TrajOptProblem:
-    # The scenario's solver settings are TrajOptProblem fields of the same names.
+    # TrajOptProblem extends TrajOptSettings: the scenario's settings fill the inherited fields.
     settings = dataclasses.asdict(scenario.trajopt)
     if w1 is not None:
         settings["w1"] = w1

@@ -9,7 +9,7 @@ resampled to even spacing so the downstream spline fit sees a clean prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,7 @@ class RrtParams:
     def resolved(self, ws: Workspace) -> "RrtParams":
         step = self.step_size if self.step_size is not None else ws.diagonal() / 50.0
         radius = self.goal_radius if self.goal_radius is not None else step
-        return RrtParams(step_size=step, goal_bias=self.goal_bias, max_iters=self.max_iters,
-                         goal_radius=radius, seed=self.seed, shortcut=self.shortcut)
+        return replace(self, step_size=step, goal_radius=radius)
 
 
 @dataclass(frozen=True)

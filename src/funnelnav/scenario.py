@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .bspline import SplineTrajectory
@@ -24,20 +24,7 @@ from .errors import FunnelNavError, InvalidScenario
 from .funnels import FunnelSpec
 from .geometry import ConvexPolygon, Workspace, point_free
 from .rrt import RrtParams
-
-
-@dataclass
-class TrajOptSettings:
-    """Solver knobs carried by the scenario; see trajopt.TrajOptProblem."""
-
-    w1: float = 1.0
-    w2: float = 0.1
-    w3: float = 0.05
-    dt_bounds: tuple[float, float] = (0.05, 60.0)
-    sep_margin: float = 0.01
-    max_outer: int = 200
-    tol_outer: float = 1e-6
-    tol_residual: float = 1e-8
+from .trajopt import TrajOptSettings
 
 
 def _is_number(value) -> bool:
@@ -88,6 +75,12 @@ def _check_written(data: dict, written: dict, path: str = "") -> None:
 def _converted(section: dict, **convert) -> dict:
     """section with convert[key] applied to the value of each key it has."""
     return {key: convert[key](value) if key in convert else value for key, value in section.items()}
+
+
+def _fields(obj) -> dict:
+    """The fields of a dataclass by name, uncopied (unlike dataclasses.asdict) so
+    that _check_written sees a list or dict that a field took as it came."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 # The Scenario field of each key of the goal, kinodynamic and sim sections, where the two differ.
@@ -179,48 +172,22 @@ class Scenario:
             "vessel": {
                 "m": self.vessel.m, "Iz": self.vessel.Iz, "Delta_x": self.vessel.Delta_x,
                 "coriolis_on": self.vessel.coriolis_on,
-                "drag": {
-                    "d1_u": self.vessel.drag.d1_u, "d2_u": self.vessel.drag.d2_u,
-                    "d1_v": self.vessel.drag.d1_v, "d2_v": self.vessel.drag.d2_v,
-                    "d1_r": self.vessel.drag.d1_r, "d2_r": self.vessel.drag.d2_r,
-                },
+                "drag": _fields(self.vessel.drag),
             },
             "disturbance": {
                 "seed": self.disturbance.seed,
-                "axes": {
-                    name: {
-                        "bias": ax.bias, "sin_amp": ax.sin_amp,
-                        "sin_freq_hz": ax.sin_freq_hz, "sin_phase": ax.sin_phase,
-                        "noise_amp": ax.noise_amp,
-                    }
-                    for name, ax in zip(("x", "y", "psi"), self.disturbance.axes)
-                },
+                "axes": {name: _fields(ax) for name, ax in zip(("x", "y", "psi"), self.disturbance.axes)},
             },
             "controller": {
                 "k_d": ctl.k_d, "k_u": ctl.k_u, "k_o": ctl.k_o, "k_r": ctl.k_r,
                 "rho_d_min": ctl.rho_d_min,
                 "F_T_max": ctl.F_T_max, "alpha_r_max": ctl.alpha_r_max,
                 "eps_u_guard": ctl.eps_u_guard, "delta_x_nominal": ctl.delta_x_nominal,
-                "funnels": {
-                    name: {"rho0": f.rho0, "rho_inf": f.rho_inf, "l": f.l}
-                    for name, f in (("d", ctl.funnel_d), ("u", ctl.funnel_u),
-                                    ("o", ctl.funnel_o), ("r", ctl.funnel_r))
-                },
+                "funnels": {name: _fields(getattr(ctl, f"funnel_{name}")) for name in "duor"},
             },
             "kinodynamic": {"v_max": self.v_max, "a_max": self.a_max},
-            "planner": {
-                "step_size": self.planner.step_size, "goal_bias": self.planner.goal_bias,
-                "max_iters": self.planner.max_iters, "goal_radius": self.planner.goal_radius,
-                "seed": self.planner.seed, "shortcut": self.planner.shortcut,
-            },
-            "trajopt": {
-                "w1": self.trajopt.w1, "w2": self.trajopt.w2, "w3": self.trajopt.w3,
-                "dt_bounds": list(self.trajopt.dt_bounds),
-                "sep_margin": self.trajopt.sep_margin,
-                "max_outer": self.trajopt.max_outer,
-                "tol_outer": self.trajopt.tol_outer,
-                "tol_residual": self.trajopt.tol_residual,
-            },
+            "planner": _fields(self.planner),
+            "trajopt": _converted(_fields(self.trajopt), dt_bounds=list),
             "sim": {"dt": self.sim_dt, "horizon": self.horizon},
             "footprint_radius": self.footprint_radius,
             "min_thrust_floor": self.min_thrust_floor,

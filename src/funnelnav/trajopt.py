@@ -33,34 +33,43 @@ from .rrt import RrtPath
 
 
 @dataclass
-class TrajOptProblem:
-    """One smoothing problem over a fixed RRT prior and inflated obstacles."""
+class TrajOptSettings:
+    """The solver settings a scenario's trajopt section states, and the one
+    place their defaults live: TrajOptProblem adds the problem's data to them."""
 
-    rrt_path: RrtPath
-    obstacles: list[ConvexPolygon]
-    v_max: float
-    a_max: float
     w1: float = 1.0
     w2: float = 0.1
-    w3: float = 0.0
-    dt_bounds: tuple[float, float] = (1e-3, 60.0)
+    w3: float = 0.05
+    dt_bounds: tuple[float, float] = (0.05, 60.0)
     sep_margin: float = 0.01
     max_outer: int = 200
     tol_outer: float = 1e-6
     tol_residual: float = 1e-8
-    pgd_max_iters: int = 60
-    projection_sweeps: int = 300
-    init: str = "rrt"                    # "rrt" or "line" (no-prior cold start)
 
     def __post_init__(self):
         if self.w1 <= 0.0 and self.w2 <= 0.0:
             raise ValueError("at least one of w1, w2 must be positive")
         if self.w1 < 0.0 or self.w2 < 0.0 or self.w3 < 0.0:
             raise ValueError("weights must be nonnegative")
-        if self.v_max <= 0.0 or self.a_max <= 0.0:
-            raise ValueError("kinodynamic bounds must be positive")
         if not (0.0 < self.dt_bounds[0] <= self.dt_bounds[1]):
             raise ValueError(f"bad dt bounds {self.dt_bounds}")
+
+
+@dataclass(kw_only=True)
+class TrajOptProblem(TrajOptSettings):
+    """One smoothing problem over a fixed RRT prior and inflated obstacles."""
+
+    rrt_path: RrtPath
+    obstacles: list[ConvexPolygon]
+    v_max: float
+    a_max: float
+    projection_sweeps: int = 300
+    init: str = "rrt"                    # "rrt" or "line" (no-prior cold start)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.v_max <= 0.0 or self.a_max <= 0.0:
+            raise ValueError("kinodynamic bounds must be positive")
         if self.init not in ("rrt", "line"):
             raise ValueError(f"unknown init mode {self.init!r}")
 
@@ -142,32 +151,20 @@ class _Workspace:
         self.fit_grad = 2.0 * problem.w1 * A_fit.T
         self.jerk_grad = 2.0 * problem.w2 * A_jerk.T
         self.free_list = self.free.tolist()
-        self._halfspaces_of = (None, None)
-        self._arrays_of = (None, None)
 
-        # Every (segment, obstacle) pair has a line, segment-major: build
-        # inserts them in this order and each refit keeps its dict's order.
-        # Pair m's hull is C[pair_index[m]], its obstacle's padded vertices
-        # pair_verts[m], and pair_order is _Halfspaces.order of the pairs.
+        # Every (segment, obstacle) pair has a line, segment-major, and line m
+        # of every refit is pair m's. Pair m's hull is C[pair_index[m]], its
+        # obstacle's padded vertices pair_verts[m].
         n_obs = len(problem.obstacles)
         self.pairs = [(i, j) for i in range(n_seg) for j in range(n_obs)]
-        self.pair_index = np.repeat(np.arange(n_seg), n_obs)[:, None] + np.arange(4)
+        self.pair_seg = np.repeat(np.arange(n_seg), n_obs)
+        self.pair_index = self.pair_seg[:, None] + np.arange(4)
         self.pair_verts = padded_vertices([problem.obstacles[j] for _, j in self.pairs])
-        self.pair_order = _Halfspaces.order(self.pairs, self.free)
+        self.pair_order = _Lines.order(self.pair_seg, self.free)
 
-    # Both caches below hold the last planes dict seen; planes dicts are never
-    # edited in place (each refit makes one).
-    def halfspaces(self, planes: dict) -> _Halfspaces | None:
-        """_Halfspaces.of the planes, rebuilt only when a new dict comes in."""
-        if planes is not self._halfspaces_of[0]:
-            self._halfspaces_of = (planes, _Halfspaces.of(planes, self))
-        return self._halfspaces_of[1]
-
-    def plane_arrays(self, planes: dict) -> tuple[np.ndarray, np.ndarray]:
-        """_plane_arrays of the planes, rebuilt only when a new dict comes in."""
-        if planes is not self._arrays_of[0]:
-            self._arrays_of = (planes, _plane_arrays(planes))
-        return self._arrays_of[1]
+    def lines(self, h: np.ndarray, d: np.ndarray) -> _Lines:
+        """The pairs' lines with normals h and offsets d."""
+        return _Lines.of(self.pair_seg, h, d, self.problem.sep_margin, self.pair_order)
 
     def residuals(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The fit and jerk residuals of C; cost and gradient both read them."""
@@ -201,12 +198,6 @@ def _initial_dt(problem: TrajOptProblem) -> float:
     dt0 = 2.0 * float(legs.max()) / problem.v_max
     lo, hi = problem.dt_bounds
     return min(max(dt0, lo), hi)
-
-
-def _plane_arrays(planes: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Normals (M, 2) and offsets (M,) of the planes, in the dict's order."""
-    h = np.array([h for h, _ in planes.values()], dtype=float).reshape(-1, 2)
-    return h, np.array([d for _, d in planes.values()], dtype=float)
 
 
 def _recovery_plane(hull: np.ndarray, poly: ConvexPolygon, margin: float):
@@ -244,15 +235,12 @@ def build(ws: _Workspace):
     dt = _initial_dt(problem)
     hulls = C[ws.pair_index]
     found, h, d = find_separators_padded(hulls, ws.pair_verts)
-    planes = {}
-    for m, ((i, j), ok, d_m) in enumerate(zip(ws.pairs, found.tolist(), d.tolist())):
-        if ok:
-            planes[(i, j)] = (h[m], d_m)
-        elif problem.init == "rrt":
+    for m in (~found).nonzero()[0].tolist():
+        i, j = ws.pairs[m]
+        if problem.init == "rrt":
             raise InfeasibleSeed(i, j)
-        else:
-            planes[(i, j)] = _recovery_plane(hulls[m], problem.obstacles[j], problem.sep_margin)
-    return C, dt, planes
+        h[m], d[m] = _recovery_plane(hulls[m], problem.obstacles[j], problem.sep_margin)
+    return C, dt, ws.lines(h, d)
 
 
 def _feasible_dt_floor(C: np.ndarray, problem: TrajOptProblem) -> float:
@@ -265,17 +253,22 @@ def _feasible_dt_floor(C: np.ndarray, problem: TrajOptProblem) -> float:
 
 
 @dataclass(frozen=True)
-class _Halfspaces:
-    """The separation halfspaces of _project, regrouped by control point.
+class _Lines:
+    """One refit's separating lines: line m keeps the hull of segment seg[m]
+    on the side h[m] . q >= d[m] of its obstacle.
 
-    A halfspace projection reads and writes only its own point, so each free
-    point can take the planes of the (at most four) segments covering it in
-    the dict's order, independently of every other point. The entries (point
+    They also hold _project's halfspaces regrouped by control point. A
+    halfspace projection reads and writes only its own point, so each free
+    point can take the lines of the (at most four) segments covering it in
+    line order, independently of every other point. The entries (point
     index, normal components, target d + margin) are stored point-major, each
-    point's in dict order; rows repeats each as Python numbers, with the index
+    point's in line order; rows repeats each as Python numbers, with the index
     one past its point's last entry: (point, end, hx, hy, target).
     """
 
+    seg: np.ndarray
+    h: np.ndarray
+    d: np.ndarray
     point: np.ndarray
     hx: np.ndarray
     hy: np.ndarray
@@ -283,11 +276,10 @@ class _Halfspaces:
     rows: list
 
     @staticmethod
-    def order(keys: list, free: np.ndarray):
-        """For planes with these keys: each entry's plane m and point k,
-        point-major and each point's in key order, and the rows' points and
+    def order(seg: np.ndarray, free: np.ndarray):
+        """For lines of these segments: each entry's line m and point k,
+        point-major and each point's in line order, and the rows' points and
         ends as lists."""
-        seg = np.array([i for i, _ in keys], dtype=int)
         m = np.repeat(np.arange(len(seg)), 4)
         k = (seg[:, None] + np.arange(4)).ravel()
         m, k = m[free[k]], k[free[k]]
@@ -297,24 +289,20 @@ class _Halfspaces:
         return m, k, k.tolist(), end.tolist()
 
     @classmethod
-    def of(cls, planes: dict, ws: _Workspace) -> _Halfspaces | None:
-        """The planes regrouped, or None for an empty dict."""
-        if not planes:
-            return None
-        h, d = ws.plane_arrays(planes)
-        keys = list(planes)
-        m, k, points, ends = ws.pair_order if keys == ws.pairs else cls.order(keys, ws.free)
-        hx, hy, target = h[m, 0], h[m, 1], d[m] + ws.problem.sep_margin
+    def of(cls, seg: np.ndarray, h: np.ndarray, d: np.ndarray, margin: float, order) -> _Lines:
+        """The lines (seg, h, d); order is _Lines.order of seg."""
+        m, k, points, ends = order
+        hx, hy, target = h[m, 0], h[m, 1], d[m] + margin
         rows = list(zip(points, ends, hx.tolist(), hy.tolist(), target.tolist()))
-        return cls(k, hx, hy, target, rows)
+        return cls(seg, h, d, k, hx, hy, target, rows)
 
     def project(self, X: np.ndarray, Y: np.ndarray, tol: float) -> float:
-        """One pass over every plane, in place on the rows X and Y; returns the
+        """One pass over every line, in place on the rows X and Y; returns the
         largest shortfall it corrected (0.0 when none was over tol).
 
-        Only points short on some plane at the start of the pass move, and
-        each runs its own planes on Python floats from the first short one:
-        the planes before it see the point unmoved and are not short.
+        Only points short on some line at the start of the pass move, and
+        each runs its own lines on Python floats from the first short one:
+        the lines before it see the point unmoved and are not short.
         """
         short = self.target - (X[self.point] * self.hx + Y[self.point] * self.hy) > tol
         worst, end = 0.0, 0
@@ -332,23 +320,22 @@ class _Halfspaces:
         return worst
 
 
-def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
+def _project(C: np.ndarray, dt: float, lines: _Lines, ws: _Workspace) -> float:
     """Cyclic projections onto every constraint set, in place.
 
     Returns the worst remaining violation. Pinned control points never move;
     constraints touching only pins are identically satisfied by the tripled
     endpoints. The velocity and acceleration chains are Gauss-Seidel
     recurrences and run point by point on Python floats; the halfspace pass
-    moves only the points short on a plane (_Halfspaces.project). Each
+    moves only the points short on a line (_Lines.project). Each
     point sees the same floating-point operations in the same order as a
-    plane-by-plane loop (tests/oracles.py::project_oracle), and a C that
+    line-by-line loop (tests/oracles.py::project_oracle), and a C that
     violates nothing returns 0.0 untouched.
     """
     problem = ws.problem
     v_bound = problem.v_max * dt
     a_bound = problem.a_max * (dt * dt)
     tol = problem.tol_residual
-    halfspaces = ws.halfspaces(planes)
     free = ws.free_list
     N = ws.N
     P = C.T  # rows x and y, a view: every update lands in C
@@ -407,26 +394,29 @@ def _project(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> float:
                     ys[k - 2] -= dy
             P[:] = xs, ys
         # Separation halfspaces: h.q >= d + margin for the four hull points.
-        if halfspaces is not None:
-            worst = max(worst, halfspaces.project(P[0], P[1], tol))
+        if lines.rows:
+            worst = max(worst, lines.project(P[0], P[1], tol))
         if worst <= tol:
             break
     return worst
 
 
-def _step_control_points(C: np.ndarray, dt: float, planes: dict, ws: _Workspace) -> np.ndarray:
+_PGD_MAX_ITERS = 60
+
+
+def _step_control_points(C: np.ndarray, dt: float, lines: _Lines, ws: _Workspace) -> np.ndarray:
     """Projected gradient descent with backtracking; never increases cost."""
     problem = ws.problem
     base_eta = 1.0 / ws.lipschitz
     res = ws.residuals(C)
     cost = ws.total_cost(res, dt)
-    for _ in range(problem.pgd_max_iters):
+    for _ in range(_PGD_MAX_ITERS):
         g = ws.grad(res)
         eta = base_eta
         accepted = False
         for _bt in range(30):
             trial = C - eta * g
-            _project(trial, dt, planes, ws)
+            _project(trial, dt, lines, ws)
             trial_res = ws.residuals(trial)
             trial_cost = ws.total_cost(trial_res, dt)
             if trial_cost < cost - 1e-15:
@@ -443,18 +433,16 @@ def _step_control_points(C: np.ndarray, dt: float, planes: dict, ws: _Workspace)
     return C
 
 
-def _step_planes(C: np.ndarray, planes: dict, ws: _Workspace) -> dict:
+def _step_planes(C: np.ndarray, lines: _Lines, ws: _Workspace) -> _Lines:
     """Re-fit every separating line in one batched call, keeping the old line
     where no refit was found or the refit would not improve the current
-    worst slack (keeps the iterate feasible). planes holds ws.pairs in order."""
+    worst slack (keeps the iterate feasible)."""
     margin = ws.problem.sep_margin
     hulls, verts = C[ws.pair_index], ws.pair_verts
-    old_h, old_d = ws.plane_arrays(planes)
     found, h, d = find_separators_padded(hulls, verts)
     take = found & (_plane_residual(hulls, verts, h, d, margin)
-                    >= _plane_residual(hulls, verts, old_h, old_d, margin))
-    h, d = np.where(take[:, None], h, old_h), np.where(take, d, old_d)
-    return dict(zip(planes, zip(h, d.tolist())))
+                    >= _plane_residual(hulls, verts, lines.h, lines.d, margin))
+    return ws.lines(np.where(take[:, None], h, lines.h), np.where(take, d, lines.d))
 
 
 def _step_dt(C: np.ndarray, ws: _Workspace) -> float:
@@ -518,19 +506,19 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
     """Run the alternating scheme to a monotone fixed point and verify it."""
     t_start = time.perf_counter()
     ws = _Workspace(problem)
-    C, dt, planes = build(ws)
+    C, dt, lines = build(ws)
     dt = max(dt, _feasible_dt_floor(C, problem))
     lo, hi = problem.dt_bounds
     if dt > hi * (1.0 + 1e-12):
         raise TrajOptInfeasible(f"initial guess needs dt {dt:.6g} > dt_max {hi}")
-    _project(C, dt, planes, ws)
+    _project(C, dt, lines, ws)
 
     cost_trace = [ws.total_cost(ws.residuals(C), dt)]
     status = "max_iters"
     n_outer = 0
     for n_outer in range(1, problem.max_outer + 1):
-        planes = _step_planes(C, planes, ws)
-        C = _step_control_points(C, dt, planes, ws)
+        lines = _step_planes(C, lines, ws)
+        C = _step_control_points(C, dt, lines, ws)
         dt = _step_dt(C, ws)
         cost = ws.total_cost(ws.residuals(C), dt)
         if cost > cost_trace[-1] + 1e-9 * max(1.0, abs(cost_trace[-1])):
@@ -543,11 +531,10 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
             status = "converged"
             break
 
-    residual = _project(C, dt, planes, ws)
+    residual = _project(C, dt, lines, ws)
     traj = SplineTrajectory(C, dt)
     max_v, max_a = _dense_kinodynamic_check(traj)
-    sep_ok = bool(np.all(_plane_residual(C[ws.pair_index], ws.pair_verts,
-                                         *ws.plane_arrays(planes), 0.0) > 0.0))
+    sep_ok = bool(np.all(_plane_residual(C[ws.pair_index], ws.pair_verts, lines.h, lines.d, 0.0) > 0.0))
     slack = 1.0 + 1e-6
     if not (
         residual <= problem.tol_residual * 10.0
@@ -560,7 +547,7 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
     fit, jerk = ws.quad_cost(ws.residuals(C))
     return TrajOptSolution(
         trajectory=traj,
-        hyperplanes=planes,
+        hyperplanes=dict(zip(ws.pairs, zip(lines.h, lines.d.tolist()))),
         cost_fit=fit,
         cost_jerk=jerk,
         cost_time=problem.w3 * dt,

@@ -500,9 +500,10 @@ def separator_block_oracle(hulls: np.ndarray, verts: np.ndarray):
     return found, h, d
 
 
-def project_oracle(C: np.ndarray, dt: float, planes: dict, ws) -> float:
+def project_oracle(C: np.ndarray, dt: float, lines, ws) -> float:
     """trajopt._project one scalar update at a time: every chain in every
-    sweep, and the plane-by-plane, point-by-point halfspace loop.
+    sweep, and the line-by-line, point-by-point halfspace loop over the raw
+    (seg, h, d) of the trajopt._Lines, in their order.
 
     Returns the worst remaining violation. Pinned control points never move;
     constraints touching only pins are identically satisfied by the tripled
@@ -563,7 +564,7 @@ def project_oracle(C: np.ndarray, dt: float, planes: dict, ws) -> float:
                 C[k - 2, 0] -= dx
                 C[k - 2, 1] -= dy
         # Separation halfspaces: h.q >= d + margin for the four hull points.
-        for (i, _j), (h, d) in planes.items():
+        for i, h, d in zip(lines.seg.tolist(), lines.h, lines.d.tolist()):
             target = d + margin
             for k in range(i, i + 4):
                 if not free[k]:

@@ -48,6 +48,16 @@ class TestTraj:
         for name in ("trajectory.json", "trajectory_samples.csv", "path.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_failed_residual_check_exits_1(self, tmp_path, scenario_file, monkeypatch):
+        # The solver reports converged, but the independent check fails.
+        real = trajopt.validate
+        monkeypatch.setattr(trajopt, "validate", lambda solution, problem: dataclasses.replace(
+            real(solution, problem), separation_all_verified=False))
+        out = tmp_path / "out"
+        assert main(["traj", "--scenario", scenario_file, "--out-dir", str(out)]) == 1
+        assert json.loads((out / "trajectory.json").read_text())["status"] == "converged"
+        assert json.loads((out / "residuals.json").read_text())["ok"] is False
+
 
 class TestRun:
     def test_episode_artifacts(self, tmp_path, scenario_file):
@@ -199,7 +209,8 @@ class TestTypedErrors:
     @pytest.mark.parametrize("section, key, value", [("goal", "radius", None),
                                                       ("start", "p_x", "0.0"),
                                                       ("goal", "position", [80.0, 0.0, 5.0]),
-                                                      ("goal", "position", [80.0, [0.0]])])
+                                                      ("goal", "position", [80.0, [0.0]]),
+                                                      ("trajopt", "dt_bounds", [5.0, 1.0])])
     def test_invalid_scenario(self, tmp_path, capsys, section, key, value):
         data = load_scenario("benign").to_dict()
         if value is None:

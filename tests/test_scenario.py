@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 from importlib import resources
@@ -21,10 +22,18 @@ class TestSerialization:
         again = Scenario.from_dict(data)
         assert again.to_dict() == data
 
+    # sha256 of each builtin's save_json bytes, recorded while to_dict still
+    # wrote every section key by key.
+    _SAVED = {"benign": "9b4827aa1d007fa47fd93d1b73dd54cea494b9d8fb48fdb2675221afc4ec42af",
+              "long-run": "c7ebdd5febd25c21d0b371e832dc42e92974f7a587ce8bd0c8ba614de0558b47",
+              "trajectory-demo": "84c6bf3f366987a1120782a8daf9acb6d98671cfad40217a3d566773f6287a16"}
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_packaged_file_is_canonical(self, name):
+    def test_packaged_file_is_canonical(self, name, tmp_path):
         raw = (resources.files("funnelnav") / "scenarios" / f"{name}.json").read_bytes()
         assert raw.decode("utf-8") == json.dumps(load_scenario(name).to_dict(), indent=2)
+        load_scenario(name).save_json(tmp_path / "saved.json")
+        assert hashlib.sha256((tmp_path / "saved.json").read_bytes()).hexdigest() == self._SAVED[name]
 
     def test_builtin_names_are_the_packaged_files(self):
         files = (resources.files("funnelnav") / "scenarios").iterdir()
@@ -245,6 +254,15 @@ class TestMalformed:
             data["sway_bound"] = value
             with pytest.raises(InvalidScenario, match="sway_bound"):
                 Scenario.from_dict(data)
+        # Sections written from their dataclass fields: trajopt and planner check
+        # no field of their own, so only to_dict's uncopied values catch these.
+        for path in (("trajopt", "w1"), ("planner", "goal_bias"), ("vessel", "drag", "d1_u"),
+                     ("disturbance", "axes", "x", "bias"), ("controller", "funnels", "d", "rho0")):
+            for value in ([3.0], {}, {"bound": 3.0}):
+                data = load_scenario("long-run").to_dict()
+                _parent(data, path)[path[-1]] = value
+                with pytest.raises(InvalidScenario):
+                    Scenario.from_dict(data)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(target=st.sampled_from(LEAVES),

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -15,6 +17,8 @@ from funnelnav.rrt import RrtPath
 from funnelnav.scenario import load_scenario
 from funnelnav.trajopt import (
     TrajOptProblem,
+    TrajOptSettings,
+    _Lines,
     _Workspace,
     _dense_kinodynamic_check,
     _feasible_dt_floor,
@@ -44,6 +48,14 @@ def free_problem(path, **overrides):
     return TrajOptProblem(rrt_path=path, **defaults)
 
 
+def lines_of(planes: dict, ws):
+    """A dict {(segment, obstacle): (h, d)} as trajopt._Lines, in the dict's order."""
+    seg = np.array([i for i, _ in planes], dtype=int)
+    h = np.array([h for h, _ in planes.values()], dtype=float).reshape(-1, 2)
+    d = np.array([d for _, d in planes.values()], dtype=float)
+    return _Lines.of(seg, h, d, ws.problem.sep_margin, _Lines.order(seg, ws.free))
+
+
 class TestProblemValidation:
     def test_weights_must_not_vanish(self):
         with pytest.raises(ValueError):
@@ -55,16 +67,22 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             free_problem(straight_path(), dt_bounds=(0.0, 1.0))
 
+    def test_defaults_are_the_settings(self):
+        # The solver defaults are stated once, on TrajOptSettings.
+        problem = TrajOptProblem(rrt_path=straight_path(), obstacles=[], v_max=1.0, a_max=1.0)
+        settings = {f.name: getattr(problem, f.name) for f in dataclasses.fields(TrajOptSettings)}
+        assert settings == dataclasses.asdict(TrajOptSettings())
+
 
 class TestBuild:
     def test_tripled_endpoints_and_waypoint_interior(self):
         path = straight_path(n=6)
-        C, dt, planes = build(_Workspace(free_problem(path)))
+        C, dt, lines = build(_Workspace(free_problem(path)))
         assert len(C) == 6 + 4
         assert np.array_equal(C[0], C[2]) and np.array_equal(C[0], path.waypoints[0])
         assert np.array_equal(C[-1], C[-3]) and np.array_equal(C[-1], path.waypoints[-1])
         assert np.array_equal(C[3:-3], path.waypoints[1:-1])
-        assert planes == {}
+        assert len(lines.d) == 0
 
     def test_initial_dt_rule(self):
         # fastest leg at half the velocity bound
@@ -85,8 +103,11 @@ class TestBuild:
         blocker = ConvexPolygon(np.array([[8.0, -3.0], [12.0, -3.0], [12.0, 3.0], [8.0, 3.0]]))
         problem = free_problem(straight_path(n=6), obstacles=[blocker], init="line",
                                w1=0.0, w2=1.0)
-        C, _, planes = build(_Workspace(problem))
-        assert planes  # every (segment, obstacle) pair got a line
+        ws = _Workspace(problem)
+        C, _, lines = build(ws)
+        # every (segment, obstacle) pair got a line with the obstacle on its negative side
+        assert lines.seg.tolist() == [i for i, _ in ws.pairs] == list(range(ws.N - 3))
+        assert np.all(blocker.vertices @ lines.h.T < lines.d)
 
     def test_fit_targets_cover_interior_waypoints_once(self):
         # index bookkeeping: rows pair knots 2..N-5 with waypoints 1..N_X-2
@@ -223,8 +244,9 @@ class TestProjection:
             planes[(i, j)] = (h, float(C[i:i + 4].mean(axis=0) @ h + rng.uniform(-2.0, 1.0)))
         dt = float(rng.uniform(0.3, 2.0))
         C_batched, C_scalar = C.copy(), C.copy()
-        worst_batched = _project(C_batched, dt, planes, ws)
-        worst_scalar = project_oracle(C_scalar, dt, planes, ws)
+        lines = lines_of(planes, ws)
+        worst_batched = _project(C_batched, dt, lines, ws)
+        worst_scalar = project_oracle(C_scalar, dt, lines, ws)
         assert C_batched.tobytes() == C_scalar.tobytes()
         assert worst_batched == worst_scalar
 
@@ -235,13 +257,14 @@ class TestProjection:
         planes = {(i, 0): (np.array([0.0, 1.0]), -5.0) for i in range(ws.N - 3)}
         before = C.tobytes()
         monkeypatch.setattr(trajopt.math, "hypot", None)   # no scalar sweep runs
-        assert _project(C, 2.0, planes, ws) == 0.0
+        assert _project(C, 2.0, lines_of(planes, ws), ws) == 0.0
         assert C.tobytes() == before
 
     @staticmethod
     def _assert_matches_oracle(C, dt, planes, ws):
         C_batched, C_scalar = C.copy(), C.copy()
-        assert _project(C_batched, dt, planes, ws) == project_oracle(C_scalar, dt, planes, ws)
+        lines = lines_of(planes, ws)
+        assert _project(C_batched, dt, lines, ws) == project_oracle(C_scalar, dt, lines, ws)
         assert C_batched.tobytes() == C_scalar.tobytes()
 
     @pytest.mark.parametrize("bound", ["velocity", "acceleration"])
@@ -329,6 +352,9 @@ class TestGoldenTrajectories:
     """sha256 of control_points.tobytes() and repr(dt_knot), recorded before
     the per-point halfspace pass, the edge-level separator screen and the
     residual hand-off: those changes keep every trajectory bit-identical.
+    _ARTIFACTS holds the sha256 of the trajectory.json that `funnelnav traj`
+    writes (json.dumps(solution.to_dict(), indent=2), lines included),
+    recorded before the refit's lines became one array object.
     Recorded with numpy 2.4.6 on x86-64; another BLAS may round the solver's
     matrix products differently."""
 
@@ -336,6 +362,19 @@ class TestGoldenTrajectories:
     def _digest(solution):
         traj = solution.trajectory
         return hashlib.sha256(traj.control_points.tobytes()).hexdigest(), repr(traj.dt_knot)
+
+    # The artifact pins, by builtin name and by the cold start's max_outer.
+    _ARTIFACTS = {
+        "benign": "9a3371811dd8729901f0ca335e9715adf29c52542509580fdb23da61d7cddb1b",
+        "long-run": "a662d81d6dccd7425779967577896515225947b7bf443ff1e13db4677e38dc11",
+        "trajectory-demo": "ff1d6fe0b54ff978b2041bb88cd1d3f9a1b6630d0df10264b53966967b6eb795",
+        4: "13f92d2c341d01d3e26c7ddba8e213dfe39d8003bc370b83db8b45dea08de34b",
+        20: "2a069a261bea21aedd8e13746b02eb51304ad0b8a4d5250a98df141750251ac7",
+    }
+
+    @staticmethod
+    def _artifact(solution):
+        return hashlib.sha256(json.dumps(solution.to_dict(), indent=2).encode()).hexdigest()
 
     @pytest.mark.parametrize("name, digest", [
         ("benign", ("c81cdec40dfafa3ea230f4103f34a1f0307e7cfdf822c14525c8297ca39084d6", "3.177473535174501")),
@@ -347,6 +386,7 @@ class TestGoldenTrajectories:
     def test_seeded_builtins(self, name, digest):
         _, solution = harness.plan_and_solve(load_scenario(name))
         assert self._digest(solution) == digest
+        assert self._artifact(solution) == self._ARTIFACTS[name]
 
     @pytest.mark.parametrize("max_outer, digest", [
         (4, ("531cbd6ccd74973d352d57ccc7a656f4ab29624077ef05a83111921bf13b245c", "1.6291801194561208")),
@@ -359,8 +399,10 @@ class TestGoldenTrajectories:
         problem = harness.make_problem(scenario, path, w1=0.0, init="line")
         problem.max_outer = max_outer
         solution = solve(problem)
-        assert solution.status == "max_iters"
+        # Setting max_outer after make_problem caps the solve (perfbench's ColdStart does so).
+        assert solution.status == "max_iters" and solution.n_outer == max_outer
         assert self._digest(solution) == digest
+        assert self._artifact(solution) == self._ARTIFACTS[max_outer]
 
 
 class TestValidate:
