@@ -1,9 +1,8 @@
 """Kinodynamic trajectory generation and funnel tracking for an underactuated vessel."""
 
 from .bspline import SplineTrajectory, clamped_from_waypoints
-from .controller import ControllerConfig, ControllerDebug, control_tick
+from .controller import ControllerConfig, control_tick
 from .dynamics import (
-    ActuatorCommand,
     AxisDisturbance,
     DisturbanceProfile,
     DragCoeffs,
@@ -27,7 +26,7 @@ from .errors import (
     UnverifiedTrajectory,
 )
 from .feasibility import FeasibilityReport, estimate_bounds
-from .funnels import FunnelSpec, TrackingErrors, compute_errors, transform
+from .funnels import FunnelSpec, compute_errors, transform
 from .geometry import ConvexPolygon, Workspace, find_separator, inflate, point_free, verify_separation
 from .harness import EpisodeLog, audit, run_episode, sweep
 from .rrt import RrtParams, RrtPath, plan

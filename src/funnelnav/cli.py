@@ -94,6 +94,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     scenario = _load(args)
+    scenario.validate()
     trajectory = None
     if args.with_trajectory:
         _, solution = harness.plan_and_solve(scenario)

@@ -17,10 +17,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import ActuatorCommand, VesselState, namespace
+from .dynamics import VesselState, namespace
 from .errors import InitialComplianceError
-from .funnels import (FunnelSpec, TrackingErrors, compute_errors, normalize_asymmetric,
-                      normalize_symmetric, transform)
+from .funnels import FunnelSpec, compute_errors, normalize_asymmetric, normalize_symmetric, transform
 
 CHANNELS = ("d", "o", "u", "r")
 
@@ -80,41 +79,6 @@ class ControllerConfig:
         return SimpleNamespace(**c), SimpleNamespace(**{k: np.array(v) for k, v in c.items()})
 
 
-@dataclass
-class ControllerDebug:
-    """Every intermediate cascade signal of one tick (floats, or (B,) arrays)."""
-
-    errors: TrackingErrors | None = None
-    xi_d: float = math.nan
-    xi_o: float = math.nan
-    xi_u: float = math.nan
-    xi_r: float = math.nan
-    eps_d: float = math.nan
-    eps_o: float = math.nan
-    eps_u: float = math.nan
-    eps_r: float = math.nan
-    u_des: float = math.nan
-    r_des: float = math.nan
-    X_des: float = math.nan
-    N_des: float = math.nan
-    u_alpha: float = math.nan
-    u_F: float = math.nan
-    rho_d: float = math.nan
-    rho_o: float = math.nan
-    rho_u: float = math.nan
-    rho_r: float = math.nan
-
-    def violated(self) -> np.ndarray:
-        """Whether |xi| >= 1, per channel in CHANNELS order: (4,), or (4, B) for arrays."""
-        return violated(np.array((self.xi_d, self.xi_o, self.xi_u, self.xi_r)))
-
-    @property
-    def violations(self) -> list[str]:
-        """The channels of a float record whose normalized error left its funnel."""
-        return [ch for ch, v in zip(CHANNELS, self.violated()) if v]
-
-
-
 def violated(xi):
     """Whether a normalized error left its funnel, |xi| >= 1, elementwise."""
     return np.abs(xi) >= 1.0
@@ -159,45 +123,40 @@ def stages(u, r, e_d, e_o, rho, cfg: ControllerConfig, xi=None):
     F_T = xp.minimum(xp.maximum(u_F, c.zero), c.F_T_max)
     # Past the clips only NaN is invalid, and a NaN rudder angle makes F_T NaN too.
     if xp.count_nonzero(xp.isnan(F_T)):
-        ActuatorCommand(F_T=F_T, alpha_r=alpha_r)  # raises its ValueError
+        raise ValueError(f"the cascade produced a NaN thrust: F_T={F_T}, alpha_r={alpha_r}")
     return F_T, alpha_r, (xi, (eps_d, eps_o, eps_u, eps_r), u_des, r_des, X_des, N_des, u_alpha, u_F)
 
 
-def cascade(u, r, e_d, e_o, t, cfg: ControllerConfig) -> tuple[ActuatorCommand, ControllerDebug]:
-    """stages at time t, a float or one per column: the command and its ControllerDebug."""
-    rho = funnel_radii(cfg, t)
-    F_T, alpha_r, (xi, eps, *signals) = stages(u, r, e_d, e_o, rho, cfg)
-    return ActuatorCommand(F_T=F_T, alpha_r=alpha_r), ControllerDebug(None, *xi, *eps, *signals, *rho)
-
-
-def check_initial_compliance(errors: TrackingErrors, state: VesselState,
-                             cfg: ControllerConfig) -> None:
-    """Validate the t=0 funnel preconditions; raise with per-channel diagnostics.
+def check_initial_compliance(errors: tuple, state: VesselState, cfg: ControllerConfig) -> None:
+    """Validate the t=0 funnel preconditions of compute_errors' errors; raise with
+    per-channel diagnostics.
 
     For each violated channel the diagnostics carry the minimal funnel radius
     rho0 that would restore compliance (None when no inflation can, e.g. a
     distance error at or below rho_d_min).
     """
+    _e_x, _e_y, e_d, e_o, psi_e = errors
     bad: dict[str, dict] = {}
-    rho_d0, rho_o0, rho_u0, rho_r0 = funnel_radii(cfg, 0.0)
-    if not (cfg.rho_d_min < errors.e_d < rho_d0):
-        suggestion = errors.e_d * (1.0 + 1e-6) if errors.e_d > cfg.rho_d_min else None
-        bound = rho_d0 if errors.e_d >= rho_d0 else cfg.rho_d_min
-        bad["d"] = {"value": errors.e_d, "bound": bound, "suggested_rho0": suggestion}
+    rho = funnel_radii(cfg, 0.0)
+    rho_d0, rho_o0, rho_u0, rho_r0 = rho
+    if not (cfg.rho_d_min < e_d < rho_d0):
+        suggestion = e_d * (1.0 + 1e-6) if e_d > cfg.rho_d_min else None
+        bound = rho_d0 if e_d >= rho_d0 else cfg.rho_d_min
+        bad["d"] = {"value": e_d, "bound": bound, "suggested_rho0": suggestion}
 
-    if abs(errors.e_o) >= rho_o0:
-        needed = abs(errors.e_o) * (1.0 + 1e-6)
-        bad["o"] = {"value": errors.e_o, "bound": rho_o0,
+    if abs(e_o) >= rho_o0:
+        needed = abs(e_o) * (1.0 + 1e-6)
+        bad["o"] = {"value": e_o, "bound": rho_o0,
                     "suggested_rho0": needed if needed < 1.0 else None}
 
-    if abs(errors.psi_e) >= math.pi / 2.0:
-        bad["psi_e"] = {"value": errors.psi_e, "bound": math.pi / 2.0, "suggested_rho0": None}
+    if abs(psi_e) >= math.pi / 2.0:
+        bad["psi_e"] = {"value": psi_e, "bound": math.pi / 2.0, "suggested_rho0": None}
 
     if "d" not in bad and "o" not in bad:
         # Velocity-channel checks need the stage-1 references, well-defined
         # only when the position channels comply.
-        _, dbg = cascade(state.u, state.r, errors.e_d, errors.e_o, 0.0, cfg)
-        for ch, e, rho0 in (("u", state.u - dbg.u_des, rho_u0), ("r", state.r - dbg.r_des, rho_r0)):
+        _F_T, _alpha_r, (_xi, _eps, u_des, r_des, *_) = stages(state.u, state.r, e_d, e_o, rho, cfg)
+        for ch, e, rho0 in (("u", state.u - u_des, rho_u0), ("r", state.r - r_des, rho_r0)):
             if abs(e) >= rho0:
                 bad[ch] = {"value": e, "bound": rho0, "suggested_rho0": abs(e) * (1.0 + 1e-6)}
 
@@ -205,14 +164,11 @@ def check_initial_compliance(errors: TrackingErrors, state: VesselState,
         raise InitialComplianceError(bad)
 
 
-def control_tick(state: VesselState, p_des, t: float,
-                 cfg: ControllerConfig) -> tuple[ActuatorCommand, ControllerDebug]:
-    """One full cascade evaluation: errors -> references -> demands -> command. At t == 0
-    the initial funnel compliance is validated first (InitialComplianceError); the debug
-    record names a clamped funnel violation and holds the tick's tracking errors."""
+def control_tick(state: VesselState, p_des, t: float, cfg: ControllerConfig) -> tuple:
+    """One full cascade evaluation, the one-tick entry point: errors -> references ->
+    demands -> command, stages' (F_T, alpha_r, signals) at the funnel radii of time t. At
+    t == 0 the initial funnel compliance is validated first (InitialComplianceError)."""
     errors = compute_errors(state.p_x, state.p_y, state.psi, float(p_des[0]), float(p_des[1]))
     if t == 0.0:
         check_initial_compliance(errors, state, cfg)
-    cmd, dbg = cascade(state.u, state.r, errors.e_d, errors.e_o, t, cfg)
-    dbg.errors = errors
-    return cmd, dbg
+    return stages(state.u, state.r, errors[2], errors[3], funnel_radii(cfg, t), cfg)

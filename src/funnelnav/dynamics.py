@@ -68,9 +68,6 @@ class VesselState:
     def position(self) -> tuple[float, float]:
         return (self.p_x, self.p_y)
 
-    def speed(self) -> float:
-        return math.hypot(self.u, self.v)
-
 
 @dataclass(frozen=True)
 class DragCoeffs:
@@ -199,31 +196,13 @@ class DisturbanceProfile:
         return cls()
 
 
-@dataclass(frozen=True)
-class ActuatorCommand:
-    """Thrust [N] and rudder angle [rad], floats or (B,) arrays; thrust is never negative."""
-
-    F_T: float
-    alpha_r: float
-
-    def __post_init__(self):
-        F_T, alpha_r = self.F_T, self.alpha_r
-        # Arrays: two reductions, initial=0.0 keeping [] valid. NaN fails every comparison.
-        if not ((F_T.min(initial=0.0) >= 0.0 and F_T.max(initial=0.0) < math.inf
-                 and np.isfinite(alpha_r).all()) if isinstance(F_T, np.ndarray)
-                else 0.0 <= F_T < math.inf and math.isfinite(alpha_r)):
-            raise ValueError("actuator command needs a finite thrust >= 0 and a finite rudder "
-                             f"angle, got F_T={self.F_T}, alpha_r={self.alpha_r}")
-
-
-def actuator_to_wrench(cmd: ActuatorCommand, params: VesselParams) -> tuple[float, float, float]:
-    """Map (thrust, rudder) of the single rear thruster to (X, Y, N).
-
-    The lateral force and yaw torque are rigidly coupled: Y = N / Delta_x.
+def actuator_to_wrench(F_T, alpha_r, params: VesselParams) -> tuple[float, float, float]:
+    """Map thrust [N] and rudder angle [rad] of the single rear thruster, floats or (B,)
+    arrays, to (X, Y, N). The lateral force and yaw torque are rigidly coupled: Y = N / Delta_x.
     """
-    xp = namespace(cmd.F_T)
-    X = cmd.F_T * xp.cos(cmd.alpha_r)
-    Y = cmd.F_T * xp.sin(cmd.alpha_r)
+    xp = namespace(F_T)
+    X = F_T * xp.cos(alpha_r)
+    Y = F_T * xp.sin(alpha_r)
     N = params.Delta_x * Y
     return (X, Y, N)
 
@@ -281,7 +260,7 @@ def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float)
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    X, Y, N = actuator_to_wrench(SimpleNamespace(F_T=F_T, alpha_r=alpha_r), params)
+    X, Y, N = actuator_to_wrench(F_T, alpha_r, params)
     if isinstance(x[2], np.ndarray):
         out = _batched_rk4(x, np.array((X, Y, N)), params, tau0, tau_half, tau1, dt)
         if np.count_nonzero(np.isfinite(out)) < out.size:

@@ -15,7 +15,7 @@ The reference-rate terms are measured by finite-differencing the cascade
 references along short closed-loop rollouts of the true dynamics; the
 samples of a pass roll out together through the batched cascade
 (controller.stages) and RK4 (dynamics.step). Sampling
-covers the compact operating subset |xi| <= xi_max of the funnel interior,
+covers the compact operating subset |xi| <= _XI_MAX of the funnel interior,
 intersected with the physically sustainable velocity envelope (terminal
 speeds under full actuation); the supremum over the full open funnel box is
 unbounded and would audit states the closed loop cannot reach.
@@ -42,6 +42,10 @@ CONDITIONS = ("thrust_floor", "surge_authority", "torque_authority", "initial_be
 
 # Samples rolled out together: bounds the rollout's arrays for any n_samples.
 _PASS = 512
+# The sampled subset |xi| <= _XI_MAX of the funnel interior, and the step of the rollouts
+# whose central differences give the reference rates.
+_XI_MAX = 0.8
+_DT_FD = 0.02
 
 
 @dataclass
@@ -114,11 +118,10 @@ def _initial_reference_point(scenario: Scenario, trajectory: SplineTrajectory | 
     return start + direction * (target / norm)
 
 
-def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: float,
-                  dt_fd: float):
+def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: float):
     """Central differences of (u_des, r_des) along 2-step closed-loop rollouts, all at once.
 
-    One draws row per sample. The cascade runs at t0 + k dt_fd, the RK4
+    One draws row per sample. The cascade runs at t0 + k _DT_FD, the RK4
     disturbance at each sample's accumulated state time. Returns both bound
     values per sample with the columns of their achieving-sample records,
     and the (3, B) thrusts and sway speeds seen along the rollouts.
@@ -143,28 +146,28 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
     p = np.array((px + e_d * np.cos(psi - psi_e), py + e_d * np.sin(psi - psi_e)))
     v_ref = ref_speed * np.array((np.cos(ref_dir), np.sin(ref_dir)))
     # The disturbance at the accumulated state times and the half steps between them.
-    t_state = (t0, t0 + dt_fd, t0 + dt_fd + dt_fd)
+    t_state = (t0, t0 + _DT_FD, t0 + _DT_FD + _DT_FD)
     tau = [scenario.disturbance.value(t) for t in t_state]
-    tau_half = [scenario.disturbance.value(t + 0.5 * dt_fd) for t in t_state[:2]]
+    tau_half = [scenario.disturbance.value(t + 0.5 * _DT_FD) for t in t_state[:2]]
     f_u, _f_v, f_r = lumped(u, v, r, tau[0], vessel)
 
     refs = []
     thrusts, sways = np.empty((2, 3, len(t0)))
     for k in range(3):
-        err = compute_errors(x[0], x[1], x[2], p[0], p[1])
-        if (err.e_d < EPS_DEGENERATE).any():
-            raise DegenerateDistance(f"feasibility rollout: distance error {err.e_d.min():.3e} "
+        _e_x, _e_y, e_d_k, e_o_k, _psi_e = compute_errors(x[0], x[1], x[2], p[0], p[1])
+        if (e_d_k < EPS_DEGENERATE).any():
+            raise DegenerateDistance(f"feasibility rollout: distance error {e_d_k.min():.3e} "
                                      f"below guard {EPS_DEGENERATE:.0e}")
         F_T, alpha_r, (_xi, _eps, u_des_k, r_des_k, *_) = stages(
-            x[3], x[5], err.e_d, err.e_o, funnel_radii(cfg, t0 + k * dt_fd), cfg)
+            x[3], x[5], e_d_k, e_o_k, funnel_radii(cfg, t0 + k * _DT_FD), cfg)
         refs.append((u_des_k, r_des_k))
         thrusts[k] = F_T
         sways[k] = np.abs(x[4])
         if k < 2:
-            x = step(x, F_T, alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], dt_fd)
-            p = p + v_ref * dt_fd
-    du_des = (refs[2][0] - refs[0][0]) / (2.0 * dt_fd)
-    dr_des = (refs[2][1] - refs[0][1]) / (2.0 * dt_fd)
+            x = step(x, F_T, alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], _DT_FD)
+            p = p + v_ref * _DT_FD
+    du_des = (refs[2][0] - refs[0][0]) / (2.0 * _DT_FD)
+    dr_des = (refs[2][1] - refs[0][1]) / (2.0 * _DT_FD)
 
     val_u = np.abs(f_u - vessel.m * (du_des + cfg.funnel_u.rate(t0) * xi_u_real))
     val_r = np.abs(f_r - vessel.Iz * (dr_des + cfg.funnel_r.rate(t0) * xi_r_real))
@@ -183,8 +186,7 @@ def _first_max(val: np.ndarray, cols: dict, best_val: float, best: dict) -> tupl
 
 
 def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None = None,
-                    trajectory: SplineTrajectory | None = None, xi_max: float = 0.8,
-                    horizon: float | None = None, dt_fd: float = 0.02) -> FeasibilityReport:
+                    trajectory: SplineTrajectory | None = None) -> FeasibilityReport:
     """Seeded Monte-Carlo maximization of the disturbance-and-reference bounds.
 
     The running maxima are nondecreasing in n_samples for a fixed seed, and
@@ -195,19 +197,19 @@ def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None 
         raise InsufficientSamples(f"need at least 100 samples, got {n_samples}")
     cfg = scenario.controller
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
-    horizon = scenario.horizon if horizon is None else horizon
 
     # Velocity envelope: speeds the actuators can sustain against drag,
     # intersected with what the cascade references can demand. The surge
     # bound applies in the forward-demand regime the stability analysis
     # covers (xi_d > 0, xi_u < 0; overspeed ticks cut thrust instead).
     u_cap = min(terminal_surge_speed(scenario), 1.5 * scenario.v_max)
-    r_cap = min(terminal_yaw_rate(scenario), 1.5 * cfg.k_o * math.atanh(xi_max))
+    r_cap = min(terminal_yaw_rate(scenario), 1.5 * cfg.k_o * math.atanh(_XI_MAX))
     v_bar = scenario.sway_bound
     x0, y0, x1, y1 = scenario.workspace.bounds
     # Draw ranges of t0, xi_d, xi_o, xi_u, xi_r, v, psi, px, py, ref_dir, ref_speed.
-    lo, hi = np.array([(dt_fd, max(horizon, 2.0 * dt_fd)), (1e-3, xi_max), (-xi_max, xi_max),
-                       (-xi_max, -1e-3), (-xi_max, xi_max), (-v_bar, v_bar), (0.0, 2.0 * math.pi),
+    lo, hi = np.array([(_DT_FD, max(scenario.horizon, 2.0 * _DT_FD)), (1e-3, _XI_MAX),
+                       (-_XI_MAX, _XI_MAX), (-_XI_MAX, -1e-3), (-_XI_MAX, _XI_MAX),
+                       (-v_bar, v_bar), (0.0, 2.0 * math.pi),
                        (x0, x1), (y0, y1), (0.0, 2.0 * math.pi), (0.0, scenario.v_max)]).T
 
     F_bar_u, best_u, F_bar_r, best_r = 0.0, {}, 0.0, {}
@@ -215,7 +217,7 @@ def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None 
     for done in range(0, n_samples, _PASS):
         draws = rng.uniform(lo, hi, size=(min(_PASS, n_samples - done), len(lo)))
         (val_u, cols_u), (val_r, cols_r), thrusts, sways = _rollout_pass(
-            scenario, draws, u_cap, r_cap, dt_fd)
+            scenario, draws, u_cap, r_cap)
         F_bar_u, best_u = _first_max(val_u, cols_u, F_bar_u, best_u)
         F_bar_r, best_r = _first_max(val_r, cols_r, F_bar_r, best_r)
         min_thrust = min(min_thrust, float(thrusts.min()))
@@ -224,8 +226,8 @@ def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None 
 
     # Initial-bearing condition on the scenario start state.
     ref0 = _initial_reference_point(scenario, trajectory)
-    psi_e0 = compute_errors(scenario.start.p_x, scenario.start.p_y, scenario.start.psi,
-                            ref0[0], ref0[1]).psi_e
+    *_, psi_e0 = compute_errors(scenario.start.p_x, scenario.start.p_y, scenario.start.psi,
+                                ref0[0], ref0[1])
 
     authority_u = cfg.F_T_max * math.cos(cfg.alpha_r_max)
     authority_r = scenario.vessel.Delta_x * scenario.min_thrust_floor * math.sin(cfg.alpha_r_max)

@@ -53,24 +53,12 @@ class FunnelSpec:
         return cls(rho0=rho, rho_inf=rho, l=0.0)
 
 
-@dataclass(frozen=True)
-class TrackingErrors:
-    """Position-error coordinates of one tick (floats, or (B,) arrays of poses).
-
-    e_d >= 0 is the planar distance error, e_o = sin(psi_e) in [-1, 1] the
-    orientation error, psi_e in (-pi, pi] the bearing of the reference in the
-    body frame.
-    """
-
-    e_x: float
-    e_y: float
-    e_d: float
-    e_o: float
-    psi_e: float
-
-
-def error_terms(p_x, p_y, psi, p_des_x, p_des_y) -> tuple:
-    """compute_errors' (e_x, e_y, e_d, e_o, psi_e) as a plain tuple."""
+def compute_errors(p_x, p_y, psi, p_des_x, p_des_y) -> tuple:
+    """The errors (e_x, e_y, e_d, e_o, psi_e) of floats, or (B,) arrays of poses, against a
+    reference point: e_d >= 0 is the planar distance error, e_o = sin(psi_e) in [-1, 1] the
+    orientation error, psi_e in (-pi, pi] the bearing of the reference in the body frame.
+    A float pose on the reference raises DegenerateDistance (orientation undefined); for
+    arrays the caller masks e_d < EPS_DEGENERATE (e_o meaningless)."""
     e_x = p_des_x - p_x
     e_y = p_des_y - p_y
     xp = namespace(e_x)
@@ -85,13 +73,6 @@ def error_terms(p_x, p_y, psi, p_des_x, p_des_y) -> tuple:
     psi_e = xp.atan2(-b_y, b_x)
     e_o = (e_x_s - e_y_c) / xp.maximum(e_d, EPS_DEGENERATE)
     return e_x, e_y, e_d, e_o, psi_e
-
-
-def compute_errors(p_x, p_y, psi, p_des_x, p_des_y) -> TrackingErrors:
-    """Distance/orientation errors of floats, or (B,) arrays of poses, against a reference
-    point: a float pose on it raises DegenerateDistance (orientation undefined); for arrays
-    the caller masks e_d < EPS_DEGENERATE (e_o meaningless)."""
-    return TrackingErrors(*error_terms(p_x, p_y, psi, p_des_x, p_des_y))
 
 
 def normalize_asymmetric(e_d: float, rho_d: float, rho_d_min: float) -> float:

@@ -2,8 +2,9 @@
 
 One episode runs the full pipeline: RRT over the inflated workspace, spline
 smoothing, then per-tick funnel control against the sampled reference and an
-RK4 step of the truth model. Everything lands in a flat column log so the
-audit can re-derive every funnel inequality without trusting the controller.
+RK4 step of the truth model. Everything lands in a flat column log, from which
+the audit re-derives every funnel inequality. The audit is not independent of
+the controller: it reads the controller's u_des, r_des and psi_e columns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .controller import (CHANNELS, ControllerConfig, check_initial_compliance,  
                          control_tick, funnel_radii, stages, violated)
 from .dynamics import DisturbanceBatch, step
 from .errors import DegenerateDistance, InfeasibleSeed, InitialComplianceError, UnverifiedTrajectory
-from .funnels import EPS_DEGENERATE, FunnelSpec, TrackingErrors, compute_errors, error_terms
+from .funnels import EPS_DEGENERATE, FunnelSpec, compute_errors
 from .geometry import distances_to_obstacles
 from .scenario import Scenario, reference_lead
 
@@ -98,8 +99,11 @@ def make_problem(scenario: Scenario, path: rrt.RrtPath, w1: float | None = None,
                                   v_max=scenario.v_max, a_max=scenario.a_max, init=init, **settings)
 
 
-def plan_and_solve(scenario: Scenario,
-                   max_attempts: int = 4) -> tuple[rrt.RrtPath, trajopt.TrajOptSolution]:
+_PLAN_ATTEMPTS = 4  # plans per plan_and_solve: the scenario's seed, then derived seeds
+_INFLATION_ROUNDS = 4  # runs per _with_inflation, the first without inflation
+
+
+def plan_and_solve(scenario: Scenario) -> tuple[rrt.RrtPath, trajopt.TrajOptSolution]:
     """Planner and optimizer stage shared by run, sweep and the CLI.
 
     A freshly planned path can occasionally wrap an inflated obstacle corner
@@ -111,7 +115,7 @@ def plan_and_solve(scenario: Scenario,
     scenario.validate()
     planner_ws = scenario.planner_workspace()
     last_exc = None
-    for attempt in range(max_attempts):
+    for attempt in range(_PLAN_ATTEMPTS):
         params = scenario.planner
         if attempt > 0:
             params = replace(params, seed=episode_seed(params.seed, attempt))
@@ -247,12 +251,12 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
             t_log = t_log.tolist()
         p_des, rho = ref_p[j], radii[j]
         try:  # the _ERROR_COLUMNS
-            errors = error_terms(x[0], x[1], x[2], float(p_des[0]), float(p_des[1]))
+            errors = compute_errors(x[0], x[1], x[2], float(p_des[0]), float(p_des[1]))
         except DegenerateDistance:
             fault = "degenerate_distance"
             break
         if i == 0:
-            check_initial_compliance(TrackingErrors(*errors), scenario.start, cfg)
+            check_initial_compliance(errors, scenario.start, cfg)
         F_T, alpha_r, (xi, eps, *signals) = stages(x[3], x[5], errors[2], errors[3], rho, cfg)
         u_alpha, u_F = signals[-2:]
         rows.append((t_log[j], *x, *p_des, *ref_v[j], *errors, *rho, *xi, *eps, *signals,
@@ -346,7 +350,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
             _t, _s_ref, ref_p, radii, ts, ts_half = _table_inputs(cfg, traj, lead, dt, t_state, i, n_max)
             tau_state, tau_half = dist.table(ts), dist.table(ts_half)  # of the running episodes
         p_des = ref_p[j]
-        _e_x, _e_y, e_d, e_o, psi_e = error_terms(x[0], x[1], x[2], p_des[0], p_des[1])
+        _e_x, _e_y, e_d, e_o, psi_e = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
         degenerate = e_d < eps_degenerate
         if np.count_nonzero(degenerate):
             e_d, e_o, psi_e = e_d[~degenerate], e_o[~degenerate], psi_e[~degenerate]
@@ -375,8 +379,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
             for k in range(n)]
 
 
-def _with_inflation(run, cfg: ControllerConfig, auto_inflate: bool,
-                    max_rounds: int = 4):
+def _with_inflation(run, cfg: ControllerConfig, auto_inflate: bool):
     """run(cfg) with the opt-in compliance recovery; (result, inflated channels).
 
     Each round applies the minimal per-channel funnel inflation the failure
@@ -385,7 +388,7 @@ def _with_inflation(run, cfg: ControllerConfig, auto_inflate: bool,
     iterates channel by channel instead of guessing a joint inflation.
     """
     inflated: list[str] = []
-    for _ in range(max_rounds):
+    for _ in range(_INFLATION_ROUNDS):
         try:
             return run(cfg), inflated
         except InitialComplianceError as err:

@@ -127,14 +127,14 @@ class Scenario:
             raise ValueError("footprint radius must be >= 0")
 
     def validate(self) -> None:
-        """Scenario-level invariants beyond per-field checks."""
+        """Scenario-level invariants beyond per-field checks; InvalidScenario if one fails."""
         if not point_free(self.start.position, self.workspace):
-            raise ValueError("start position not in the inflated free space")
+            raise InvalidScenario("start position not in the inflated free space")
         if not point_free(self.goal, self.workspace):
-            raise ValueError("goal position not in the inflated free space")
+            raise InvalidScenario("goal position not in the inflated free space")
         rho_d0 = self.controller.funnel_d.value(0.0)
         if rho_d0 + self.footprint_radius >= self.workspace.clearance:
-            raise ValueError(
+            raise InvalidScenario(
                 f"distance funnel radius {rho_d0} + footprint {self.footprint_radius} "
                 f"must stay below the workspace clearance {self.workspace.clearance}"
             )

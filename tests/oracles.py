@@ -620,10 +620,11 @@ def separation_report_oracle(C: np.ndarray, planes: dict, obstacles) -> tuple[fl
     return min_slack, all_ok
 
 
-def step_state(state, cmd, params, dist, dt):
-    """dynamics.step of one VesselState, its disturbance sampled at the RK4 stage times."""
+def step_state(state, F_T, alpha_r, params, dist, dt):
+    """dynamics.step of one VesselState under the command (F_T, alpha_r), its disturbance
+    sampled at the RK4 stage times."""
     t0 = state.t
-    x = step((state.p_x, state.p_y, state.psi, state.u, state.v, state.r), cmd.F_T, cmd.alpha_r,
+    x = step((state.p_x, state.p_y, state.psi, state.u, state.v, state.r), F_T, alpha_r,
              params, dist.value(t0), dist.value(t0 + 0.5 * dt), dist.value(t0 + dt), dt)
     return VesselState(*x, t=t0 + dt)
 
@@ -690,7 +691,8 @@ def _atanh_to_edge(xi: float) -> float:
 
 
 def cascade_oracle(u, r, e_d, e_o, t, cfg) -> SimpleNamespace:
-    """controller.cascade on one column, as Python floats through math.
+    """controller.stages at the funnel radii of time t on one column, as Python floats
+    through math.
 
     Returns the saturated F_T and alpha_r, the references u_des and r_des,
     and the violated channels in d, o, u, r order.
@@ -727,14 +729,14 @@ def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
     s = state
     p = p_des.copy()
     for k in range(3):
-        errors = compute_errors(s.p_x, s.p_y, s.psi, p[0], p[1])
-        out = cascade_oracle(s.u, s.r, errors.e_d, errors.e_o, t0 + k * dt_fd, cfg)
+        _e_x, _e_y, e_d, e_o, _psi_e = compute_errors(s.p_x, s.p_y, s.psi, p[0], p[1])
+        out = cascade_oracle(s.u, s.r, e_d, e_o, t0 + k * dt_fd, cfg)
         u_series.append(out.u_des)
         r_series.append(out.r_des)
         thrusts.append(out.F_T)
         sways.append(abs(s.v))
         if k < 2:
-            s = step_state(s, out, scenario.vessel, scenario.disturbance, dt_fd)
+            s = step_state(s, out.F_T, out.alpha_r, scenario.vessel, scenario.disturbance, dt_fd)
             p = p + v_ref * dt_fd
     du_des = (u_series[2] - u_series[0]) / (2.0 * dt_fd)
     dr_des = (r_series[2] - r_series[0]) / (2.0 * dt_fd)
@@ -816,8 +818,8 @@ def feasibility_oracle(scenario, n_samples: int = 2000, seed: int | None = None,
         thrust_cut += sum(1 for F in thrusts if F < scenario.min_thrust_floor)
 
     ref0 = feasibility._initial_reference_point(scenario, trajectory)
-    psi_e0 = compute_errors(scenario.start.p_x, scenario.start.p_y, scenario.start.psi,
-                            ref0[0], ref0[1]).psi_e
+    *_, psi_e0 = compute_errors(scenario.start.p_x, scenario.start.p_y, scenario.start.psi,
+                                ref0[0], ref0[1])
     authority_u = cfg.F_T_max * math.cos(cfg.alpha_r_max)
     authority_r = vessel.Delta_x * scenario.min_thrust_floor * math.sin(cfg.alpha_r_max)
     return feasibility.FeasibilityReport(

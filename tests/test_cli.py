@@ -204,7 +204,7 @@ class TestTypedErrors:
         self._main_fails_with("InfeasibleSeed",
                               ["run", "--scenario", scenario_file, "--out-dir", str(tmp_path)],
                               capsys)
-        assert len(calls) == 4  # plan_and_solve's default number of attempts
+        assert len(calls) == 4  # plan_and_solve's number of attempts
 
     @pytest.mark.parametrize("section, key, value", [("goal", "radius", None),
                                                       ("start", "p_x", "0.0"),
@@ -221,6 +221,18 @@ class TestTypedErrors:
         path.write_text(json.dumps(data))
         self._main_fails_with("InvalidScenario",
                               ["run", "--scenario", str(path), "--out-dir", str(tmp_path)], capsys)
+
+    def test_scenario_that_fails_validate(self, tmp_path, capsys):
+        # Every field loads, but rho_d(0) + footprint reaches the workspace clearance.
+        data = load_scenario("long-run").to_dict()
+        data["controller"]["funnels"]["d"]["rho0"] = 35.0
+        path = tmp_path / "wide-funnel.json"
+        path.write_text(json.dumps(data))
+        for command in ("run", "check"):
+            err = self._main_fails_with(
+                "InvalidScenario", [command, "--scenario", str(path), "--out-dir", str(tmp_path)], capsys)
+            assert "clearance" in err
+        assert not (tmp_path / "feasibility.json").exists()
 
     def test_truncated_scenario_file(self, tmp_path, scenario_file, capsys):
         path = tmp_path / "truncated.json"

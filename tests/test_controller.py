@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funnelnav.controller import ControllerConfig, cascade, check_initial_compliance, control_tick
+from funnelnav.controller import (CHANNELS, ControllerConfig, check_initial_compliance, control_tick,
+                                  funnel_radii, stages, violated)
 from funnelnav.dynamics import VesselState
 from funnelnav.errors import DegenerateDistance, InitialComplianceError
 from funnelnav.funnels import XI_CLAMP, FunnelSpec, compute_errors
@@ -31,17 +33,34 @@ def make_config(**overrides):
 MID = (28.0 + 0.5) / 2.0
 
 
+def named(out):
+    """The (F_T, alpha_r, signals) of stages or control_tick by name. violated holds the
+    flags of violated(xi) per channel, violations the violated channels of a float tick."""
+    F_T, alpha_r, (xi, eps, u_des, r_des, X_des, N_des, u_alpha, u_F) = out
+    flags = violated(np.array(xi))
+    return SimpleNamespace(
+        F_T=F_T, alpha_r=alpha_r, **dict(zip(("xi_d", "xi_o", "xi_u", "xi_r"), xi)),
+        **dict(zip(("eps_d", "eps_o", "eps_u", "eps_r"), eps)), u_des=u_des, r_des=r_des,
+        X_des=X_des, N_des=N_des, u_alpha=u_alpha, u_F=u_F, violated=flags,
+        violations=[ch for ch, v in zip(CHANNELS, flags) if v] if flags.ndim == 1 else None)
+
+
+def run_stages(u, r, e_d, e_o, t, cfg):
+    """stages at the funnel radii of time t, a float or one per column, by name."""
+    return named(stages(u, r, e_d, e_o, funnel_radii(cfg, t), cfg))
+
+
 def references(e_d, e_o=0.0, t=0.0, cfg=None):
     """Stages 1+2 alone: the cascade at zero surge and yaw rate."""
-    return cascade(0.0, 0.0, e_d, e_o, t, cfg or make_config())[1]
+    return run_stages(0.0, 0.0, e_d, e_o, t, cfg or make_config())
 
 
 def allocate(eps_u, eps_r, cfg):
     """The allocation alone: zero references (e_d mid-funnel, e_o = 0) and the
     velocity errors whose transformed values are eps_u and eps_r, where the
     funnel edge does not clamp them."""
-    return cascade(cfg.funnel_u.rho0 * math.tanh(eps_u), cfg.funnel_r.rho0 * math.tanh(eps_r),
-                   MID, 0.0, 0.0, cfg)
+    return run_stages(cfg.funnel_u.rho0 * math.tanh(eps_u), cfg.funnel_r.rho0 * math.tanh(eps_r),
+                      MID, 0.0, 0.0, cfg)
 
 
 class TestConfig:
@@ -66,17 +85,17 @@ class TestConfig:
 
 class TestVelocityReferences:
     def test_zero_errors_zero_references(self):
-        dbg = references(MID)
-        assert dbg.u_des == 0.0
-        assert dbg.r_des == 0.0
-        assert dbg.xi_d == pytest.approx(0.0)
+        out = references(MID)
+        assert out.u_des == 0.0
+        assert out.r_des == 0.0
+        assert out.xi_d == pytest.approx(0.0)
 
     def test_distance_reference_value(self):
         # e_d=20 in the loose funnel: xi = 11.5/27.5, u_des = 2 atanh(xi)
-        dbg = references(20.0, cfg=make_config(k_d=2.0))
-        assert dbg.xi_d == pytest.approx(11.5 / 27.5, abs=1e-15)
-        assert dbg.u_des == pytest.approx(2.0 * math.atanh(11.5 / 27.5), abs=1e-12)
-        assert dbg.u_des == pytest.approx(0.891, abs=1e-3)
+        out = references(20.0, cfg=make_config(k_d=2.0))
+        assert out.xi_d == pytest.approx(11.5 / 27.5, abs=1e-15)
+        assert out.u_des == pytest.approx(2.0 * math.atanh(11.5 / 27.5), abs=1e-12)
+        assert out.u_des == pytest.approx(0.891, abs=1e-3)
 
     def test_orientation_reference_value(self):
         r_des = references(20.0, e_o=0.5, cfg=make_config(k_o=1.0)).r_des
@@ -85,10 +104,10 @@ class TestVelocityReferences:
 
     def test_funnel_violation_tagged(self):
         # e_d = 30 lies beyond the distance funnel: clamped to its edge and flagged
-        dbg = references(30.0, t=1.5)
-        assert dbg.violations == ["d"]
-        assert dbg.eps_d == math.atanh(XI_CLAMP)
-        assert dbg.u_des == 2.0 * math.atanh(XI_CLAMP)
+        out = references(30.0, t=1.5)
+        assert out.violations == ["d"]
+        assert out.eps_d == math.atanh(XI_CLAMP)
+        assert out.u_des == 2.0 * math.atanh(XI_CLAMP)
 
     def test_monotone_in_distance_error(self):
         eds = np.linspace(1.0, 27.5, 100)
@@ -106,64 +125,64 @@ class TestWrenchReferences:
         # surge and yaw rate equal to their nonzero references
         cfg = make_config()
         refs = references(20.0, e_o=0.5, cfg=cfg)
-        _, dbg = cascade(refs.u_des, refs.r_des, 20.0, 0.5, 0.0, cfg)
+        out = run_stages(refs.u_des, refs.r_des, 20.0, 0.5, 0.0, cfg)
         assert refs.u_des != 0.0 and refs.r_des != 0.0
-        assert dbg.X_des == 0.0 and dbg.N_des == 0.0
+        assert out.X_des == 0.0 and out.N_des == 0.0
 
     def test_surge_demand_value(self):
-        _, dbg = cascade(-12.5, 0.0, MID, 0.0, 0.0, make_config(k_u=50.0))
-        assert dbg.xi_u == pytest.approx(-0.5)
-        assert dbg.X_des == pytest.approx(50.0 * math.atanh(0.5), abs=1e-12)
-        assert dbg.X_des == pytest.approx(27.465, abs=1e-3)
+        out = run_stages(-12.5, 0.0, MID, 0.0, 0.0, make_config(k_u=50.0))
+        assert out.xi_u == pytest.approx(-0.5)
+        assert out.X_des == pytest.approx(50.0 * math.atanh(0.5), abs=1e-12)
+        assert out.X_des == pytest.approx(27.465, abs=1e-3)
 
     def test_torque_demand_value(self):
-        _, dbg = cascade(0.0, 7.5, MID, 0.0, 0.0, make_config(k_r=10.0))
-        assert dbg.xi_r == pytest.approx(0.5)
-        assert dbg.N_des == pytest.approx(-10.0 * math.atanh(0.5), abs=1e-12)
-        assert dbg.N_des == pytest.approx(-5.4931, abs=1e-4)
+        out = run_stages(0.0, 7.5, MID, 0.0, 0.0, make_config(k_r=10.0))
+        assert out.xi_r == pytest.approx(0.5)
+        assert out.N_des == pytest.approx(-10.0 * math.atanh(0.5), abs=1e-12)
+        assert out.N_des == pytest.approx(-5.4931, abs=1e-4)
 
     def test_scale_consistency(self):
         # doubling rho_u while halving e_u leaves the demand unchanged
         cfg1 = make_config(funnel_u=FunnelSpec.static(25.0))
         cfg2 = make_config(funnel_u=FunnelSpec.static(50.0))
-        _, dbg1 = cascade(-10.0, 0.0, MID, 0.0, 0.0, cfg1)
-        _, dbg2 = cascade(-20.0, 0.0, MID, 0.0, 0.0, cfg2)
-        assert dbg1.X_des == pytest.approx(dbg2.X_des, abs=1e-12)
+        out1 = run_stages(-10.0, 0.0, MID, 0.0, 0.0, cfg1)
+        out2 = run_stages(-20.0, 0.0, MID, 0.0, 0.0, cfg2)
+        assert out1.X_des == pytest.approx(out2.X_des, abs=1e-12)
 
 
 class TestAllocation:
     def test_pure_surge_demand(self):
         cfg = make_config(k_u=50.0, F_T_max=1000.0)
-        cmd, dbg = allocate(-1.0, 0.0, cfg)
-        assert dbg.u_alpha == 0.0
+        cmd = allocate(-1.0, 0.0, cfg)
+        assert cmd.u_alpha == 0.0
         assert cmd.alpha_r == 0.0
         assert cmd.F_T == pytest.approx(min(50.0, 1000.0))
 
     def test_overspeed_cuts_thrust(self):
         cfg = make_config()
-        cmd, _ = allocate(0.3, 0.0, cfg)
+        cmd = allocate(0.3, 0.0, cfg)
         assert cmd.F_T == 0.0
-        cmd, _ = allocate(0.0, 0.5, cfg)
+        cmd = allocate(0.0, 0.5, cfg)
         assert cmd.F_T == 0.0
 
     def test_rudder_clamp_sign(self):
         # strong torque demand with weak surge demand saturates the rudder
         # toward -alpha_max * sign(eps_r)
         cfg = make_config(k_u=10.0, k_r=10.0)  # k_alpha = 1
-        cmd, dbg = allocate(-1.0, 10.0, cfg)
+        cmd = allocate(-1.0, 10.0, cfg)
         # eps_r = atanh(tanh(10)) is 10 up to the map's conditioning near the edge
-        assert dbg.eps_r == pytest.approx(10.0, rel=1e-6)
-        assert dbg.u_alpha == pytest.approx(math.atan(dbg.eps_r / dbg.eps_u), abs=1e-12)
-        assert dbg.u_alpha == pytest.approx(math.atan(-10.0), abs=1e-8)
+        assert cmd.eps_r == pytest.approx(10.0, rel=1e-6)
+        assert cmd.u_alpha == pytest.approx(math.atan(cmd.eps_r / cmd.eps_u), abs=1e-12)
+        assert cmd.u_alpha == pytest.approx(math.atan(-10.0), abs=1e-8)
         assert cmd.alpha_r == -cfg.alpha_r_max
-        cmd, _ = allocate(-1.0, -10.0, cfg)
+        cmd = allocate(-1.0, -10.0, cfg)
         assert cmd.alpha_r == cfg.alpha_r_max
 
     def test_overspeed_rudder_follows_proof_sign(self):
         cfg = make_config()
-        cmd, _ = allocate(0.5, 2.0, cfg)
+        cmd = allocate(0.5, 2.0, cfg)
         assert cmd.alpha_r == -cfg.alpha_r_max
-        cmd, _ = allocate(0.5, -2.0, cfg)
+        cmd = allocate(0.5, -2.0, cfg)
         assert cmd.alpha_r == cfg.alpha_r_max
 
     def test_bounds_bit_exact(self):
@@ -175,7 +194,7 @@ class TestAllocation:
         for _ in range(2000):
             eps_u = float(rng.uniform(-50, 50))
             eps_r = float(rng.uniform(-50, 50))
-            cmd, _ = allocate(eps_u, eps_r, cfg)
+            cmd = allocate(eps_u, eps_r, cfg)
             assert 0.0 <= cmd.F_T <= cfg.F_T_max
             assert abs(cmd.alpha_r) <= cfg.alpha_r_max
             saturated += cmd.F_T == cfg.F_T_max
@@ -188,14 +207,14 @@ class TestAllocation:
         rng = np.random.default_rng(1)
         checked = 0
         for _ in range(3000):
-            cmd, dbg = allocate(float(rng.uniform(-2.0, -1e-3)), float(rng.uniform(-1.0, 1.0)), cfg)
-            if abs(dbg.u_alpha) > cfg.alpha_r_max or not (0.0 <= dbg.u_F <= cfg.F_T_max):
+            cmd = allocate(float(rng.uniform(-2.0, -1e-3)), float(rng.uniform(-1.0, 1.0)), cfg)
+            if abs(cmd.u_alpha) > cfg.alpha_r_max or not (0.0 <= cmd.u_F <= cfg.F_T_max):
                 continue
             checked += 1
             X = cmd.F_T * math.cos(cmd.alpha_r)
             N = cfg.delta_x_nominal * cmd.F_T * math.sin(cmd.alpha_r)
-            assert X == pytest.approx(-cfg.k_u * dbg.eps_u, rel=1e-9)
-            assert N == pytest.approx(-cfg.k_r * dbg.eps_r, rel=1e-9, abs=1e-12)
+            assert X == pytest.approx(-cfg.k_u * cmd.eps_u, rel=1e-9)
+            assert N == pytest.approx(-cfg.k_r * cmd.eps_r, rel=1e-9, abs=1e-12)
         assert checked > 500
 
 
@@ -203,23 +222,23 @@ class TestControlTick:
     def test_bounds_always_hold(self):
         cfg = make_config()
         rng = np.random.default_rng(2)
-        violated = 0
+        clamped = 0
         for _ in range(500):
             state = VesselState(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                 rng.uniform(0, 2 * math.pi), rng.uniform(-3, 8),
                                 rng.uniform(-2, 2), rng.uniform(-2, 2))
             p_des = state.p_x + rng.uniform(1, 27), state.p_y + rng.uniform(-2, 2)
-            cmd, dbg = control_tick(state, p_des, 1.0, cfg)
+            cmd = named(control_tick(state, p_des, 1.0, cfg))
             assert 0.0 <= cmd.F_T <= cfg.F_T_max
             assert abs(cmd.alpha_r) <= cfg.alpha_r_max
-            violated += bool(dbg.violations)
-        assert violated > 0  # the clamped ticks are among them
+            clamped += bool(cmd.violations)
+        assert clamped > 0  # the clamped ticks are among them
 
     def test_equilibrium_near_zero_actuation(self):
         cfg = make_config()
         state = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        cmd, dbg = control_tick(state, (MID, 0.0), 1.0, cfg)
-        assert dbg.u_alpha == 0.0
+        cmd = named(control_tick(state, (MID, 0.0), 1.0, cfg))
+        assert cmd.u_alpha == 0.0
         assert cmd.alpha_r == 0.0
         assert cmd.F_T == pytest.approx(0.0, abs=1e-9)
 
@@ -227,10 +246,10 @@ class TestControlTick:
         cfg = make_config()
         state = VesselState(0.0, 0.0, 0.1, 1.0, 0.1, 0.05)
         p_des = (15.0, 3.0)
-        cmd_a, dbg_a = control_tick(state, p_des, 1e-9, cfg)
-        cmd_b, dbg_b = control_tick(state, p_des, 100.0, cfg)
-        assert cmd_a == cmd_b
-        assert dbg_a.xi_d == dbg_b.xi_d
+        cmd_a = named(control_tick(state, p_des, 1e-9, cfg))
+        cmd_b = named(control_tick(state, p_des, 100.0, cfg))
+        assert (cmd_a.F_T, cmd_a.alpha_r) == (cmd_b.F_T, cmd_b.alpha_r)
+        assert cmd_a.xi_d == cmd_b.xi_d
 
     def test_loose_funnel_config_accepts_compliant_states(self):
         # The static loose funnels never reject a state that satisfies them.
@@ -243,8 +262,7 @@ class TestControlTick:
             state = VesselState(0.0, 0.0, psi, rng.uniform(0, 5), 0.0, rng.uniform(-1, 1))
             direction = psi - bearing
             p_des = (e_d * math.cos(direction), e_d * math.sin(direction))
-            cmd, dbg = control_tick(state, p_des, 5.0, cfg)
-            assert not dbg.violations
+            assert not named(control_tick(state, p_des, 5.0, cfg)).violations
 
     def test_degenerate_distance_propagates(self):
         cfg = make_config()
@@ -255,19 +273,19 @@ class TestControlTick:
 
 def _assert_batch_matches_scalar(u, r, e_d, e_o, t, cfg):
     """The array cascade against the float cascade and the oracle, column by column."""
-    cmd_b, dbg_b = cascade(u, r, e_d, e_o, t, cfg)
-    F_T, alpha_r, violated = cmd_b.F_T, cmd_b.alpha_r, dbg_b.violated()
+    batch = run_stages(u, r, e_d, e_o, t, cfg)
+    F_T, alpha_r, flags = batch.F_T, batch.alpha_r, batch.violated
     for k in range(len(u)):
         t_k = t[k] if np.ndim(t) else t
-        cmd, dbg = cascade(float(u[k]), float(r[k]), float(e_d[k]), float(e_o[k]), t_k, cfg)
+        scalar = run_stages(float(u[k]), float(r[k]), float(e_d[k]), float(e_o[k]), t_k, cfg)
         oracle = cascade_oracle(u[k], r[k], e_d[k], e_o[k], t_k, cfg)
-        for cmd, dbg in ((cmd, dbg), (oracle, oracle)):
-            assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
-            assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
-            assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
-            assert dbg_b.u_des[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
-            assert dbg_b.r_des[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
-    assert violated.any(axis=1).all() and not violated.all(axis=0).all()
+        for ref in (scalar, oracle):
+            assert F_T[k] == pytest.approx(ref.F_T, rel=1e-12, abs=1e-9)
+            assert alpha_r[k] == pytest.approx(ref.alpha_r, rel=1e-12, abs=1e-15)
+            assert [ch for ch, v in zip("dour", flags[:, k]) if v] == ref.violations
+            assert batch.u_des[k] == pytest.approx(ref.u_des, rel=1e-12, abs=1e-12)
+            assert batch.r_des[k] == pytest.approx(ref.r_des, rel=1e-12, abs=1e-12)
+    assert flags.any(axis=1).all() and not flags.all(axis=0).all()
     return F_T
 
 
@@ -298,8 +316,8 @@ class TestControlBatch:
 
     def test_nonfinite_command_rejected(self):
         with pytest.raises(ValueError):
-            cascade(np.array([np.nan]), np.zeros(1), np.array([10.0]), np.zeros(1),
-                    0.0, make_config())
+            run_stages(np.array([np.nan]), np.zeros(1), np.array([10.0]), np.zeros(1),
+                       0.0, make_config())
 
 
 class TestCascadeBounds:
@@ -325,28 +343,26 @@ class TestCascadeBounds:
             states.append((VesselState(0.0, 0.0, 0.0, u, 0.0, r), p_des))
             errors.append(compute_errors(0.0, 0.0, 0.0, *p_des))
         u, r, _, _, t = (np.array(c) for c in zip(*columns))
-        e_d, e_o = np.array([e.e_d for e in errors]), np.array([e.e_o for e in errors])
-        cmd_b, dbg_b = cascade(u, r, e_d, e_o, t, cfg)
-        F_T, alpha_r, violated, u_des, r_des = (
-            cmd_b.F_T, cmd_b.alpha_r, dbg_b.violated(), dbg_b.u_des, dbg_b.r_des)
+        _e_x, _e_y, e_d, e_o, _psi_e = (np.array(c) for c in zip(*errors))
+        batch = run_stages(u, r, e_d, e_o, t, cfg)
+        F_T, alpha_r, flags, u_des, r_des = (
+            batch.F_T, batch.alpha_r, batch.violated, batch.u_des, batch.r_des)
         assert np.all((0.0 <= F_T) & (F_T <= cfg.F_T_max))
         assert np.all(np.abs(alpha_r) <= cfg.alpha_r_max)
         for k, (state, p_des) in enumerate(states):
-            # The oracle returns one record that serves as command and debug record.
-            oracle = cascade_oracle(u[k], r[k], e_d[k], e_o[k], t[k], cfg)
-            refs = [(oracle, oracle)]
+            refs = [cascade_oracle(u[k], r[k], e_d[k], e_o[k], t[k], cfg)]
             try:
-                refs.append(control_tick(state, p_des, t[k], cfg))
+                refs.append(named(control_tick(state, p_des, t[k], cfg)))
             except InitialComplianceError:
                 assert t[k] == 0.0  # the t = 0 precondition, not the cascade
-            for cmd, dbg in refs:
-                assert 0.0 <= cmd.F_T <= cfg.F_T_max
-                assert abs(cmd.alpha_r) <= cfg.alpha_r_max
-                assert F_T[k] == pytest.approx(cmd.F_T, rel=1e-12, abs=1e-9)
-                assert alpha_r[k] == pytest.approx(cmd.alpha_r, rel=1e-12, abs=1e-15)
-                assert [ch for ch, v in zip("dour", violated[:, k]) if v] == dbg.violations
-                assert u_des[k] == pytest.approx(dbg.u_des, rel=1e-12, abs=1e-12)
-                assert r_des[k] == pytest.approx(dbg.r_des, rel=1e-12, abs=1e-12)
+            for ref in refs:
+                assert 0.0 <= ref.F_T <= cfg.F_T_max
+                assert abs(ref.alpha_r) <= cfg.alpha_r_max
+                assert F_T[k] == pytest.approx(ref.F_T, rel=1e-12, abs=1e-9)
+                assert alpha_r[k] == pytest.approx(ref.alpha_r, rel=1e-12, abs=1e-15)
+                assert [ch for ch, v in zip("dour", flags[:, k]) if v] == ref.violations
+                assert u_des[k] == pytest.approx(ref.u_des, rel=1e-12, abs=1e-12)
+                assert r_des[k] == pytest.approx(ref.r_des, rel=1e-12, abs=1e-12)
 
 
 class TestInitialCompliance:
@@ -390,5 +406,5 @@ class TestInitialCompliance:
         with pytest.raises(InitialComplianceError):
             control_tick(state, (40.0, 0.0), 0.0, cfg)
         # the same geometry is fine at t > 0 if the funnel still admits it
-        cmd, _ = control_tick(state, (20.0, 0.0), 0.5, cfg)
-        assert cmd.F_T >= 0.0
+        F_T, _alpha_r, _signals = control_tick(state, (20.0, 0.0), 0.5, cfg)
+        assert F_T >= 0.0

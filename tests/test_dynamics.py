@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelnav.dynamics import (
-    ActuatorCommand,
     AxisDisturbance,
     DisturbanceBatch,
     DisturbanceProfile,
@@ -24,20 +23,19 @@ from oracles import disturbance_oracle, step_rows_oracle, step_state
 
 NO_DRAG = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
 ZERO_DIST = DisturbanceProfile.zero()
-IDLE = ActuatorCommand(0.0, 0.0)
+IDLE = (0.0, 0.0)  # (F_T, alpha_r)
 
 
 class TestActuatorMap:
     def test_zero_thrust_zero_wrench(self):
-        assert actuator_to_wrench(ActuatorCommand(0.0, 0.3), VesselParams()) == (0.0, 0.0, 0.0)
+        assert actuator_to_wrench(0.0, 0.3, VesselParams()) == (0.0, 0.0, 0.0)
 
     def test_straight_thrust(self):
-        X, Y, N = actuator_to_wrench(ActuatorCommand(100.0, 0.0), VesselParams())
+        X, Y, N = actuator_to_wrench(100.0, 0.0, VesselParams())
         assert (X, Y, N) == (100.0, 0.0, 0.0)
 
     def test_deflected_thrust_trigonometry(self):
-        X, Y, N = actuator_to_wrench(ActuatorCommand(100.0, math.pi / 6.0),
-                                     VesselParams(Delta_x=1.5))
+        X, Y, N = actuator_to_wrench(100.0, math.pi / 6.0, VesselParams(Delta_x=1.5))
         assert X == pytest.approx(100.0 * math.sqrt(3.0) / 2.0, abs=1e-9)
         assert Y == pytest.approx(50.0, abs=1e-9)
         assert N == pytest.approx(75.0, abs=1e-9)
@@ -47,15 +45,9 @@ class TestActuatorMap:
         rng = np.random.default_rng(3)
         for _ in range(200):
             params = VesselParams(Delta_x=float(rng.uniform(0.3, 4.0)))
-            cmd = ActuatorCommand(float(rng.uniform(0, 5000)), float(rng.uniform(-0.5, 0.5)))
-            _, Y, N = actuator_to_wrench(cmd, params)
+            _, Y, N = actuator_to_wrench(float(rng.uniform(0, 5000)), float(rng.uniform(-0.5, 0.5)),
+                                         params)
             assert Y * params.Delta_x == N
-
-    def test_command_invariants(self):
-        with pytest.raises(ValueError):
-            ActuatorCommand(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            ActuatorCommand(math.nan, 0.0)
 
     @pytest.mark.parametrize("F_T, alpha_r, valid", [
         (0.0, 0.0, True), (-0.0, -0.0, True), (5000.0, -0.5, True), (-1.0, 0.0, False),
@@ -63,14 +55,23 @@ class TestActuatorMap:
         (-math.inf, 0.0, False), (1.0, math.nan, False), (1.0, math.inf, False),
         (1.0, -math.inf, False)])
     def test_floats_and_arrays_accepted_alike(self, F_T, alpha_r, valid):
-        # the pair as floats, and as the middle entries of arrays whose other entries are valid
-        for args in ((F_T, alpha_r), (np.array([5.0, F_T, 0.0]), np.array([0.1, alpha_r, 0.0]))):
-            if valid:
-                ActuatorCommand(*args)
-            else:
-                with pytest.raises(ValueError, match="actuator command"):
-                    ActuatorCommand(*args)
-        ActuatorCommand(np.empty(0), np.empty(0))  # no episode, nothing to reject
+        # The pair as floats, and as the middle entries of arrays whose other entries are
+        # valid, maps to one wrench. With the rudder forward of abeam, a valid command
+        # (finite, thrust >= 0) is exactly one whose wrench is finite with X >= 0.
+        params = VesselParams()
+        with np.errstate(invalid="ignore"):  # inf * 0 and cos(inf) are NaN
+            columns = actuator_to_wrench(np.array([5.0, F_T, 0.0]), np.array([0.1, alpha_r, 0.0]),
+                                         params)
+        wrench = [c[1] for c in columns]
+        try:
+            floats = actuator_to_wrench(F_T, alpha_r, params)
+        except ValueError:  # math.cos of an infinite angle
+            floats = [math.nan] * 3
+        assert np.array_equal(floats, wrench, equal_nan=True)
+        assert bool(np.isfinite(wrench).all() and wrench[0] >= 0.0) == valid
+        assert np.isfinite(np.array(columns)[:, [0, 2]]).all()
+        # no episode, no wrench
+        assert all(c.shape == (0,) for c in actuator_to_wrench(np.empty(0), np.empty(0), params))
 
 
 class TestRotation:
@@ -107,26 +108,26 @@ class TestRotation:
 class TestStep:
     def test_equilibrium(self):
         s0 = VesselState(1.0, 2.0, 0.3, 0.0, 0.0, 0.0, t=5.0)
-        s1 = step_state(s0, IDLE, NO_DRAG, ZERO_DIST, 0.1)
+        s1 = step_state(s0, *IDLE, NO_DRAG, ZERO_DIST, 0.1)
         assert (s1.p_x, s1.p_y, s1.psi, s1.u, s1.v, s1.r) == (1.0, 2.0, 0.3, 0.0, 0.0, 0.0)
         assert s1.t == pytest.approx(5.1)
 
     def test_kinematic_translation(self):
         s0 = VesselState(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        s1 = step_state(s0, IDLE, NO_DRAG, ZERO_DIST, 0.1)
+        s1 = step_state(s0, *IDLE, NO_DRAG, ZERO_DIST, 0.1)
         assert s1.p_x == pytest.approx(0.1, abs=1e-12)
         assert s1.p_y == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_yaw_matches_closed_form(self):
         s0 = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 0.5)
-        s1 = step_state(s0, IDLE, NO_DRAG, ZERO_DIST, 0.01)
+        s1 = step_state(s0, *IDLE, NO_DRAG, ZERO_DIST, 0.01)
         assert s1.psi == pytest.approx(0.005, abs=1e-9)
         assert s1.p_x == 0.0 and s1.p_y == 0.0
 
     def test_momentum_conserved_without_forces(self):
         s = VesselState(0.0, 0.0, 1.0, 2.0, -0.5, 0.3)
         for _ in range(100):
-            s = step_state(s, IDLE, NO_DRAG, ZERO_DIST, 0.05)
+            s = step_state(s, *IDLE, NO_DRAG, ZERO_DIST, 0.05)
         assert s.u == pytest.approx(2.0, abs=1e-12)
         assert s.v == pytest.approx(-0.5, abs=1e-12)
         assert s.r == pytest.approx(0.3, abs=1e-12)
@@ -140,12 +141,12 @@ class TestStep:
             psi=AxisDisturbance(sin_amp=50.0, sin_freq_hz=0.15),
             seed=0,
         )
-        cmd = ActuatorCommand(500.0, 0.2)
+        cmd = (500.0, 0.2)
 
         def endpoint(dt):
             s = VesselState(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
             for _ in range(int(round(10.0 / dt))):
-                s = step_state(s, cmd, params, dist, dt)
+                s = step_state(s, *cmd, params, dist, dt)
             return np.array([s.p_x, s.p_y, s.psi, s.u, s.v, s.r])
 
         ref = endpoint(0.003125)
@@ -158,7 +159,7 @@ class TestStep:
     def test_heading_wrapped_every_step(self):
         s = VesselState(0.0, 0.0, 6.2, 0.0, 0.0, 2.0)
         for _ in range(50):
-            s = step_state(s, IDLE, NO_DRAG, ZERO_DIST, 0.1)
+            s = step_state(s, *IDLE, NO_DRAG, ZERO_DIST, 0.1)
             assert 0.0 <= s.psi < 2 * math.pi
 
     def test_nonfinite_detected(self):
@@ -168,11 +169,11 @@ class TestStep:
             # Quadratic drag with an absurd step size diverges within a
             # couple of steps; the integrator must flag it, not emit NaNs.
             for _ in range(5):
-                s = step_state(s, IDLE, params, ZERO_DIST, 10.0)
+                s = step_state(s, *IDLE, params, ZERO_DIST, 10.0)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
-            step_state(VesselState(0, 0, 0, 0, 0, 0), IDLE, NO_DRAG, ZERO_DIST, 0.0)
+            step_state(VesselState(0, 0, 0, 0, 0, 0), *IDLE, NO_DRAG, ZERO_DIST, 0.0)
 
 
 class TestBatch:
@@ -206,8 +207,7 @@ class TestBatch:
         out = step(x, F_T, alpha_r, params, batch.value(t0),
                    batch.value(t0 + 0.5 * dt), batch.value(t0 + dt), dt)
         for b in range(8):
-            s = step_state(VesselState(*x[:, b], t=t0), ActuatorCommand(F_T[b], alpha_r[b]),
-                           params, profiles[b], dt)
+            s = step_state(VesselState(*x[:, b], t=t0), F_T[b], alpha_r[b], params, profiles[b], dt)
             assert out[:, b] == pytest.approx([s.p_x, s.p_y, s.psi, s.u, s.v, s.r],
                                               rel=1e-12, abs=1e-12)
         assert np.all((0.0 <= out[2]) & (out[2] < 2 * math.pi))

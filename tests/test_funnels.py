@@ -70,17 +70,17 @@ class TestFunnelSpec:
 
 class TestComputeErrors:
     def test_target_dead_ahead(self):
-        e = compute_errors(0.0, 0.0, 0.0, 10.0, 0.0)
-        assert e.e_d == 10.0
-        assert e.e_o == 0.0
-        assert e.psi_e == 0.0
+        _e_x, _e_y, e_d, e_o, psi_e = compute_errors(0.0, 0.0, 0.0, 10.0, 0.0)
+        assert e_d == 10.0
+        assert e_o == 0.0
+        assert psi_e == 0.0
 
     def test_target_abeam_to_port(self):
         # NED frame, heading along x, target on +y: bearing is -pi/2.
-        e = compute_errors(0.0, 0.0, 0.0, 0.0, 5.0)
-        assert e.e_d == pytest.approx(5.0)
-        assert e.e_o == pytest.approx(-1.0)
-        assert e.psi_e == pytest.approx(-math.pi / 2.0)
+        _e_x, _e_y, e_d, e_o, psi_e = compute_errors(0.0, 0.0, 0.0, 0.0, 5.0)
+        assert e_d == pytest.approx(5.0)
+        assert e_o == pytest.approx(-1.0)
+        assert psi_e == pytest.approx(-math.pi / 2.0)
 
     def test_zero_distance_degenerates(self):
         with pytest.raises(DegenerateDistance):
@@ -93,12 +93,12 @@ class TestComputeErrors:
             psi = rng.uniform(0, 2 * math.pi)
             if math.hypot(dx - px, dy - py) < 1e-6:
                 continue
-            e = compute_errors(px, py, psi, dx, dy)
-            assert abs(e.e_o) <= 1.0 + 1e-12
-            assert e.e_o == pytest.approx(math.sin(e.psi_e), abs=1e-12)
+            _e_x, _e_y, e_d, e_o, psi_e = compute_errors(px, py, psi, dx, dy)
+            assert abs(e_o) <= 1.0 + 1e-12
+            assert e_o == pytest.approx(math.sin(psi_e), abs=1e-12)
             # sin^2 + cos^2 of the bearing from the raw components
-            cos_part = ((dx - px) * math.cos(psi) + (dy - py) * math.sin(psi)) / e.e_d
-            assert e.e_o ** 2 + cos_part ** 2 == pytest.approx(1.0, abs=1e-12)
+            cos_part = ((dx - px) * math.cos(psi) + (dy - py) * math.sin(psi)) / e_d
+            assert e_o ** 2 + cos_part ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNormalization:
