@@ -260,28 +260,32 @@ def step(x, F_T, alpha_r, params: VesselParams, tau0, tau_half, tau1, dt: float)
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    X, Y, N = actuator_to_wrench(F_T, alpha_r, params)
     if isinstance(x[2], np.ndarray):
-        out = _batched_rk4(x, np.array((X, Y, N)), params, tau0, tau_half, tau1, dt)
+        W = np.array(actuator_to_wrench(F_T, alpha_r, params))
+        out = _batched_rk4(x, W, params, tau0, tau_half, tau1, dt)
         if np.count_nonzero(np.isfinite(out)) < out.size:
             finite = np.isfinite(out).all(axis=0)
             raise NonFiniteState(f"RK4 produced non-finite states: {out[:, ~finite].T.tolist()}")
     else:
-        def derivative(y, tau):
-            _p_x, _p_y, psi, u, v, r = y
-            c, s = math.cos(psi), math.sin(psi)
-            f_u, f_v, f_r = lumped(u, v, r, tau, params)
-            return (u * c - v * s, u * s + v * c, r,
-                    (X + f_u) / params.m, (Y + f_v) / params.m, (N + f_r) / params.Iz)
-
-        def shift(y, c, k):
-            return [a + c * b for a, b in zip(y, k)]
-        k1 = derivative(x, tau0)
-        k2 = derivative(shift(x, 0.5 * dt, k1), tau_half)
-        k3 = derivative(shift(x, 0.5 * dt, k2), tau_half)
-        k4 = derivative(shift(x, dt, k3), tau1)
-        # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-        out = shift(x, dt / 6.0, [a + b for a, b in zip(shift(shift(k1, 2.0, k2), 2.0, k3), k4)])
+        (p_x, p_y, psi0, u0, v0, r0), m, Iz = x, params.m, params.Iz
+        psi, u, v, r = psi0, u0, v0, r0  # of the stage: the pose's derivative reads no position
+        # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right from -0.0, which adds exactly.
+        k_x = k_y = k_psi = k_u = k_v = k_r = -0.0
+        try:  # math raises on an infinite angle where numpy gives NaN
+            X, Y, N = actuator_to_wrench(F_T, alpha_r, params)
+            for tau, w, h in ((tau0, 1.0, 0.5 * dt), (tau_half, 2.0, 0.5 * dt),
+                              (tau_half, 2.0, dt), (tau1, 1.0, dt)):
+                c, s = math.cos(psi), math.sin(psi)
+                f_u, f_v, f_r = lumped(u, v, r, tau, params)
+                du, dv, dr = (X + f_u) / m, (Y + f_v) / m, (N + f_r) / Iz
+                k_x, k_y, k_psi = k_x + w * (u * c - v * s), k_y + w * (u * s + v * c), k_psi + w * r
+                k_u, k_v, k_r = k_u + w * du, k_v + w * dv, k_r + w * dr
+                psi, u, v, r = psi0 + h * r, u0 + h * du, v0 + h * dv, r0 + h * dr
+        except ValueError:
+            raise NonFiniteState(f"RK4 met a non-finite angle: rudder {alpha_r}, heading {psi}") from None
+        dt6 = dt / 6.0
+        out = [p_x + dt6 * k_x, p_y + dt6 * k_y, psi0 + dt6 * k_psi,
+               u0 + dt6 * k_u, v0 + dt6 * k_v, r0 + dt6 * k_r]
         if not all(map(math.isfinite, out)):
             raise NonFiniteState(f"RK4 produced a non-finite state: {out}")
     out[2] = wrap_angle(out[2])

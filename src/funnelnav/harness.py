@@ -45,6 +45,7 @@ LOG_COLUMNS = [
 ]
 
 _TABLE_TICKS = 64  # per table of state-independent inputs: each temporary < 1 MB at B = 100
+_CSV_BLOCK = 512  # rows formatted at once: about 1 MB of floats and text at 45 columns
 
 # The rows of the (ticks, rows, episodes) tick record both loops reduce.
 _RECORD_ROWS = ("p_x", "p_y", "psi", "u", "v", "psi_e", "e_d", "F_T", "alpha_r",
@@ -52,11 +53,16 @@ _RECORD_ROWS = ("p_x", "p_y", "psi", "u", "v", "psi_e", "e_d", "F_T", "alpha_r",
 
 
 def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
-    """One row per entry of the equal-length float arrays, each value as its repr."""
-    cols = [np.asarray(a, dtype=float).tolist() for a in arrays]
+    """One row per entry of the equal-length float arrays, each value as its repr, a column of
+    a block of rows at a time; once if its bits are all equal (-0.0 is not 0.0, NaN is NaN)."""
+    cols = [np.asarray(a, dtype=float) for a in arrays]
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+        for i in range(0, min(map(len, cols), default=0), _CSV_BLOCK):
+            blocks = [(b, b.view(np.uint64)) for b in (col[i:i + _CSV_BLOCK] for col in cols)]
+            cells = [itertools.repeat(repr(b[0].item()), len(b)) if (bits == bits[0]).all()
+                     else map(repr, b.tolist()) for b, bits in blocks]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @dataclass
@@ -245,13 +251,12 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
         if j == 0:
             t_log, s_ref, ref_p, radii, ts, ts_half = _table_inputs(
                 cfg, traj, lead, dt, t_state, i, n_max)
-            ref_v = traj.eval_derivatives(s_ref)[0]
             tau_log, tau_state, tau_half = (disturbance.value(times).T.tolist()
                                             for times in (t_log, ts, ts_half))
-            t_log = t_log.tolist()
+            t_log, ref_p, ref_v = t_log.tolist(), ref_p.tolist(), traj.eval_derivatives(s_ref)[0].tolist()
         p_des, rho = ref_p[j], radii[j]
         try:  # the _ERROR_COLUMNS
-            errors = compute_errors(x[0], x[1], x[2], float(p_des[0]), float(p_des[1]))
+            errors = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
         except DegenerateDistance:
             fault = "degenerate_distance"
             break

@@ -19,8 +19,10 @@ segment-by-segment dense kinodynamic check and the pair-by-pair separation
 check of trajopt.validate that their one-pass forms replaced, and the
 funnel cascade written out on Python floats with math. It also
 holds random_polygon, the random convex obstacle the geometry tests draw,
-step_state, one RK4 step of a VesselState through dynamics.step, and the
-row-by-row batch RK4 step that the one-block kinetic derivative replaced.
+step_state, one RK4 step of a VesselState through dynamics.step, the
+row-by-row batch RK4 step that the one-block kinetic derivative replaced,
+the float RK4 step with nested stage closures that the one stage loop
+replaced, and the cell-by-cell CSV writer that the column-wise one replaced.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from funnelnav.dynamics import (
     _NOISE_TERMS,
     TWO_PI,
     VesselState,
+    actuator_to_wrench,
+    lumped,
     lumped_forces,
     step,
     wrap_angle,
@@ -658,6 +662,39 @@ def step_rows_oracle(x, F_T, alpha_r, params, tau0, tau_half, tau1, dt):
     psi = np.fmod(out[2], TWO_PI)
     out[2] = np.where(psi < 0.0, psi + TWO_PI, psi)
     return out
+
+
+def step_floats_oracle(x, F_T, alpha_r, params, tau0, tau_half, tau1, dt):
+    """dynamics.step of six floats as it was before its stages became one loop: a nested
+    derivative and shift per stage, every stage state shifted in full, the sum formed by
+    the same shift. Same operations per float, so the two agree bit for bit."""
+    X, Y, N = actuator_to_wrench(F_T, alpha_r, params)
+
+    def derivative(y, tau):
+        _p_x, _p_y, psi, u, v, r = y
+        c, s = math.cos(psi), math.sin(psi)
+        f_u, f_v, f_r = lumped(u, v, r, tau, params)
+        return (u * c - v * s, u * s + v * c, r,
+                (X + f_u) / params.m, (Y + f_v) / params.m, (N + f_r) / params.Iz)
+
+    def shift(y, c, k):
+        return [a + c * b for a, b in zip(y, k)]
+    k1 = derivative(x, tau0)
+    k2 = derivative(shift(x, 0.5 * dt, k1), tau_half)
+    k3 = derivative(shift(x, 0.5 * dt, k2), tau_half)
+    k4 = derivative(shift(x, dt, k3), tau1)
+    # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+    out = shift(x, dt / 6.0, [a + b for a, b in zip(shift(shift(k1, 2.0, k2), 2.0, k3), k4)])
+    out[2] = wrap_angle(out[2])
+    return out
+
+
+def write_csv_oracle(path, header: list[str], arrays: list[np.ndarray]) -> None:
+    """harness.write_csv as it was before it formatted by column: one repr per cell, row by row."""
+    cols = [np.asarray(a, dtype=float).tolist() for a in arrays]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
 
 
 def disturbance_oracle(dist, t: float) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ from funnelnav.dynamics import (
     wrap_angle,
 )
 from funnelnav.errors import NonFiniteState
-from oracles import disturbance_oracle, step_rows_oracle, step_state
+from oracles import disturbance_oracle, step_floats_oracle, step_rows_oracle, step_state
 
 NO_DRAG = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
 ZERO_DIST = DisturbanceProfile.zero()
@@ -174,6 +174,38 @@ class TestStep:
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
             step_state(VesselState(0, 0, 0, 0, 0, 0), *IDLE, NO_DRAG, ZERO_DIST, 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), coriolis_on=st.booleans(),
+           signed_zero=st.sampled_from([None, 0.0, -0.0]))
+    def test_floats_match_closure_oracle(self, seed, coriolis_on, signed_zero):
+        # the one stage loop runs the nested closures' operations, bit for bit (-0.0 too)
+        rng = np.random.default_rng(seed)
+        params = VesselParams(m=float(rng.uniform(50.0, 500.0)), Iz=float(rng.uniform(50.0, 500.0)),
+                              Delta_x=float(rng.uniform(0.3, 3.0)), coriolis_on=coriolis_on,
+                              drag=DragCoeffs(*rng.uniform(0.0, 400.0, 6).tolist()))
+        bound = np.array([100.0, 100.0, 10.0, 5.0, 2.0, 1.0])
+        x = rng.uniform(-bound, bound).tolist()
+        if signed_zero is not None:
+            x[int(rng.integers(6))] = signed_zero
+        taus = [tuple(rng.uniform(-300.0, 300.0, 3).tolist()) for _ in range(3)]
+        args = (x, float(rng.uniform(0.0, 5000.0)), float(rng.uniform(-0.6, 0.6)), params, *taus,
+                float(rng.choice([0.01, 0.05, 0.1, rng.uniform(0.001, 0.5)])))
+        assert list(map(float.hex, step(*args))) == list(map(float.hex, step_floats_oracle(*args)))
+
+    @pytest.mark.parametrize("alpha_r, psi", [
+        (math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3), (0.1, math.nan), (0.1, math.inf)])
+    def test_nonfinite_angle_raises_typed_on_both_paths(self, alpha_r, psi):
+        # math.cos raises ValueError on an infinite angle where numpy gives NaN: both paths
+        # report a non-finite angle of the rudder or the heading as NonFiniteState
+        x, tau = [0.0, 0.0, psi, 1.0, 0.0, 0.0], (0.0, 0.0, 0.0)
+        with pytest.raises(NonFiniteState):
+            step(x, 100.0, alpha_r, VesselParams(), tau, tau, tau, 0.05)
+        xb = np.array([[0.0, 0.0, 0.3, 1.0, 0.0, 0.0], x, [0.0] * 6]).T
+        zero = np.zeros((3, 3))
+        with pytest.raises(NonFiniteState), np.errstate(invalid="ignore"):  # cos(inf) is NaN
+            step(xb, np.full(3, 100.0), np.array([0.1, alpha_r, 0.0]), VesselParams(), zero, zero,
+                 zero, 0.05)
 
 
 class TestBatch:

@@ -7,13 +7,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnelnav import harness, trajopt
+from funnelnav.cli import main
 from funnelnav.dynamics import AxisDisturbance, DisturbanceProfile, VesselParams
 from funnelnav.errors import InitialComplianceError, UnverifiedTrajectory
 from funnelnav.funnels import FunnelSpec
 from funnelnav.geometry import distances_to_obstacles
 from funnelnav.harness import (
+    _CSV_BLOCK,
     _TABLE_TICKS,
     EpisodeLog,
     LOG_COLUMNS,
@@ -26,9 +30,11 @@ from funnelnav.harness import (
     run_episode,
     run_ticks,
     sweep,
+    write_csv,
     write_plotdata,
 )
 from funnelnav.scenario import load_scenario
+from oracles import write_csv_oracle
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +384,97 @@ class TestGoldenPins:
         run_episode(sc).save_csv(tmp_path / "episode.csv")
         assert _digest((tmp_path / "episode.csv").read_bytes()) == (
             "ba53fec1dbe8fe70498363de9d61286c94d41f9f10154bd0af8fa481919b450a")
+
+    # Every file `run` writes, pinned before the CSV writer formatted by column, the float
+    # RK4 step lost its stage closures and the tick rows were built from Python floats.
+    RUN_FILES = {
+        "benign": {
+            "episode.csv": "e81b905888b57733269fe40c128157ffaab2399b8054d651eec7fef7e93b4e0a",
+            "summary.json": "4714dda5a66ccaa9cc2f6cc3500f0c2c6fa406dbd91dc6ffaf83653996a63d50",
+            "trajectory.json": "e537e0450441d30e146f725fa8caf6bb3ae461c428652159283072cd9278ff09",
+            "plotdata/errors_vs_funnels.csv":
+                "f0f40c884949786870033feb89388aba50fcef98bcf5adc5767c360302037106",
+            "plotdata/forward_velocity.csv":
+                "e70c2eaffe766c758f170381d9229ec829d3610f49e1d915b2dfee7e9b54cb07",
+            "plotdata/inputs.csv": "5beb9f22a38a5606186dcab108d742b78af7d188fbe02b869dff9d8d1b838e5d",
+        },
+        "long-run": {
+            "episode.csv": "18f21775dcb309d4f87c419f82bcb739a90d2227f212c4c2bf652c9168a66a4a",
+            "summary.json": "6e55cae7a749b762cbf047bdeb10249f9d6f54f88231b4cfd4b5026cd3530e6b",
+            "trajectory.json": "d96f10953cbae077d7c341c9b69f1c7e96017c1a3e7ed22047a1ff58807daf37",
+            "plotdata/errors_vs_funnels.csv":
+                "95203818e63bcbb165de0b60c6065dd80969cee4235e0b173a387ccc34538116",
+            "plotdata/forward_velocity.csv":
+                "2a87107f40745790fe8b8e4a58ca843548f84b563976c8466771bc48388f5a54",
+            "plotdata/inputs.csv": "17c2018bc0e56d21f30f8e3cf9432e0e7ea2c7fc838306f850964b97c211498a",
+        },
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(RUN_FILES))
+    def test_run_artifacts(self, scenario, tmp_path):
+        assert main(["run", "--scenario", scenario, "--out-dir", str(tmp_path)]) == 0
+        written = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*") if f.is_file())
+        assert written == sorted(self.RUN_FILES[scenario])
+        assert {name: _digest((tmp_path / name).read_bytes()) for name in written} == (
+            self.RUN_FILES[scenario])
+
+    def test_traj_samples(self, tmp_path):
+        assert main(["traj", "--scenario", "trajectory-demo", "--out-dir", str(tmp_path)]) == 0
+        assert _digest((tmp_path / "trajectory_samples.csv").read_bytes()) == (
+            "eaa0c32b0696494978c1922389bea346ec6ccb762686ddfa79e85a0683cdaddc")
+
+
+# Cells the writer must format as repr does: signed zeros, NaN, infinities, subnormals,
+# the exponent form from 1e16 on, and plain values.
+_CSV_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5e-310, 2.2250738585072014e-308,
+               1e16, -1e16, 9999999999999998.0, 1.2345678901234567e17, 1e300, 0.1, -1.0, 123.456]
+
+
+class TestWriteCsv:
+    """write_csv gives the bytes of the cell-by-cell writer it replaced."""
+
+    @staticmethod
+    def _both(tmp_dir, header, arrays) -> tuple[bytes, bytes]:
+        write_csv(tmp_dir / "new.csv", header, arrays)
+        write_csv_oracle(tmp_dir / "oracle.csv", header, arrays)
+        return (tmp_dir / "new.csv").read_bytes(), (tmp_dir / "oracle.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.sampled_from(_CSV_VALUES) | st.floats(), min_size=1, max_size=6),
+           kinds=st.lists(st.sampled_from(["mixed", "constant", "constant_but_last",
+                                           "constant_but_negated_last"]), max_size=6),
+           n=st.sampled_from([0, 1, 2, 9, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3]),
+           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_cell_by_cell_oracle(self, tmp_path_factory, values, kinds, n, strided, seed):
+        rng = np.random.default_rng(seed)
+        table = np.empty((n, len(kinds)))
+        for k, kind in enumerate(kinds):
+            table[:, k] = rng.choice(values, n) if kind == "mixed" else rng.choice(values)
+            if kind == "constant_but_last" and n:
+                table[-1, k] = rng.choice(_CSV_VALUES)
+            elif kind == "constant_but_negated_last" and n:  # 0.0 then -0.0, say
+                table[-1, k] = -table[-1, k]
+        # strided views of one table, as traj writes its samples, or contiguous copies
+        arrays = list(table.T) if strided else [c.copy() for c in table.T]
+        header = [f"c{k}" for k in range(len(kinds))]
+        new, oracle = self._both(tmp_path_factory.mktemp("csv"), header, arrays)
+        assert new == oracle
+        assert new.count(b"\n") == 1 + (n if kinds else 0)
+
+    def test_signed_zeros_and_nans_are_not_constant(self, tmp_path):
+        # -0.0 == 0.0 and NaN != NaN: only the bits tell a constant block
+        n = _CSV_BLOCK + 5
+        columns = {"zero_then_minus": [0.0] * (n - 1) + [-0.0], "minus_then_zero": [-0.0] * (n - 1) + [0.0],
+                   "nan": [math.nan] * n, "nan_then_inf": [math.nan] * (n - 1) + [math.inf],
+                   "tiny": [5e-324] * n, "big": [1e16] * (n - 1) + [9999999999999998.0]}
+        arrays = [np.array(v) for v in columns.values()]
+        new, oracle = self._both(tmp_path, list(columns), arrays)
+        assert new == oracle
+        last = new.decode().splitlines()[-1].split(",")
+        assert last == ["-0.0", "0.0", "nan", "inf", "5e-324", "9999999999999998.0"]
+        for rows in (1, 0):  # one row, and a header-only log
+            new, oracle = self._both(tmp_path, list(columns), [a[:rows] for a in arrays])
+            assert new == oracle and new.count(b"\n") == 1 + rows
 
 
 class TestAudit:
