@@ -45,13 +45,10 @@ class SplineTrajectory:
 
     control_points: np.ndarray  # (N, 2)
     dt_knot: float
-    degree: int = DEGREE
 
     def __post_init__(self):
         pts = np.asarray(self.control_points, dtype=float)
         object.__setattr__(self, "control_points", pts)
-        if self.degree != DEGREE:
-            raise ValueError("only cubic trajectories are supported")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"control points must be (N, 2), got {pts.shape}")
         if len(pts) < 8:
@@ -113,12 +110,6 @@ class SplineTrajectory:
         jerk = (JERK_WEIGHTS @ Q) / (dt * dt * dt)
         return vel, acc, jerk
 
-    def segment_hull(self, i: int) -> np.ndarray:
-        """The four control points whose convex hull contains segment i."""
-        if not (0 <= i <= self.n_points - 4):
-            raise IndexError(f"segment index {i} outside 0..{self.n_points - 4}")
-        return self.control_points[i:i + 4]
-
     def time_at_distance(self, dist: float, grid: int = 4000) -> float:
         """Earliest time where the spline is `dist` away from its start point.
 
@@ -152,13 +143,14 @@ class SplineTrajectory:
         return {
             "control_points": self.control_points.tolist(),
             "dt_knot": self.dt_knot,
-            "degree": self.degree,
+            "degree": DEGREE,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SplineTrajectory":
-        return cls(np.array(data["control_points"], dtype=float),
-                   float(data["dt_knot"]), int(data.get("degree", DEGREE)))
+        if int(data.get("degree", DEGREE)) != DEGREE:
+            raise ValueError("only cubic trajectories are supported")
+        return cls(np.array(data["control_points"], dtype=float), float(data["dt_knot"]))
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

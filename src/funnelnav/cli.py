@@ -17,7 +17,7 @@ import sys
 
 from . import feasibility, harness, rrt, trajopt
 from .errors import FunnelNavError
-from .scenario import BUILTIN_NAMES, load_scenario
+from .scenario import BUILTIN_NAMES, Scenario, load_scenario
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -28,12 +28,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=None, help="override the simulation step [s]")
 
 
-def _load(args) -> "Scenario":
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1, written in decimal digits."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
+    if args.dt is not None:
+        # Through the schema, so its checks see the step.
+        data = scenario.to_dict()
+        data["sim"]["dt"] = args.dt
+        scenario = Scenario.from_dict(data)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
-    if getattr(args, "dt", None) is not None:
-        scenario.sim_dt = args.dt
     os.makedirs(args.out_dir, exist_ok=True)
     return scenario
 
@@ -148,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Monte-Carlo disturbance sweep")
     _add_common(p)
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=_count, default=100)
     p.add_argument("--auto-inflate-funnels", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

@@ -191,10 +191,6 @@ class DisturbanceProfile:
         ]
         return DisturbanceProfile(x=shifted[0], y=shifted[1], psi=shifted[2], seed=int(seed))
 
-    @classmethod
-    def zero(cls) -> "DisturbanceProfile":
-        return cls()
-
 
 def actuator_to_wrench(F_T, alpha_r, params: VesselParams) -> tuple[float, float, float]:
     """Map thrust [N] and rudder angle [rad] of the single rear thruster, floats or (B,)
@@ -319,18 +315,14 @@ def _batched_rk4(x, W, params: VesselParams, tau0, tau_half, tau1, dt: float) ->
 
 
 class DisturbanceBatch:
-    """The (3, B) wrenches of B profiles: their term arrays side by side, so column b
-    is profiles[b].value through the one formula, bit for bit."""
+    """The wrenches of B profiles: their term arrays side by side, so column b of a
+    table is profiles[b].value through the one formula, bit for bit."""
 
     def __init__(self, profiles: list[DisturbanceProfile]):
         self._terms = tuple(np.concatenate(arrays, axis=-1)
                             for arrays in zip(_NO_TERMS, *(p._terms for p in profiles)))
 
-    def value(self, t) -> np.ndarray:
-        """The (3, B) wrenches at a float time or at (B,) per-column times."""
-        return _wrench(self._terms, t)
-
     def table(self, ts: np.ndarray) -> np.ndarray:
-        """The contiguous (n, 3, B) wrenches at (n,) times: row i is value(ts[i])."""
+        """The contiguous (n, 3, B) wrenches at (n,) times, row i at ts[i]."""
         bias, sin_amp, noise_amp, omega, phase = self._terms
         return _wrench((bias, sin_amp, noise_amp, omega[:, None], phase[:, None]), ts[:, None, None])

@@ -36,7 +36,7 @@ from .controller import funnel_radii, stages
 from .dynamics import lumped, lumped_forces, step  # noqa: F401
 from .errors import DegenerateDistance, InsufficientSamples
 from .funnels import EPS_DEGENERATE, compute_errors
-from .scenario import Scenario, reference_lead
+from .scenario import Scenario, mid_funnel_distance, reference_lead
 
 CONDITIONS = ("thrust_floor", "surge_authority", "torque_authority", "initial_bearing")
 
@@ -107,8 +107,7 @@ def _initial_reference_point(scenario: Scenario, trajectory: SplineTrajectory | 
     """
     if trajectory is not None:
         return trajectory.eval(min(reference_lead(scenario, trajectory), trajectory.duration))
-    cfg = scenario.controller
-    target = 0.5 * (cfg.rho_d_min + cfg.funnel_d.value(0.0))
+    target = mid_funnel_distance(scenario)
     start = np.asarray(scenario.start.position, dtype=float)
     goal = np.asarray(scenario.goal, dtype=float)
     direction = goal - start

@@ -48,10 +48,6 @@ class FunnelSpec:
         """d rho / dt at a time t (float or array), nonpositive."""
         return -self.l * (self.rho0 - self.rho_inf) * np.exp(-self.l * t)
 
-    @classmethod
-    def static(cls, rho: float) -> "FunnelSpec":
-        return cls(rho0=rho, rho_inf=rho, l=0.0)
-
 
 def compute_errors(p_x, p_y, psi, p_des_x, p_des_y) -> tuple:
     """The errors (e_x, e_y, e_d, e_o, psi_e) of floats, or (B,) arrays of poses, against a

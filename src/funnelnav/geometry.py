@@ -40,23 +40,8 @@ class ConvexPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def contains(self, p, include_boundary: bool = True, tol: float = 0.0) -> bool:
-        """Point membership; the boundary counts as inside by default.
-
-        `tol` loosens the half-plane tests for queries on numerically noisy
-        polygons (e.g. Minkowski sums); the default is exact.
-        """
-        side = _orient(self.vertices, np.roll(self.vertices, -1, axis=0), np.asarray(p, dtype=float))
-        return bool(np.all(side >= -tol) if include_boundary else np.all(side > tol))
-
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
-
-    def area(self) -> float:
-        """Shoelace area (positive for CCW)."""
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -190,15 +175,11 @@ class Workspace:
             self._inflated = [inflate(o, self.clearance, self.inflation_k_gon) for o in self.obstacles]
         return self._inflated
 
-    def edges(self, inflated: bool = True) -> EdgeTable | None:
-        """The (inflated) obstacles' edge table, None when there are no obstacles.
-
-        The inflated one is built once, like the inflation itself.
-        """
+    def edges(self) -> EdgeTable | None:
+        """The inflated obstacles' edge table, built once like the inflation
+        itself; None when there are no obstacles."""
         if not self.obstacles:
             return None
-        if not inflated:
-            return EdgeTable(self.obstacles)
         if self._edges is None:
             self._edges = EdgeTable(self.inflated_obstacles())
         return self._edges
@@ -212,19 +193,19 @@ class Workspace:
         return math.hypot(x1 - x0, y1 - y0)
 
 
-def point_free(p, ws: Workspace, inflated: bool = True) -> bool:
-    """True iff p lies in bounds and strictly outside every obstacle.
+def point_free(p, ws: Workspace) -> bool:
+    """True iff p lies in bounds and strictly outside every inflated obstacle.
 
     A point on an obstacle boundary counts as colliding.
     """
     if not ws.in_bounds(p):
         return False
-    edges = ws.edges(inflated)
+    edges = ws.edges()
     return edges is None or not edges.inside(edges.sides(np.asarray(p, dtype=float)))
 
 
-def segment_free(a, b, ws: Workspace, inflated: bool = True):
-    """Exact collision check of segment a-b against the (inflated) obstacles.
+def segment_free(a, b, ws: Workspace):
+    """Exact collision check of segment a-b against the inflated obstacles.
 
     a and b may also be (J, 2) arrays, giving a (J,) array with one verdict
     per segment a[j]-b[j]; a single point is shared by all J segments, as
@@ -236,7 +217,7 @@ def segment_free(a, b, ws: Workspace, inflated: bool = True):
     box is strictly apart from every obstacle's is free without the numpy
     edge test; boxes that touch take it.
     """
-    edges = ws.edges(inflated)
+    edges = ws.edges()
     if np.ndim(a) == 1 and np.ndim(b) == 1:
         (ax, ay), (bx, by) = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
         if not (ws.in_bounds((ax, ay)) and ws.in_bounds((bx, by))):
@@ -329,28 +310,24 @@ def padded_vertices(polys) -> np.ndarray:
 _BLOCK = 256  # pairs per numpy pass; a solve's (segment, obstacle) pairs take one
 
 
-def find_separators(hulls: np.ndarray, polys):
+def find_separators(hulls: np.ndarray, verts: np.ndarray):
     """Maximum-margin separating lines for M (hull, polygon) pairs at once.
 
     hulls is (M, P, 2), the points whose convex hull is each segment hull;
-    polys holds the M ConvexPolygon. Returns (found (M,), h (M, 2), d (M,)):
-    where found, h is unit with h.q > d for every hull point and h.p < d for
-    every polygon vertex; elsewhere h and d are NaN. Pairs that cross (by
+    verts is (M, K, 2), the polygons as padded_vertices, which a caller with
+    fixed polygons pads once. Returns (found (M,), h (M, 2), d (M,)): where
+    found, h is unit with h.q > d for every hull point and h.p < d for every
+    polygon vertex; elsewhere h and d are NaN. Pairs that cross (by
     orientation signs), contain a point of each other (boundary included) or
     lie within 1e-12 of the coordinate scale (tangency) have no line.
     Closest points are computed only where a (chord, edge) box gap is within the nearest
     point/vertex distance, and chord boxes only for edges whose box is that near the hull's;
     overlap is tested only where a line was found and the boxes (widened by 1e-9 of the scale) meet.
+    Each block of _BLOCK pairs is cut to the width padded_vertices gives it
+    alone, so any K from the widest polygon up gives the same result: by
+    strict convexity a polygon's last vertex differs from the one before it,
+    and padding repeats it.
     """
-    return find_separators_padded(hulls, padded_vertices(polys))
-
-
-def find_separators_padded(hulls: np.ndarray, verts: np.ndarray):
-    """find_separators with the polygons as (M, K, 2) padded_vertices, which
-    a caller with fixed polygons pads once. Each block of _BLOCK pairs is cut
-    to the width padded_vertices gives it alone, so any K from the widest
-    polygon up gives the same result: by strict convexity a polygon's last
-    vertex differs from the one before it, and padding repeats it."""
     hulls = np.asarray(hulls, dtype=float)
     parts = []
     for k in range(0, len(hulls), _BLOCK):
@@ -449,7 +426,7 @@ def find_separator(hull_points: np.ndarray, poly: ConvexPolygon):
     the convex hulls intersect or touch, or they are so nearly tangent that
     the closest-pair line does not separate them strictly.
     """
-    found, h, d = find_separators(np.asarray(hull_points, dtype=float)[None], [poly])
+    found, h, d = find_separators(np.asarray(hull_points, dtype=float)[None], padded_vertices([poly]))
     return (h[0], float(d[0])) if found[0] else None
 
 

@@ -81,14 +81,14 @@ class EpisodeLog:
         write_csv(path, LOG_COLUMNS, [self.columns[c] for c in LOG_COLUMNS])
 
     @classmethod
-    def load_csv(cls, path, scenario_name: str = "loaded", seed: int = 0) -> "EpisodeLog":
+    def load_csv(cls, path, scenario_name: str = "loaded") -> "EpisodeLog":
         with open(path, encoding="utf-8") as f:
             names = f.readline().rstrip("\n").split(",")
             lines = f.readlines()
         # loadtxt warns on no rows; a header-only log has zero-length columns.
         data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(names)))
         columns = dict(zip(names, data.T))
-        return cls(scenario_name=scenario_name, seed=seed, columns=columns, summary={})
+        return cls(scenario_name=scenario_name, seed=0, columns=columns, summary={})
 
     def save_summary(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -119,6 +119,8 @@ class Scenario:
     def __post_init__(self):
         if self.sim_dt <= 0.0 or self.horizon <= 0.0:
             raise ValueError("sim_dt and horizon must be positive")
+        if round(self.horizon / self.sim_dt) == 0:
+            raise ValueError(f"sim_dt {self.sim_dt} leaves the horizon {self.horizon} no tick")
         if self.goal_radius <= 0.0:
             raise ValueError("goal radius must be positive")
         if self.v_max <= 0.0 or self.a_max <= 0.0:
@@ -270,13 +272,17 @@ class Scenario:
         return out
 
 
+def mid_funnel_distance(scenario: Scenario) -> float:
+    """The distance error halfway between the distance funnel's floor and its radius at t = 0."""
+    cfg = scenario.controller
+    return 0.5 * (cfg.rho_d_min + cfg.funnel_d.value(0.0))
+
+
 def reference_lead(scenario: Scenario, traj: SplineTrajectory) -> float:
     """Clock offset of the reference so the initial distance error sits mid-funnel."""
     if scenario.reference_lead != "auto":
         return float(scenario.reference_lead)
-    cfg = scenario.controller
-    target = 0.5 * (cfg.rho_d_min + cfg.funnel_d.value(0.0))
-    return traj.time_at_distance(target)
+    return traj.time_at_distance(mid_funnel_distance(scenario))
 
 
 # The builtin scenarios: one JSON file each, packaged under funnelnav/scenarios.

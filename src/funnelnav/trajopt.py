@@ -19,15 +19,14 @@ by construction and asserts it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bspline import BASIS_M, SplineTrajectory
+from .bspline import BASIS_M, JERK_WEIGHTS, SplineTrajectory
 from .errors import InfeasibleSeed, TrajOptInfeasible
-from .geometry import ConvexPolygon, find_separators_padded, padded_vertices, planar_dot
+from .geometry import ConvexPolygon, find_separators, padded_vertices, planar_dot
 from .geometry import find_separator  # noqa: F401  (unused; perfbench/tracing.py wraps this binding)
 from .rrt import RrtPath
 
@@ -85,15 +84,12 @@ class TrajOptSolution:
     residuals: dict
     cost_trace: list[float] = field(default_factory=list)
     n_outer: int = 0
-    solve_time: float = 0.0
 
     @property
     def cost_total(self) -> float:
         return self.cost_fit + self.cost_jerk + self.cost_time
 
     def to_dict(self) -> dict:
-        # solve_time stays off the artifact: serialized outputs must be
-        # byte-reproducible for a fixed seed.
         return {
             "trajectory": self.trajectory.to_dict(),
             "hyperplanes": {
@@ -107,6 +103,14 @@ class TrajOptSolution:
             "n_outer": self.n_outer,
             "cost_trace": self.cost_trace,
         }
+
+
+def _band(n_rows: int, n_cols: int, first: int, weights: np.ndarray) -> np.ndarray:
+    """(n_rows, n_cols) zeros with weights along row r from column first + r."""
+    band = np.zeros((n_rows, n_cols))
+    rows = np.arange(n_rows)[:, None]
+    band[rows, rows + first + np.arange(len(weights))] = weights
+    return band
 
 
 class _Workspace:
@@ -127,21 +131,12 @@ class _Workspace:
         self.free = np.zeros(N, dtype=bool)
         self.free[self.free_lo:self.free_hi + 1] = True
 
-        # Fit rows: knot j = 2 .. N-5 tracks waypoint X_{j-1}.
-        n_fit = n_x - 2
-        A_fit = np.zeros((n_fit, N))
-        for r in range(n_fit):
-            j = 2 + r
-            A_fit[r, j:j + 3] = (1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0)
-        self.A_fit = A_fit
+        # Fit rows: knot j = 2 .. N-5 tracks waypoint X_{j-1} with the basis
+        # weights of a segment start; jerk rows cover every segment.
+        n_fit, n_seg = n_x - 2, N - 3
+        self.A_fit = A_fit = _band(n_fit, N, 2, BASIS_M[0, :3])
         self.T_fit = X[1:n_x - 1].copy()
-
-        # Jerk rows over every segment.
-        n_seg = N - 3
-        A_jerk = np.zeros((n_seg, N))
-        for i in range(n_seg):
-            A_jerk[i, i:i + 4] = (-1.0, 3.0, -3.0, 1.0)
-        self.A_jerk = A_jerk
+        self.A_jerk = A_jerk = _band(n_seg, N, 0, JERK_WEIGHTS)
 
         H = 2.0 * (problem.w1 * A_fit.T @ A_fit + problem.w2 * A_jerk.T @ A_jerk)
         H_free = H[np.ix_(self.free, self.free)]
@@ -234,7 +229,7 @@ def build(ws: _Workspace):
     C = _initial_control_points(problem)
     dt = _initial_dt(problem)
     hulls = C[ws.pair_index]
-    found, h, d = find_separators_padded(hulls, ws.pair_verts)
+    found, h, d = find_separators(hulls, ws.pair_verts)
     for m in (~found).nonzero()[0].tolist():
         i, j = ws.pairs[m]
         if problem.init == "rrt":
@@ -439,7 +434,7 @@ def _step_planes(C: np.ndarray, lines: _Lines, ws: _Workspace) -> _Lines:
     worst slack (keeps the iterate feasible)."""
     margin = ws.problem.sep_margin
     hulls, verts = C[ws.pair_index], ws.pair_verts
-    found, h, d = find_separators_padded(hulls, verts)
+    found, h, d = find_separators(hulls, verts)
     take = found & (_plane_residual(hulls, verts, h, d, margin)
                     >= _plane_residual(hulls, verts, lines.h, lines.d, margin))
     return ws.lines(np.where(take[:, None], h, lines.h), np.where(take, d, lines.d))
@@ -504,7 +499,6 @@ def _peak_square(p: np.ndarray) -> float:
 
 def solve(problem: TrajOptProblem) -> TrajOptSolution:
     """Run the alternating scheme to a monotone fixed point and verify it."""
-    t_start = time.perf_counter()
     ws = _Workspace(problem)
     C, dt, lines = build(ws)
     dt = max(dt, _feasible_dt_floor(C, problem))
@@ -560,7 +554,6 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
         },
         cost_trace=cost_trace,
         n_outer=n_outer,
-        solve_time=time.perf_counter() - t_start,
     )
 
 

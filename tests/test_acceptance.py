@@ -19,7 +19,7 @@ from oracles import deboor_eval_batch, hulls_intersect_oracle, random_polygon
 from funnelnav import feasibility, harness, rrt, trajopt
 from funnelnav.bspline import clamped_from_waypoints
 from funnelnav.cli import main as cli_main
-from funnelnav.geometry import find_separator, find_separators, verify_separation
+from funnelnav.geometry import find_separator, find_separators, padded_vertices, verify_separation
 from funnelnav.rrt import RrtPath
 from funnelnav.scenario import load_scenario
 from funnelnav.trajopt import TrajOptProblem
@@ -218,7 +218,7 @@ class TestCriterion8FeasibilitySoundness:
         # quiet, overpowered scenario: must pass all four conditions
         good = load_scenario("benign")
         good.vessel = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
-        good.disturbance = DisturbanceProfile.zero()
+        good.disturbance = DisturbanceProfile()
         data = good.to_dict()
         data["controller"]["F_T_max"] = 1e6
         good = Scenario.from_dict(data)
@@ -243,7 +243,7 @@ class TestCriterion9GeometryRoundTrip:
             hulls.append(rng.uniform(-6, 6, (4, 2)))
         # The library's separators of all instances in one batched call; the
         # oracle stays scalar, one instance at a time.
-        found, h_all, d_all = find_separators(np.array(hulls), polys)
+        found, h_all, d_all = find_separators(np.array(hulls), padded_vertices(polys))
         n_sep = n_hit = 0
         for k, (poly, hull) in enumerate(zip(polys, hulls)):
             sep = (h_all[k], float(d_all[k])) if found[k] else None

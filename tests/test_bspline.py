@@ -207,16 +207,12 @@ class TestHulls:
         traj = random_trajectory(np.random.default_rng(10))
         n = traj.n_points
         assert traj.n_segments == n - 3
-        traj.segment_hull(0)
-        traj.segment_hull(n - 4)
-        with pytest.raises(IndexError):
-            traj.segment_hull(n - 3)
-        with pytest.raises(IndexError):
-            traj.segment_hull(-1)
+        last = traj.n_segments - 1
+        assert traj.control_points[last:last + 4].shape == (4, 2)  # the last hull is whole
 
     def test_first_hull_degenerates_to_start(self):
         traj = random_trajectory(np.random.default_rng(11))
-        hull = traj.segment_hull(0)
+        hull = traj.control_points[0:4]
         assert np.array_equal(hull[0], hull[1])
         assert np.array_equal(hull[1], hull[2])
 
@@ -225,7 +221,7 @@ class TestHulls:
         for _ in range(5):
             traj = random_trajectory(rng)
             for i in range(traj.n_segments):
-                hull = traj.segment_hull(i)
+                hull = traj.control_points[i:i + 4]
                 for t in np.linspace(i * traj.dt_knot, (i + 1) * traj.dt_knot, 40):
                     t = min(t, traj.duration)
                     assert point_in_hull(traj.eval(t), hull, tol=1e-9)
@@ -241,6 +237,10 @@ class TestSerialization:
         assert loaded.dt_knot == traj.dt_knot
         # identical serialization both ways
         assert json.dumps(loaded.to_dict()) == json.dumps(traj.to_dict())
+        # only cubic splines exist: written as degree 3, and no other degree loads
+        assert traj.to_dict()["degree"] == 3
+        with pytest.raises(ValueError, match="only cubic"):
+            SplineTrajectory.from_dict({**traj.to_dict(), "degree": 4})
 
     def test_sample_rows_cover_domain(self):
         traj = random_trajectory(np.random.default_rng(14))

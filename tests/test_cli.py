@@ -94,6 +94,15 @@ class TestSweep:
         data = json.loads((out / "sweep.json").read_text())
         assert data["aggregate"]["episodes"] == 2
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episode_count_below_one_is_a_usage_error(self, tmp_path, capsys, episodes):
+        # An empty sweep would pass with nothing checked.
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--scenario", "benign", "--episodes", episodes, "--out-dir", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
+
 
 class TestCheck:
     def test_report_written(self, tmp_path, scenario_file):
@@ -233,6 +242,14 @@ class TestTypedErrors:
                 "InvalidScenario", [command, "--scenario", str(path), "--out-dir", str(tmp_path)], capsys)
             assert "clearance" in err
         assert not (tmp_path / "feasibility.json").exists()
+
+    @pytest.mark.parametrize("command, dt", [("run", "-0.05"), ("run", "0"), ("run", "nan"),
+                                             ("run", "1000"), ("sweep", "-0.05")])
+    def test_dt_goes_through_the_schema(self, tmp_path, capsys, command, dt):
+        # 1000 s leaves benign's 90-s horizon no tick.
+        self._main_fails_with("InvalidScenario", [command, "--scenario", "benign", "--dt", dt,
+                                                  "--out-dir", str(tmp_path / "out")], capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_truncated_scenario_file(self, tmp_path, scenario_file, capsys):
         path = tmp_path / "truncated.json"

@@ -17,10 +17,10 @@ from oracles import cascade_oracle
 def make_config(**overrides):
     base = dict(
         k_d=2.0, k_u=50.0, k_o=1.0, k_r=10.0,
-        funnel_d=FunnelSpec.static(28.0),
-        funnel_u=FunnelSpec.static(25.0),
-        funnel_o=FunnelSpec.static(0.9999),
-        funnel_r=FunnelSpec.static(15.0),
+        funnel_d=FunnelSpec(28.0, 28.0),
+        funnel_u=FunnelSpec(25.0, 25.0),
+        funnel_o=FunnelSpec(0.9999, 0.9999),
+        funnel_r=FunnelSpec(15.0, 15.0),
         rho_d_min=0.5,
         F_T_max=1000.0,
         alpha_r_max=math.pi / 6.0,
@@ -68,7 +68,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(k_d=0.0)
         with pytest.raises(ValueError):
-            make_config(funnel_o=FunnelSpec.static(1.0))
+            make_config(funnel_o=FunnelSpec(1.0, 1.0))
         with pytest.raises(ValueError):
             make_config(alpha_r_max=math.pi / 4.0)
         with pytest.raises(ValueError):
@@ -143,8 +143,8 @@ class TestWrenchReferences:
 
     def test_scale_consistency(self):
         # doubling rho_u while halving e_u leaves the demand unchanged
-        cfg1 = make_config(funnel_u=FunnelSpec.static(25.0))
-        cfg2 = make_config(funnel_u=FunnelSpec.static(50.0))
+        cfg1 = make_config(funnel_u=FunnelSpec(25.0, 25.0))
+        cfg2 = make_config(funnel_u=FunnelSpec(50.0, 50.0))
         out1 = run_stages(-10.0, 0.0, MID, 0.0, 0.0, cfg1)
         out2 = run_stages(-20.0, 0.0, MID, 0.0, 0.0, cfg2)
         assert out1.X_des == pytest.approx(out2.X_des, abs=1e-12)
@@ -294,7 +294,7 @@ class TestControlBatch:
         # distance errors on both sides of the funnel, every orientation,
         # overspeed surge (eps_u >= 0, the guarded rudder division) and
         # velocity errors outside their funnels
-        cfg = make_config(funnel_u=FunnelSpec.static(2.0), funnel_r=FunnelSpec.static(0.5))
+        cfg = make_config(funnel_u=FunnelSpec(2.0, 2.0), funnel_r=FunnelSpec(0.5, 0.5))
         rng = np.random.default_rng(3)
         n = 2000
         e_d = rng.uniform(0.0, 35.0, n)
@@ -391,7 +391,7 @@ class TestInitialCompliance:
         assert exc.value.diagnostics["psi_e"]["suggested_rho0"] is None
 
     def test_velocity_channel_checked(self):
-        cfg = make_config(funnel_u=FunnelSpec.static(0.5))
+        cfg = make_config(funnel_u=FunnelSpec(0.5, 0.5))
         state = VesselState(0.0, 0.0, 0.0, 5.0, 0.0, 0.0)
         errors = compute_errors(0.0, 0.0, 0.0, 14.25, 0.0)  # u_des = 0 here
         with pytest.raises(InitialComplianceError) as exc:

@@ -22,7 +22,7 @@ from funnelnav.errors import NonFiniteState
 from oracles import disturbance_oracle, step_floats_oracle, step_rows_oracle, step_state
 
 NO_DRAG = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
-ZERO_DIST = DisturbanceProfile.zero()
+ZERO_DIST = DisturbanceProfile()
 IDLE = (0.0, 0.0)  # (F_T, alpha_r)
 
 
@@ -220,7 +220,7 @@ class TestBatch:
         profiles = [self.DIST.reseeded(k) for k in range(5)] + [ZERO_DIST]
         batch = DisturbanceBatch(profiles)
         for t in (0.0, 0.025, 13.7, 179.95):
-            tau = batch.value(t)
+            tau = batch.table(np.array([t]))[0]
             for b, p in enumerate(profiles):
                 assert tau[:, b] == pytest.approx(p.value(t), rel=1e-13, abs=1e-12)
 
@@ -236,8 +236,7 @@ class TestBatch:
         F_T = rng.uniform(0.0, 5000.0, 8)
         alpha_r = rng.uniform(-0.5, 0.5, 8)
         t0, dt = 12.3, 0.05
-        out = step(x, F_T, alpha_r, params, batch.value(t0),
-                   batch.value(t0 + 0.5 * dt), batch.value(t0 + dt), dt)
+        out = step(x, F_T, alpha_r, params, *batch.table(np.array([t0, t0 + 0.5 * dt, t0 + dt])), dt)
         for b in range(8):
             s = step_state(VesselState(*x[:, b], t=t0), F_T[b], alpha_r[b], params, profiles[b], dt)
             assert out[:, b] == pytest.approx([s.p_x, s.p_y, s.psi, s.u, s.v, s.r],
@@ -335,10 +334,11 @@ class TestOneFormula:
         batch = DisturbanceBatch(profiles)
         t = float(rng.uniform(0.0, 600.0))
         per_column = rng.uniform(0.0, 600.0, len(profiles))
-        at_t, at_columns = batch.value(t), batch.value(per_column)
+        # Row b of the table at per_column holds every column at per_column[b].
+        at_t, at_columns = batch.table(np.array([t]))[0], batch.table(per_column)
         for b, p in enumerate(profiles):
             assert np.array_equal(at_t[:, b], p.value(t))
-            assert np.array_equal(at_columns[:, b], p.value(float(per_column[b])))
+            assert np.array_equal(at_columns[b, :, b], p.value(float(per_column[b])))
 
 
 class TestLumpedForces:

@@ -18,7 +18,7 @@ def powerful_quiet_scenario():
     """Zero disturbance, zero drag, huge actuator authority."""
     sc = load_scenario("benign")
     sc.vessel = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
-    sc.disturbance = DisturbanceProfile.zero()
+    sc.disturbance = DisturbanceProfile()
     data = sc.to_dict()
     data["controller"]["F_T_max"] = 1e6
     from funnelnav.scenario import Scenario

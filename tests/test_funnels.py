@@ -18,7 +18,7 @@ from funnelnav.scenario import load_scenario
 
 class TestFunnelSpec:
     def test_static_is_constant(self):
-        f = FunnelSpec.static(28.0)
+        f = FunnelSpec(28.0, 28.0)
         assert f.value(0.0) == 28.0
         assert f.value(1000.0) == 28.0
         assert f.rate(3.0) == 0.0

@@ -14,7 +14,6 @@ from funnelnav.geometry import (
     distances_to_obstacles,
     find_separator,
     find_separators,
-    find_separators_padded,
     inflate,
     padded_vertices,
     point_free,
@@ -38,6 +37,14 @@ from oracles import (
 UNIT_SQUARE = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
 
+def checked_against(ws, inflated: bool):
+    """ws, or for inflated=False a copy whose inflated obstacles are ws's raw
+    ones, so that the collision checks test the raw polygons."""
+    if inflated:
+        return ws
+    return Workspace(ws.bounds, ws.obstacles, ws.clearance, ws.inflation_k_gon, _inflated=ws.obstacles)
+
+
 class TestConvexPolygon:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,43 +55,45 @@ class TestConvexPolygon:
             ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
 
     def test_contains_and_area(self):
-        assert UNIT_SQUARE.contains((0.5, 0.5))
-        assert UNIT_SQUARE.contains((1.0, 0.5))  # boundary inclusive
-        assert not UNIT_SQUARE.contains((1.0, 0.5), include_boundary=False)
-        assert not UNIT_SQUARE.contains((1.5, 0.5))
-        assert UNIT_SQUARE.area() == pytest.approx(1.0)
+        assert point_in_hull((0.5, 0.5), UNIT_SQUARE.vertices)
+        assert point_in_hull((1.0, 0.5), UNIT_SQUARE.vertices)  # boundary inclusive
+        assert not point_in_hull((1.5, 0.5), UNIT_SQUARE.vertices)
+        assert shoelace_area(UNIT_SQUARE.vertices) == pytest.approx(1.0)
 
 
 class TestInflate:
     def test_square_grown_by_one(self):
         grown = inflate(UNIT_SQUARE, 1.0, k_gon=4)
-        assert grown.contains((2.0, 0.5), tol=1e-9)
-        assert grown.contains((-0.99, -0.99), tol=1e-9)
-        assert not grown.contains((2.5, 0.5), tol=1e-9)
+        assert point_in_hull((2.0, 0.5), grown.vertices, tol=1e-9)
+        assert point_in_hull((-0.99, -0.99), grown.vertices, tol=1e-9)
+        assert not point_in_hull((2.5, 0.5), grown.vertices, tol=1e-9)
 
     def test_conservative_outer_approximation(self):
         rng = np.random.default_rng(2)
         grown = inflate(UNIT_SQUARE, 0.7, k_gon=12)
+        points = []
         for _ in range(2000):
             base = rng.uniform(0.0, 1.0, 2)
             ang = rng.uniform(0.0, 2 * math.pi)
             rad = rng.uniform(0.0, 0.7)
-            p = base + rad * np.array([math.cos(ang), math.sin(ang)])
-            assert grown.contains(p, tol=1e-9)
+            points.append(base + rad * np.array([math.cos(ang), math.sin(ang)]))
+        # Every point on the inner side of every CCW edge, up to 1e-9.
+        a, b, p = grown.vertices, np.roll(grown.vertices, -1, axis=0), np.array(points)[:, None]
+        sides = (b[:, 0] - a[:, 0]) * (p[..., 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[..., 0] - a[:, 0])
+        assert sides.shape == (2000, len(grown)) and (sides >= -1e-9).all()
 
     def test_triangle_area_growth(self):
         tri = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         grown = inflate(tri, 0.1, k_gon=16)
         perimeter = 1.0 + 1.0 + math.sqrt(2.0)
-        assert grown.area() > shoelace_area(tri.vertices) + perimeter * 0.1
-        assert shoelace_area(grown.vertices) == pytest.approx(grown.area(), abs=1e-9)
+        assert shoelace_area(grown.vertices) > shoelace_area(tri.vertices) + perimeter * 0.1
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(4)
         poly = random_polygon(rng, (0.0, 0.0), 3.0)
         small = inflate(poly, 0.5, k_gon=16)
         big = inflate(poly, 1.5, k_gon=16)
-        assert all(big.contains(v, tol=1e-9) for v in small.vertices)
+        assert all(point_in_hull(v, big.vertices, tol=1e-9) for v in small.vertices)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -103,14 +112,14 @@ class TestPointFree:
         assert point_free((-5.0, -5.0), self._workspace())
 
     def test_centroid_collides(self):
-        assert not point_free((6.0, 6.0), self._workspace(), inflated=False)
-        assert not point_free((6.0, 6.0), self._workspace(), inflated=True)
+        assert not point_free((6.0, 6.0), checked_against(self._workspace(), False))
+        assert not point_free((6.0, 6.0), self._workspace())
 
     def test_half_clearance_offset_collides_inflated_only(self):
         ws = self._workspace()
         p = (6.0, 4.0 - 0.5)  # clearance/2 below the bottom edge
-        assert point_free(p, ws, inflated=False)
-        assert not point_free(p, ws, inflated=True)
+        assert point_free(p, checked_against(ws, False))
+        assert not point_free(p, ws)
 
     def test_out_of_bounds(self):
         assert not point_free((100.0, 0.0), self._workspace())
@@ -174,10 +183,11 @@ class TestCollisionChecks:
            inflated=st.booleans())
     def test_matches_oracle(self, seed, kind, inflated):
         ws, a, b = collision_instance(seed, kind)
-        assert segment_free(a, b, ws, inflated) == segment_free_oracle(a, b, ws, inflated)
-        assert segment_free(b, a, ws, inflated) == segment_free_oracle(b, a, ws, inflated)
+        checked = checked_against(ws, inflated)
+        assert segment_free(a, b, checked) == segment_free_oracle(a, b, ws, inflated)
+        assert segment_free(b, a, checked) == segment_free_oracle(b, a, ws, inflated)
         for p in (a, b):
-            assert point_free(p, ws, inflated) == point_free_oracle(p, ws, inflated)
+            assert point_free(p, checked) == point_free_oracle(p, ws, inflated)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SEGMENT_KINDS))
@@ -203,10 +213,11 @@ class TestCollisionChecks:
         points = np.concatenate([[a, b], rng.uniform(-22, 22, (8, 2)), verts])
         starts, ends = points[rng.permutation(len(points))], points
         for inflated in (True, False):
+            checked = checked_against(ws, inflated)
             want = [segment_free_oracle(p, q, ws, inflated) for p, q in zip(starts, ends)]
-            assert segment_free(starts, ends, ws, inflated).tolist() == want
-            assert [segment_free(p, q, ws, inflated) for p, q in zip(starts, ends)] == want
-            assert segment_free(ends, a, ws, inflated).tolist() == [
+            assert segment_free(starts, ends, checked).tolist() == want
+            assert [segment_free(p, q, checked) for p, q in zip(starts, ends)] == want
+            assert segment_free(ends, a, checked).tolist() == [
                 segment_free_oracle(q, a, ws, inflated) for q in ends]
 
     def test_box_screen_touching_and_collinear(self):
@@ -224,12 +235,13 @@ class TestCollisionChecks:
                  ((-1.0, 2.0), (2.0, -1.0)),    # crosses the corner region diagonally
                  ((0.5, 1.0), (0.5, 3.0))]      # from the top edge outward
         for inflated in (False, True):
+            checked = checked_against(ws, inflated)
             want = [segment_free_oracle(p, q, ws, inflated) for p, q in cases]
-            assert [segment_free(p, q, ws, inflated) for p, q in cases] == want
-            assert [segment_free(q, p, ws, inflated) for p, q in cases] == want
+            assert [segment_free(p, q, checked) for p, q in cases] == want
+            assert [segment_free(q, p, checked) for p, q in cases] == want
             starts, ends = np.array(cases).transpose(1, 0, 2)
-            assert segment_free(starts, ends, ws, inflated).tolist() == want
-        assert [segment_free(p, q, ws, False) for p, q in cases] == [
+            assert segment_free(starts, ends, checked).tolist() == want
+        assert [segment_free(p, q, checked_against(ws, False)) for p, q in cases] == [
             True, False, True, False, True, True, False, False, False]
 
     def test_long_run_vertices_pairwise(self):
@@ -240,10 +252,11 @@ class TestCollisionChecks:
         scenario = load_scenario("long-run")
         verts = np.concatenate([o.vertices for o in scenario.planner_workspace().inflated_obstacles()])
         for inflated in (True, False):
+            checked = checked_against(scenario.workspace, inflated)
             verdicts = []
             for a in verts[::3]:
                 verdicts += [segment_free_oracle(a, b, scenario.workspace, inflated) for b in verts]
-                assert segment_free(a, verts, scenario.workspace, inflated).tolist() == verdicts[-len(verts):]
+                assert segment_free(a, verts, checked).tolist() == verdicts[-len(verts):]
             assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -325,7 +338,7 @@ def assert_equals_brute_force(hulls, polys):
     """find_separators equals the brute-force kernel on the same blocks, bit
     for bit (NaN where no line); returns its found."""
     hulls = np.asarray(hulls, dtype=float)
-    got = find_separators(hulls, polys)
+    got = find_separators(hulls, padded_vertices(polys))
     for have, want in zip(got, brute_force(hulls, polys)):
         assert np.array_equal(have, want, equal_nan=True)
     return got[0]
@@ -340,7 +353,7 @@ class TestBatchedSeparators:
     @staticmethod
     def _assert_matches_oracle(hulls, polys):
         assert_equals_brute_force(hulls, polys)
-        found, h, d = find_separators(hulls, polys)
+        found, h, d = find_separators(hulls, padded_vertices(polys))
         for m, (hull, poly) in enumerate(zip(hulls, polys)):
             ref = separator_oracle(hull, poly.vertices)
             assert found[m] == (ref is not None), m
@@ -364,14 +377,14 @@ class TestBatchedSeparators:
     def test_segment_touching_vertex_has_no_separator(self):
         through = np.array([[0.0, 2.0], [0.0, 2.0], [2.0, 0.0], [2.0, 0.0]])  # passes (1, 1)
         ending = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [1.0, 1.0]])
-        found, h, d = find_separators(np.array([through, ending]), [UNIT_SQUARE, UNIT_SQUARE])
+        found, h, d = find_separators(np.array([through, ending]), padded_vertices([UNIT_SQUARE] * 2))
         assert not found.any()
         assert np.isnan(h).all() and np.isnan(d).all()
 
     def test_batch_equals_single_calls(self):
         rng = np.random.default_rng(23)
         hulls, polys = self._instances(rng, 500, lambda r, p: r.uniform(-6, 6, (4, 2)))
-        found, h, d = find_separators(hulls, polys)
+        found, h, d = find_separators(hulls, padded_vertices(polys))
         for m, (hull, poly) in enumerate(zip(hulls, polys)):
             single = find_separator(hull, poly)
             assert found[m] == (single is not None)
@@ -379,9 +392,7 @@ class TestBatchedSeparators:
                 assert np.array_equal(single[0], h[m]) and single[1] == d[m]
 
     def test_empty_batch(self):
-        found, h, d = find_separators(np.zeros((0, 4, 2)), [])
-        assert found.shape == (0,) and h.shape == (0, 2) and d.shape == (0,)
-        found, h, d = find_separators_padded(np.zeros((0, 4, 2)), padded_vertices([]))
+        found, h, d = find_separators(np.zeros((0, 4, 2)), padded_vertices([]))
         assert found.shape == (0,) and h.shape == (0, 2) and d.shape == (0,)
 
     def test_padding_width_does_not_matter(self):
@@ -407,7 +418,7 @@ class TestBatchedSeparators:
         assert verts.shape[1] > min(len(p) for p in polys)
         for extra in (0, 1, 3):
             wide = np.concatenate([verts, np.repeat(verts[:, -1:], extra, axis=1)], axis=1)
-            for have, expected in zip(find_separators_padded(hulls, wide), want):
+            for have, expected in zip(find_separators(hulls, wide), want):
                 assert np.array_equal(have, expected, equal_nan=True)
         uncut = [np.concatenate(part) for part in zip(*(
             _separator_block(hulls[k:k + _BLOCK], wide[k:k + _BLOCK]) for k in range(0, len(hulls), _BLOCK)))]
@@ -497,7 +508,7 @@ class TestScreenedKernel:
         # Every batch the solver sends to the kernel on the inputs of
         # `perfbench/run.py --seed 7` for plan (12) and cold-start (6).
         batches = []
-        real = trajopt.find_separators_padded
+        real = trajopt.find_separators
 
         def checked(hulls, verts):
             batches.append(len(verts))
@@ -506,7 +517,7 @@ class TestScreenedKernel:
                 assert np.array_equal(have, want, equal_nan=True)
             return got
 
-        monkeypatch.setattr(trajopt, "find_separators_padded", checked)
+        monkeypatch.setattr(trajopt, "find_separators", checked)
         seeds = [int(np.random.SeedSequence([7, i]).generate_state(1)[0]) for i in range(12)]
         for seed in seeds:
             harness.plan_and_solve(load_scenario("long-run").with_seed(seed))

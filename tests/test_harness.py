@@ -243,7 +243,7 @@ class TestLockstepSweep:
             psi=AxisDisturbance(sin_amp=300.0, sin_freq_hz=0.03, noise_amp=200.0),
             seed=5,
         )
-        sc.controller = dataclasses.replace(sc.controller, funnel_u=FunnelSpec.static(1.0))
+        sc.controller = dataclasses.replace(sc.controller, funnel_u=FunnelSpec(1.0, 1.0))
         batch = _assert_lockstep_matches_scalar(sc, 8)
         failed = [e["failed"] for e in batch]
         assert any(failed) and not all(failed)

@@ -87,6 +87,8 @@ class TestValidation:
         sc = load_scenario("benign")
         with pytest.raises(ValueError):
             Scenario.from_dict({**sc.to_dict(), "sim": {"dt": -1.0, "horizon": 10.0}})
+        with pytest.raises(InvalidScenario, match="no tick"):  # round(0.5) is 0
+            Scenario.from_dict({**sc.to_dict(), "sim": {"dt": 20.0, "horizon": 10.0}})
 
 
 def _paths(node, path=()):

@@ -110,7 +110,8 @@ class TestBuild:
         assert np.all(blocker.vertices @ lines.h.T < lines.d)
 
     def test_fit_targets_cover_interior_waypoints_once(self):
-        # index bookkeeping: rows pair knots 2..N-5 with waypoints 1..N_X-2
+        # index bookkeeping: rows pair knots 2..N-5 with waypoints 1..N_X-2, and
+        # jerk row i covers points i..i+3; the weights are the literals, bit for bit
         path = wiggly_path(np.random.default_rng(0), n=9)
         ws = _Workspace(free_problem(path))
         X = path.waypoints
@@ -121,7 +122,12 @@ class TestBuild:
             row = ws.A_fit[r]
             nz = np.nonzero(row)[0]
             assert list(nz) == [2 + r, 3 + r, 4 + r]
-            assert np.allclose(row[nz], [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0])
+            assert row[nz].tolist() == [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0]
+        assert ws.A_jerk.shape == (ws.N - 3, ws.N)
+        for i, row in enumerate(ws.A_jerk):
+            nz = np.nonzero(row)[0]
+            assert list(nz) == [i, i + 1, i + 2, i + 3]
+            assert row[nz].tolist() == [-1.0, 3.0, -3.0, 1.0]
 
 
 class TestSolve:
