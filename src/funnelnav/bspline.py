@@ -38,6 +38,12 @@ BASIS_M2 = 0.5 * np.array([
     [1.0, -2.0, 1.0],
 ])
 
+# time_at_distance's grid scan and its bisection.
+TIME_GRID = 4000
+_SCAN_CHUNK = 256
+_HALVINGS = 60
+_TREE_LEVELS = 6
+
 
 @dataclass(frozen=True)
 class SplineTrajectory:
@@ -110,11 +116,13 @@ class SplineTrajectory:
         jerk = (JERK_WEIGHTS @ Q) / (dt * dt * dt)
         return vel, acc, jerk
 
-    def time_at_distance(self, dist: float, grid: int = 4000) -> float:
+    def time_at_distance(self, dist: float) -> float:
         """Earliest time where the spline is `dist` away from its start point.
 
         Returns the full duration when the whole spline stays closer than
-        that (grid scan plus bisection refinement).
+        that. A scan of TIME_GRID times, _SCAN_CHUNK at a time up to the first
+        chunk that holds a hit, brackets the time; _HALVINGS halvings refine it,
+        each round of _TREE_LEVELS evaluating all mids the round may visit at once.
         """
         start = self.eval(0.0)
 
@@ -124,19 +132,33 @@ class SplineTrajectory:
             offset = self.eval(t) - start
             return np.sqrt(offset[..., None, :] @ offset[..., :, None])[..., 0, 0]
 
-        times = np.linspace(0.0, self.duration, grid)
-        reached = np.flatnonzero(distance(times) >= dist)
-        if not len(reached):
+        times = np.linspace(0.0, self.duration, TIME_GRID)
+        for i in range(0, TIME_GRID, _SCAN_CHUNK):
+            reached = np.flatnonzero(distance(times[i:i + _SCAN_CHUNK]) >= dist)
+            if len(reached):
+                break
+        else:
             return self.duration
-        hit = times[reached[0]]
-        lo = max(0.0, hit - self.duration / (grid - 1))
+        hit = times[i + reached[0]]
+        lo = max(0.0, hit - self.duration / (TIME_GRID - 1))
         hi = hit
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if distance(mid) >= dist:
-                hi = mid
-            else:
-                lo = mid
+        for _ in range(_HALVINGS // _TREE_LEVELS):
+            # The ends of the leaves of a bisection tree on [lo, hi]: level by level, each
+            # new end is 0.5 * (lo + hi) of the interval it halves, as one halving computes it.
+            ends = np.array([lo, hi])
+            for _ in range(_TREE_LEVELS):
+                split = np.empty(2 * len(ends) - 1)
+                split[0::2], split[1::2] = ends, 0.5 * (ends[:-1] + ends[1:])
+                ends = split
+            reached = distance(ends[1:-1]) >= dist
+            a, b = 0, len(ends) - 1
+            while b - a > 1:  # the halvings' walk down the tree
+                mid = (a + b) // 2
+                if reached[mid - 1]:
+                    b = mid
+                else:
+                    a = mid
+            lo, hi = ends[a], ends[b]
         return hi
 
     def to_dict(self) -> dict:

@@ -122,7 +122,7 @@ def cmd_check(args) -> int:
 
 def cmd_audit(args) -> int:
     scenario = _load(args)
-    log = harness.EpisodeLog.load_csv(args.log, scenario_name=scenario.name)
+    log = harness.EpisodeLog.load_csv(args.log)
     summary_path = os.path.join(os.path.dirname(args.log), "summary.json")
     if os.path.exists(summary_path):
         with open(summary_path, encoding="utf-8") as f:

@@ -28,8 +28,8 @@ TWO_PI = 2.0 * math.pi
 # names of the Python array API standard: numpy serves (B,) arrays as it is,
 # math and the builtins serve floats at float speed.
 _FLOAT_MATH = SimpleNamespace(
-    sin=math.sin, cos=math.cos, atan=math.atan, atan2=math.atan2, atanh=math.atanh,
-    hypot=math.hypot, copysign=math.copysign, fmod=math.fmod, isnan=math.isnan,
+    sin=math.sin, cos=math.cos, atan=math.atan, atan2=math.atan2,
+    hypot=math.hypot, fmod=math.fmod, isnan=math.isnan,
     minimum=min, maximum=max, where=lambda cond, a, b: a if cond else b, count_nonzero=int)
 
 
@@ -130,8 +130,17 @@ def _wrench(terms, t):
     """The disturbance formula: (3, B) wrenches of B profiles' term arrays bias,
     sin_amp, noise_amp (3, B) and omega, phase (1 + _NOISE_TERMS, 3, B), term 0 the
     sinusoid. t is a float, (B,) per-column times, (n,) times when B = 1, or (n, 1, 1)
-    times for (n, 3, B) wrenches with omega and phase given a time axis at 1."""
+    times for (n, 3, B) wrenches with omega and phase given a time axis at 1.
+
+    A quiet disturbance, every sin_amp and noise_amp zero and no bias -0.0, costs no
+    sine: at finite phases each term is a signed zero and bias + +-0.0 == bias, so its
+    wrench is the bias broadcast to the formula's shape, bit for bit."""
     bias, sin_amp, noise_amp, omega, phase = terms
+    if not (np.count_nonzero(sin_amp) or np.count_nonzero(noise_amp)
+            or np.count_nonzero(np.signbit(bias[bias == 0.0]))):
+        wrench = np.empty(np.broadcast(bias, omega[0], t).shape)
+        wrench[...] = bias
+        return wrench
     s = np.sin(omega * t + phase)
     noise = s[1]
     for k in range(2, 1 + _NOISE_TERMS):

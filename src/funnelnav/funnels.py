@@ -9,6 +9,7 @@ at the funnel boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import atanh, copysign
 
 import numpy as np
 
@@ -93,10 +94,11 @@ def transform(xi):
     """Strictly increasing bijection (-1, 1) -> R: atanh(xi) = 0.5 ln((1+xi)/(1-xi)).
 
     xi is a float, an array or a list of floats. An |xi| >= 1, a funnel violation the caller
-    flags, is pulled back to +/-(1 - 1e-9), so a simulation can continue."""
+    flags, is pulled back to +/-(1 - 1e-9), so a simulation can continue; a NaN stays NaN."""
     if isinstance(xi, list):
-        return [transform(v) for v in xi]
-    xp = namespace(xi)
-    if xp is np and not np.count_nonzero(abs(xi) >= _ONE):  # none to pull back: skip the where
+        return [atanh(copysign(XI_CLAMP, v) if abs(v) >= 1.0 else v) for v in xi]
+    if not isinstance(xi, np.ndarray):
+        return transform([xi])[0]
+    if not np.count_nonzero(abs(xi) >= _ONE):  # none to pull back: skip the where
         return np.atanh(xi)
-    return xp.atanh(xp.where(abs(xi) >= 1.0, xp.copysign(XI_CLAMP, xi), xi))
+    return np.atanh(np.where(abs(xi) >= 1.0, np.copysign(XI_CLAMP, xi), xi))

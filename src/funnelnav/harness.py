@@ -67,8 +67,6 @@ def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
 
 @dataclass
 class EpisodeLog:
-    scenario_name: str
-    seed: int
     columns: dict[str, np.ndarray]
     summary: dict
     trajectory: SplineTrajectory | None = None
@@ -81,14 +79,14 @@ class EpisodeLog:
         write_csv(path, LOG_COLUMNS, [self.columns[c] for c in LOG_COLUMNS])
 
     @classmethod
-    def load_csv(cls, path, scenario_name: str = "loaded") -> "EpisodeLog":
+    def load_csv(cls, path) -> "EpisodeLog":
         with open(path, encoding="utf-8") as f:
             names = f.readline().rstrip("\n").split(",")
             lines = f.readlines()
         # loadtxt warns on no rows; a header-only log has zero-length columns.
         data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(names)))
         columns = dict(zip(names, data.T))
-        return cls(scenario_name=scenario_name, seed=0, columns=columns, summary={})
+        return cls(columns=columns, summary={})
 
     def save_summary(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -286,8 +284,7 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     summary = _episode_summary(
         scenario, lead, n, _min_clearances(scenario, [table[:, 1:3]])[0], counts[:, 0],
         maxima[:, 0], columns["e_d"][-1] if n else math.nan, fault=fault, goal_time=goal_time)
-    return EpisodeLog(scenario_name=scenario.name, seed=scenario.seed,
-                      columns=columns, summary=summary)
+    return EpisodeLog(columns=columns, summary=summary)
 
 
 def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,

@@ -14,7 +14,8 @@ that trajopt's slot-batched one replaced, the one-iteration-at-a-time RRT
 loop that the speculative batches replaced and the target-by-target
 resampling that the array one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced, the
-per-float, per-term disturbance that the one array formula replaced, the
+per-float, per-term disturbance that the one array formula replaced, that
+formula without its quiet path, the
 segment-by-segment dense kinodynamic check and the pair-by-pair separation
 check of trajopt.validate that their one-pass forms replaced, and the
 funnel cascade written out on Python floats with math. It also
@@ -722,7 +723,18 @@ def disturbance_oracle(dist, t: float) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def _atanh_to_edge(xi: float) -> float:
+def wrench_oracle(terms, t):
+    """dynamics._wrench as it was before a quiet disturbance skipped its sines: every
+    term of the formula evaluated, whatever its amplitude."""
+    bias, sin_amp, noise_amp, omega, phase = terms
+    s = np.sin(omega * t + phase)
+    noise = s[1]
+    for k in range(2, 1 + _NOISE_TERMS):
+        noise = noise + s[k]
+    return bias + sin_amp * s[0] + noise_amp * noise / _NOISE_TERMS
+
+
+def atanh_to_edge(xi: float) -> float:
     """atanh, with an |xi| >= 1 taken at 1 - 1e-9 of its sign."""
     return math.atanh(math.copysign(1.0 - 1e-9, xi) if abs(xi) >= 1.0 else xi)
 
@@ -740,12 +752,12 @@ def cascade_oracle(u, r, e_d, e_o, t, cfg) -> SimpleNamespace:
         for f in (cfg.funnel_d, cfg.funnel_o, cfg.funnel_u, cfg.funnel_r))
     xi_d = (2.0 * e_d - rho_d - cfg.rho_d_min) / (rho_d - cfg.rho_d_min)
     xi_o = e_o / rho_o
-    u_des = cfg.k_d * _atanh_to_edge(xi_d)
-    r_des = -cfg.k_o * _atanh_to_edge(xi_o)
+    u_des = cfg.k_d * atanh_to_edge(xi_d)
+    r_des = -cfg.k_o * atanh_to_edge(xi_o)
     xi_u = (u - u_des) / rho_u
     xi_r = (r - r_des) / rho_r
-    eps_u = _atanh_to_edge(xi_u)
-    eps_r = _atanh_to_edge(xi_r)
+    eps_u = atanh_to_edge(xi_u)
+    eps_r = atanh_to_edge(xi_r)
     k_alpha = cfg.k_r / (cfg.delta_x_nominal * cfg.k_u)
     u_alpha = math.atan(k_alpha * eps_r / min(eps_u, -cfg.eps_u_guard))
     alpha_r = min(max(u_alpha, -cfg.alpha_r_max), cfg.alpha_r_max)

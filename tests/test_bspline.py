@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funnelnav import bspline
 from funnelnav.bspline import SplineTrajectory, clamped_from_waypoints
 from funnelnav.errors import OutOfDomain
+from funnelnav.harness import plan_and_solve
+from funnelnav.scenario import load_scenario, mid_funnel_distance
 from oracles import (
     deboor_eval,
     deboor_eval_batch,
@@ -137,12 +140,24 @@ class TestArrayEval:
         with pytest.raises(OutOfDomain):
             traj.eval_derivatives(ts)
 
-    def test_time_at_distance_matches_point_scan(self):
+    def test_time_at_distance_matches_point_scan(self, monkeypatch):
+        monkeypatch.setattr(bspline, "TIME_GRID", 500)
         rng = np.random.default_rng(21)
         for _ in range(20):
             traj = random_trajectory(rng)
             for dist in rng.uniform(0.0, 12.0, 4):
-                assert traj.time_at_distance(dist, grid=500) == time_at_distance_oracle(traj, dist, 500)
+                assert traj.time_at_distance(dist) == time_at_distance_oracle(traj, dist, 500)
+
+    @pytest.mark.parametrize("name", ["benign", "long-run"])
+    def test_time_at_distance_on_planned_trajectories(self, name):
+        # The default grid, on the trajectory `run` tracks: at the lead it needs, where the
+        # hit lies past the first scan chunk, and beyond the spline's reach.
+        scenario = load_scenario(name)
+        traj = plan_and_solve(scenario)[1].trajectory
+        far = float(np.linalg.norm(traj.control_points - traj.control_points[0], axis=1).max())
+        late = float(np.linalg.norm(traj.eval(0.5 * traj.duration) - traj.eval(0.0)))
+        for dist in (mid_funnel_distance(scenario), late, 2.0 * far):
+            assert traj.time_at_distance(dist) == time_at_distance_oracle(traj, dist, bspline.TIME_GRID)
 
 
 class TestDerivatives:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -270,3 +271,32 @@ class TestTypedErrors:
         self._main_fails_with("TrajOptInfeasible",
                               ["traj", "--scenario", scenario_file, "--out-dir", str(tmp_path)],
                               capsys)
+
+
+class TestReportPins:
+    """sha256 digests of the reports of `check --samples 2000` and of `audit` on a `run` log,
+    pinned before a quiet disturbance skipped its sines and the lead search ran in batches.
+    The digests hold for this numpy and libm; another platform may round a sine differently."""
+
+    CHECK = {
+        "benign": "9dbc3ea53d4af1243d17d517e5fdfad798698cfd7859f8cafdde00a2c3ac774e",
+        "long-run": "ac30df4cf1e30d619488f4a06941854316b68c60325319423b94b7b6e0db6205",
+    }
+
+    @staticmethod
+    def _digest(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("scenario", sorted(CHECK))
+    def test_check_report(self, scenario, tmp_path):
+        assert main(["check", "--scenario", scenario, "--samples", "2000",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert self._digest(tmp_path / "feasibility.json") == self.CHECK[scenario]
+
+    def test_audit_report(self, tmp_path):
+        log = tmp_path / "run" / "episode.csv"
+        assert main(["run", "--scenario", "benign", "--out-dir", str(log.parent)]) == 0
+        assert main(["audit", "--scenario", "benign", "--log", str(log),
+                     "--out-dir", str(tmp_path / "audit")]) == 0
+        assert self._digest(tmp_path / "audit" / "audit.json") == (
+            "048172786dbb5ef556bee162025aabbbcd9cd0d61ad4eb4f97dadf1ff7d3ef20")

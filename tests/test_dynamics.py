@@ -19,7 +19,7 @@ from funnelnav.dynamics import (
     wrap_angle,
 )
 from funnelnav.errors import NonFiniteState
-from oracles import disturbance_oracle, step_floats_oracle, step_rows_oracle, step_state
+from oracles import disturbance_oracle, step_floats_oracle, step_rows_oracle, step_state, wrench_oracle
 
 NO_DRAG = VesselParams(drag=DragCoeffs(0, 0, 0, 0, 0, 0))
 ZERO_DIST = DisturbanceProfile()
@@ -339,6 +339,63 @@ class TestOneFormula:
         for b, p in enumerate(profiles):
             assert np.array_equal(at_t[:, b], p.value(t))
             assert np.array_equal(at_columns[b, :, b], p.value(float(per_column[b])))
+
+
+class TestQuietDisturbance:
+    """Zero sinusoid and noise amplitudes: the wrench is the bias, with no sine evaluated and
+    every bit of the full formula kept. Bits are compared as integers, so -0.0 != 0.0."""
+
+    QUIET = DisturbanceProfile(
+        x=AxisDisturbance(bias=30.0, sin_freq_hz=0.05, sin_phase=1.0),
+        y=AxisDisturbance(bias=-20.0, sin_amp=-0.0, sin_freq_hz=0.08),  # -0.0 is quiet too
+        psi=AxisDisturbance(noise_amp=-0.0),
+        seed=4,
+    )
+    NEGATIVE_ZERO_BIAS = DisturbanceProfile(x=AxisDisturbance(bias=-0.0), seed=4)
+    TIMES = np.array([0.0, 0.025, 13.7, 179.95, 1234.5])
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    def _assert_formula(self, profile):
+        terms = profile._terms
+        for t in self.TIMES.tolist():
+            assert np.array_equal(self._bits(profile.value(t)), self._bits(wrench_oracle(terms, t)[:, 0]))
+        assert np.array_equal(self._bits(profile.value(self.TIMES)),
+                              self._bits(wrench_oracle(terms, self.TIMES)))
+        batch = DisturbanceBatch([profile.reseeded(k) for k in range(3)])
+        bias, sin_amp, noise_amp, omega, phase = batch._terms
+        table = batch.table(self.TIMES)
+        assert table.shape == (len(self.TIMES), 3, 3) and table.flags.c_contiguous
+        assert np.array_equal(self._bits(table), self._bits(wrench_oracle(
+            (bias, sin_amp, noise_amp, omega[:, None], phase[:, None]), self.TIMES[:, None, None])))
+
+    @staticmethod
+    def _sines(monkeypatch, profile) -> int:
+        """np.sin calls of a float value, a times value and a table of the profile."""
+        calls, real_sin = [], np.sin
+        monkeypatch.setattr(np, "sin", lambda x: calls.append(1) or real_sin(x))
+        profile.value(1.0)
+        profile.value(TestQuietDisturbance.TIMES)
+        DisturbanceBatch([profile, profile]).table(TestQuietDisturbance.TIMES)
+        monkeypatch.setattr(np, "sin", real_sin)
+        return len(calls)
+
+    def test_quiet_profile_is_its_bias(self, monkeypatch):
+        self._assert_formula(self.QUIET)
+        self._assert_formula(ZERO_DIST)
+        assert self._sines(monkeypatch, self.QUIET) == 0
+        assert self.QUIET.value(7.0) == (30.0, -20.0, 0.0)
+        table = DisturbanceBatch([self.QUIET]).table(self.TIMES)
+        table[0] = 1.0  # a fresh array: the profile's bias is untouched
+        assert self.QUIET.value(7.0) == (30.0, -20.0, 0.0)
+
+    def test_negative_zero_bias_takes_the_formula(self, monkeypatch):
+        # -0.0 + 0.0 is 0.0: the bias alone would keep the wrong sign bit.
+        self._assert_formula(self.NEGATIVE_ZERO_BIAS)
+        assert self._sines(monkeypatch, self.NEGATIVE_ZERO_BIAS) == 3
+        assert not np.signbit(self.NEGATIVE_ZERO_BIAS.value(7.0)[0])
 
 
 class TestLumpedForces:

@@ -119,8 +119,7 @@ class TestRunEpisode:
 
     def test_csv_round_trip_real_one_row_and_header_only(self, long_run_log, tmp_path):
         for n in (long_run_log.n_ticks, 1, 0):
-            log = EpisodeLog(scenario_name="long-run", seed=7, summary={},
-                             columns={c: v[:n] for c, v in long_run_log.columns.items()})
+            log = EpisodeLog(columns={c: v[:n] for c, v in long_run_log.columns.items()}, summary={})
             path = tmp_path / f"episode_{n}.csv"
             log.save_csv(path)
             with warnings.catch_warnings():
@@ -490,8 +489,6 @@ class TestAudit:
     def test_injected_violation_flagged_once(self, benign_log):
         sc = load_scenario("benign")
         tampered = EpisodeLog(
-            scenario_name=benign_log.scenario_name,
-            seed=benign_log.seed,
             columns={k: v.copy() for k, v in benign_log.columns.items()},
             summary=copy.deepcopy(benign_log.summary),
         )
@@ -509,8 +506,6 @@ class TestAudit:
         # corrupting a controller-written column must not change the audit
         sc = load_scenario("benign")
         tampered = EpisodeLog(
-            scenario_name=benign_log.scenario_name,
-            seed=benign_log.seed,
             columns={k: v.copy() for k, v in benign_log.columns.items()},
             summary=copy.deepcopy(benign_log.summary),
         )
