@@ -1,6 +1,6 @@
 """Kinodynamic trajectory generation and funnel tracking for an underactuated vessel."""
 
-from .bspline import SplineTrajectory, clamped_from_waypoints
+from .bspline import SplineTrajectory
 from .controller import ControllerConfig, control_tick
 from .dynamics import (
     AxisDisturbance,
@@ -17,6 +17,7 @@ from .errors import (
     InfeasibleSeed,
     InitialComplianceError,
     InsufficientSamples,
+    InvalidLog,
     InvalidScenario,
     NonFiniteState,
     OutOfDomain,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .feasibility import FeasibilityReport, estimate_bounds
 from .funnels import FunnelSpec, compute_errors, transform
-from .geometry import ConvexPolygon, Workspace, find_separator, inflate, point_free, verify_separation
+from .geometry import ConvexPolygon, Workspace, find_separator, inflate, point_free
 from .harness import EpisodeLog, audit, run_episode, sweep
 from .rrt import RrtParams, RrtPath, plan
 from .scenario import Scenario, load_scenario

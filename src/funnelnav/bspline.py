@@ -193,14 +193,7 @@ class SplineTrajectory:
         return np.column_stack((times, self.eval(times), vel, acc))
 
 
-def clamped_from_waypoints(waypoints: np.ndarray, dt_knot: float) -> SplineTrajectory:
-    """Tripled-endpoint control polygon through the given interior waypoints.
-
-    Control points are [W0, W0, W0, W1, ..., W_{n-2}, Wg, Wg, Wg], giving
-    N = n + 4 for n waypoints.
-    """
-    w = np.asarray(waypoints, dtype=float)
-    if len(w) < 4:
-        raise ValueError(f"need at least 4 waypoints, got {len(w)}")
-    ctrl = np.vstack([w[0], w[0], w[0], w[1:-1], w[-1], w[-1], w[-1]])
-    return SplineTrajectory(ctrl, dt_knot)
+def clamped_control_points(start, interior, goal) -> np.ndarray:
+    """The control polygon [start, start, start, *interior, goal, goal, goal]: its
+    tripled ends pin the position and zero the velocity and acceleration there."""
+    return np.vstack([start, start, start, interior, goal, goal, goal])

@@ -16,23 +16,26 @@ import os
 import sys
 
 from . import feasibility, harness, rrt, trajopt
-from .errors import FunnelNavError
+from .errors import FunnelNavError, InvalidLog
 from .scenario import BUILTIN_NAMES, Scenario, load_scenario
+
+
+def _at_least(low: int):
+    """An argparse type: an integer of at least low, written in decimal digits."""
+    def parse(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True,
                    help=f"scenario JSON path or builtin name ({', '.join(BUILTIN_NAMES)})")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=_at_least(0), default=None,
+                   help="override the scenario seed, the planner seed and the disturbance realization")
     p.add_argument("--out-dir", default=".", help="output directory (created if missing)")
     p.add_argument("--dt", type=float, default=None, help="override the simulation step [s]")
-
-
-def _count(text: str) -> int:
-    """An argparse type: an integer of at least 1, written in decimal digits."""
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
 
 
 def _load(args) -> Scenario:
@@ -126,7 +129,10 @@ def cmd_audit(args) -> int:
     summary_path = os.path.join(os.path.dirname(args.log), "summary.json")
     if os.path.exists(summary_path):
         with open(summary_path, encoding="utf-8") as f:
-            log.summary = json.load(f)
+            try:
+                log.summary = json.load(f)
+            except ValueError as exc:
+                raise InvalidLog(f"{summary_path}: not valid JSON: {exc}") from exc
     report = harness.audit(log, scenario)
     out = os.path.join(args.out_dir, "audit.json")
     report.save_json(out)
@@ -158,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Monte-Carlo disturbance sweep")
     _add_common(p)
-    p.add_argument("--episodes", type=_count, default=100)
+    p.add_argument("--episodes", type=_at_least(1), default=100)
     p.add_argument("--auto-inflate-funnels", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

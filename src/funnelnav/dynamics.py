@@ -115,10 +115,6 @@ class AxisDisturbance:
     sin_phase: float = 0.0
     noise_amp: float = 0.0
 
-    @property
-    def bound(self) -> float:
-        return abs(self.bias) + abs(self.sin_amp) + abs(self.noise_amp)
-
 
 # Band of the seeded noise sinusoids [Hz].
 _NOISE_FREQ_LO = 0.05
@@ -180,11 +176,6 @@ class DisturbanceProfile:
     @property
     def axes(self) -> tuple[AxisDisturbance, AxisDisturbance, AxisDisturbance]:
         return (self.x, self.y, self.psi)
-
-    @property
-    def bounds(self) -> tuple[float, float, float]:
-        """Declared per-axis bounds |tau_d,i(t)| never exceeds."""
-        return (self.x.bound, self.y.bound, self.psi.bound)
 
     def value(self, t):
         """The wrench at a float time as three floats, or at (n,) times as a (3, n) array."""

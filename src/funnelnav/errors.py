@@ -9,6 +9,10 @@ class InvalidScenario(FunnelNavError, ValueError):
     """Scenario data with a missing key, a value of the wrong type or a rejected value."""
 
 
+class InvalidLog(FunnelNavError):
+    """An episode log or summary that cannot be read, or a log short of a column or a tick."""
+
+
 class NonFiniteState(FunnelNavError):
     """Integration produced NaN/Inf; dynamics blew up or dt is too large."""
 

@@ -184,9 +184,9 @@ def _first_max(val: np.ndarray, cols: dict, best_val: float, best: dict) -> tupl
     return best_val, best
 
 
-def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None = None,
+def estimate_bounds(scenario: Scenario, n_samples: int = 2000,
                     trajectory: SplineTrajectory | None = None) -> FeasibilityReport:
-    """Seeded Monte-Carlo maximization of the disturbance-and-reference bounds.
+    """Monte-Carlo maximization of the disturbance-and-reference bounds, seeded by scenario.seed.
 
     The running maxima are nondecreasing in n_samples for a fixed seed, and
     the achieving samples are recorded for reproducibility. The samples are
@@ -195,7 +195,7 @@ def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None 
     if n_samples < 100:
         raise InsufficientSamples(f"need at least 100 samples, got {n_samples}")
     cfg = scenario.controller
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    rng = np.random.default_rng(scenario.seed)
 
     # Velocity envelope: speeds the actuators can sustain against drag,
     # intersected with what the cascade references can demand. The surge
@@ -257,6 +257,6 @@ def estimate_bounds(scenario: Scenario, n_samples: int = 2000, seed: int | None 
         achieving_sample_u=best_u,
         achieving_sample_r=best_r,
         n_samples=n_samples,
-        seed=int(scenario.seed if seed is None else seed),
+        seed=int(scenario.seed),
         psi_e0=psi_e0,
     )

@@ -430,18 +430,6 @@ def find_separator(hull_points: np.ndarray, poly: ConvexPolygon):
     return (h[0], float(d[0])) if found[0] else None
 
 
-def verify_separation(hull_points: np.ndarray, poly: ConvexPolygon,
-                      h: np.ndarray, d: float, margin: float = 0.0) -> bool:
-    """Check h.q > d + margin for all hull points and h.p < d - margin for the polygon."""
-    h = np.asarray(h, dtype=float)
-    if float(h @ h) <= 0.0:
-        raise ValueError("separator normal must be non-zero")
-    hull_points = np.asarray(hull_points, dtype=float)
-    if not np.all(planar_dot(hull_points, h) > d + margin):
-        return False
-    return bool(np.all(planar_dot(poly.vertices, h) < d - margin))
-
-
 def distances_to_obstacles(points: np.ndarray, obstacles: list[ConvexPolygon]) -> np.ndarray:
     """Distance from each of (n, 2) points to the nearest obstacle, 0 inside one."""
     points = np.asarray(points, dtype=float)

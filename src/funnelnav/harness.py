@@ -25,7 +25,8 @@ from .bspline import SplineTrajectory
 from .controller import (CHANNELS, ControllerConfig, check_initial_compliance,  # noqa: F401
                          control_tick, funnel_radii, stages, violated)
 from .dynamics import DisturbanceBatch, step
-from .errors import DegenerateDistance, InfeasibleSeed, InitialComplianceError, UnverifiedTrajectory
+from .errors import (DegenerateDistance, InfeasibleSeed, InitialComplianceError, InvalidLog,
+                     UnverifiedTrajectory)
 from .funnels import EPS_DEGENERATE, FunnelSpec, compute_errors
 from .geometry import distances_to_obstacles
 from .scenario import Scenario, reference_lead
@@ -80,12 +81,21 @@ class EpisodeLog:
 
     @classmethod
     def load_csv(cls, path) -> "EpisodeLog":
-        with open(path, encoding="utf-8") as f:
-            names = f.readline().rstrip("\n").split(",")
-            lines = f.readlines()
-        # loadtxt warns on no rows; a header-only log has zero-length columns.
-        data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(names)))
+        """The log of an episode.csv; InvalidLog if it cannot be read or lacks a LOG_COLUMNS column."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                names = f.readline().rstrip("\n").split(",")
+                lines = f.readlines()
+            # loadtxt warns on no rows; a header-only log has zero-length columns.
+            data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(names)))
+        except OSError as exc:  # its message names the path
+            raise InvalidLog(str(exc)) from exc
+        except ValueError as exc:  # a row of other than one number per column
+            raise InvalidLog(f"{path}: {exc}") from exc
         columns = dict(zip(names, data.T))
+        missing = [c for c in LOG_COLUMNS if c not in columns]
+        if missing:
+            raise InvalidLog(f"{path} lacks the log columns {', '.join(missing)}")
         return cls(columns=columns, summary={})
 
     def save_summary(self, path) -> None:
@@ -498,8 +508,10 @@ def audit(log: EpisodeLog, scenario: Scenario) -> AuditReport:
     three columns the controller wrote: the velocity references u_des and
     r_des, which the u and r channels are measured against, and psi_e for
     the bearing margin. Its xi/eps columns are not read; they are
-    cross-checked implicitly through the violation recount.
+    cross-checked implicitly through the violation recount. InvalidLog on a log without ticks.
     """
+    if not log.n_ticks:
+        raise InvalidLog("the episode log has no ticks to audit")
     cfg = scenario.controller
     cols = log.columns
     t = cols["t"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from .bspline import SplineTrajectory
@@ -36,14 +36,19 @@ def _is_number(value) -> bool:
                                   and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
-# The leaves of a scenario dict that need not be any number, by key.
+def _is_integer(value) -> bool:
+    return _is_number(value) and isinstance(value, numbers.Integral)
+
+
+# The leaves of a scenario dict that need not be any number, by key. A seed is
+# numpy's: a non-negative integer.
 _LEAF_CHECKS = {
     "name": lambda v: isinstance(v, str),
     **dict.fromkeys(("coriolis_on", "shortcut"), lambda v: isinstance(v, bool)),
     **dict.fromkeys(("step_size", "goal_radius"), lambda v: v is None or _is_number(v)),
     "reference_lead": lambda v: v == "auto" or _is_number(v),
-    **dict.fromkeys(("seed", "inflation_k_gon", "max_iters", "max_outer"),
-                    lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
+    **dict.fromkeys(("inflation_k_gon", "max_iters", "max_outer"), _is_integer),
+    "seed": lambda v: _is_integer(v) and v >= 0,
 }
 
 
@@ -263,13 +268,13 @@ class Scenario:
         return cls.from_dict(data)
 
     def with_seed(self, seed: int) -> "Scenario":
-        """Copy with re-derived planner seed and disturbance realization."""
-        data = self.to_dict()
-        data["seed"] = int(seed)
-        data["planner"]["seed"] = int(seed)
-        out = Scenario.from_dict(data)
-        out.disturbance = self.disturbance.reseeded(int(seed))
-        return out
+        """Copy with this seed as its, the planner's and the disturbance realization's; every
+        other section is shared, checked already. InvalidScenario on a negative seed."""
+        seed = int(seed)
+        if seed < 0:
+            raise InvalidScenario(f"seed must be a non-negative integer, got {seed}")
+        return replace(self, seed=seed, planner=replace(self.planner, seed=seed),
+                       disturbance=self.disturbance.reseeded(seed))
 
 
 def mid_funnel_distance(scenario: Scenario) -> float:

@@ -17,9 +17,13 @@ feasibility audit that the batched estimate_bounds replaced, the
 per-float, per-term disturbance that the one array formula replaced, that
 formula without its quiet path, the
 segment-by-segment dense kinodynamic check and the pair-by-pair separation
-check of trajopt.validate that their one-pass forms replaced, and the
-funnel cascade written out on Python floats with math. It also
-holds random_polygon, the random convex obstacle the geometry tests draw,
+check of trajopt.validate that their one-pass forms replaced, the
+funnel cascade written out on Python floats with math, the point-by-point
+strict separation verdict (strictly_separates) that checks every separator
+the library returns, and Scenario.with_seed as the schema round trip that
+its one replace call replaced. It also holds disturbance_bounds, the
+per-axis bound of a disturbance, clamped_spline, the spline through
+waypoints, random_polygon, the random convex obstacle the geometry tests draw,
 step_state, one RK4 step of a VesselState through dynamics.step, the
 row-by-row batch RK4 step that the one-block kinetic derivative replaced,
 the float RK4 step with nested stage closures that the one stage loop
@@ -34,8 +38,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from funnelnav import feasibility
-from funnelnav.bspline import BASIS_M, BASIS_M2
+from funnelnav import feasibility, trajopt
+from funnelnav.bspline import BASIS_M, BASIS_M2, SplineTrajectory, clamped_control_points
 from funnelnav.dynamics import (
     _NOISE_FREQ_HI,
     _NOISE_FREQ_LO,
@@ -52,6 +56,7 @@ from funnelnav.errors import InsufficientSamples, PlanTimeout, StartOrGoalInColl
 from funnelnav.funnels import compute_errors
 from funnelnav import geometry, rrt
 from funnelnav.geometry import ConvexPolygon, convex_hull, planar_dot
+from funnelnav.scenario import Scenario
 
 
 def deboor_eval(ctrl: np.ndarray, dt: float, t: float, degree: int = 3) -> np.ndarray:
@@ -124,6 +129,12 @@ def time_at_distance_oracle(traj, dist: float, grid: int) -> float:
         else:
             lo = mid
     return hi
+
+
+def clamped_spline(waypoints, dt_knot: float) -> SplineTrajectory:
+    """The spline of the control polygon [W0 x3, W1, ..., W_{n-2}, Wg x3] of n waypoints."""
+    w = np.asarray(waypoints, dtype=float)
+    return SplineTrajectory(clamped_control_points(w[0], w[1:-1], w[-1]), dt_knot)
 
 
 def random_polygon(rng, center, radius, n=None):
@@ -523,7 +534,7 @@ def project_oracle(C: np.ndarray, dt: float, lines, ws) -> float:
     tol = problem.tol_residual
 
     worst = math.inf
-    for _ in range(problem.projection_sweeps):
+    for _ in range(trajopt._PROJECTION_SWEEPS):
         worst = 0.0
         # Velocity pairs: ||q_k - q_{k-1}|| <= v_max dt.
         for k in range(1, N):
@@ -611,16 +622,27 @@ def _max_or_nan(a: float, b: float) -> float:
     return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
 
 
+def strictly_separates(hull_points: np.ndarray, poly: ConvexPolygon, h, d: float,
+                       margin: float = 0.0) -> bool:
+    """h.q > d + margin for every hull point and h.p < d - margin for every
+    polygon vertex, one point at a time; ValueError on a zero normal."""
+    hx, hy = float(h[0]), float(h[1])
+    if hx * hx + hy * hy <= 0.0:
+        raise ValueError("separator normal must be non-zero")
+    return (all(x * hx + y * hy > d + margin for x, y in np.asarray(hull_points, dtype=float).tolist())
+            and all(x * hx + y * hy < d - margin for x, y in poly.vertices.tolist()))
+
+
 def separation_report_oracle(C: np.ndarray, planes: dict, obstacles) -> tuple[float, bool]:
     """validate's (min slack, all verified) pair by pair: hull @ h and
-    vertices @ h for the slack, verify_separation for the strict verdict."""
+    vertices @ h for the slack, strictly_separates for the strict verdict."""
     min_slack = math.inf
     all_ok = True
     for (i, j), (h, d) in planes.items():
         poly = obstacles[j]
         hull = C[i:i + 4]
         min_slack = min(min_slack, float(np.min(hull @ h)) - d, d - float(np.max(poly.vertices @ h)))
-        if not geometry.verify_separation(hull, poly, h, d, margin=0.0):
+        if not strictly_separates(hull, poly, h, d):
             all_ok = False
     return min_slack, all_ok
 
@@ -723,6 +745,11 @@ def disturbance_oracle(dist, t: float) -> tuple[float, float, float]:
     return tuple(out)
 
 
+def disturbance_bounds(dist) -> tuple[float, float, float]:
+    """Per axis, the bound |bias| + |sin_amp| + |noise_amp| that the wrench never exceeds."""
+    return tuple(abs(ax.bias) + abs(ax.sin_amp) + abs(ax.noise_amp) for ax in dist.axes)
+
+
 def wrench_oracle(terms, t):
     """dynamics._wrench as it was before a quiet disturbance skipped its sines: every
     term of the formula evaluated, whatever its amplitude."""
@@ -792,15 +819,14 @@ def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
     return du_des, dr_des, thrusts, sways
 
 
-def feasibility_oracle(scenario, n_samples: int = 2000, seed: int | None = None,
-                       trajectory=None, xi_max: float = 0.8, horizon: float | None = None,
+def feasibility_oracle(scenario, n_samples: int = 2000, trajectory=None, xi_max: float = 0.8, horizon: float | None = None,
                        dt_fd: float = 0.02) -> feasibility.FeasibilityReport:
     """estimate_bounds one sample at a time: scalar draws, cascade and RK4 per sample."""
     if n_samples < 100:
         raise InsufficientSamples(f"need at least 100 samples, got {n_samples}")
     cfg = scenario.controller
     vessel = scenario.vessel
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    rng = np.random.default_rng(scenario.seed)
     horizon = scenario.horizon if horizon is None else horizon
 
     u_cap = min(feasibility.terminal_surge_speed(scenario), 1.5 * scenario.v_max)
@@ -894,6 +920,17 @@ def feasibility_oracle(scenario, n_samples: int = 2000, seed: int | None = None,
         achieving_sample_u=best_u,
         achieving_sample_r=best_r,
         n_samples=n_samples,
-        seed=int(scenario.seed if seed is None else seed),
+        seed=int(scenario.seed),
         psi_e0=psi_e0,
     )
+
+
+def with_seed_oracle(scenario, seed: int):
+    """Scenario.with_seed as a round trip through the schema: to_dict with both seeds
+    replaced, from_dict, then the disturbance reseeded."""
+    data = scenario.to_dict()
+    data["seed"] = int(seed)
+    data["planner"]["seed"] = int(seed)
+    out = Scenario.from_dict(data)
+    out.disturbance = scenario.disturbance.reseeded(int(seed))
+    return out

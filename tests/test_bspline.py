@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelnav import bspline
-from funnelnav.bspline import SplineTrajectory, clamped_from_waypoints
+from funnelnav.bspline import SplineTrajectory
 from funnelnav.errors import OutOfDomain
 from funnelnav.harness import plan_and_solve
 from funnelnav.scenario import load_scenario, mid_funnel_distance
 from oracles import (
+    clamped_spline,
     deboor_eval,
     deboor_eval_batch,
     matrix_form_eval,
@@ -22,8 +23,8 @@ from oracles import (
 
 def random_trajectory(rng, n_wp=None, scale=5.0):
     n_wp = n_wp or int(rng.integers(4, 12))
-    return clamped_from_waypoints(rng.uniform(-scale, scale, (n_wp, 2)),
-                                  float(rng.uniform(0.2, 2.0)))
+    return clamped_spline(rng.uniform(-scale, scale, (n_wp, 2)),
+                          float(rng.uniform(0.2, 2.0)))
 
 
 class TestConstruction:
@@ -31,7 +32,7 @@ class TestConstruction:
         pts = np.zeros((7, 2))
         with pytest.raises(ValueError):
             SplineTrajectory(pts, 1.0)  # too few
-        good = clamped_from_waypoints(np.arange(8, dtype=float).reshape(4, 2), 1.0)
+        good = clamped_spline(np.arange(8, dtype=float).reshape(4, 2), 1.0)
         assert good.n_points == 8
         with pytest.raises(ValueError):
             SplineTrajectory(good.control_points, 0.0)
@@ -41,7 +42,7 @@ class TestConstruction:
             SplineTrajectory(loose, 1.0)
 
     def test_duration_and_segments(self):
-        traj = clamped_from_waypoints(np.random.default_rng(0).uniform(0, 1, (6, 2)), 0.5)
+        traj = clamped_spline(np.random.default_rng(0).uniform(0, 1, (6, 2)), 0.5)
         assert traj.n_points == 10
         assert traj.n_segments == 7
         assert traj.duration == pytest.approx(3.5)
@@ -170,7 +171,7 @@ class TestDerivatives:
 
     def test_collinear_progression(self):
         wps = np.column_stack([np.arange(8, dtype=float) * 2.0, np.zeros(8)])
-        traj = clamped_from_waypoints(wps, 0.5)
+        traj = clamped_spline(wps, 0.5)
         v, a, j = traj.eval_derivatives(traj.duration / 2.0)
         assert np.allclose(v, [2.0 / 0.5, 0.0], atol=1e-12)
         assert np.allclose(a, [0.0, 0.0], atol=1e-12)

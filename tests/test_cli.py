@@ -172,6 +172,15 @@ class TestSeedOverride:
                      "--seed", "2"]) == 0
         assert (out1 / "path.csv").read_bytes() != (out2 / "path.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys, command, seed):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--scenario", "benign", "--seed", seed, "--out-dir", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 
 def _raising(exc, calls):
@@ -243,6 +252,54 @@ class TestTypedErrors:
                 "InvalidScenario", [command, "--scenario", str(path), "--out-dir", str(tmp_path)], capsys)
             assert "clearance" in err
         assert not (tmp_path / "feasibility.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "check", "plan"])
+    @pytest.mark.parametrize("path", [("seed",), ("planner", "seed")])
+    def test_negative_seed_in_the_file(self, tmp_path, capsys, command, path):
+        data = load_scenario("benign").to_dict()
+        (data[path[0]] if len(path) == 2 else data)[path[-1]] = -2
+        scenario = tmp_path / "negative-seed.json"
+        scenario.write_text(json.dumps(data))
+        err = self._main_fails_with("InvalidScenario", [command, "--scenario", str(scenario),
+                                                        "--out-dir", str(tmp_path / "out")], capsys)
+        assert "seed" in err
+
+    def test_audit_of_a_missing_log(self, tmp_path, capsys):
+        err = self._main_fails_with("InvalidLog", ["audit", "--scenario", "benign", "--log",
+                                                   str(tmp_path / "nope" / "episode.csv"),
+                                                   "--out-dir", str(tmp_path)], capsys)
+        assert "episode.csv" in err
+        assert not (tmp_path / "audit.json").exists()
+
+    @pytest.mark.parametrize("damage", ["header only", "summary not JSON"])
+    def test_audit_of_a_log_with_nothing_to_audit(self, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--scenario", "benign", "--out-dir", str(run_dir)]) == 0
+        log = run_dir / "episode.csv"
+        if damage == "header only":
+            log.write_text(log.read_text().splitlines()[0] + "\n")
+        else:
+            (run_dir / "summary.json").write_text("{bad")
+        err = self._main_fails_with("InvalidLog", ["audit", "--scenario", "benign", "--log", str(log),
+                                                   "--out-dir", str(tmp_path / "audit")], capsys)
+        assert ("no ticks" if damage == "header only" else "summary.json") in err
+
+    @pytest.mark.parametrize("damage", ["no ref_x", "short row"])
+    def test_audit_of_a_damaged_log(self, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--scenario", "benign", "--out-dir", str(run_dir)]) == 0
+        rows = [line.split(",") for line in (run_dir / "episode.csv").read_text().splitlines()]
+        if damage == "no ref_x":
+            ix = rows[0].index("ref_x")
+            rows = [row[:ix] + row[ix + 1:] for row in rows]
+        else:
+            rows[5] = rows[5][:-1]
+        log = tmp_path / "damaged.csv"
+        log.write_text("\n".join(map(",".join, rows)) + "\n")
+        err = self._main_fails_with("InvalidLog", ["audit", "--scenario", "benign", "--log", str(log),
+                                                   "--out-dir", str(tmp_path / "audit")], capsys)
+        assert "ref_x" in err if damage == "no ref_x" else "damaged.csv" in err
+        assert not (tmp_path / "audit" / "audit.json").exists()
 
     @pytest.mark.parametrize("command, dt", [("run", "-0.05"), ("run", "0"), ("run", "nan"),
                                              ("run", "1000"), ("sweep", "-0.05")])

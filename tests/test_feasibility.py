@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,11 @@ from funnelnav.feasibility import (
 )
 from funnelnav.scenario import Scenario, load_scenario, reference_lead
 from oracles import feasibility_oracle
+
+
+def seeded(sc: Scenario, seed: int) -> Scenario:
+    """sc with the seed the feasibility sampler draws from, its disturbance unchanged."""
+    return dataclasses.replace(sc, seed=seed)
 
 
 def powerful_quiet_scenario():
@@ -58,21 +64,21 @@ class TestEstimateBounds:
             estimate_bounds(load_scenario("benign"), n_samples=99)
 
     def test_quiet_powerful_scenario_passes_everything(self):
-        rep = estimate_bounds(powerful_quiet_scenario(), n_samples=400, seed=0)
+        rep = estimate_bounds(seeded(powerful_quiet_scenario(), 0), n_samples=400)
         assert rep.passed
         assert all(rep.verdicts[c] for c in ("thrust_floor", "surge_authority", "torque_authority", "initial_bearing"))
         assert rep.margins["surge_authority"] > 0.0
         assert rep.margins["torque_authority"] > 0.0
 
     def test_overwhelming_disturbance_fails_surge_condition(self):
-        rep = estimate_bounds(overwhelming_bias_scenario(), n_samples=400, seed=0)
+        rep = estimate_bounds(seeded(overwhelming_bias_scenario(), 0), n_samples=400)
         assert not rep.verdicts["surge_authority"]
         assert rep.margins["surge_authority"] < 0.0
         assert not rep.passed
 
     def test_surge_authority_is_cos_scaled_thrust(self):
         sc = load_scenario("benign")
-        rep = estimate_bounds(sc, n_samples=200, seed=0)
+        rep = estimate_bounds(seeded(sc, 0), n_samples=200)
         authority = rep.margins["surge_authority"] + rep.F_bar_u
         assert authority == pytest.approx(
             sc.controller.F_T_max * math.cos(math.pi / 6.0), rel=1e-12)
@@ -83,24 +89,24 @@ class TestEstimateBounds:
         # velocity envelope is pinned by 1.5 v_max, not the terminal speed)
         sc1 = load_scenario("benign")
         assert terminal_surge_speed(sc1) > 1.5 * sc1.v_max
-        rep1 = estimate_bounds(sc1, n_samples=300, seed=5)
+        rep1 = estimate_bounds(seeded(sc1, 5), n_samples=300)
         data = sc1.to_dict()
         data["controller"]["F_T_max"] *= 2.0
         from funnelnav.scenario import Scenario
         sc2 = Scenario.from_dict(data)
-        rep2 = estimate_bounds(sc2, n_samples=300, seed=5)
+        rep2 = estimate_bounds(seeded(sc2, 5), n_samples=300)
         assert rep2.margins["surge_authority"] > rep1.margins["surge_authority"]
         assert rep1.verdicts["surge_authority"] <= rep2.verdicts["surge_authority"]
 
     def test_running_max_nondecreasing_in_samples(self):
         sc = load_scenario("long-run")
-        small = estimate_bounds(sc, n_samples=200, seed=3)
-        big = estimate_bounds(sc, n_samples=600, seed=3)
+        small = estimate_bounds(seeded(sc, 3), n_samples=200)
+        big = estimate_bounds(seeded(sc, 3), n_samples=600)
         assert big.F_bar_u >= small.F_bar_u
         assert big.F_bar_r >= small.F_bar_r
 
     def test_achieving_sample_recorded(self):
-        rep = estimate_bounds(load_scenario("long-run"), n_samples=300, seed=2)
+        rep = estimate_bounds(seeded(load_scenario("long-run"), 2), n_samples=300)
         for best in (rep.achieving_sample_u, rep.achieving_sample_r):
             assert {"t", "u", "v", "r", "psi"} <= set(best)
 
@@ -113,14 +119,14 @@ class TestEstimateBounds:
         # scenario's fixed lead rather than the automatic one.
         sc = load_scenario("long-run")
         traj = harness.plan_and_solve(sc)[1].trajectory
-        auto = estimate_bounds(sc, n_samples=100, seed=0, trajectory=traj).psi_e0
+        auto = estimate_bounds(seeded(sc, 0), n_samples=100, trajectory=traj).psi_e0
         sc.reference_lead = 0.8 * reference_lead(sc, traj)
-        rep = estimate_bounds(sc, n_samples=100, seed=0, trajectory=traj)
+        rep = estimate_bounds(seeded(sc, 0), n_samples=100, trajectory=traj)
         assert rep.psi_e0 == harness.run_episode(sc).columns["psi_e"][0]
         assert rep.psi_e0 != auto
 
     def test_report_serializes(self, tmp_path):
-        rep = estimate_bounds(load_scenario("benign"), n_samples=150, seed=0)
+        rep = estimate_bounds(seeded(load_scenario("benign"), 0), n_samples=150)
         out = tmp_path / "feas.json"
         rep.save_json(out)
         import json
@@ -159,12 +165,12 @@ class TestBatchedBounds:
     @pytest.mark.parametrize("n_samples,seed", [
         (PASS - 1, 0), (PASS, 7), (PASS + 1, 11), (2 * PASS + 37, 23)])
     def test_matches_oracle(self, name, n_samples, seed):
-        sc = SCENARIOS[name]()
-        batch = estimate_bounds(sc, n_samples=n_samples, seed=seed).to_dict()
-        _assert_reports_agree(batch, feasibility_oracle(sc, n_samples=n_samples, seed=seed).to_dict())
+        sc = seeded(SCENARIOS[name](), seed)
+        batch = estimate_bounds(sc, n_samples=n_samples).to_dict()
+        _assert_reports_agree(batch, feasibility_oracle(sc, n_samples=n_samples).to_dict())
 
     def test_achieving_samples_are_plain_floats(self):
-        rep = estimate_bounds(load_scenario("long-run"), n_samples=PASS + 1, seed=4)
+        rep = estimate_bounds(seeded(load_scenario("long-run"), 4), n_samples=PASS + 1)
         values = [rep.F_bar_u, rep.F_bar_r, rep.F_T_lower_observed, rep.v_bar_observed,
                   *rep.achieving_sample_u.values(), *rep.achieving_sample_r.values()]
         assert all(type(v) is float for v in values)
@@ -178,9 +184,9 @@ class TestBatchedBounds:
         data["controller"]["funnels"]["d"] = {"rho0": 2e-12, "rho_inf": 2e-12, "l": 0.0}
         sc = Scenario.from_dict(data)
         with pytest.raises(DegenerateDistance, match="feasibility rollout"):
-            estimate_bounds(sc, n_samples=100, seed=0)
+            estimate_bounds(seeded(sc, 0), n_samples=100)
         with pytest.raises(DegenerateDistance):
-            feasibility_oracle(sc, n_samples=100, seed=0)
+            feasibility_oracle(seeded(sc, 0), n_samples=100)
 
 
 class TestTerminalRates:

@@ -18,7 +18,6 @@ from funnelnav.geometry import (
     padded_vertices,
     point_free,
     segment_free,
-    verify_separation,
 )
 from funnelnav.scenario import load_scenario
 from oracles import (
@@ -32,6 +31,7 @@ from oracles import (
     separator_block_oracle,
     separator_oracle,
     shoelace_area,
+    strictly_separates,
 )
 
 UNIT_SQUARE = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -263,17 +263,17 @@ class TestCollisionChecks:
 class TestSeparation:
     def test_axis_aligned_separator_verifies(self):
         hull = np.array([[6.0, 0.0], [7.0, 0.0], [7.0, 1.0], [6.0, 1.0]])
-        assert verify_separation(hull, UNIT_SQUARE, np.array([1.0, 0.0]), 3.0)
+        assert strictly_separates(hull, UNIT_SQUARE, np.array([1.0, 0.0]), 3.0)
 
     def test_intersecting_never_verifies(self):
         hull = np.array([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]])
-        assert not verify_separation(hull, UNIT_SQUARE, np.array([1.0, 0.0]), 1.0)
+        assert not strictly_separates(hull, UNIT_SQUARE, np.array([1.0, 0.0]), 1.0)
         assert find_separator(hull, UNIT_SQUARE) is None
 
     def test_tangent_point_fails_with_margin(self):
         hull = np.array([[1.0, 0.5], [2.0, 0.0], [2.0, 1.0], [1.5, 0.5]])
         # h.q > d must fail for the touching point once a margin is required
-        assert not verify_separation(hull, UNIT_SQUARE, np.array([1.0, 0.0]), 1.0, margin=0.01)
+        assert not strictly_separates(hull, UNIT_SQUARE, np.array([1.0, 0.0]), 1.0, margin=0.01)
 
     def test_two_unit_squares_max_margin(self):
         a = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
@@ -282,15 +282,15 @@ class TestSeparation:
         # Closest pair (0.5, y) / (9.5, y): gap 9, line at x = 5 pointing at the hull.
         assert h == pytest.approx(np.array([-1.0, 0.0]), abs=1e-12)
         assert d == pytest.approx(-5.0, abs=1e-12)
-        assert verify_separation(a, b, h, d, margin=4.5 - 1e-9)
-        assert not verify_separation(a, b, h, d, margin=4.5 + 1e-9)
+        assert strictly_separates(a, b, h, d, margin=4.5 - 1e-9)
+        assert not strictly_separates(a, b, h, d, margin=4.5 + 1e-9)
 
     def test_square_vs_far_point_margin_is_half_distance(self):
         tiny = ConvexPolygon(np.array([[10.0, 0.0], [10.2, 0.0], [10.2, 0.2], [10.0, 0.2]]))
         hull = np.array([[0.0, 0.0], [0.0, 0.1], [0.1, 0.1], [0.1, 0.0]])
         dist, _, _ = closest_between_hulls(hull, tiny.vertices)
         h, d = find_separator(hull, tiny)
-        assert verify_separation(hull, tiny, h, d, margin=dist / 2.0 - 1e-9)
+        assert strictly_separates(hull, tiny, h, d, margin=dist / 2.0 - 1e-9)
 
     def test_round_trip_and_oracle_agreement(self):
         rng = np.random.default_rng(11)
@@ -307,7 +307,7 @@ class TestSeparation:
                 n_sep += 1
                 assert not intersects
                 h, d = sep
-                assert verify_separation(hull, poly, h, d, margin=0.0)
+                assert strictly_separates(hull, poly, h, d, margin=0.0)
         assert n_sep > 200 and n_hit > 200  # both branches exercised
 
 

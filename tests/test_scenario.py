@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funnelnav.dynamics import DisturbanceBatch
 from funnelnav.errors import InvalidScenario
 from funnelnav.scenario import BUILTIN_NAMES, Scenario, _is_number, load_scenario
+from oracles import with_seed_oracle
 
 
 class TestSerialization:
@@ -64,6 +66,61 @@ class TestSerialization:
         ts = np.linspace(0, 50, 100)
         diffs = [abs(sc.disturbance.value(t)[0] - other.disturbance.value(t)[0]) for t in ts]
         assert max(diffs) > 1e-6
+
+
+class TestWithSeed:
+    """with_seed is one replace call; the round trip through the schema it replaced is
+    oracles.with_seed_oracle."""
+
+    SEEDS = (0, 1, 99, 2**32 + 5)
+
+    def test_skips_the_schema(self, monkeypatch):
+        sc = load_scenario("long-run")
+
+        def schema(*args):
+            raise AssertionError("with_seed went through the schema")
+        monkeypatch.setattr(Scenario, "to_dict", schema)
+        monkeypatch.setattr(Scenario, "from_dict", schema)
+        other = sc.with_seed(5)
+        assert (other.seed, other.planner.seed, other.disturbance.seed) == (5, 5, 5)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_same_scenario_as_the_round_trip(self, name, tmp_path):
+        sc = load_scenario(name)
+        for seed in self.SEEDS:
+            ours, oracle = sc.with_seed(seed), with_seed_oracle(sc, seed)
+            assert ours.to_dict() == oracle.to_dict()
+            ours.save_json(tmp_path / "ours.json")
+            oracle.save_json(tmp_path / "oracle.json")
+            assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    def test_same_disturbance_tables_as_the_round_trip(self):
+        sc = load_scenario("long-run")
+        ts = np.linspace(0.0, sc.horizon, 4001)
+        for seed in self.SEEDS:
+            ours = DisturbanceBatch([sc.with_seed(seed).disturbance]).table(ts)
+            oracle = DisturbanceBatch([with_seed_oracle(sc, seed).disturbance]).table(ts)
+            assert ours.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_base_unchanged(self, name):
+        sc = load_scenario(name)
+        before, disturbance, planner = sc.to_dict(), sc.disturbance, sc.planner
+        for seed in self.SEEDS:
+            sc.with_seed(seed)
+        assert sc.to_dict() == before
+        assert sc.disturbance is disturbance and sc.planner is planner
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidScenario, match="-1"):
+            load_scenario("benign").with_seed(-1)
+
+    @pytest.mark.parametrize("path", [("seed",), ("planner", "seed"), ("disturbance", "seed")])
+    def test_negative_seed_in_a_file(self, path):
+        data = load_scenario("benign").to_dict()
+        _parent(data, path)[path[-1]] = -2
+        with pytest.raises(InvalidScenario, match="seed"):
+            Scenario.from_dict(data)
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from funnelnav import harness, rrt, trajopt
 from funnelnav.bspline import SplineTrajectory
 from funnelnav.errors import InfeasibleSeed, TrajOptInfeasible
-from funnelnav.geometry import ConvexPolygon, verify_separation
+from funnelnav.geometry import ConvexPolygon
 from funnelnav.rrt import RrtPath
 from funnelnav.scenario import load_scenario
 from funnelnav.trajopt import (
@@ -28,7 +28,7 @@ from funnelnav.trajopt import (
     solve,
     validate,
 )
-from oracles import dense_kinodynamic_oracle, project_oracle, separation_report_oracle
+from oracles import dense_kinodynamic_oracle, project_oracle, separation_report_oracle, strictly_separates
 
 
 def straight_path(n=6, spacing=5.0):
@@ -218,7 +218,7 @@ class TestSolve:
         assert sol.status == "converged"
         for (i, j), (h, d) in sol.hyperplanes.items():
             hull = sol.trajectory.control_points[i:i + 4]
-            assert verify_separation(hull, box, h, d, margin=0.0)
+            assert strictly_separates(hull, box, h, d, margin=0.0)
         report = validate(sol, problem)
         assert report.ok
 
@@ -235,7 +235,7 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         path = RrtPath(np.cumsum(rng.uniform(-3.0, 3.0, (n_points, 2)), axis=0))
         problem = free_problem(path, v_max=float(rng.uniform(0.5, 4.0)),
-                               a_max=float(rng.uniform(0.2, 2.0)), projection_sweeps=sweeps)
+                               a_max=float(rng.uniform(0.2, 2.0)))
         ws = _Workspace(problem)
         C, _, _ = build(ws)
         pairs = [(i, j) for i in range(ws.N - 3) for j in range(int(rng.integers(1, 5)))]
@@ -251,8 +251,10 @@ class TestProjection:
         dt = float(rng.uniform(0.3, 2.0))
         C_batched, C_scalar = C.copy(), C.copy()
         lines = lines_of(planes, ws)
-        worst_batched = _project(C_batched, dt, lines, ws)
-        worst_scalar = project_oracle(C_scalar, dt, lines, ws)
+        with pytest.MonkeyPatch.context() as patch:  # hypothesis runs no function fixture per example
+            patch.setattr(trajopt, "_PROJECTION_SWEEPS", sweeps)
+            worst_batched = _project(C_batched, dt, lines, ws)
+            worst_scalar = project_oracle(C_scalar, dt, lines, ws)
         assert C_batched.tobytes() == C_scalar.tobytes()
         assert worst_batched == worst_scalar
 
@@ -306,9 +308,10 @@ class TestProjection:
             target = float(C[i:i + 4, 1].min()) + short - problem.sep_margin
             self._assert_matches_oracle(C, 1.0, {**planes, (i, 0): (h, target)}, ws)
 
-    def test_nan_point_runs_the_chains(self):
+    def test_nan_point_runs_the_chains(self, monkeypatch):
         # No screen passes a NaN, so the scalar chains run and spread it.
-        problem = free_problem(wiggly_path(np.random.default_rng(29)), projection_sweeps=3)
+        monkeypatch.setattr(trajopt, "_PROJECTION_SWEEPS", 3)
+        problem = free_problem(wiggly_path(np.random.default_rng(29)))
         ws = _Workspace(problem)
         C, _, _ = build(ws)
         C[ws.N // 2, 0] = np.nan
@@ -316,13 +319,13 @@ class TestProjection:
         self._assert_matches_oracle(C, 1.0, {(0, 0): plane}, ws)
 
     @pytest.mark.parametrize("sweeps", [1, 300])
-    def test_points_short_from_a_later_plane(self, sweeps):
+    def test_points_short_from_a_later_plane(self, sweeps, monkeypatch):
         # Point k's first plane is not short, its second is, and its third
         # turns short only once the second has moved it. Every segment also
         # gets a plane at its mean height, so several points are short on
         # several planes.
-        problem = free_problem(wiggly_path(np.random.default_rng(28), n=12), v_max=1e6, a_max=1e6,
-                               projection_sweeps=sweeps)
+        monkeypatch.setattr(trajopt, "_PROJECTION_SWEEPS", sweeps)
+        problem = free_problem(wiggly_path(np.random.default_rng(28), n=12), v_max=1e6, a_max=1e6)
         ws = _Workspace(problem)
         C, _, _ = build(ws)
         up, down, margin = np.array([0.0, 1.0]), np.array([0.0, -1.0]), problem.sep_margin
