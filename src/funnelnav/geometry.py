@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -148,41 +148,49 @@ class EdgeTable:
         return np.logical_and.reduceat(sides >= 0.0, self.first, axis=-1).any(axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Workspace:
-    """Rectangular operating area with convex obstacles and a clearance margin."""
+    """Rectangular operating area with convex obstacles and a clearance margin.
+
+    Frozen, so that scenario copies can share it: a changed field takes
+    dataclasses.replace, whose copy inflates its obstacles anew.
+    """
 
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
-    obstacles: list[ConvexPolygon] = field(default_factory=list)
+    obstacles: tuple[ConvexPolygon, ...] = ()
     clearance: float = 1.0
     inflation_k_gon: int = 16
-    _inflated: list[ConvexPolygon] | None = field(default=None, repr=False, compare=False)
-    _edges: EdgeTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         x0, y0, x1, y1 = self.bounds
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"degenerate bounds {self.bounds}")
         if self.clearance <= 0.0:
             raise ValueError("clearance must be positive")
+        if self.inflation_k_gon < 8 and self.inflation_k_gon != 4:  # as inflate requires
+            raise ValueError(f"inflation_k_gon must be >= 8 (or 4), got {self.inflation_k_gon}")
         for k, poly in enumerate(self.obstacles):
             for vtx in poly.vertices:
                 if not (x0 <= vtx[0] <= x1 and y0 <= vtx[1] <= y1):
                     raise ValueError(f"obstacle {k} vertex {vtx} outside bounds {self.bounds}")
 
-    def inflated_obstacles(self) -> list[ConvexPolygon]:
-        if self._inflated is None:
-            self._inflated = [inflate(o, self.clearance, self.inflation_k_gon) for o in self.obstacles]
+    @functools.cached_property
+    def _inflated(self) -> tuple[ConvexPolygon, ...]:
+        return tuple(inflate(o, self.clearance, self.inflation_k_gon) for o in self.obstacles)
+
+    @functools.cached_property
+    def _edges(self) -> EdgeTable:
+        return EdgeTable(self._inflated)
+
+    def inflated_obstacles(self) -> tuple[ConvexPolygon, ...]:
+        """The obstacles inflated by the clearance, computed once."""
         return self._inflated
 
     def edges(self) -> EdgeTable | None:
         """The inflated obstacles' edge table, built once like the inflation
         itself; None when there are no obstacles."""
-        if not self.obstacles:
-            return None
-        if self._edges is None:
-            self._edges = EdgeTable(self.inflated_obstacles())
-        return self._edges
+        return self._edges if self.obstacles else None
 
     def in_bounds(self, p) -> bool:
         x0, y0, x1, y1 = self.bounds

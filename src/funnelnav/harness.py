@@ -188,13 +188,19 @@ def _horizon(scenario: Scenario) -> tuple[float, int, list[float]]:
 
 
 def _table_inputs(cfg: ControllerConfig, traj: SplineTrajectory, lead: float, dt: float,
-                  t_state: list[float], i: int, n_max: int):
+                  i: int, n_max: int):
     """What does not depend on the state in ticks i, i + 1, ... < n_max of a table: times,
-    spline times, reference points, radii (floats), state times and their half steps."""
+    spline times, reference points and radii (floats)."""
     t = np.arange(i, min(i + _TABLE_TICKS, n_max)) * dt
     s_ref = np.minimum(t + lead, traj.duration)
-    ts = np.array(t_state[i:i + len(t) + 1])
-    return t, s_ref, traj.eval(s_ref), funnel_radii(cfg, t).T.tolist(), ts, ts[:-1] + 0.5 * dt
+    return t, s_ref, traj.eval(s_ref), funnel_radii(cfg, t).T.tolist()
+
+
+def _tick_wrenches(dist: DisturbanceBatch, t0: float, dt: float, ticks: int):
+    """The (ticks + 1, 3, B) wrenches at the state times t0 + k * dt and the (ticks, 3, B)
+    at the half steps between them: the even and odd rows of one grid."""
+    grid = dist.grid(t0, 0.5 * dt, 2 * ticks + 1)
+    return grid[::2], grid[1::2]
 
 
 def _reduce_ticks(rec: np.ndarray, scenario: Scenario, cfg: ControllerConfig):
@@ -252,15 +258,16 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     dt, n_max, t_state = _horizon(scenario)
     goal_x, goal_y = scenario.goal
     x = operator.attrgetter(*_STATE_COLUMNS)(scenario.start)
+    dist = DisturbanceBatch([disturbance])
     rows, fault, goal_time = [], None, None
 
     for i in range(n_max):
         j = i % _TABLE_TICKS
         if j == 0:
-            t_log, s_ref, ref_p, radii, ts, ts_half = _table_inputs(
-                cfg, traj, lead, dt, t_state, i, n_max)
-            tau_log, tau_state, tau_half = (disturbance.value(times).T.tolist()
-                                            for times in (t_log, ts, ts_half))
+            t_log, s_ref, ref_p, radii = _table_inputs(cfg, traj, lead, dt, i, n_max)
+            tau_log = disturbance.value(t_log).T.tolist()  # the formula at the logged times
+            tau_state, tau_half = (tau[..., 0].tolist()
+                                   for tau in _tick_wrenches(dist, t_state[i], dt, len(t_log)))
             t_log, ref_p, ref_v = t_log.tolist(), ref_p.tolist(), traj.eval_derivatives(s_ref)[0].tolist()
         p_des, rho = ref_p[j], radii[j]
         try:  # the _ERROR_COLUMNS
@@ -349,8 +356,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
         ticks[idx[done]] = end
         for k in idx[done]:
             outcome[k] = value
-        idx, x = idx[~done], x[:, ~done]
-        dist = DisturbanceBatch([disturbances[k] for k in idx])
+        idx, x, dist = idx[~done], x[:, ~done], dist[~done]
         tau_state, tau_half = tau_state[..., ~done], tau_half[..., ~done]
 
     for i in range(n_max):
@@ -359,8 +365,8 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
         j = i % _TABLE_TICKS
         if j == 0:
             flush(i)
-            _t, _s_ref, ref_p, radii, ts, ts_half = _table_inputs(cfg, traj, lead, dt, t_state, i, n_max)
-            tau_state, tau_half = dist.table(ts), dist.table(ts_half)  # of the running episodes
+            t, _s_ref, ref_p, radii = _table_inputs(cfg, traj, lead, dt, i, n_max)
+            tau_state, tau_half = _tick_wrenches(dist, t_state[i], dt, len(t))  # of the running episodes
         p_des = ref_p[j]
         _e_x, _e_y, e_d, e_o, psi_e = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
         degenerate = e_d < eps_degenerate

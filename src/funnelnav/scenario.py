@@ -132,6 +132,10 @@ class Scenario:
             raise ValueError("kinodynamic bounds must be positive")
         if self.footprint_radius < 0.0:
             raise ValueError("footprint radius must be >= 0")
+        for name in ("sway_bound", "planner_margin_frac"):  # a value of another type: _check_written
+            value = getattr(self, name)
+            if _is_number(value) and value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def validate(self) -> None:
         """Scenario-level invariants beyond per-field checks; InvalidScenario if one fails."""
@@ -139,6 +143,8 @@ class Scenario:
             raise InvalidScenario("start position not in the inflated free space")
         if not point_free(self.goal, self.workspace):
             raise InvalidScenario("goal position not in the inflated free space")
+        if tuple(self.goal) == self.start.position:
+            raise InvalidScenario(f"goal position {self.goal} is the start position")
         rho_d0 = self.controller.funnel_d.value(0.0)
         if rho_d0 + self.footprint_radius >= self.workspace.clearance:
             raise InvalidScenario(
@@ -148,13 +154,7 @@ class Scenario:
 
     def planner_workspace(self) -> Workspace:
         """Workspace with extra inflation so taut paths leave hull slack downstream."""
-        extra = 1.0 + self.planner_margin_frac
-        return Workspace(
-            bounds=self.workspace.bounds,
-            obstacles=self.workspace.obstacles,
-            clearance=self.workspace.clearance * extra,
-            inflation_k_gon=self.workspace.inflation_k_gon,
-        )
+        return replace(self.workspace, clearance=self.workspace.clearance * (1.0 + self.planner_margin_frac))
 
     # -- serialization --------------------------------------------------
 
@@ -244,7 +244,7 @@ class Scenario:
             **{_FIELD_OF.get(key, key): value for key, value in flattened.items()},
             workspace=Workspace(**_converted(
                 data["workspace"], bounds=tuple,
-                obstacles=lambda polygons: [ConvexPolygon(v) for v in polygons])),
+                obstacles=lambda polygons: tuple(ConvexPolygon(v) for v in polygons))),
             start=VesselState(**data["start"]),
             vessel=VesselParams(**_converted(data["vessel"], drag=lambda d: DragCoeffs(**d))),
             disturbance=DisturbanceProfile(**disturbance, **axes),

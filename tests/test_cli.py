@@ -253,6 +253,22 @@ class TestTypedErrors:
             assert "clearance" in err
         assert not (tmp_path / "feasibility.json").exists()
 
+    @pytest.mark.parametrize("command, name, path, value", [
+        ("check", "benign", ("sway_bound",), -1),
+        ("plan", "benign", ("planner_margin_frac",), -1),
+        ("plan", "benign", ("goal", "position"), [0.0, 0.0]),  # benign's start
+        ("plan", "long-run", ("workspace", "inflation_k_gon"), 5)],
+        ids=["sway_bound", "planner_margin_frac", "goal_on_start", "inflation_k_gon"])
+    def test_range_checked_at_use(self, tmp_path, capsys, command, name, path, value):
+        # Each of these ended in a ValueError traceback (exit 1) where the value was used.
+        data = load_scenario(name).to_dict()
+        (data[path[0]] if len(path) == 2 else data)[path[-1]] = value
+        scenario = tmp_path / "out-of-range.json"
+        scenario.write_text(json.dumps(data))
+        err = self._main_fails_with("InvalidScenario", [command, "--scenario", str(scenario),
+                                                        "--out-dir", str(tmp_path / "out")], capsys)
+        assert path[-1] in err or "start" in err
+
     @pytest.mark.parametrize("command", ["run", "sweep", "check", "plan"])
     @pytest.mark.parametrize("path", [("seed",), ("planner", "seed")])
     def test_negative_seed_in_the_file(self, tmp_path, capsys, command, path):

@@ -19,6 +19,8 @@ from funnelnav.dynamics import (
     wrap_angle,
 )
 from funnelnav.errors import NonFiniteState
+from funnelnav.harness import _TABLE_TICKS, _horizon
+from funnelnav.scenario import load_scenario
 from oracles import (disturbance_bounds, disturbance_oracle, step_floats_oracle, step_rows_oracle,
                      step_state, wrench_oracle)
 
@@ -397,6 +399,65 @@ class TestQuietDisturbance:
         self._assert_formula(self.NEGATIVE_ZERO_BIAS)
         assert self._sines(monkeypatch, self.NEGATIVE_ZERO_BIAS) == 3
         assert not np.signbit(self.NEGATIVE_ZERO_BIAS.value(7.0)[0])
+
+
+class TestGridTable:
+    """DisturbanceBatch.grid: the wrenches at t0 + k * h by rotation from one true sine and
+    cosine per term, within rounding of the formula, each column its profile's alone."""
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 64, 65, 100, 129]))
+    def test_columns_are_their_own_grids(self, seed, n):
+        rng = np.random.default_rng(seed)
+        profiles = [random_profile(rng) for _ in range(6)] + [ZERO_DIST, TestBatch.DIST]
+        batch = DisturbanceBatch(profiles)
+        t0, h = float(rng.uniform(0.0, 600.0)), float(rng.uniform(0.001, 0.1))
+        grid = batch.grid(t0, h, n)
+        assert grid.shape == (n, 3, len(profiles)) and grid.flags.c_contiguous
+        for b, p in enumerate(profiles):
+            assert np.array_equal(self._bits(grid[..., b]),
+                                  self._bits(DisturbanceBatch([p]).grid(t0, h, n)[..., 0]))
+        # Row 0 is the formula's at t0; the rotations survive a slice of the batch.
+        assert np.array_equal(self._bits(grid[0]), self._bits(batch.table(np.array([t0]))[0]))
+        keep = rng.random(len(profiles)) < 0.5
+        assert np.array_equal(self._bits(batch[keep].grid(t0, h, n)), self._bits(grid[..., keep]))
+
+    def test_deviation_from_formula_over_long_run(self):
+        # Every table of a long-run sweep episode: the first and the last point of each and
+        # all between, against the formula at the same times t0 + k * h.
+        sc = load_scenario("long-run")
+        profiles = [sc.disturbance.reseeded(k) for k in range(8)]
+        scale = np.array([[abs(ax.bias) + abs(ax.sin_amp) + abs(ax.noise_amp)]
+                          for ax in sc.disturbance.axes])
+        batch = DisturbanceBatch(profiles)
+        dt, n_max, t_state = _horizon(sc)
+        h, worst = 0.5 * dt, 0.0
+        for i in range(0, n_max, _TABLE_TICKS):
+            n = 2 * min(_TABLE_TICKS, n_max - i) + 1
+            grid = batch.grid(t_state[i], h, n)
+            formula = batch.table(t_state[i] + h * np.arange(n))
+            assert np.array_equal(grid[0], formula[0])
+            worst = max(worst, float((np.abs(grid - formula) / scale).max()))
+        assert t_state[-1] == pytest.approx(sc.horizon) and 0.0 < worst <= 1e-11
+
+    def test_quiet_grid_is_its_bias_without_trig(self, monkeypatch):
+        quiet = TestQuietDisturbance.QUIET
+        for profiles in ([quiet], [quiet.reseeded(k) for k in range(3)], [ZERO_DIST]):
+            batch = DisturbanceBatch(profiles)
+            formula = batch.table(12.3 + 0.025 * np.arange(129))
+            calls, real_sin, real_cos = [], np.sin, np.cos
+            monkeypatch.setattr(np, "sin", lambda x: calls.append("sin") or real_sin(x))
+            monkeypatch.setattr(np, "cos", lambda x: calls.append("cos") or real_cos(x))
+            grid = batch.grid(12.3, 0.025, 129)
+            monkeypatch.undo()
+            assert calls == []
+            assert np.array_equal(self._bits(grid), self._bits(formula))
+            grid[0] = 1.0  # a fresh array: the batch's bias is untouched
+            assert np.array_equal(self._bits(batch.grid(12.3, 0.025, 129)), self._bits(formula))
 
 
 class TestLumpedForces:

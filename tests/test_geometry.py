@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -37,12 +38,20 @@ from oracles import (
 UNIT_SQUARE = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
 
+class _RawWorkspace(Workspace):
+    """A workspace whose inflated obstacles are its raw ones."""
+
+    @functools.cached_property
+    def _inflated(self):
+        return self.obstacles
+
+
 def checked_against(ws, inflated: bool):
     """ws, or for inflated=False a copy whose inflated obstacles are ws's raw
     ones, so that the collision checks test the raw polygons."""
     if inflated:
         return ws
-    return Workspace(ws.bounds, ws.obstacles, ws.clearance, ws.inflation_k_gon, _inflated=ws.obstacles)
+    return _RawWorkspace(ws.bounds, ws.obstacles, ws.clearance, ws.inflation_k_gon)
 
 
 class TestConvexPolygon:

@@ -348,6 +348,24 @@ class TestLockstepSweep:
         assert _min_clearances(sc, positions[:1]) == [None]
         assert _min_clearances(load_scenario("benign"), positions) == [None] * len(positions)
 
+    def test_batching_does_not_change_a_sweep(self):
+        # Episodes leave at different ticks and take their columns of the disturbance
+        # batch's rotations with them: one batch of 12 and batches of 5 and 7 agree exactly.
+        sc = load_scenario("long-run")
+        _path, solution = plan_and_solve(sc)
+        traj = solution.trajectory
+        lead = reference_lead(sc, traj)
+        dists = [sc.disturbance.reseeded(episode_seed(sc.seed, k)) for k in range(12)]
+        whole = harness._sweep_ticks(sc, sc.controller, traj, lead, dists)
+        split = [*harness._sweep_ticks(sc, sc.controller, traj, lead, dists[:5]),
+                 *harness._sweep_ticks(sc, sc.controller, traj, lead, dists[5:])]
+        assert len({e["ticks"] for e in whole[:5]}) > 1 and len({e["ticks"] for e in whole[5:]}) > 1
+        assert len(split) == len(whole)
+        for k, (got, want) in enumerate(zip(split, whole)):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == value, (k, key)
+
     def test_noncompliant_sweep_raises_without_optin(self):
         sc = TestInitialCompliance()._noncompliant()
         with pytest.raises(InitialComplianceError):
@@ -363,29 +381,31 @@ def _digest(data) -> str:
 class TestGoldenPins:
     """sha256 digests of sweep episodes and of a run log, taken before the tick loops
     sampled their funnel radii by table, stacked the channel pairs and reordered the
-    batched RK4: each of those changes keeps every float. The digests hold for this
-    numpy and libm; another platform may round a sine differently."""
+    batched RK4: each of those changes keeps every float. The disturbed digests were
+    taken anew when the tick loops' wrenches came from DisturbanceBatch.grid. The digests
+    hold for this numpy and libm; another platform may round a sine differently."""
 
     def test_long_run_sweep(self):
         assert _digest(sweep(load_scenario("long-run"), 8).episodes) == (
-            "689c3edfe90fd296278f50b7ecdc879a7584366931faf0532880bac5ee40dd65")
+            "20c67a703b55a56b64225c97978bf933c2f83581749f10165a699e04d9fad909")
 
     def test_coriolis_sweep(self):
         sc = TestLockstepSweep._disturbed_benign()
         sc.vessel = VesselParams(coriolis_on=True)
         assert _digest(sweep(sc, 6).episodes) == (
-            "bb1864616aaec18d0a1d690da638cc021d59edf8501e68d8e6102c8a058b6f86")
+            "4aaace882af7d778961f4630eee4fe561673271b7aaf3b37715ef82bb432ca77")
 
     def test_decaying_funnels_sweep_and_run(self, tmp_path):
         sc = TestLockstepSweep._decaying_benign()
         assert _digest(sweep(sc, 6).episodes) == (
-            "ed692b1e6cccd54dd7b6aaaaebbf3c71354916c929cf7892d4f450b1456bc601")
+            "800f606eea8a885395c37ab2ab36f3df7e6937b7774e014c824a258024b52fff")
         run_episode(sc).save_csv(tmp_path / "episode.csv")
         assert _digest((tmp_path / "episode.csv").read_bytes()) == (
-            "ba53fec1dbe8fe70498363de9d61286c94d41f9f10154bd0af8fa481919b450a")
+            "57ae129a1645aea10dc2f65d9420ddd5574f6379edde6013420892ddb57b3a60")
 
     # Every file `run` writes, pinned before the CSV writer formatted by column, the float
-    # RK4 step lost its stage closures and the tick rows were built from Python floats.
+    # RK4 step lost its stage closures and the tick rows were built from Python floats;
+    # long-run's again for the grid wrenches (its trajectory.json kept its digest).
     RUN_FILES = {
         "benign": {
             "episode.csv": "e81b905888b57733269fe40c128157ffaab2399b8054d651eec7fef7e93b4e0a",
@@ -398,14 +418,14 @@ class TestGoldenPins:
             "plotdata/inputs.csv": "5beb9f22a38a5606186dcab108d742b78af7d188fbe02b869dff9d8d1b838e5d",
         },
         "long-run": {
-            "episode.csv": "18f21775dcb309d4f87c419f82bcb739a90d2227f212c4c2bf652c9168a66a4a",
-            "summary.json": "6e55cae7a749b762cbf047bdeb10249f9d6f54f88231b4cfd4b5026cd3530e6b",
+            "episode.csv": "ebafacf4e54520aca2517afe23c33ee36a9180e8478ba746b82ec87546e953fd",
+            "summary.json": "78bbad72f09a7375efe278081cc739b8ac83494a6e55c90d36aa6020f489beda",
             "trajectory.json": "d96f10953cbae077d7c341c9b69f1c7e96017c1a3e7ed22047a1ff58807daf37",
             "plotdata/errors_vs_funnels.csv":
-                "95203818e63bcbb165de0b60c6065dd80969cee4235e0b173a387ccc34538116",
+                "bd59cc01b1c7df417099f576a2f2c17e07b48b1e490f1849dd2976bb393d15ad",
             "plotdata/forward_velocity.csv":
-                "2a87107f40745790fe8b8e4a58ca843548f84b563976c8466771bc48388f5a54",
-            "plotdata/inputs.csv": "17c2018bc0e56d21f30f8e3cf9432e0e7ea2c7fc838306f850964b97c211498a",
+                "f5aa90a070cfdf50211ca40417bc32bfd71c10d605d90cabf1e1e770bb2a6200",
+            "plotdata/inputs.csv": "b33808a09559f47723dcf3d77e8d7740697f29bf7a841c08406bfc39442d5a15",
         },
     }
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from funnelnav.dynamics import DisturbanceBatch
 from funnelnav.errors import InvalidScenario
+from funnelnav.geometry import inflate
 from funnelnav.scenario import BUILTIN_NAMES, Scenario, _is_number, load_scenario
 from oracles import with_seed_oracle
 
@@ -126,8 +127,56 @@ class TestWithSeed:
 class TestValidation:
     def test_clearance_must_exceed_funnel(self):
         sc = load_scenario("benign")
-        sc.workspace.clearance = 20.0  # below rho_d0 = 28
+        sc.workspace = dataclasses.replace(sc.workspace, clearance=20.0)  # below rho_d0 = 28
         with pytest.raises(ValueError):
+            sc.validate()
+
+    def test_workspace_of_a_copy_cannot_change_its_base(self):
+        sc = load_scenario("long-run")
+        inflated = sc.workspace.inflated_obstacles()
+        other = sc.with_seed(3)
+        assert other.workspace is sc.workspace  # shared: sound only because it is frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            other.workspace.clearance = 5.0
+        assert isinstance(other.workspace.obstacles, tuple)
+        assert sc.workspace.clearance == 30.0 and sc.workspace.inflated_obstacles() is inflated
+        # A changed copy inflates anew; its base keeps its own inflation.
+        narrow = dataclasses.replace(sc.workspace, clearance=5.0)
+        for raw, wide, tight in zip(sc.workspace.obstacles, inflated, narrow.inflated_obstacles()):
+            assert np.array_equal(tight.vertices, inflate(raw, 5.0, narrow.inflation_k_gon).vertices)
+            assert np.abs(tight.vertices).max() < np.abs(wide.vertices).max()
+        assert sc.workspace.inflated_obstacles() is inflated
+
+    @pytest.mark.parametrize("key", ["sway_bound", "planner_margin_frac"])
+    def test_negative_range_rejected_at_load(self, key):
+        # Each ended in numpy's or inflate's ValueError at use: check's sampler, plan's inflation.
+        data = load_scenario("benign").to_dict()
+        data[key] = -1.0
+        with pytest.raises(InvalidScenario, match=key):
+            Scenario.from_dict(data)
+        data[key] = 0.0
+        Scenario.from_dict(data).validate()
+
+    @pytest.mark.parametrize("k_gon", [-8, 0, 3, 5, 7])
+    def test_inflation_k_gon_below_inflate_minimum(self, k_gon):
+        data = load_scenario("long-run").to_dict()
+        data["workspace"]["inflation_k_gon"] = k_gon
+        with pytest.raises(InvalidScenario, match="inflation_k_gon"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("k_gon", [4, 8])
+    def test_inflation_k_gon_at_inflate_minimum(self, k_gon):
+        data = load_scenario("long-run").to_dict()
+        data["workspace"]["inflation_k_gon"] = k_gon
+        sc = Scenario.from_dict(data)
+        assert all(len(p) >= k_gon for p in sc.workspace.inflated_obstacles())
+
+    def test_goal_on_the_start(self):
+        # It ended in rrt's "degenerate path with zero length" ValueError.
+        data = load_scenario("benign").to_dict()
+        data["goal"]["position"] = [data["start"]["p_x"], data["start"]["p_y"]]
+        sc = Scenario.from_dict(data)
+        with pytest.raises(InvalidScenario, match="start"):
             sc.validate()
 
     def test_goal_in_free_space_required(self):
