@@ -14,6 +14,7 @@ except the measured VesselState.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -122,11 +123,17 @@ _NOISE_FREQ_HI = 0.5
 _NOISE_TERMS = 4
 
 
-def _quiet(bias, sin_amp, noise_amp) -> bool:
-    """Every sin_amp and noise_amp zero and no bias -0.0: at finite phases each term of the
-    formula is then a signed zero and bias + +-0.0 == bias, so the wrench is the bias."""
-    return not (np.count_nonzero(sin_amp) or np.count_nonzero(noise_amp)
-                or np.count_nonzero(np.signbit(bias[bias == 0.0])))
+def _quiet(bias, sin_amp, noise_amp, shape):
+    """The wrench of a quiet disturbance, its bias broadcast to shape in a new array, or None
+    if it is not quiet. Quiet is every sin_amp and noise_amp zero and no bias -0.0: at finite
+    phases each term of the formula is then a signed zero and bias + +-0.0 == bias, so the
+    bias is the formula's wrench, bit for bit, and costs no sine."""
+    if (np.count_nonzero(sin_amp) or np.count_nonzero(noise_amp)
+            or np.count_nonzero(np.signbit(bias[bias == 0.0]))):
+        return None
+    wrench = np.empty(shape)
+    wrench[...] = bias
+    return wrench
 
 
 def _combine(bias, sin_amp, noise_amp, s):
@@ -143,50 +150,40 @@ def _combine(bias, sin_amp, noise_amp, s):
     return wrench
 
 
-def _wrench(terms, t):
-    """The disturbance formula: (3, B) wrenches of B profiles' term arrays bias,
-    sin_amp, noise_amp (3, B) and omega, phase (1 + _NOISE_TERMS, 3, B), term 0 the
-    sinusoid. t is a float, (B,) per-column times, (n,) times when B = 1, or (n, 1, 1)
-    times for (n, 3, B) wrenches with omega and phase given a time axis at 1.
-
-    A quiet disturbance (_quiet) costs no sine: its wrench is the bias broadcast to the
-    formula's shape, bit for bit."""
-    bias, sin_amp, noise_amp, omega, phase = terms
-    if _quiet(bias, sin_amp, noise_amp):
-        wrench = np.empty(np.broadcast(bias, omega[0], t).shape)
-        wrench[...] = bias
-        return wrench
-    return _combine(bias, sin_amp, noise_amp, np.sin(omega * t + phase))
-
-
 # Zero-width term arrays, the terms of no profile: a batch starts from them.
 _NO_TERMS = (*[np.empty((3, 0))] * 3, *[np.empty((1 + _NOISE_TERMS, 3, 0))] * 2)
 
 
+@dataclass(frozen=True)
 class DisturbanceProfile:
     """Deterministic bounded disturbance wrench tau_d(t) = [tau_x, tau_y, tau_psi].
 
     The "noise" component is a seeded mean of sinusoids so the signal stays
     smooth (RK4-friendly), uniformly bounded by noise_amp, and byte-for-byte
-    reproducible given the seed.
+    reproducible given the seed. Frozen, so that scenario copies can share it:
+    a changed field takes dataclasses.replace, whose copy draws its terms anew.
     """
 
-    def __init__(self, x: AxisDisturbance | None = None, y: AxisDisturbance | None = None,
-                 psi: AxisDisturbance | None = None, seed: int = 0):
-        self.x = x or AxisDisturbance()
-        self.y = y or AxisDisturbance()
-        self.psi = psi or AxisDisturbance()
-        self.seed = int(seed)
-        axes = self.axes
-        rng = np.random.default_rng(self.seed)
+    x: AxisDisturbance = AxisDisturbance()
+    y: AxisDisturbance = AxisDisturbance()
+    psi: AxisDisturbance = AxisDisturbance()
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", int(self.seed))  # a Python int: to_dict writes it
+
+    @functools.cached_property
+    def _terms(self) -> tuple[np.ndarray, ...]:
+        """The formula's term arrays with one column, this profile's: bias, sin_amp and
+        noise_amp (3, 1), and omega and phase (1 + _NOISE_TERMS, 3, 1), term 0 the sinusoid."""
+        axes, rng = self.axes, np.random.default_rng(self.seed)
         # (1 + _NOISE_TERMS, 3) frequencies and phases: per axis its sinusoid's,
         # then its noise sinusoids' (drawn axis by axis, frequencies before phases).
         freqs, phases = np.array([
             [[ax.sin_freq_hz, *rng.uniform(_NOISE_FREQ_LO, _NOISE_FREQ_HI, _NOISE_TERMS)],
              [ax.sin_phase, *rng.uniform(0.0, TWO_PI, _NOISE_TERMS)]] for ax in axes]).transpose(1, 2, 0)
         amplitudes = np.array([[ax.bias, ax.sin_amp, ax.noise_amp] for ax in axes]).T
-        # _wrench's term arrays with one column, this profile's.
-        self._terms = (*amplitudes[..., None], TWO_PI * freqs[..., None], phases[..., None])
+        return (*amplitudes[..., None], TWO_PI * freqs[..., None], phases[..., None])
 
     @property
     def axes(self) -> tuple[AxisDisturbance, AxisDisturbance, AxisDisturbance]:
@@ -194,17 +191,18 @@ class DisturbanceProfile:
 
     def value(self, t):
         """The wrench at a float time as three floats, or at (n,) times as a (3, n) array."""
-        tau = _wrench(self._terms, t)
-        return tau if isinstance(t, np.ndarray) else tuple(tau[:, 0].tolist())
+        times = isinstance(t, np.ndarray)
+        bias, sin_amp, noise_amp, omega, phase = self._terms
+        tau = _quiet(bias, sin_amp, noise_amp, (3, t.size if times else 1))
+        if tau is None:
+            tau = _combine(bias, sin_amp, noise_amp, np.sin(omega * t + phase))
+        return tau if times else tuple(tau[:, 0].tolist())
 
     def reseeded(self, seed: int) -> "DisturbanceProfile":
         """Same amplitudes/frequencies, fresh noise and sinusoid phases."""
         rng = np.random.default_rng(int(seed))
-        shifted = [
-            replace(ax, sin_phase=ax.sin_phase + rng.uniform(0.0, TWO_PI))
-            for ax in self.axes
-        ]
-        return DisturbanceProfile(x=shifted[0], y=shifted[1], psi=shifted[2], seed=int(seed))
+        return DisturbanceProfile(*(replace(ax, sin_phase=ax.sin_phase + rng.uniform(0.0, TWO_PI))
+                                    for ax in self.axes), seed)
 
 
 def actuator_to_wrench(F_T, alpha_r, params: VesselParams) -> tuple[float, float, float]:
@@ -331,7 +329,7 @@ def _batched_rk4(x, W, params: VesselParams, tau0, tau_half, tau1, dt: float) ->
 
 class DisturbanceBatch:
     """The wrenches of B profiles: their term arrays side by side, so column b of a
-    table is profiles[b].value through the one formula, bit for bit."""
+    grid is profiles[b]'s wrench alone."""
 
     def __init__(self, profiles: list[DisturbanceProfile]):
         self._terms = tuple(np.concatenate(arrays, axis=-1)
@@ -346,31 +344,26 @@ class DisturbanceBatch:
         batch._rotations = {h: (a[..., columns], b[..., columns]) for h, (a, b) in self._rotations.items()}
         return batch
 
-    def table(self, ts: np.ndarray) -> np.ndarray:
-        """The contiguous (n, 3, B) wrenches at (n,) times, row i at ts[i]."""
-        bias, sin_amp, noise_amp, omega, phase = self._terms
-        return _wrench((bias, sin_amp, noise_amp, omega[:, None], phase[:, None]), ts[:, None, None])
-
     def grid(self, t0: float, h: float, n: int) -> np.ndarray:
         """The contiguous (n, 3, B) wrenches at the times t0 + k * h, k < n, by rotation.
 
         Each sinusoid is anchored by a true cos and sin of omega * t0 + phase at row 0,
-        so row 0 is table's at t0 bit for bit and no error carries from one grid to the
-        next. The rows after it follow by doubling: rows m to 2m - 1 are rows 0 to m - 1
-        turned by omega * h * m (Press et al., Numerical Recipes, 3rd ed., sec. 5.4), so
-        n = 129 takes 8 rotations. The rotations are computed once per step h and kept
-        by __getitem__. Row k differs from table at t0 + k * h by rounding alone: over
-        long-run's 180-s horizon by at most 2.2e-14 of an axis' |bias| + |sin_amp| +
-        |noise_amp| (the tests bound it at 1e-11). A column depends on its profile alone,
-        bit for bit. A quiet batch (_quiet) is its bias broadcast, with no sine or cosine.
+        so row 0 is the formula's (DisturbanceProfile.value) at t0 bit for bit and no
+        error carries from one grid to the next. The rows after it follow by doubling:
+        rows m to 2m - 1 are rows 0 to m - 1 turned by omega * h * m (Press et al.,
+        Numerical Recipes, 3rd ed., sec. 5.4), so n = 129 takes 8 rotations. The
+        rotations are computed once per step h and kept by __getitem__. Row k differs
+        from the formula at t0 + k * h by rounding alone: over long-run's 180-s horizon
+        by at most 2.2e-14 of an axis' |bias| + |sin_amp| + |noise_amp| (the tests bound
+        it at 1e-11). A column depends on its profile alone, bit for bit. A quiet batch
+        (_quiet) is its bias broadcast, with no sine or cosine.
 
         These are not the RK4's state times, which are accumulated sums t + dt + dt + ...
         (harness._horizon) a few ulps away from t0 + k * h.
         """
         bias, sin_amp, noise_amp, omega, phase = self._terms
-        if _quiet(bias, sin_amp, noise_amp):
-            wrench = np.empty((n, *bias.shape))
-            wrench[...] = bias
+        wrench = _quiet(bias, sin_amp, noise_amp, (n, *bias.shape))
+        if wrench is not None:
             return wrench
         turn_a, turn_b = self._rotations_of(h, (n - 1).bit_length())
         z = np.empty((2, n, *omega.shape))  # z[:, k]: cos and sin of omega * (t0 + k * h) + phase

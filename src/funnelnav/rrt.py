@@ -73,14 +73,18 @@ def _shortcut(points: list[np.ndarray], ws: Workspace) -> list[np.ndarray]:
     return out
 
 
-def _resample(points: list[np.ndarray], spacing: float, min_points: int = 4) -> np.ndarray:
+# The fewest waypoints a resampled path has: trajopt's _Workspace rejects fewer than 4.
+_MIN_POINTS = 4
+
+
+def _resample(points: list[np.ndarray], spacing: float) -> np.ndarray:
     """Even re-spacing along the polyline; preserves the exact endpoints."""
     pts = np.asarray(points, dtype=float)
     seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     total = float(seg_len.sum())
     if total <= 0.0:
         raise ValueError("degenerate path with zero length")
-    n_legs = max(min_points - 1, int(math.ceil(total / spacing)))
+    n_legs = max(_MIN_POINTS - 1, int(math.ceil(total / spacing)))
     targets = np.linspace(0.0, total, n_legs + 1)
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     k = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg_len) - 1)

@@ -15,7 +15,8 @@ loop that the speculative batches replaced and the target-by-target
 resampling that the array one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced, the
 per-float, per-term disturbance that the one array formula replaced, that
-formula without its quiet path, the
+formula without its quiet path and its table over a disturbance batch (the
+formula the batch's grid is checked against), the
 segment-by-segment dense kinodynamic check and the pair-by-pair separation
 check of trajopt.validate that their one-pass forms replaced, the
 funnel cascade written out on Python floats with math, the point-by-point
@@ -759,6 +760,13 @@ def wrench_oracle(terms, t):
     for k in range(2, 1 + _NOISE_TERMS):
         noise = noise + s[k]
     return bias + sin_amp * s[0] + noise_amp * noise / _NOISE_TERMS
+
+
+def table_oracle(batch, ts: np.ndarray) -> np.ndarray:
+    """The (n, 3, B) wrenches of a DisturbanceBatch at (n,) times, row i at ts[i], by
+    wrench_oracle over the batch's term arrays: the formula reference of its grid."""
+    bias, sin_amp, noise_amp, omega, phase = batch._terms
+    return wrench_oracle((bias, sin_amp, noise_amp, omega[:, None], phase[:, None]), ts[:, None, None])
 
 
 def atanh_to_edge(xi: float) -> float:

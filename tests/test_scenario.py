@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funnelnav.dynamics import DisturbanceBatch
+from funnelnav.dynamics import AxisDisturbance, DisturbanceBatch, DisturbanceProfile
 from funnelnav.errors import InvalidScenario
 from funnelnav.geometry import inflate
 from funnelnav.scenario import BUILTIN_NAMES, Scenario, _is_number, load_scenario
-from oracles import with_seed_oracle
+from oracles import table_oracle, with_seed_oracle
 
 
 class TestSerialization:
@@ -99,8 +99,8 @@ class TestWithSeed:
         sc = load_scenario("long-run")
         ts = np.linspace(0.0, sc.horizon, 4001)
         for seed in self.SEEDS:
-            ours = DisturbanceBatch([sc.with_seed(seed).disturbance]).table(ts)
-            oracle = DisturbanceBatch([with_seed_oracle(sc, seed).disturbance]).table(ts)
+            ours = table_oracle(DisturbanceBatch([sc.with_seed(seed).disturbance]), ts)
+            oracle = table_oracle(DisturbanceBatch([with_seed_oracle(sc, seed).disturbance]), ts)
             assert ours.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -146,6 +146,25 @@ class TestValidation:
             assert np.array_equal(tight.vertices, inflate(raw, 5.0, narrow.inflation_k_gon).vertices)
             assert np.abs(tight.vertices).max() < np.abs(wide.vertices).max()
         assert sc.workspace.inflated_obstacles() is inflated
+
+    def test_disturbance_of_a_copy_cannot_change_its_base(self):
+        sc = load_scenario("long-run")
+        before, at_zero = sc.to_dict(), np.array(sc.disturbance.value(0.0))
+        other = sc.with_seed(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            other.disturbance.x = AxisDisturbance(bias=50.0)
+        assert sc.to_dict() == before
+        assert np.array(sc.disturbance.value(0.0)).tobytes() == at_zero.tobytes()
+        # A changed copy draws its terms from its own fields.
+        p = DisturbanceProfile(x=AxisDisturbance(bias=1.0))
+        assert dataclasses.replace(p, x=AxisDisturbance(bias=50.0)).value(0.0)[0] == 50.0
+        # Equal fields, equal profiles: built positionally (x, y, psi, seed) or by keyword.
+        seeded, ts = other.disturbance, np.linspace(0.0, sc.horizon, 101)
+        for again in (DisturbanceProfile(seeded.x, seeded.y, seeded.psi, 3),
+                      DisturbanceProfile(x=seeded.x, y=seeded.y, psi=seeded.psi, seed=3)):
+            assert again == seeded and hash(again) == hash(seeded) and again is not seeded
+            assert again.value(ts).tobytes() == seeded.value(ts).tobytes()
+        assert DisturbanceProfile(x=AxisDisturbance(bias=1.0)) == p and p != DisturbanceProfile(seed=1)
 
     @pytest.mark.parametrize("key", ["sway_bound", "planner_margin_frac"])
     def test_negative_range_rejected_at_load(self, key):
