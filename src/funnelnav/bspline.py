@@ -9,7 +9,6 @@ of its four control points.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -173,15 +172,6 @@ class SplineTrajectory:
         if int(data.get("degree", DEGREE)) != DEGREE:
             raise ValueError("only cubic trajectories are supported")
         return cls(np.array(data["control_points"], dtype=float), float(data["dt_knot"]))
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def load_json(cls, path) -> "SplineTrajectory":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
 
     def sample_rows(self, dt_sample: float) -> np.ndarray:
         """(t, x, y, vx, vy, ax, ay) rows over the whole domain, endpoint included."""

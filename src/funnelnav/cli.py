@@ -57,7 +57,7 @@ def cmd_plan(args) -> int:
     path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
                     scenario.goal, scenario.planner)
     out = os.path.join(args.out_dir, "path.csv")
-    path.save_csv(out)
+    harness.write_csv(out, ["x", "y"], list(path.waypoints.T))
     print(f"planned {path.n_points} waypoints, length {path.total_length():.1f} m -> {out}")
     return 0
 
@@ -65,16 +65,14 @@ def cmd_plan(args) -> int:
 def cmd_traj(args) -> int:
     scenario = _load(args)
     path, solution = harness.plan_and_solve(scenario)
-    path.save_csv(os.path.join(args.out_dir, "path.csv"))
+    harness.write_csv(os.path.join(args.out_dir, "path.csv"), ["x", "y"], list(path.waypoints.T))
     traj_path = os.path.join(args.out_dir, "trajectory.json")
-    with open(traj_path, "w", encoding="utf-8") as f:
-        json.dump(solution.to_dict(), f, indent=2)
+    harness.write_json(traj_path, solution.to_dict())
     rows = solution.trajectory.sample_rows(dt_sample=scenario.sim_dt)
     harness.write_csv(os.path.join(args.out_dir, "trajectory_samples.csv"),
                       ["t", "x", "y", "vx", "vy", "ax", "ay"], list(rows.T))
     report = trajopt.validate(solution, harness.make_problem(scenario, path))
-    with open(os.path.join(args.out_dir, "residuals.json"), "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=2)
+    harness.write_json(os.path.join(args.out_dir, "residuals.json"), report.to_dict())
     print(f"trajopt {solution.status}, residual check {'ok' if report.ok else 'FAILED'}: "
           f"duration {solution.trajectory.duration:.1f} s, cost {solution.cost_total:.4g} -> {traj_path}")
     return 0 if solution.status == "converged" and report.ok else 1
@@ -84,9 +82,8 @@ def cmd_run(args) -> int:
     scenario = _load(args)
     log = harness.run_episode(scenario, auto_inflate=args.auto_inflate_funnels)
     log.save_csv(os.path.join(args.out_dir, "episode.csv"))
-    log.save_summary(os.path.join(args.out_dir, "summary.json"))
-    if log.trajectory is not None:
-        log.trajectory.save_json(os.path.join(args.out_dir, "trajectory.json"))
+    harness.write_json(os.path.join(args.out_dir, "summary.json"), log.summary)
+    harness.write_json(os.path.join(args.out_dir, "trajectory.json"), log.solution.to_dict())
     harness.write_plotdata(log, scenario, os.path.join(args.out_dir, "plotdata"))
     s = log.summary
     print(f"episode: {s['ticks']} ticks, violations {s['total_violations']}, "
@@ -98,7 +95,7 @@ def cmd_sweep(args) -> int:
     scenario = _load(args)
     result = harness.sweep(scenario, args.episodes, auto_inflate=args.auto_inflate_funnels)
     out = os.path.join(args.out_dir, "sweep.json")
-    result.save_json(out)
+    harness.write_json(out, result.to_dict())
     agg = result.aggregate()
     print(f"sweep: {agg['episodes']} episodes, total violations {agg['total_violations']}, "
           f"goal reached {agg['goal_reached']} -> {out}")
@@ -115,7 +112,7 @@ def cmd_check(args) -> int:
     report = feasibility.estimate_bounds(scenario, n_samples=args.samples,
                                          trajectory=trajectory)
     out = os.path.join(args.out_dir, "feasibility.json")
-    report.save_json(out)
+    harness.write_json(out, report.to_dict())
     for cond in feasibility.CONDITIONS:
         state = "pass" if report.verdicts[cond] else "FAIL"
         print(f"  {cond}: {state} (margin {report.margins[cond]:+.4g})")
@@ -130,12 +127,17 @@ def cmd_audit(args) -> int:
     if os.path.exists(summary_path):
         with open(summary_path, encoding="utf-8") as f:
             try:
-                log.summary = json.load(f)
+                summary = json.load(f)
             except ValueError as exc:
                 raise InvalidLog(f"{summary_path}: not valid JSON: {exc}") from exc
+        if not isinstance(summary, dict):
+            raise InvalidLog(f"{summary_path}: not a JSON object")
+        if not isinstance(summary.get("violations", {}), dict):
+            raise InvalidLog(f"{summary_path}: its violations is not a JSON object")
+        log.summary = summary
     report = harness.audit(log, scenario)
     out = os.path.join(args.out_dir, "audit.json")
-    report.save_json(out)
+    harness.write_json(out, report.to_dict())
     print(f"audit: violations {report.violations}, actuator violations "
           f"{report.actuator_violations} -> {out}")
     clean = (report.actuator_violations == 0 and report.summary_matches

@@ -23,7 +23,6 @@ unbounded and would audit states the closed loop cannot reach.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -71,10 +70,6 @@ class FeasibilityReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
 
 
 def _terminal_rate(d1: float, d2: float, force: float) -> float:

@@ -66,11 +66,17 @@ def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def write_json(path, data) -> None:
+    """The one JSON artifact format: indented by 2, keys sorted."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(data, f, indent=2, sort_keys=True)
+
+
 @dataclass
 class EpisodeLog:
     columns: dict[str, np.ndarray]
     summary: dict
-    trajectory: SplineTrajectory | None = None
+    solution: trajopt.TrajOptSolution | None = None
 
     @property
     def n_ticks(self) -> int:
@@ -97,10 +103,6 @@ class EpisodeLog:
         if missing:
             raise InvalidLog(f"{path} lacks the log columns {', '.join(missing)}")
         return cls(columns=columns, summary={})
-
-    def save_summary(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.summary, f, indent=2, sort_keys=True)
 
 
 def make_problem(scenario: Scenario, path: rrt.RrtPath, w1: float | None = None,
@@ -428,7 +430,7 @@ def run_episode(scenario: Scenario, auto_inflate: bool = False) -> EpisodeLog:
         scenario.controller, auto_inflate)
     if inflated:
         log.summary["auto_inflated"] = inflated
-    log.trajectory = traj
+    log.solution = solution
     log.summary["trajopt_status"] = solution.status
     return log
 
@@ -459,10 +461,8 @@ class SweepResult:
             "goal_reached": sum(int(s["goal_reached"]) for s in eps),
         }
 
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump({"aggregate": self.aggregate(), "episodes": self.episodes},
-                      f, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"aggregate": self.aggregate(), "episodes": self.episodes}
 
 
 def episode_seed(master_seed: int, index: int) -> int:
@@ -501,10 +501,6 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
 
 
 def audit(log: EpisodeLog, scenario: Scenario) -> AuditReport:

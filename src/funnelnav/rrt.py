@@ -54,12 +54,6 @@ class RrtPath:
     def total_length(self) -> float:
         return float(self.leg_lengths().sum())
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("x,y\n")
-            for x, y in self.waypoints.tolist():
-                f.write(f"{x!r},{y!r}\n")
-
 
 def _shortcut(points: list[np.ndarray], ws: Workspace) -> list[np.ndarray]:
     """Greedy segment skipping: from each kept node jump to the farthest visible one."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import pathlib
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
@@ -253,20 +254,6 @@ class Scenario:
             trajopt=TrajOptSettings(**_converted(data.get("trajopt", {}), dt_bounds=tuple)),
         )
 
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def load_json(cls, path) -> "Scenario":
-        """The scenario of a JSON file; InvalidScenario if the file is not valid JSON."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                data = json.load(f)
-            except ValueError as exc:
-                raise InvalidScenario(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
     def with_seed(self, seed: int) -> "Scenario":
         """Copy with this seed as its, the planner's and the disturbance realization's; every
         other section is shared, checked already. InvalidScenario on a negative seed."""
@@ -295,15 +282,18 @@ BUILTIN_NAMES = ("benign", "long-run", "trajectory-demo")
 
 
 def load_scenario(spec: str) -> Scenario:
-    """Resolve a CLI scenario argument: a builtin name or a JSON file path."""
-    if spec in BUILTIN_NAMES:
-        with resources.as_file(resources.files(__package__) / "scenarios" / f"{spec}.json") as path:
-            return Scenario.load_json(path)
+    """Resolve a CLI scenario argument: a builtin name or a JSON file path; InvalidScenario
+    if it is neither or the file is not valid JSON."""
+    path = (resources.files(__package__) / "scenarios" / f"{spec}.json" if spec in BUILTIN_NAMES
+            else pathlib.Path(spec))
     try:
-        return Scenario.load_json(spec)
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise InvalidScenario(f"{spec!r} is neither a file nor a builtin scenario "
                               f"({', '.join(BUILTIN_NAMES)})") from exc
+    except ValueError as exc:
+        raise InvalidScenario(f"{path}: not valid JSON: {exc}") from exc
+    return Scenario.from_dict(data)
 
 
 # Only the benchmark (perfbench/workloads.py) imports these two; drop them when it next changes.

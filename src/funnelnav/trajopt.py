@@ -122,11 +122,9 @@ class _Workspace:
             raise ValueError(f"need at least 4 path points, got {n_x}")
         N = n_x + 4
         self.problem = problem
-        self.X = X
         self.N = N
-        self.free_lo, self.free_hi = 3, N - 4  # inclusive free index range
         self.free = np.zeros(N, dtype=bool)
-        self.free[self.free_lo:self.free_hi + 1] = True
+        self.free[3:N - 3] = True  # the free control points 3 .. N-4
 
         # Fit rows: knot j = 2 .. N-5 tracks waypoint X_{j-1} with the basis
         # weights of a segment start; jerk rows cover every segment.

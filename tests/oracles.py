@@ -34,7 +34,7 @@ replaced, and the cell-by-cell CSV writer that the column-wise one replaced.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,26 +159,18 @@ def _point_segment_distance(p, a, b) -> float:
 
 def point_in_hull(p, hull_points: np.ndarray, tol: float = 1e-12) -> bool:
     """Membership in the convex hull of a point set, via half-plane checks
-    against every directed pair of points (no hull construction)."""
-    pts = np.unique(np.asarray(hull_points, dtype=float), axis=0)
-    p = np.asarray(p, dtype=float)
-    n = len(pts)
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    if n == 1:
-        return bool(np.linalg.norm(p - pts[0]) <= tol * scale)
-    if n == 2:
-        return _point_segment_distance(p, pts[0], pts[1]) <= tol * scale
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = pts[i], pts[j]
-            nrm = np.array([-(b[1] - a[1]), b[0] - a[0]])
-            side = float(nrm @ (p - a))
-            if side < -tol * scale:
-                others = (pts - a) @ nrm
-                if np.all(others >= -tol * scale):
-                    return False
+    against every directed pair of points (no hull construction), on Python floats."""
+    pts = sorted(set(map(tuple, np.asarray(hull_points, dtype=float).tolist())))
+    px, py = np.asarray(p, dtype=float).tolist()
+    scale = max(1.0, max(abs(c) for pt in pts for c in pt))
+    if len(pts) <= 2:  # a point or a segment
+        a, b = np.array(pts[0]), np.array(pts[-1])
+        return bool(_point_segment_distance(np.array([px, py]), a, b) <= tol * scale)
+    for (ax, ay), (bx, by) in permutations(pts, 2):
+        nx, ny = -(by - ay), bx - ax
+        if nx * (px - ax) + ny * (py - ay) < -tol * scale:
+            if all(nx * (qx - ax) + ny * (qy - ay) >= -tol * scale for qx, qy in pts):
+                return False
     return True
 
 

@@ -284,7 +284,7 @@ class TestCriterion9GeometryRoundTrip:
 class TestCriterion10Determinism:
     def test_run_and_traj_byte_identical(self, tmp_path):
         sc_file = tmp_path / "benign.json"
-        load_scenario("benign").save_json(sc_file)
+        harness.write_json(sc_file, load_scenario("benign").to_dict())
 
         run_dirs = [tmp_path / "run1", tmp_path / "run2"]
         for d in run_dirs:

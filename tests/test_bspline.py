@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from funnelnav import bspline
 from funnelnav.bspline import SplineTrajectory
 from funnelnav.errors import OutOfDomain
-from funnelnav.harness import plan_and_solve
+from funnelnav.harness import plan_and_solve, write_json
 from funnelnav.scenario import load_scenario, mid_funnel_distance
 from oracles import (
     clamped_spline,
@@ -247,8 +247,8 @@ class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         traj = random_trajectory(np.random.default_rng(13))
         path = tmp_path / "traj.json"
-        traj.save_json(path)
-        loaded = SplineTrajectory.load_json(path)
+        write_json(path, traj.to_dict())
+        loaded = SplineTrajectory.from_dict(json.loads(path.read_text()))
         assert np.array_equal(loaded.control_points, traj.control_points)
         assert loaded.dt_knot == traj.dt_knot
         # identical serialization both ways

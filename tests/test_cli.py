@@ -6,15 +6,17 @@ import os
 import pytest
 
 from funnelnav import rrt, trajopt
+from funnelnav.bspline import SplineTrajectory
 from funnelnav.cli import main
 from funnelnav.errors import InfeasibleSeed, PlanTimeout, TrajOptInfeasible
+from funnelnav.harness import plan_and_solve, write_json
 from funnelnav.scenario import load_scenario
 
 
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "benign.json"
-    load_scenario("benign").save_json(path)
+    write_json(path, load_scenario("benign").to_dict())
     return str(path)
 
 
@@ -161,6 +163,41 @@ class TestAudit:
         assert data["actuator_violations"] == 0
 
 
+class TestArtifactFormat:
+    """Every JSON artifact goes through one writer, and run and traj write one trajectory.json."""
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("benign")
+        common = ["--scenario", "benign"]
+        for command, extra in (("traj", []), ("run", []), ("sweep", ["--episodes", "2"]),
+                               ("check", ["--samples", "200"]),
+                               ("audit", ["--log", str(out / "run" / "episode.csv")])):
+            assert main([command, *common, *extra, "--out-dir", str(out / command)]) == 0
+        return out
+
+    def test_json_artifacts_have_sorted_keys(self, out):
+        written = sorted(out.rglob("*.json"))
+        assert [str(p.relative_to(out)) for p in written] == [
+            "audit/audit.json", "check/feasibility.json", "run/summary.json",
+            "run/trajectory.json", "sweep/sweep.json", "traj/residuals.json",
+            "traj/trajectory.json"]
+        for path in written:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), path
+
+    def test_run_and_traj_write_the_same_trajectory_json(self, out):
+        assert (out / "run" / "trajectory.json").read_bytes() == (
+            out / "traj" / "trajectory.json").read_bytes()
+
+    def test_spline_reads_back_bit_for_bit(self, out):
+        solution = plan_and_solve(load_scenario("benign"))[1]
+        data = json.loads((out / "run" / "trajectory.json").read_text())
+        loaded = SplineTrajectory.from_dict(data["trajectory"])
+        assert loaded.control_points.tobytes() == solution.trajectory.control_points.tobytes()
+        assert loaded.dt_knot == solution.trajectory.dt_knot
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_paths_around_obstacles(self, tmp_path):
         # obstacle-free scenarios shortcut to the same straight chord for any
@@ -300,6 +337,18 @@ class TestTypedErrors:
                                                    "--out-dir", str(tmp_path / "audit")], capsys)
         assert ("no ticks" if damage == "header only" else "summary.json") in err
 
+    @pytest.mark.parametrize("summary", ["[1]", '"x"', '{"violations": 3}'])
+    def test_audit_of_a_summary_that_is_not_one(self, tmp_path, capsys, summary):
+        # Each of these ended in an AttributeError traceback (exit 1, the code of a finding).
+        run_dir = tmp_path / "run"
+        assert main(["run", "--scenario", "benign", "--out-dir", str(run_dir)]) == 0
+        (run_dir / "summary.json").write_text(summary)
+        err = self._main_fails_with("InvalidLog", ["audit", "--scenario", "benign", "--log",
+                                                   str(run_dir / "episode.csv"),
+                                                   "--out-dir", str(tmp_path / "audit")], capsys)
+        assert "summary.json" in err
+        assert not (tmp_path / "audit" / "audit.json").exists()
+
     @pytest.mark.parametrize("damage", ["no ref_x", "short row"])
     def test_audit_of_a_damaged_log(self, tmp_path, capsys, damage):
         run_dir = tmp_path / "run"
@@ -348,12 +397,13 @@ class TestTypedErrors:
 
 class TestReportPins:
     """sha256 digests of the reports of `check --samples 2000` and of `audit` on a `run` log,
-    pinned before a quiet disturbance skipped its sines and the lead search ran in batches.
-    The digests hold for this numpy and libm; another platform may round a sine differently."""
+    pinned before a quiet disturbance skipped its sines and the lead search ran in batches;
+    feasibility.json's again when every JSON artifact took sorted keys (each parses to the
+    object it was). The digests hold for this numpy and libm; another platform may round a sine differently."""
 
     CHECK = {
-        "benign": "9dbc3ea53d4af1243d17d517e5fdfad798698cfd7859f8cafdde00a2c3ac774e",
-        "long-run": "ac30df4cf1e30d619488f4a06941854316b68c60325319423b94b7b6e0db6205",
+        "benign": "1eaa56ccdbefd10870002092804d7f28b903a7d7baf4e0b26f1b2dba41eaea21",
+        "long-run": "43449d2d0c46a652a587cf9f5ce3ce9f9827eb4619ea98f6de67c079271cc0b5",
     }
 
     @staticmethod

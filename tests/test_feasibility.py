@@ -128,7 +128,7 @@ class TestEstimateBounds:
     def test_report_serializes(self, tmp_path):
         rep = estimate_bounds(seeded(load_scenario("benign"), 0), n_samples=150)
         out = tmp_path / "feas.json"
-        rep.save_json(out)
+        harness.write_json(out, rep.to_dict())
         import json
         data = json.loads(out.read_text())
         assert set(data["verdicts"]) == {"thrust_floor", "surge_authority", "torque_authority", "initial_bearing"}

@@ -148,8 +148,8 @@ class TestRunEpisode:
         b.save_csv(pb)
         assert pa.read_bytes() == pb.read_bytes()
         sa, sb = tmp_path / "a.json", tmp_path / "b.json"
-        a.save_summary(sa)
-        b.save_summary(sb)
+        harness.write_json(sa, a.summary)
+        harness.write_json(sb, b.summary)
         assert sa.read_bytes() == sb.read_bytes()
 
 
@@ -193,7 +193,7 @@ class TestSweep:
     def test_sweep_serializes(self, tmp_path):
         res = sweep(load_scenario("benign"), 2)
         out = tmp_path / "sweep.json"
-        res.save_json(out)
+        harness.write_json(out, res.to_dict())
         data = json.loads(out.read_text())
         assert data["aggregate"]["episodes"] == 2
         assert len(data["episodes"]) == 2
@@ -405,12 +405,13 @@ class TestGoldenPins:
 
     # Every file `run` writes, pinned before the CSV writer formatted by column, the float
     # RK4 step lost its stage closures and the tick rows were built from Python floats;
-    # long-run's again for the grid wrenches (its trajectory.json kept its digest).
+    # long-run's again for the grid wrenches (its trajectory.json kept its digest). Both
+    # trajectory.json digests again when run wrote the whole solution, as traj does.
     RUN_FILES = {
         "benign": {
             "episode.csv": "e81b905888b57733269fe40c128157ffaab2399b8054d651eec7fef7e93b4e0a",
             "summary.json": "4714dda5a66ccaa9cc2f6cc3500f0c2c6fa406dbd91dc6ffaf83653996a63d50",
-            "trajectory.json": "e537e0450441d30e146f725fa8caf6bb3ae461c428652159283072cd9278ff09",
+            "trajectory.json": "7e1405b6a5704a5c28477ad5507584974668c26072cd52e11b8c3afbeef36e7a",
             "plotdata/errors_vs_funnels.csv":
                 "f0f40c884949786870033feb89388aba50fcef98bcf5adc5767c360302037106",
             "plotdata/forward_velocity.csv":
@@ -420,7 +421,7 @@ class TestGoldenPins:
         "long-run": {
             "episode.csv": "ebafacf4e54520aca2517afe23c33ee36a9180e8478ba746b82ec87546e953fd",
             "summary.json": "78bbad72f09a7375efe278081cc739b8ac83494a6e55c90d36aa6020f489beda",
-            "trajectory.json": "d96f10953cbae077d7c341c9b69f1c7e96017c1a3e7ed22047a1ff58807daf37",
+            "trajectory.json": "5d5fd3874a58079e7c23604ffd8d785bfa34f2c0012d96bad1f9bc7b12c6495b",
             "plotdata/errors_vs_funnels.csv":
                 "bd59cc01b1c7df417099f576a2f2c17e07b48b1e490f1849dd2976bb393d15ad",
             "plotdata/forward_velocity.csv":

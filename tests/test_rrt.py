@@ -7,6 +7,7 @@ import pytest
 from funnelnav import rrt
 from funnelnav.errors import PlanTimeout, StartOrGoalInCollision
 from funnelnav.geometry import ConvexPolygon, Workspace
+from funnelnav.harness import write_csv
 from funnelnav.rrt import RrtParams, RrtPath, _shortcut, plan
 from funnelnav.scenario import BUILTIN_NAMES, load_scenario
 from oracles import point_free_oracle, rrt_oracle, segment_free_oracle, shortcut_oracle
@@ -85,7 +86,7 @@ class TestRrtPath:
     def test_csv_dump(self, tmp_path):
         path = plan(EMPTY_WS, (0.0, 0.0), (10.0, 0.0), RrtParams(step_size=1.0, seed=0))
         out = tmp_path / "path.csv"
-        path.save_csv(out)
+        write_csv(out, ["x", "y"], list(path.waypoints.T))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y"
         assert len(lines) == path.n_points + 1

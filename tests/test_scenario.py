@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from funnelnav.dynamics import AxisDisturbance, DisturbanceBatch, DisturbanceProfile
 from funnelnav.errors import InvalidScenario
 from funnelnav.geometry import inflate
+from funnelnav.harness import write_json
 from funnelnav.scenario import BUILTIN_NAMES, Scenario, _is_number, load_scenario
 from oracles import table_oracle, with_seed_oracle
 
@@ -25,18 +26,18 @@ class TestSerialization:
         again = Scenario.from_dict(data)
         assert again.to_dict() == data
 
-    # sha256 of each builtin's save_json bytes, recorded while to_dict still
-    # wrote every section key by key.
+    # sha256 of each builtin's json.dumps(to_dict(), indent=2) bytes, recorded while to_dict
+    # still wrote every section key by key.
     _SAVED = {"benign": "9b4827aa1d007fa47fd93d1b73dd54cea494b9d8fb48fdb2675221afc4ec42af",
               "long-run": "c7ebdd5febd25c21d0b371e832dc42e92974f7a587ce8bd0c8ba614de0558b47",
               "trajectory-demo": "84c6bf3f366987a1120782a8daf9acb6d98671cfad40217a3d566773f6287a16"}
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_packaged_file_is_canonical(self, name, tmp_path):
+    def test_packaged_file_is_canonical(self, name):
         raw = (resources.files("funnelnav") / "scenarios" / f"{name}.json").read_bytes()
-        assert raw.decode("utf-8") == json.dumps(load_scenario(name).to_dict(), indent=2)
-        load_scenario(name).save_json(tmp_path / "saved.json")
-        assert hashlib.sha256((tmp_path / "saved.json").read_bytes()).hexdigest() == self._SAVED[name]
+        saved = json.dumps(load_scenario(name).to_dict(), indent=2).encode("utf-8")
+        assert raw == saved
+        assert hashlib.sha256(saved).hexdigest() == self._SAVED[name]
 
     def test_builtin_names_are_the_packaged_files(self):
         files = (resources.files("funnelnav") / "scenarios").iterdir()
@@ -45,8 +46,8 @@ class TestSerialization:
     def test_json_file_round_trip(self, tmp_path):
         sc = load_scenario("long-run")
         path = tmp_path / "scenario.json"
-        sc.save_json(path)
-        loaded = Scenario.load_json(path)
+        write_json(path, sc.to_dict())
+        loaded = load_scenario(str(path))
         assert loaded.to_dict() == sc.to_dict()
         # the file is plain JSON with explicit sections
         raw = json.loads(path.read_text())
@@ -56,7 +57,7 @@ class TestSerialization:
     def test_load_scenario_resolves_builtins_and_files(self, tmp_path):
         assert load_scenario("benign").name == "benign"
         path = tmp_path / "sc.json"
-        load_scenario("benign").save_json(path)
+        write_json(path, load_scenario("benign").to_dict())
         assert load_scenario(str(path)).name == "benign"
 
     def test_with_seed_changes_disturbance(self):
@@ -86,14 +87,12 @@ class TestWithSeed:
         assert (other.seed, other.planner.seed, other.disturbance.seed) == (5, 5, 5)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_same_scenario_as_the_round_trip(self, name, tmp_path):
+    def test_same_scenario_as_the_round_trip(self, name):
         sc = load_scenario(name)
         for seed in self.SEEDS:
             ours, oracle = sc.with_seed(seed), with_seed_oracle(sc, seed)
             assert ours.to_dict() == oracle.to_dict()
-            ours.save_json(tmp_path / "ours.json")
-            oracle.save_json(tmp_path / "oracle.json")
-            assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+            assert json.dumps(ours.to_dict(), indent=2) == json.dumps(oracle.to_dict(), indent=2)
 
     def test_same_disturbance_tables_as_the_round_trip(self):
         sc = load_scenario("long-run")
