@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -183,6 +183,10 @@ class Workspace:
     def _edges(self) -> EdgeTable:
         return EdgeTable(self._inflated)
 
+    @functools.cached_property
+    def _widened(self) -> dict[float, Workspace]:
+        return {}
+
     def inflated_obstacles(self) -> tuple[ConvexPolygon, ...]:
         """The obstacles inflated by the clearance, computed once."""
         return self._inflated
@@ -191,6 +195,14 @@ class Workspace:
         """The inflated obstacles' edge table, built once like the inflation
         itself; None when there are no obstacles."""
         return self._edges if self.obstacles else None
+
+    def widened(self, frac: float) -> Workspace:
+        """This workspace with its clearance scaled by 1 + frac, built once per
+        frac and kept with this one: holders of this workspace share the
+        copy, with its inflation and edge table."""
+        if frac not in self._widened:
+            self._widened[frac] = replace(self, clearance=self.clearance * (1.0 + frac))
+        return self._widened[frac]
 
     def in_bounds(self, p) -> bool:
         x0, y0, x1, y1 = self.bounds

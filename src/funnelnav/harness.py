@@ -75,7 +75,7 @@ def write_json(path, data) -> None:
 @dataclass
 class EpisodeLog:
     columns: dict[str, np.ndarray]
-    summary: dict
+    summary: dict | None             # None: no summary to cross-check (a loaded log)
     solution: trajopt.TrajOptSolution | None = None
 
     @property
@@ -102,7 +102,7 @@ class EpisodeLog:
         missing = [c for c in LOG_COLUMNS if c not in columns]
         if missing:
             raise InvalidLog(f"{path} lacks the log columns {', '.join(missing)}")
-        return cls(columns=columns, summary={})
+        return cls(columns=columns, summary=None)
 
 
 def make_problem(scenario: Scenario, path: rrt.RrtPath, w1: float | None = None,
@@ -510,7 +510,9 @@ def audit(log: EpisodeLog, scenario: Scenario) -> AuditReport:
     three columns the controller wrote: the velocity references u_des and
     r_des, which the u and r channels are measured against, and psi_e for
     the bearing margin. Its xi/eps columns are not read; they are
-    cross-checked implicitly through the violation recount. InvalidLog on a log without ticks.
+    cross-checked implicitly through the violation recount. The recount is
+    compared with log.summary unless that is None; a summary that lacks a
+    count, {} included, disagrees. InvalidLog on a log without ticks.
     """
     if not log.n_ticks:
         raise InvalidLog("the episode log has no ticks to audit")
@@ -557,7 +559,7 @@ def audit(log: EpisodeLog, scenario: Scenario) -> AuditReport:
         clearance = float(dists.min() - scenario.footprint_radius)
 
     discrepancies = []
-    if log.summary:
+    if log.summary is not None:
         logged = log.summary.get("violations", {})
         for ch in CHANNELS:
             if logged.get(ch) != counts[ch]:

@@ -154,8 +154,9 @@ class Scenario:
             )
 
     def planner_workspace(self) -> Workspace:
-        """Workspace with extra inflation so taut paths leave hull slack downstream."""
-        return replace(self.workspace, clearance=self.workspace.clearance * (1.0 + self.planner_margin_frac))
+        """Workspace with extra inflation so taut paths leave hull slack downstream;
+        built once per workspace section and margin, so seeded copies share it."""
+        return self.workspace.widened(self.planner_margin_frac)
 
     # -- serialization --------------------------------------------------
 
@@ -283,7 +284,7 @@ BUILTIN_NAMES = ("benign", "long-run", "trajectory-demo")
 
 def load_scenario(spec: str) -> Scenario:
     """Resolve a CLI scenario argument: a builtin name or a JSON file path; InvalidScenario
-    if it is neither or the file is not valid JSON."""
+    if it is neither, the file cannot be read or it is not valid JSON."""
     path = (resources.files(__package__) / "scenarios" / f"{spec}.json" if spec in BUILTIN_NAMES
             else pathlib.Path(spec))
     try:
@@ -291,6 +292,8 @@ def load_scenario(spec: str) -> Scenario:
     except FileNotFoundError as exc:
         raise InvalidScenario(f"{spec!r} is neither a file nor a builtin scenario "
                               f"({', '.join(BUILTIN_NAMES)})") from exc
+    except OSError as exc:  # a directory or an unreadable file; its message names the path
+        raise InvalidScenario(str(exc)) from exc
     except ValueError as exc:
         raise InvalidScenario(f"{path}: not valid JSON: {exc}") from exc
     return Scenario.from_dict(data)

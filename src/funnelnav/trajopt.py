@@ -5,7 +5,8 @@ one separating line per (spline segment, obstacle) pair. The solver
 alternates three exactly-solvable steps:
 
   A. separating lines re-fit by the closest-pair construction (max margin),
-     one batched call over every (segment, obstacle) pair,
+     one batched call over the (segment, obstacle) pairs whose hulls moved
+     since their lines were fitted,
   B. control points by projected gradient descent on the convex quadratic
      cost under the velocity/acceleration/halfspace constraints,
   C. knot spacing in closed form: the cost w3*dt is linear, so its minimum
@@ -152,9 +153,9 @@ class _Workspace:
         self.pair_verts = padded_vertices([problem.obstacles[j] for _, j in self.pairs])
         self.pair_order = _Lines.order(self.pair_seg, self.free)
 
-    def lines(self, h: np.ndarray, d: np.ndarray) -> _Lines:
-        """The pairs' lines with normals h and offsets d."""
-        return _Lines.of(self.pair_seg, h, d, self.problem.sep_margin, self.pair_order)
+    def lines(self, h: np.ndarray, d: np.ndarray, hulls: np.ndarray) -> _Lines:
+        """The pairs' lines with normals h and offsets d, fitted to hulls."""
+        return _Lines.of(self.pair_seg, h, d, hulls, self.problem.sep_margin, self.pair_order)
 
     def residuals(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The fit and jerk residuals of C; cost and gradient both read them."""
@@ -225,7 +226,7 @@ def build(ws: _Workspace):
         if problem.init == "rrt":
             raise InfeasibleSeed(i, j)
         h[m], d[m] = _recovery_plane(hulls[m], problem.obstacles[j], problem.sep_margin)
-    return C, dt, ws.lines(h, d)
+    return C, dt, ws.lines(h, d, hulls)
 
 
 def _feasible_dt_floor(C: np.ndarray, problem: TrajOptProblem) -> float:
@@ -240,7 +241,8 @@ def _feasible_dt_floor(C: np.ndarray, problem: TrajOptProblem) -> float:
 @dataclass(frozen=True)
 class _Lines:
     """One refit's separating lines: line m keeps the hull of segment seg[m]
-    on the side h[m] . q >= d[m] of its obstacle.
+    on the side h[m] . q >= d[m] of its obstacle. hulls[m] is the hull the
+    refit saw, so the next refit can tell which hulls moved since.
 
     They also hold _project's halfspaces regrouped by control point. A
     halfspace projection reads and writes only its own point, so each free
@@ -254,6 +256,7 @@ class _Lines:
     seg: np.ndarray
     h: np.ndarray
     d: np.ndarray
+    hulls: np.ndarray
     point: np.ndarray
     hx: np.ndarray
     hy: np.ndarray
@@ -274,12 +277,13 @@ class _Lines:
         return m, k, k.tolist(), end.tolist()
 
     @classmethod
-    def of(cls, seg: np.ndarray, h: np.ndarray, d: np.ndarray, margin: float, order) -> _Lines:
-        """The lines (seg, h, d); order is _Lines.order of seg."""
+    def of(cls, seg: np.ndarray, h: np.ndarray, d: np.ndarray, hulls: np.ndarray, margin: float,
+           order) -> _Lines:
+        """The lines (seg, h, d) fitted to hulls; order is _Lines.order of seg."""
         m, k, points, ends = order
         hx, hy, target = h[m, 0], h[m, 1], d[m] + margin
         rows = list(zip(points, ends, hx.tolist(), hy.tolist(), target.tolist()))
-        return cls(seg, h, d, k, hx, hy, target, rows)
+        return cls(seg, h, d, hulls, k, hx, hy, target, rows)
 
     def project(self, X: np.ndarray, Y: np.ndarray, tol: float) -> float:
         """One pass over every line, in place on the rows X and Y; returns the
@@ -422,15 +426,28 @@ def _step_control_points(C: np.ndarray, dt: float, lines: _Lines, ws: _Workspace
 
 
 def _step_planes(C: np.ndarray, lines: _Lines, ws: _Workspace) -> _Lines:
-    """Re-fit every separating line in one batched call, keeping the old line
-    where no refit was found or the refit would not improve the current
-    worst slack (keeps the iterate feasible)."""
+    """Re-fit the separating lines of the hulls that moved since lines were
+    fitted, in one batched call, keeping the old line where no refit was
+    found or the refit would not improve the current worst slack (keeps the
+    iterate feasible).
+
+    A hull moved when any of its coordinates differs in its bits, so -0.0
+    against 0.0 or a changed NaN counts. An unmoved hull would get its own
+    line back: the kernel's answer for a pair does not depend on the other
+    pairs, and the keep-or-take rule is idempotent on one hull.
+    """
+    hulls = C[ws.pair_index]
+    moved = (hulls.view(np.uint64) != lines.hulls.view(np.uint64)).any(axis=(1, 2)).nonzero()[0]
+    if not len(moved):
+        return lines
     margin = ws.problem.sep_margin
-    hulls, verts = C[ws.pair_index], ws.pair_verts
-    found, h, d = find_separators(hulls, verts)
-    take = found & (_plane_residual(hulls, verts, h, d, margin)
-                    >= _plane_residual(hulls, verts, lines.h, lines.d, margin))
-    return ws.lines(np.where(take[:, None], h, lines.h), np.where(take, d, lines.d))
+    fit, verts = hulls[moved], ws.pair_verts[moved]
+    found, h, d = find_separators(fit, verts)
+    take = found & (_plane_residual(fit, verts, h, d, margin)
+                    >= _plane_residual(fit, verts, lines.h[moved], lines.d[moved], margin))
+    new_h, new_d = lines.h.copy(), lines.d.copy()
+    new_h[moved[take]], new_d[moved[take]] = h[take], d[take]
+    return ws.lines(new_h, new_d, hulls)
 
 
 def _step_dt(C: np.ndarray, ws: _Workspace) -> float:

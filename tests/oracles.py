@@ -10,7 +10,8 @@ point-by-point obstacle clearance that geometry's one-pass versions
 replaced, the scalar per-pair closest-pair separator that the batched
 library kernel replaced, the brute-force batched separator kernel (every
 chord against every edge) that the screened one replaced, the plane-by-plane cyclic projection
-that trajopt's slot-batched one replaced, the one-iteration-at-a-time RRT
+that trajopt's slot-batched one replaced, the every-pair line refit that
+the moved-hulls-only one replaced, the one-iteration-at-a-time RRT
 loop that the speculative batches replaced and the target-by-target
 resampling that the array one replaced, and the sample-by-sample
 feasibility audit that the batched estimate_bounds replaced, the
@@ -210,9 +211,9 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
 
 def hulls_intersect_oracle(points_a: np.ndarray, points_b: np.ndarray) -> bool:
     """Exhaustive convex-set intersection test: every edge pair of the two
-    hulls plus containment both ways."""
-    a = np.asarray(points_a, dtype=float)
-    b = np.asarray(points_b, dtype=float)
+    hulls plus containment both ways, on Python floats."""
+    a = np.asarray(points_a, dtype=float).tolist()
+    b = np.asarray(points_b, dtype=float).tolist()
 
     def edges(pts):
         n = len(pts)
@@ -507,6 +508,18 @@ def separator_block_oracle(hulls: np.ndarray, verts: np.ndarray):
               & (planar_dot(verts, h[:, None]) < d[:, None]).all(axis=1))
     h[~found], d[~found] = np.nan, np.nan
     return found, h, d
+
+
+def refit_oracle(C: np.ndarray, lines, ws) -> tuple[np.ndarray, np.ndarray]:
+    """trajopt._step_planes refitting every pair, moved or not: one kernel
+    call over all hulls, then the old line kept where no refit was found or
+    it would not improve the worst slack. Returns the lines' (h, d)."""
+    margin = ws.problem.sep_margin
+    hulls, verts = C[ws.pair_index], ws.pair_verts
+    found, h, d = geometry.find_separators(hulls, verts)
+    take = found & (trajopt._plane_residual(hulls, verts, h, d, margin)
+                    >= trajopt._plane_residual(hulls, verts, lines.h, lines.d, margin))
+    return np.where(take[:, None], h, lines.h), np.where(take, d, lines.d)
 
 
 def project_oracle(C: np.ndarray, dt: float, lines, ws) -> float:

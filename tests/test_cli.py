@@ -143,6 +143,17 @@ class TestAudit:
         assert data["discrepancies"]
         assert data["violations"]["d"] == 0
 
+    def test_empty_summary_fails(self, tmp_path, scenario_file):
+        # A summary.json of {} is a summary without counts, not a missing summary.
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", scenario_file, "--out-dir", str(out)]) == 0
+        (out / "summary.json").write_text("{}")
+        rc = main(["audit", "--scenario", scenario_file, "--out-dir", str(out),
+                   "--log", str(out / "episode.csv")])
+        assert rc == 1
+        data = json.loads((out / "audit.json").read_text())
+        assert not data["summary_matches"] and data["discrepancies"]
+
     def test_funnel_violation_fails(self, tmp_path, scenario_file):
         out = tmp_path / "out"
         assert main(["run", "--scenario", scenario_file, "--out-dir", str(out)]) == 0
@@ -245,6 +256,12 @@ class TestTypedErrors:
             real_solve(problem), status="unverified"))
         self._main_fails_with("UnverifiedTrajectory",
                               ["traj", "--scenario", scenario_file, "--out-dir", str(tmp_path)],
+                              capsys)
+
+    def test_scenario_path_is_a_directory(self, tmp_path, capsys):
+        # It ended in an IsADirectoryError traceback (exit 1, the code of a finding).
+        self._main_fails_with("InvalidScenario",
+                              ["plan", "--scenario", str(tmp_path), "--out-dir", str(tmp_path / "out")],
                               capsys)
 
     def test_plan_timeout(self, tmp_path, scenario_file, monkeypatch, capsys):

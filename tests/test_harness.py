@@ -523,6 +523,21 @@ class TestAudit:
         assert not report.summary_matches
         assert any("channel d" in d for d in report.discrepancies)
 
+    def test_empty_summary_disagrees(self, benign_log):
+        # {} lacks every count; only a log without a summary (None) skips the cross-check.
+        log = EpisodeLog(columns=benign_log.columns, summary={})
+        report = audit(log, load_scenario("benign"))
+        assert not report.summary_matches
+        assert len(report.discrepancies) == len(harness.CHANNELS) + 1  # and the thrust-cut count
+
+    def test_loaded_log_has_no_summary(self, benign_log, tmp_path):
+        path = tmp_path / "episode.csv"
+        benign_log.save_csv(path)
+        log = EpisodeLog.load_csv(path)
+        assert log.summary is None
+        report = audit(log, load_scenario("benign"))
+        assert report.summary_matches and report.discrepancies == []
+
     def test_audit_recomputes_independently(self, benign_log):
         # corrupting a controller-written column must not change the audit
         sc = load_scenario("benign")

@@ -60,6 +60,10 @@ class TestSerialization:
         write_json(path, load_scenario("benign").to_dict())
         assert load_scenario(str(path)).name == "benign"
 
+    def test_directory_is_invalid_scenario(self, tmp_path):
+        with pytest.raises(InvalidScenario, match="directory"):
+            load_scenario(str(tmp_path))
+
     def test_with_seed_changes_disturbance(self):
         sc = load_scenario("long-run")
         other = sc.with_seed(99)
@@ -110,6 +114,22 @@ class TestWithSeed:
             sc.with_seed(seed)
         assert sc.to_dict() == before
         assert sc.disturbance is disturbance and sc.planner is planner
+
+    def test_seeded_copies_share_the_planner_workspace(self):
+        sc = load_scenario("long-run")
+        planner_ws = sc.planner_workspace()
+        assert sc.with_seed(3).planner_workspace() is sc.with_seed(4).planner_workspace() is planner_ws
+        assert planner_ws.clearance == sc.workspace.clearance * (1.0 + sc.planner_margin_frac)
+        assert sc.with_seed(3).planner_workspace().edges() is planner_ws.edges()
+        # A replaced workspace section, or another margin, gets its own.
+        wider = dataclasses.replace(sc, workspace=dataclasses.replace(sc.workspace, clearance=5.0))
+        assert wider.planner_workspace() is not planner_ws
+        assert wider.planner_workspace().clearance == 5.0 * (1.0 + sc.planner_margin_frac)
+        assert wider.planner_workspace().edges() is not planner_ws.edges()
+        margin = dataclasses.replace(sc, planner_margin_frac=0.5)
+        assert margin.planner_workspace() is not planner_ws
+        assert margin.planner_workspace().clearance == sc.workspace.clearance * 1.5
+        assert sc.planner_workspace() is planner_ws
 
     def test_negative_seed(self):
         with pytest.raises(InvalidScenario, match="-1"):

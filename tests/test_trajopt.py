@@ -24,11 +24,13 @@ from funnelnav.trajopt import (
     _feasible_dt_floor,
     _project,
     _step_dt,
+    _step_planes,
     build,
     solve,
     validate,
 )
-from oracles import dense_kinodynamic_oracle, project_oracle, separation_report_oracle, strictly_separates
+from oracles import (dense_kinodynamic_oracle, project_oracle, refit_oracle, separation_report_oracle,
+                     strictly_separates)
 
 
 def straight_path(n=6, spacing=5.0):
@@ -49,11 +51,13 @@ def free_problem(path, **overrides):
 
 
 def lines_of(planes: dict, ws):
-    """A dict {(segment, obstacle): (h, d)} as trajopt._Lines, in the dict's order."""
+    """A dict {(segment, obstacle): (h, d)} as trajopt._Lines, in the dict's order,
+    fitted to NaN hulls (a refit would take every hull as moved)."""
     seg = np.array([i for i, _ in planes], dtype=int)
     h = np.array([h for h, _ in planes.values()], dtype=float).reshape(-1, 2)
     d = np.array([d for _, d in planes.values()], dtype=float)
-    return _Lines.of(seg, h, d, ws.problem.sep_margin, _Lines.order(seg, ws.free))
+    hulls = np.full((len(seg), 4, 2), np.nan)
+    return _Lines.of(seg, h, d, hulls, ws.problem.sep_margin, _Lines.order(seg, ws.free))
 
 
 class TestProblemValidation:
@@ -412,6 +416,129 @@ class TestGoldenTrajectories:
         assert solution.status == "max_iters" and solution.n_outer == max_outer
         assert self._digest(solution) == digest
         assert self._artifact(solution) == self._ARTIFACTS[max_outer]
+
+
+class TestMovedHullRefit:
+    """_step_planes sends the kernel only the pairs whose hull bits moved since
+    their lines were fitted, and returns the every-pair refit's lines
+    (oracles.refit_oracle)."""
+
+    # sha256 of json.dumps(solution.to_dict(), sort_keys=True), recorded while
+    # every refit still sent every pair to the kernel: plan_and_solve on
+    # long-run, and the no-prior solve of trajectory-demo capped at 8 outer
+    # iterations, each with_seed(seed). Recorded with numpy 2.4.6 on x86-64.
+    _LONG_RUN = {
+        1: "147f8a6bc1ba6c5db7400484a00197c84fd2c4414e524c62ee261048c86b864c",
+        2: "c8f446039324ec14af2349982b942b22a3931172df2199a745e7698731d70305",
+        3: "434d5c67a13c62b6b1cabf92aad1390cfaf6c38eed08779d7828e145f28fc22b",
+        4: "282a1b6974760b57120efde6576ecfe35b0019c1e672ab7f3b83b4b9d7952b31",
+        5: "69dfbe27fed4ed190eacc19338e8b2d4152d407d88779a3c038fb4b389b8a715",
+        6: "043dd3a1b365db00218214038f395be5739a6781697028668edcc2098cdde23f",
+    }
+    _LINE_INIT = {
+        1: "b41de3f2f8b74ad63f6596046984558bfa4a9cb8a74685fdc746a3e7a7be0452",
+        2: "2236629ec633bfe4b4b909b86e6802e460d9041b3519a0a7aabce66a590bba04",
+        3: "72732d359064756a693fcd3afb0afc4ae2420bc59a167443d87345f89bb8fdb8",
+        4: "c7dd399922f0e4f863a101f414f811165f1bf466c10215d7f1fb1e39722cde3c",
+        5: "e601c5619259dd788d5a2294b7595102aa32a1c50af55f4b0f555518c799318d",
+        6: "75dc094cd67eefdd62c9eeb054d3587f10617bae49091ce15a0274fea513ac90",
+    }
+
+    @staticmethod
+    def _digest(solution):
+        return hashlib.sha256(json.dumps(solution.to_dict(), sort_keys=True).encode()).hexdigest()
+
+    @staticmethod
+    def _line_init(seed):
+        scenario = load_scenario("trajectory-demo").with_seed(seed)
+        path = rrt.plan(scenario.planner_workspace(), scenario.start.position,
+                        scenario.goal, scenario.planner)
+        problem = harness.make_problem(scenario, path, w1=0.0, init="line")
+        problem.max_outer = 8
+        return problem
+
+    @pytest.mark.parametrize("seed", sorted(_LONG_RUN))
+    def test_seeded_long_run_pins(self, seed):
+        _, solution = harness.plan_and_solve(load_scenario("long-run").with_seed(seed))
+        assert self._digest(solution) == self._LONG_RUN[seed]
+
+    @pytest.mark.parametrize("seed", sorted(_LINE_INIT))
+    def test_line_init_pins(self, seed):
+        assert self._digest(solve(self._line_init(seed))) == self._LINE_INIT[seed]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Per refit, (first after build, pairs moved, pairs), asserting that the
+        kernel got exactly the moved pairs and the lines are the oracle's."""
+        real_build, real_step, real_kernel = trajopt.build, trajopt._step_planes, trajopt.find_separators
+        kernel_calls, refits, fitted = [], [], {}
+
+        def kernel(hulls, verts):
+            kernel_calls.append((hulls.copy(), verts.copy()))
+            return real_kernel(hulls, verts)
+
+        def spied_build(ws):
+            C, dt, lines = real_build(ws)
+            fitted.update(hulls=C[ws.pair_index], first=True)
+            return C, dt, lines
+
+        def spied_step(C, lines, ws):
+            hulls = C[ws.pair_index]
+            moved = np.array([a.tobytes() != b.tobytes() for a, b in zip(hulls, fitted["hulls"])], dtype=bool)
+            want_h, want_d = refit_oracle(C, lines, ws)
+            n = len(kernel_calls)
+            new = real_step(C, lines, ws)
+            calls = kernel_calls[n:]
+            if moved.any():
+                assert len(calls) == 1
+                assert calls[0][0].tobytes() == hulls[moved].tobytes()
+                assert calls[0][1].tobytes() == ws.pair_verts[moved].tobytes()
+            else:
+                assert calls == [] and new is lines
+            assert new.h.tobytes() == want_h.tobytes() and new.d.tobytes() == want_d.tobytes()
+            assert new.hulls.tobytes() == hulls.tobytes()
+            refits.append((fitted["first"], int(moved.sum()), len(moved)))
+            fitted.update(hulls=hulls, first=False)
+            return new
+
+        monkeypatch.setattr(trajopt, "find_separators", kernel)
+        monkeypatch.setattr(trajopt, "build", spied_build)
+        monkeypatch.setattr(trajopt, "_step_planes", spied_step)
+        return refits
+
+    def test_kernel_sees_only_moved_pairs(self, monkeypatch):
+        refits = self._spy(monkeypatch)
+        _, solution = harness.plan_and_solve(load_scenario("long-run").with_seed(4))
+        assert self._digest(solution) == self._LONG_RUN[4]
+        # build's lines are feasible, so the projection after it moves no hull.
+        assert [moved for first, moved, _ in refits if first] == [0]
+        assert any(0 < moved for first, moved, _ in refits if not first)
+
+    def test_line_init_refits_part_of_the_pairs(self, monkeypatch):
+        refits = self._spy(monkeypatch)
+        assert self._digest(solve(self._line_init(1))) == self._LINE_INIT[1]
+        assert len(refits) == 8 and any(0 < moved < pairs for _, moved, pairs in refits)
+
+    def test_negative_zero_counts_as_moved(self, monkeypatch):
+        blocker = ConvexPolygon(np.array([[8.0, 3.0], [12.0, 3.0], [12.0, 6.0], [8.0, 6.0]]))
+        ws = _Workspace(free_problem(straight_path(n=6), obstacles=[blocker]))
+        C, _, lines = build(ws)
+        assert lines.hulls.tobytes() == C[ws.pair_index].tobytes()
+        calls = []
+        real = trajopt.find_separators
+        monkeypatch.setattr(trajopt, "find_separators",
+                            lambda hulls, verts: calls.append(hulls) or real(hulls, verts))
+        assert _step_planes(C, lines, ws) is lines and calls == []
+        k = 4
+        assert ws.free[k] and C[k, 1] == 0.0 and not np.signbit(C[k, 1])
+        C[k, 1] = -0.0
+        new = _step_planes(C, lines, ws)
+        touched = (ws.pair_index == k).any(axis=1)
+        assert touched.sum() == 4
+        assert len(calls) == 1 and calls[0].tobytes() == C[ws.pair_index][touched].tobytes()
+        assert new.hulls.tobytes() == C[ws.pair_index].tobytes()
+        want_h, want_d = refit_oracle(C, lines, ws)
+        assert new.h.tobytes() == want_h.tobytes() and new.d.tobytes() == want_d.tobytes()
 
 
 class TestValidate:
