@@ -357,9 +357,6 @@ class DisturbanceBatch:
         by at most 2.2e-14 of an axis' |bias| + |sin_amp| + |noise_amp| (the tests bound
         it at 1e-11). A column depends on its profile alone, bit for bit. A quiet batch
         (_quiet) is its bias broadcast, with no sine or cosine.
-
-        These are not the RK4's state times, which are accumulated sums t + dt + dt + ...
-        (harness._horizon) a few ulps away from t0 + k * h.
         """
         bias, sin_amp, noise_amp, omega, phase = self._terms
         wrench = _quiet(bias, sin_amp, noise_amp, (n, *bias.shape))

@@ -115,8 +115,8 @@ def _initial_reference_point(scenario: Scenario, trajectory: SplineTrajectory | 
 def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: float):
     """Central differences of (u_des, r_des) along 2-step closed-loop rollouts, all at once.
 
-    One draws row per sample. The cascade runs at t0 + k _DT_FD, the RK4
-    disturbance at each sample's accumulated state time. Returns both bound
+    One draws row per sample. The cascade runs at t0 + k _DT_FD, and the RK4
+    reads the disturbance there and at the half steps between. Returns both bound
     values per sample with the columns of their achieving-sample records,
     and the (3, B) thrusts and sway speeds seen along the rollouts.
     """
@@ -139,10 +139,9 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
     x = np.array((px, py, psi, u, v, r))
     p = np.array((px + e_d * np.cos(psi - psi_e), py + e_d * np.sin(psi - psi_e)))
     v_ref = ref_speed * np.array((np.cos(ref_dir), np.sin(ref_dir)))
-    # The disturbance at the accumulated state times and the half steps between them.
-    t_state = (t0, t0 + _DT_FD, t0 + _DT_FD + _DT_FD)
-    tau = [scenario.disturbance.value(t) for t in t_state]
-    tau_half = [scenario.disturbance.value(t + 0.5 * _DT_FD) for t in t_state[:2]]
+    # The disturbance at t0 + k h: the cascade's times for even k, the half steps for odd.
+    h = 0.5 * _DT_FD
+    tau = [scenario.disturbance.value(t0 + k * h) for k in range(5)]
     f_u, _f_v, f_r = lumped(u, v, r, tau[0], vessel)
 
     refs = []
@@ -158,7 +157,7 @@ def _rollout_pass(scenario: Scenario, draws: np.ndarray, u_cap: float, r_cap: fl
         thrusts[k] = F_T
         sways[k] = np.abs(x[4])
         if k < 2:
-            x = step(x, F_T, alpha_r, vessel, tau[k], tau_half[k], tau[k + 1], _DT_FD)
+            x = step(x, F_T, alpha_r, vessel, *tau[2 * k:2 * k + 3], _DT_FD)
             p = p + v_ref * _DT_FD
     du_des = (refs[2][0] - refs[0][0]) / (2.0 * _DT_FD)
     dr_des = (refs[2][1] - refs[0][1]) / (2.0 * _DT_FD)

@@ -183,26 +183,16 @@ def _min_clearances(scenario: Scenario, positions: list[np.ndarray]) -> list[flo
     return out
 
 
-def _horizon(scenario: Scenario) -> tuple[float, int, list[float]]:
-    """The step, the tick count, and the state times as the RK4 steps them: t + dt each."""
-    dt, n_max = scenario.sim_dt, int(round(scenario.horizon / scenario.sim_dt))
-    return dt, n_max, list(itertools.accumulate(itertools.repeat(dt, n_max), initial=scenario.start.t))
-
-
-def _table_inputs(cfg: ControllerConfig, traj: SplineTrajectory, lead: float, dt: float,
-                  i: int, n_max: int):
-    """What does not depend on the state in ticks i, i + 1, ... < n_max of a table: times,
-    spline times, reference points and radii (floats)."""
+def _table_inputs(cfg: ControllerConfig, traj: SplineTrajectory, lead: float,
+                  dist: DisturbanceBatch, dt: float, i: int, n_max: int):
+    """What does not depend on the state in ticks i, i + 1, ... < n_max of a table, all on
+    the episode clock k * dt: times, spline times, reference points, radii (floats), and the
+    wrenches of dist's (ticks + 1, 3, B) state rows at k * dt and (ticks, 3, B) half-step
+    rows between them, the even and odd rows of one grid anchored at i * dt."""
     t = np.arange(i, min(i + _TABLE_TICKS, n_max)) * dt
     s_ref = np.minimum(t + lead, traj.duration)
-    return t, s_ref, traj.eval(s_ref), funnel_radii(cfg, t).T.tolist()
-
-
-def _tick_wrenches(dist: DisturbanceBatch, t0: float, dt: float, ticks: int):
-    """The (ticks + 1, 3, B) wrenches at the state times t0 + k * dt and the (ticks, 3, B)
-    at the half steps between them: the even and odd rows of one grid."""
-    grid = dist.grid(t0, 0.5 * dt, 2 * ticks + 1)
-    return grid[::2], grid[1::2]
+    grid = dist.grid(i * dt, 0.5 * dt, 2 * len(t) + 1)
+    return t, s_ref, traj.eval(s_ref), funnel_radii(cfg, t).T.tolist(), grid[::2], grid[1::2]
 
 
 def _reduce_ticks(rec: np.ndarray, scenario: Scenario, cfg: ControllerConfig):
@@ -256,8 +246,12 @@ def _episode_summary(scenario: Scenario, lead: float, n_ticks: int, min_clear: f
 def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
               lead: float, disturbance) -> EpisodeLog:
     """The tick loop proper: control against the sampled reference, integrate, log. The
-    cascade clamps: a normalized error that left its funnel is pulled back and logged."""
-    dt, n_max, t_state = _horizon(scenario)
+    cascade clamps: a normalized error that left its funnel is pulled back and logged.
+
+    One clock from 0: tick k reads every input at k * dt, its logged t, and its RK4 step
+    the disturbance also at (k + 1/2) * dt and (k + 1) * dt; tau_* is the wrench the step
+    read at t, and an arrival after tick k is at (k + 1) * dt."""
+    dt, n_max = scenario.sim_dt, scenario.n_ticks
     goal_x, goal_y = scenario.goal
     x = operator.attrgetter(*_STATE_COLUMNS)(scenario.start)
     dist = DisturbanceBatch([disturbance])
@@ -266,10 +260,9 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
     for i in range(n_max):
         j = i % _TABLE_TICKS
         if j == 0:
-            t_log, s_ref, ref_p, radii = _table_inputs(cfg, traj, lead, dt, i, n_max)
-            tau_log = disturbance.value(t_log).T.tolist()  # the formula at the logged times
-            tau_state, tau_half = (tau[..., 0].tolist()
-                                   for tau in _tick_wrenches(dist, t_state[i], dt, len(t_log)))
+            t_log, s_ref, ref_p, radii, tau_state, tau_half = _table_inputs(
+                cfg, traj, lead, dist, dt, i, n_max)
+            tau_state, tau_half = tau_state[..., 0].tolist(), tau_half[..., 0].tolist()
             t_log, ref_p, ref_v = t_log.tolist(), ref_p.tolist(), traj.eval_derivatives(s_ref)[0].tolist()
         p_des, rho = ref_p[j], radii[j]
         try:  # the _ERROR_COLUMNS
@@ -283,11 +276,11 @@ def run_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajectory,
         u_alpha, u_F = signals[-2:]
         rows.append((t_log[j], *x, *p_des, *ref_v[j], *errors, *rho, *xi, *eps, *signals,
                      F_T, alpha_r, 1.0 if (u_F < 0.0 or u_F > cfg.F_T_max) else 0.0,
-                     1.0 if abs(u_alpha) > cfg.alpha_r_max else 0.0, *tau_log[j]))
+                     1.0 if abs(u_alpha) > cfg.alpha_r_max else 0.0, *tau_state[j]))
         x = step(x, F_T, alpha_r, scenario.vessel, tau_state[j], tau_half[j], tau_state[j + 1], dt)
         if (math.hypot(x[0] - goal_x, x[1] - goal_y) <= scenario.goal_radius
                 and math.hypot(x[3], x[4]) <= scenario.goal_speed_threshold):
-            goal_time = t_state[i + 1]
+            goal_time = (i + 1) * dt
             break
 
     # A row holds every column but the violation flags, which come last.
@@ -316,7 +309,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
     or on reaching the goal (after its step). No log is kept: the tick record is
     reduced by table, before an episode leaves and at the end.
     """
-    dt, n_max, t_state = _horizon(scenario)
+    dt, n_max = scenario.sim_dt, scenario.n_ticks
     # 0-d arrays: numpy is faster on arrays than on floats.
     goal_x, goal_y, goal_radius, speed_bound, eps_degenerate = map(np.array, (
         *scenario.goal, scenario.goal_radius, scenario.goal_speed_threshold, EPS_DEGENERATE))
@@ -367,8 +360,8 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
         j = i % _TABLE_TICKS
         if j == 0:
             flush(i)
-            t, _s_ref, ref_p, radii = _table_inputs(cfg, traj, lead, dt, i, n_max)
-            tau_state, tau_half = _tick_wrenches(dist, t_state[i], dt, len(t))  # of the running episodes
+            _t, _s_ref, ref_p, radii, tau_state, tau_half = _table_inputs(
+                cfg, traj, lead, dist, dt, i, n_max)  # dist: the running episodes
         p_des = ref_p[j]
         _e_x, _e_y, e_d, e_o, psi_e = compute_errors(x[0], x[1], x[2], p_des[0], p_des[1])
         degenerate = e_d < eps_degenerate
@@ -390,7 +383,7 @@ def _sweep_ticks(scenario: Scenario, cfg: ControllerConfig, traj: SplineTrajecto
         arrived = np.hypot(x[0] - goal_x, x[1] - goal_y) <= goal_radius
         if np.count_nonzero(arrived) and np.count_nonzero(
                 arrived := arrived & (np.hypot(x[3], x[4]) <= speed_bound)):
-            leave(arrived, i + 1, goal_time, t_state[i + 1])
+            leave(arrived, i + 1, goal_time, (i + 1) * dt)
     flush(n_max)  # the episodes that ran to the horizon, if any
 
     min_clear = _min_clearances(scenario, [positions[:ticks[k], :, k] for k in range(n)])

@@ -125,7 +125,7 @@ class Scenario:
     def __post_init__(self):
         if self.sim_dt <= 0.0 or self.horizon <= 0.0:
             raise ValueError("sim_dt and horizon must be positive")
-        if round(self.horizon / self.sim_dt) == 0:
+        if self.n_ticks == 0:
             raise ValueError(f"sim_dt {self.sim_dt} leaves the horizon {self.horizon} no tick")
         if self.goal_radius <= 0.0:
             raise ValueError("goal radius must be positive")
@@ -137,6 +137,11 @@ class Scenario:
             value = getattr(self, name)
             if _is_number(value) and value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+
+    @property
+    def n_ticks(self) -> int:
+        """The ticks of an episode's horizon: tick k runs at k * sim_dt."""
+        return round(self.horizon / self.sim_dt)
 
     def validate(self) -> None:
         """Scenario-level invariants beyond per-field checks; InvalidScenario if one fails."""

@@ -536,6 +536,8 @@ def solve(problem: TrajOptProblem) -> TrajOptSolution:
             break
 
     residual = _project(C, dt, lines, ws)
+    if not np.isfinite(C).all():  # a NaN passes _project's comparisons: it has no residual
+        residual = math.nan
     traj = SplineTrajectory(C, dt)
     max_v, max_a = _dense_kinodynamic_check(traj)
     sep_ok = bool(np.all(_plane_residual(C[ws.pair_index], ws.pair_verts, lines.h, lines.d, 0.0) > 0.0))

@@ -241,28 +241,38 @@ def _norm(u) -> float:
     return math.sqrt(_dot(u, u))
 
 
+def _sub(u, v) -> tuple[float, float]:
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def _along(p, s, d) -> tuple[float, float]:
+    """The point p + s * d."""
+    return (p[0] + s * d[0], p[1] + s * d[1])
+
+
 def seg_seg_closest(p1, p2, q1, q2):
-    """Closest points between segments [p1,p2] and [q1,q2] (degenerate-safe).
+    """Closest points between segments [p1,p2] and [q1,q2] (degenerate-safe), on
+    (x, y) pairs of Python floats.
 
     Returns (distance, point_on_p, point_on_q).
     """
-    d1 = p2 - p1
-    d2 = q2 - q1
-    r = p1 - q1
+    d1 = _sub(p2, p1)
+    d2 = _sub(q2, q1)
+    r = _sub(p1, q1)
     a = _dot(d1, d1)
     e = _dot(d2, d2)
     f = _dot(d2, r)
     if a <= 1e-30 and e <= 1e-30:
-        return _norm(p1 - q1), p1, q1
+        return _norm(r), p1, q1
     if a <= 1e-30:
         t = min(max(f / e, 0.0), 1.0)
-        cq = q1 + t * d2
-        return _norm(p1 - cq), p1, cq
+        cq = _along(q1, t, d2)
+        return _norm(_sub(p1, cq)), p1, cq
     c = _dot(d1, r)
     if e <= 1e-30:
         s = min(max(-c / a, 0.0), 1.0)
-        cp = p1 + s * d1
-        return _norm(cp - q1), cp, q1
+        cp = _along(p1, s, d1)
+        return _norm(_sub(cp, q1)), cp, q1
     b = _dot(d1, d2)
     denom = a * e - b * b
     s = min(max((b * f - c * e) / denom, 0.0), 1.0) if denom > 1e-30 else 0.0
@@ -273,12 +283,12 @@ def seg_seg_closest(p1, p2, q1, q2):
     elif t > 1.0:
         t = 1.0
         s = min(max((b - c) / a, 0.0), 1.0)
-    cp = p1 + s * d1
-    cq = q1 + t * d2
-    return _norm(cp - cq), cp, cq
+    cp = _along(p1, s, d1)
+    cq = _along(q1, t, d2)
+    return _norm(_sub(cp, cq)), cp, cq
 
 
-def _hull_edges(hull: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _hull_edges(hull) -> list[tuple]:
     """Edge list of a hull that may degenerate to a point or a segment."""
     n = len(hull)
     if n == 1:
@@ -288,7 +298,7 @@ def _hull_edges(hull: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(hull[i], hull[(i + 1) % n]) for i in range(n)]
 
 
-def _point_in_ccw_hull(p, hull: np.ndarray) -> bool:
+def _point_in_ccw_hull(p, hull) -> bool:
     n = len(hull)
     if n < 3:
         return False
@@ -307,12 +317,13 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
 def closest_between_hulls(points_a: np.ndarray, points_b: np.ndarray):
     """Closest pair between the convex hulls of two point sets, one edge pair
     at a time. Returns (distance, point_on_a, point_on_b); distance 0.0 means
-    the hulls intersect (containment and tangency included)."""
-    ha = convex_hull(points_a)
-    hb = convex_hull(points_b)
+    the hulls intersect (containment and tangency included). The points are
+    (x, y) pairs of Python floats: each hull is converted once."""
+    ha = list(map(tuple, convex_hull(points_a).tolist()))
+    hb = list(map(tuple, convex_hull(points_b).tolist()))
     if _point_in_ccw_hull(ha[0], hb) or _point_in_ccw_hull(hb[0], ha):
         return 0.0, ha[0], ha[0]
-    scale = max(1.0, float(np.max(np.abs(ha))), float(np.max(np.abs(hb))))
+    scale = max(1.0, *(abs(c) for p in ha + hb for c in p))
     best = (math.inf, None, None)
     for ea in _hull_edges(ha):
         for eb in _hull_edges(hb):
@@ -468,8 +479,8 @@ def separator_oracle(hull_points: np.ndarray, poly_vertices: np.ndarray):
     dist, cp, cq = closest_between_hulls(np.asarray(hull_points, dtype=float), poly_vertices)
     if dist <= 0.0:
         return None
-    h = (cp - cq) / dist
-    return h, _dot(h, cp + cq) / 2.0
+    h = ((cp[0] - cq[0]) / dist, (cp[1] - cq[1]) / dist)
+    return h, _dot(h, (cp[0] + cq[0], cp[1] + cq[1])) / 2.0
 
 
 def separator_block_oracle(hulls: np.ndarray, verts: np.ndarray):

@@ -19,7 +19,7 @@ from funnelnav.dynamics import (
     wrap_angle,
 )
 from funnelnav.errors import NonFiniteState
-from funnelnav.harness import _TABLE_TICKS, _horizon
+from funnelnav.harness import _TABLE_TICKS
 from funnelnav.scenario import load_scenario
 from oracles import (disturbance_bounds, disturbance_oracle, step_floats_oracle, step_rows_oracle,
                      step_state, table_oracle, wrench_oracle)
@@ -316,7 +316,7 @@ class TestOneFormula:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_times_array_matches_float_calls(self, seed):
-        # t = 0, random times and state times accumulated as the RK4 steps them.
+        # t = 0, random times and the running sums of a step dt.
         rng = np.random.default_rng(seed)
         dist = random_profile(rng)
         dt = float(rng.uniform(0.01, 0.1))
@@ -428,22 +428,23 @@ class TestGridTable:
         assert np.array_equal(self._bits(batch[keep].grid(t0, h, n)), self._bits(grid[..., keep]))
 
     def test_deviation_from_formula_over_long_run(self):
-        # Every table of a long-run sweep episode: the first and the last point of each and
-        # all between, against the formula at the same times t0 + k * h.
+        # Every table of a long-run sweep episode, anchored at its first tick's time i * dt:
+        # the first and the last point of each and all between, against the formula at the
+        # same times i * dt + k * h.
         sc = load_scenario("long-run")
         profiles = [sc.disturbance.reseeded(k) for k in range(8)]
         scale = np.array([[abs(ax.bias) + abs(ax.sin_amp) + abs(ax.noise_amp)]
                           for ax in sc.disturbance.axes])
         batch = DisturbanceBatch(profiles)
-        dt, n_max, t_state = _horizon(sc)
+        dt, n_max = sc.sim_dt, sc.n_ticks
         h, worst = 0.5 * dt, 0.0
         for i in range(0, n_max, _TABLE_TICKS):
             n = 2 * min(_TABLE_TICKS, n_max - i) + 1
-            grid = batch.grid(t_state[i], h, n)
-            formula = table_oracle(batch, t_state[i] + h * np.arange(n))
+            grid = batch.grid(i * dt, h, n)
+            formula = table_oracle(batch, i * dt + h * np.arange(n))
             assert np.array_equal(grid[0], formula[0])
             worst = max(worst, float((np.abs(grid - formula) / scale).max()))
-        assert t_state[-1] == pytest.approx(sc.horizon) and 0.0 < worst <= 1e-11
+        assert n_max * dt == pytest.approx(sc.horizon) and 0.0 < worst <= 1e-11
 
     def test_quiet_grid_is_its_bias_without_trig(self, monkeypatch):
         quiet = TestQuietDisturbance.QUIET

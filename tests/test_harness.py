@@ -131,13 +131,37 @@ class TestRunEpisode:
                 assert loaded.columns[name].shape == (n,)
                 assert np.array_equal(loaded.columns[name], log.columns[name])
 
-    def test_logged_disturbance_at_log_times(self, long_run_log):
+    def test_logged_disturbance_at_log_times(self, monkeypatch):
+        # tau_* is the tau0 each tick's RK4 step read, bit for bit; the first row of each
+        # table is the formula at that tick's time i * dt, the anchor of the table's grid.
         sc = load_scenario("long-run")
-        n = long_run_log.n_ticks
-        assert long_run_log.summary["goal_reached"] and n > 2000
-        tau = np.array([sc.disturbance.value(i * sc.sim_dt) for i in range(n)]).T
-        for k, name in enumerate(("tau_x", "tau_y", "tau_psi")):
-            assert np.array_equal(long_run_log.columns[name], tau[k])
+        read, real_step = [], harness.step
+
+        def spy(x, F_T, alpha_r, params, tau0, *rest):
+            read.append(tau0)
+            return real_step(x, F_T, alpha_r, params, tau0, *rest)
+
+        monkeypatch.setattr(harness, "step", spy)
+        log = run_episode(sc)
+        n = log.n_ticks
+        assert log.summary["goal_reached"] and n > 2000 and len(read) == n
+        logged = np.array([log.columns[name] for name in ("tau_x", "tau_y", "tau_psi")]).T
+        assert np.array_equal(logged.view(np.uint64), np.array(read).view(np.uint64))
+        for i in range(0, n, _TABLE_TICKS):
+            assert np.array_equal(logged[i].view(np.uint64),
+                                  np.array(sc.disturbance.value(i * sc.sim_dt)).view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["benign", "long-run"])
+    def test_one_clock(self, name, request):
+        # Tick k runs at k * dt: the log's t column, and every arrival of run and sweep,
+        # seeded or not, is at ticks * dt rather than at a sum of steps.
+        sc = load_scenario(name)
+        log = request.getfixturevalue(f"{name.replace('-', '_')}_log")
+        assert np.array_equal(log.columns["t"], np.arange(log.n_ticks) * sc.sim_dt)
+        summaries = [log.summary, *sweep(sc, 4).episodes, *sweep(sc.with_seed(3), 4).episodes]
+        reached = [s for s in summaries if s["goal_reached"]]
+        assert len(reached) == len(summaries)
+        assert all(s["goal_time"] == s["ticks"] * s["dt"] for s in reached)
 
     def test_deterministic_byte_identical(self, tmp_path):
         sc = load_scenario("benign")
@@ -271,7 +295,7 @@ class TestLockstepSweep:
         # and one episode arrives inside it
         sc = self._disturbed_benign()
         sc.horizon = 45.0
-        n_max = int(round(sc.horizon / sc.sim_dt))
+        n_max = sc.n_ticks
         last_table = n_max - n_max % _TABLE_TICKS
         assert n_max % _TABLE_TICKS != 0
         batch = _assert_lockstep_matches_scalar(sc, 6)
@@ -382,35 +406,38 @@ class TestGoldenPins:
     """sha256 digests of sweep episodes and of a run log, taken before the tick loops
     sampled their funnel radii by table, stacked the channel pairs and reordered the
     batched RK4: each of those changes keeps every float. The disturbed digests were
-    taken anew when the tick loops' wrenches came from DisturbanceBatch.grid. The digests
-    hold for this numpy and libm; another platform may round a sine differently."""
+    taken anew when the tick loops' wrenches came from DisturbanceBatch.grid, and again
+    when every tick input moved to the one clock k * dt (the grid anchored at each table's
+    i * dt, goal_time at ticks * dt). The digests hold for this numpy and libm; another
+    platform may round a sine differently."""
 
     def test_long_run_sweep(self):
         assert _digest(sweep(load_scenario("long-run"), 8).episodes) == (
-            "20c67a703b55a56b64225c97978bf933c2f83581749f10165a699e04d9fad909")
+            "8c35d01807265cfb19e2d1cb86ff4b165c6e5ca0d57ada3475ef3b51f625c7ca")
 
     def test_coriolis_sweep(self):
         sc = TestLockstepSweep._disturbed_benign()
         sc.vessel = VesselParams(coriolis_on=True)
         assert _digest(sweep(sc, 6).episodes) == (
-            "4aaace882af7d778961f4630eee4fe561673271b7aaf3b37715ef82bb432ca77")
+            "1d468dbbdbfaa767e1fd1b20868152a353bd04016e97a4618ec805a342d9f18d")
 
     def test_decaying_funnels_sweep_and_run(self, tmp_path):
         sc = TestLockstepSweep._decaying_benign()
         assert _digest(sweep(sc, 6).episodes) == (
-            "800f606eea8a885395c37ab2ab36f3df7e6937b7774e014c824a258024b52fff")
+            "d5c66096b77a4ee5b1afd409996f2358751346dfb532e9a2df283b55c04dccb7")
         run_episode(sc).save_csv(tmp_path / "episode.csv")
         assert _digest((tmp_path / "episode.csv").read_bytes()) == (
-            "57ae129a1645aea10dc2f65d9420ddd5574f6379edde6013420892ddb57b3a60")
+            "b0c07ea807234594d04cb282a779d55a6586a43866574ef30c251ea1e7d8f2e1")
 
     # Every file `run` writes, pinned before the CSV writer formatted by column, the float
     # RK4 step lost its stage closures and the tick rows were built from Python floats;
     # long-run's again for the grid wrenches (its trajectory.json kept its digest). Both
-    # trajectory.json digests again when run wrote the whole solution, as traj does.
+    # trajectory.json digests again when run wrote the whole solution, as traj does. Both
+    # summary.json digests (goal_time) and long-run's logs again for the one clock k * dt.
     RUN_FILES = {
         "benign": {
             "episode.csv": "e81b905888b57733269fe40c128157ffaab2399b8054d651eec7fef7e93b4e0a",
-            "summary.json": "4714dda5a66ccaa9cc2f6cc3500f0c2c6fa406dbd91dc6ffaf83653996a63d50",
+            "summary.json": "c0060d041f2e3a21677a68d2c1c78f8b48956c3c0214b245e4ef2f6f666a2cc8",
             "trajectory.json": "7e1405b6a5704a5c28477ad5507584974668c26072cd52e11b8c3afbeef36e7a",
             "plotdata/errors_vs_funnels.csv":
                 "f0f40c884949786870033feb89388aba50fcef98bcf5adc5767c360302037106",
@@ -419,14 +446,14 @@ class TestGoldenPins:
             "plotdata/inputs.csv": "5beb9f22a38a5606186dcab108d742b78af7d188fbe02b869dff9d8d1b838e5d",
         },
         "long-run": {
-            "episode.csv": "ebafacf4e54520aca2517afe23c33ee36a9180e8478ba746b82ec87546e953fd",
-            "summary.json": "78bbad72f09a7375efe278081cc739b8ac83494a6e55c90d36aa6020f489beda",
+            "episode.csv": "87ee742543d9b578cc79ddafaac93ce995c90fb56b897d3732d1de27e9a481e3",
+            "summary.json": "1fc2ad0494ccf9515fcfb5b919cc0ed99197ee1d2dd7eafeb01bfad035d1a965",
             "trajectory.json": "5d5fd3874a58079e7c23604ffd8d785bfa34f2c0012d96bad1f9bc7b12c6495b",
             "plotdata/errors_vs_funnels.csv":
-                "bd59cc01b1c7df417099f576a2f2c17e07b48b1e490f1849dd2976bb393d15ad",
+                "c5a2ef314b2790fa5c8ff659cd480dabae00b761a67339e1ccc319c47e96ab4e",
             "plotdata/forward_velocity.csv":
-                "f5aa90a070cfdf50211ca40417bc32bfd71c10d605d90cabf1e1e770bb2a6200",
-            "plotdata/inputs.csv": "b33808a09559f47723dcf3d77e8d7740697f29bf7a841c08406bfc39442d5a15",
+                "ccf61fd460c8551fe3d3d5b632da6b90cd22eea143b703b5d5d5e5fa200d24c6",
+            "plotdata/inputs.csv": "3be772d5edd9036cefa616449fccbbe24e5f49ff33f8281f37194b4eceb30d7d",
         },
     }
 

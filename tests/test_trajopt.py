@@ -644,8 +644,8 @@ class TestDenseCheck:
         assert not report.ok
 
     def test_nan_iterate_is_unverified(self, monkeypatch):
-        # Obstacle-free, so no plane checks the iterate, and _project reports
-        # 0.0 for a NaN: only the dense check sees it.
+        # Obstacle-free, so no plane checks the iterate; _project reports 0.0
+        # for a NaN, and solve reports NaN for a non-finite iterate.
         problem = free_problem(wiggly_path(np.random.default_rng(5)), w2=0.05, w3=0.1, max_outer=3)
         real = trajopt._step_control_points
 
@@ -656,6 +656,7 @@ class TestDenseCheck:
 
         monkeypatch.setattr(trajopt, "_step_control_points", corrupting)
         sol = solve(problem)
+        assert math.isnan(sol.residuals["projection"])
         assert math.isnan(sol.residuals["max_speed"])
         assert sol.status == "unverified"
 
