@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +46,11 @@ LOG_COLUMNS = [
     "viol_d", "viol_o", "viol_u", "viol_r",
 ]
 
+# The plot-source CSVs and their columns; e_u, e_r and rho_d_min are derived from the log.
+_PLOT_FILES = {"errors_vs_funnels.csv": "t e_d rho_d rho_d_min e_o rho_o e_u rho_u e_r rho_r".split(),
+               "inputs.csv": "t F_T alpha_r sat_F sat_alpha".split(), "forward_velocity.csv": "t u u_des".split()}
+_PLOT_SHARED = sorted(set(itertools.chain(*_PLOT_FILES.values())).intersection(LOG_COLUMNS))
+
 _TABLE_TICKS = 64  # per table of state-independent inputs: each temporary < 1 MB at B = 100
 _CSV_BLOCK = 512  # rows formatted at once: about 1 MB of floats and text at 45 columns
 
@@ -53,17 +59,28 @@ _RECORD_ROWS = ("p_x", "p_y", "psi", "u", "v", "psi_e", "e_d", "F_T", "alpha_r",
                 "xi_d", "xi_o", "xi_u", "xi_r")
 
 
-def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
-    """One row per entry of the equal-length float arrays, each value as its repr, a column of
-    a block of rows at a time; once if its bits are all equal (-0.0 is not 0.0, NaN is NaN)."""
-    cols = [np.asarray(a, dtype=float) for a in arrays]
+def csv_cells(values) -> Iterator[Iterable[str]]:
+    """The CSV text of a float column, a block of rows at a time: each value's repr, or one repr
+    for a block whose bits are all equal (-0.0 is not 0.0, NaN is NaN)."""
+    col = np.asarray(values, dtype=float)
+    for i in range(0, len(col), _CSV_BLOCK):
+        b = col[i:i + _CSV_BLOCK]
+        bits = b.view(np.uint64)
+        yield (itertools.repeat(repr(b[0].item()), len(b)) if (bits == bits[0]).all()
+               else map(repr, b.tolist()))
+
+
+def write_rows(path, header: list[str], columns: Iterable[Iterable[Iterable[str]]]) -> None:
+    """A row per tuple of the columns' cells (csv_cells' blocks), as many as the shortest has."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for i in range(0, min(map(len, cols), default=0), _CSV_BLOCK):
-            blocks = [(b, b.view(np.uint64)) for b in (col[i:i + _CSV_BLOCK] for col in cols)]
-            cells = [itertools.repeat(repr(b[0].item()), len(b)) if (bits == bits[0]).all()
-                     else map(repr, b.tolist()) for b, bits in blocks]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for blocks in zip(*columns):
+            f.write("\n".join(map(",".join, zip(*blocks))) + "\n")
+
+
+def write_csv(path, header: list[str], arrays: list[np.ndarray]) -> None:
+    """One row per entry of the equal-length float arrays: write_rows of their csv_cells."""
+    write_rows(path, header, map(csv_cells, arrays))
 
 
 def write_json(path, data) -> None:
@@ -77,13 +94,23 @@ class EpisodeLog:
     columns: dict[str, np.ndarray]
     summary: dict | None             # None: no summary to cross-check (a loaded log)
     solution: trajopt.TrajOptSolution | None = None
+    # save_csv's cells of the columns plotdata shares, each with the bits it formatted
+    _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_ticks(self) -> int:
         return len(self.columns["t"])
 
     def save_csv(self, path) -> None:
-        write_csv(path, LOG_COLUMNS, [self.columns[c] for c in LOG_COLUMNS])
+        self._text = {c: (np.array(self.columns[c], dtype=float).view(np.uint64),
+                          list(map(list, csv_cells(self.columns[c])))) for c in _PLOT_SHARED}
+        write_rows(path, LOG_COLUMNS, map(self.cells, LOG_COLUMNS))
+
+    def cells(self, name: str) -> Iterable[Iterable[str]]:
+        """A column's csv_cells: those save_csv wrote, while the column holds their bits."""
+        col = np.asarray(self.columns[name], dtype=float)
+        bits, text = self._text.get(name, (None, None))
+        return text if bits is not None and np.array_equal(bits, col.view(np.uint64)) else csv_cells(col)
 
     @classmethod
     def load_csv(cls, path) -> "EpisodeLog":
@@ -575,17 +602,14 @@ def audit(log: EpisodeLog, scenario: Scenario) -> AuditReport:
 
 
 def write_plotdata(log: EpisodeLog, scenario: Scenario, out_dir) -> list[str]:
-    """Batch plot-source CSVs: funnel traces, inputs and the surge channel."""
+    """Batch plot-source CSVs: funnel traces, inputs and the surge channel. A log column's cells
+    are those save_csv wrote to episode.csv, verbatim; only rho_d_min, e_u and e_r, and a
+    column changed since save_csv, are formatted here."""
     os.makedirs(out_dir, exist_ok=True)
     cols = log.columns
-    errors = {"t": cols["t"], "e_d": cols["e_d"], "rho_d": cols["rho_d"],
-              "rho_d_min": np.full_like(cols["t"], scenario.controller.rho_d_min),
-              "e_o": cols["e_o"], "rho_o": cols["rho_o"], "e_u": cols["u"] - cols["u_des"],
-              "rho_u": cols["rho_u"], "e_r": cols["r"] - cols["r_des"], "rho_r": cols["rho_r"]}
-    files = {"errors_vs_funnels.csv": errors,
-             "inputs.csv": {c: cols[c] for c in ("t", "F_T", "alpha_r", "sat_F", "sat_alpha")},
-             "forward_velocity.csv": {c: cols[c] for c in ("t", "u", "u_des")}}
-    written = [os.path.join(out_dir, name) for name in files]
-    for path, table in zip(written, files.values()):
-        write_csv(path, list(table), list(table.values()))
+    derived = {"rho_d_min": np.full_like(cols["t"], scenario.controller.rho_d_min),
+               "e_u": cols["u"] - cols["u_des"], "e_r": cols["r"] - cols["r_des"]}
+    written = [os.path.join(out_dir, name) for name in _PLOT_FILES]
+    for path, names in zip(written, _PLOT_FILES.values()):
+        write_rows(path, names, [csv_cells(derived[c]) if c in derived else log.cells(c) for c in names])
     return written

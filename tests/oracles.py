@@ -314,13 +314,40 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
+def hull_oracle(points) -> list[tuple[float, float]]:
+    """geometry.convex_hull on Python floats: Andrew's monotone chain over the
+    sorted distinct points, each turn that is not strictly left dropped, then
+    the vertices whose turn is within 1e-9 * scale^2 of collinear dropped
+    (unless fewer than three would stay). A point or a segment is its sorted
+    distinct points."""
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _orient(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = half(pts)[:-1] + half(pts[::-1])[:-1]
+    if len(hull) < 3:
+        return sorted(set(hull))
+    scale = max(abs(c) for p in hull for c in p) or 1.0
+    eps = 1e-9 * scale * scale
+    keep = [b for a, b, c in zip(hull[-1:] + hull[:-1], hull, hull[1:] + hull[:1])
+            if (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > eps]
+    return keep if len(keep) >= 3 else hull
+
+
 def closest_between_hulls(points_a: np.ndarray, points_b: np.ndarray):
     """Closest pair between the convex hulls of two point sets, one edge pair
     at a time. Returns (distance, point_on_a, point_on_b); distance 0.0 means
     the hulls intersect (containment and tangency included). The points are
-    (x, y) pairs of Python floats: each hull is converted once."""
-    ha = list(map(tuple, convex_hull(points_a).tolist()))
-    hb = list(map(tuple, convex_hull(points_b).tolist()))
+    (x, y) pairs of Python floats."""
+    ha, hb = hull_oracle(points_a), hull_oracle(points_b)
     if _point_in_ccw_hull(ha[0], hb) or _point_in_ccw_hull(hb[0], ha):
         return 0.0, ha[0], ha[0]
     scale = max(1.0, *(abs(c) for p in ha + hb for c in p))

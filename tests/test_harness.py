@@ -47,6 +47,15 @@ def long_run_log():
     return run_episode(load_scenario("long-run"))
 
 
+def _assert_same_bits(loaded, logged):
+    """Bit for bit: -0.0 is not 0.0; a NaN reads back as a NaN (repr keeps no payload)."""
+    loaded, logged = np.asarray(loaded, dtype=float), np.asarray(logged, dtype=float)
+    assert loaded.shape == logged.shape
+    assert np.array_equal(np.isnan(loaded), np.isnan(logged))
+    real = ~np.isnan(logged)
+    assert np.array_equal(loaded[real].view(np.uint64), logged[real].view(np.uint64))
+
+
 class TestRunEpisode:
     def test_benign_reaches_goal_cleanly(self, benign_log):
         s = benign_log.summary
@@ -114,8 +123,7 @@ class TestRunEpisode:
         loaded = EpisodeLog.load_csv(path)
         assert loaded.n_ticks == benign_log.n_ticks
         for name in LOG_COLUMNS:
-            assert np.allclose(loaded.columns[name], benign_log.columns[name],
-                               atol=0.0, rtol=0.0, equal_nan=True)
+            _assert_same_bits(loaded.columns[name], benign_log.columns[name])
 
     def test_csv_round_trip_real_one_row_and_header_only(self, long_run_log, tmp_path):
         for n in (long_run_log.n_ticks, 1, 0):
@@ -129,7 +137,7 @@ class TestRunEpisode:
             for name in LOG_COLUMNS:
                 assert loaded.columns[name].dtype == np.float64
                 assert loaded.columns[name].shape == (n,)
-                assert np.array_equal(loaded.columns[name], log.columns[name])
+                _assert_same_bits(loaded.columns[name], log.columns[name])
 
     def test_logged_disturbance_at_log_times(self, monkeypatch):
         # tau_* is the tau0 each tick's RK4 step read, bit for bit; the first row of each
@@ -578,6 +586,22 @@ class TestAudit:
         assert report.violations == benign_log.summary["violations"]
 
 
+def _csv_columns(path) -> dict[str, list[str]]:
+    lines = open(path).read().splitlines()
+    return dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+
+
+def _plot_tables(log, scenario) -> dict[str, dict[str, np.ndarray]]:
+    cols = log.columns
+    return {"errors_vs_funnels.csv": {
+                "t": cols["t"], "e_d": cols["e_d"], "rho_d": cols["rho_d"],
+                "rho_d_min": np.full(log.n_ticks, scenario.controller.rho_d_min), "e_o": cols["e_o"],
+                "rho_o": cols["rho_o"], "e_u": cols["u"] - cols["u_des"], "rho_u": cols["rho_u"],
+                "e_r": cols["r"] - cols["r_des"], "rho_r": cols["rho_r"]},
+            "inputs.csv": {c: cols[c] for c in ("t", "F_T", "alpha_r", "sat_F", "sat_alpha")},
+            "forward_velocity.csv": {c: cols[c] for c in ("t", "u", "u_des")}}
+
+
 class TestPlotdata:
     def test_files_written(self, benign_log, tmp_path):
         files = write_plotdata(benign_log, load_scenario("benign"), tmp_path / "plotdata")
@@ -588,6 +612,44 @@ class TestPlotdata:
         headers = {f.split("/")[-1]: open(f).readline().strip() for f in files}
         assert headers["inputs.csv"] == "t,F_T,alpha_r,sat_F,sat_alpha"
         assert headers["forward_velocity.csv"] == "t,u,u_des"
+
+    def _assert_matches_oracle(self, log, scenario, tmp_path):
+        files = write_plotdata(log, scenario, tmp_path / "plotdata")
+        tables = _plot_tables(log, scenario)
+        assert [f.split("/")[-1] for f in files] == list(tables)
+        for f, (name, table) in zip(files, tables.items()):
+            write_csv_oracle(tmp_path / name, list(table), list(table.values()))
+            assert open(f, "rb").read() == (tmp_path / name).read_bytes(), name
+        return files
+
+    @pytest.mark.parametrize("scenario", ["benign", "decaying"])
+    def test_content_is_the_oracle_and_shares_episode_cells(self, scenario, benign_log, tmp_path):
+        sc = load_scenario("benign") if scenario == "benign" else TestLockstepSweep._decaying_benign()
+        log = benign_log if scenario == "benign" else run_episode(sc)
+        log.save_csv(tmp_path / "episode.csv")
+        episode = _csv_columns(tmp_path / "episode.csv")
+        shared = 0
+        for f in self._assert_matches_oracle(log, sc, tmp_path):
+            for name, cells in _csv_columns(f).items():
+                if name in episode:
+                    assert cells == episode[name], (f, name)
+                    shared += 1
+        assert shared == 15
+
+    def test_column_edited_in_place_after_save(self, benign_log, tmp_path):
+        log = EpisodeLog(columns={c: v.copy() for c, v in benign_log.columns.items()}, summary={})
+        log.save_csv(tmp_path / "episode.csv")
+        log.columns["t"][3] += 0.5
+        log.columns["F_T"][:] = -0.0
+        log.columns["u_des"][-1] = math.nan
+        self._assert_matches_oracle(log, load_scenario("benign"), tmp_path)
+
+    def test_column_replaced_after_save(self, benign_log, tmp_path):
+        log = EpisodeLog(columns=dict(benign_log.columns), summary={})
+        log.save_csv(tmp_path / "episode.csv")
+        log.columns["rho_d"] = benign_log.columns["rho_d"] * 2.0
+        log.columns["u"] = list(benign_log.columns["u"] + 1.0)
+        self._assert_matches_oracle(log, load_scenario("benign"), tmp_path)
 
 
 class TestCollisionGuaranteeChain:
