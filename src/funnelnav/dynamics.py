@@ -50,7 +50,8 @@ def wrap_angle(psi):
 
 @dataclass(frozen=True)
 class VesselState:
-    """Full vessel state at simulation time t."""
+    """Full vessel state: the pose and the body-frame velocities. It keeps no time:
+    an episode's clock is its tick count, tick k at k * dt."""
 
     p_x: float
     p_y: float
@@ -58,10 +59,9 @@ class VesselState:
     u: float = 0.0
     v: float = 0.0
     r: float = 0.0
-    t: float = 0.0
 
     def __post_init__(self):
-        vals = (self.p_x, self.p_y, self.psi, self.u, self.v, self.r, self.t)
+        vals = (self.p_x, self.p_y, self.psi, self.u, self.v, self.r)
         if not all(math.isfinite(x) for x in vals):
             raise NonFiniteState(f"non-finite vessel state: {vals}")
 
@@ -237,10 +237,9 @@ def lumped(u, v, r, tau, params: VesselParams):
 
 
 def lumped_forces(state: VesselState, params: VesselParams, dist: DisturbanceProfile,
-                  t: float | None = None) -> tuple[float, float, float]:
+                  t: float) -> tuple[float, float, float]:
     """The unknown-to-the-controller forces (f_u, f_v, f_r) at (state, t)."""
-    tau = dist.value(state.t if t is None else t)
-    return lumped(state.u, state.v, state.r, tau, params)
+    return lumped(state.u, state.v, state.r, dist.value(t), params)
 
 
 def _batch_constants(params: VesselParams, width: int, dt: float) -> tuple[np.ndarray, ...]:

@@ -101,14 +101,8 @@ def inflate(poly: ConvexPolygon, rho_bar: float, k_gon: int = 16) -> ConvexPolyg
     """Minkowski sum of poly with a regular k-gon circumscribing the rho_bar disk.
 
     The circumscribed polygon contains the disk, so the result conservatively
-    over-approximates the true disk inflation. Memoized on the inputs'
-    values, so copies of one obstacle set share one result: do not edit it.
+    over-approximates the true disk inflation.
     """
-    return _inflate(poly.vertices.tobytes(), rho_bar, k_gon)
-
-
-@functools.lru_cache(maxsize=256)
-def _inflate(vertex_bytes: bytes, rho_bar: float, k_gon: int) -> ConvexPolygon:
     if rho_bar <= 0.0:
         raise ValueError(f"clearance must be positive, got {rho_bar}")
     if k_gon < 8 and k_gon != 4:
@@ -116,8 +110,7 @@ def _inflate(vertex_bytes: bytes, rho_bar: float, k_gon: int) -> ConvexPolygon:
     radius = rho_bar / math.cos(math.pi / k_gon)
     angles = np.arange(k_gon) * (2.0 * math.pi / k_gon) + math.pi / k_gon
     disk = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-    sums = (np.frombuffer(vertex_bytes).reshape(-1, 2)[:, None, :] + disk[None, :, :]).reshape(-1, 2)
-    return ConvexPolygon(convex_hull(sums))
+    return ConvexPolygon(convex_hull((poly.vertices[:, None, :] + disk[None, :, :]).reshape(-1, 2)))
 
 
 class EdgeTable:

@@ -26,6 +26,12 @@ class RrtParams:
     seed: int = 0
     shortcut: bool = True
 
+    def __post_init__(self):
+        for name in ("step_size", "goal_radius"):  # a tree of no step, or no goal disk, never arrives
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValueError(f"planner {name} must be positive, got {value}")
+
     def resolved(self, ws: Workspace) -> "RrtParams":
         step = self.step_size if self.step_size is not None else ws.diagonal() / 50.0
         radius = self.goal_radius if self.goal_radius is not None else step

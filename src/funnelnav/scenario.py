@@ -41,25 +41,33 @@ def _is_integer(value) -> bool:
     return _is_number(value) and isinstance(value, numbers.Integral)
 
 
-# The leaves of a scenario dict that need not be any number, by key. A seed is
-# numpy's: a non-negative integer.
+def _fits_float64(value) -> bool:
+    """A number, an int only within float64's exact range |v| <= 2**53: numpy cannot
+    take a larger int as a float, so it would fail where the value is used, untyped."""
+    return _is_number(value) and (type(value) is float or not isinstance(value, numbers.Integral)
+                                  or -2**53 <= value <= 2**53)
+
+
+# The leaves of a scenario dict that need not be any number float64 holds, by key.
+# A seed is numpy's: a non-negative integer of any size.
 _LEAF_CHECKS = {
     "name": lambda v: isinstance(v, str),
     **dict.fromkeys(("coriolis_on", "shortcut"), lambda v: isinstance(v, bool)),
-    **dict.fromkeys(("step_size", "goal_radius"), lambda v: v is None or _is_number(v)),
-    "reference_lead": lambda v: v == "auto" or _is_number(v),
-    **dict.fromkeys(("inflation_k_gon", "max_iters", "max_outer"), _is_integer),
+    **dict.fromkeys(("step_size", "goal_radius"), lambda v: v is None or _fits_float64(v)),
+    "reference_lead": lambda v: v == "auto" or _fits_float64(v),
+    **dict.fromkeys(("inflation_k_gon", "max_iters", "max_outer"),
+                    lambda v: _is_integer(v) and _fits_float64(v)),
     "seed": lambda v: _is_integer(v) and v >= 0,
 }
 
 
 def _check_leaves(node, key=None) -> None:
     """TypeError unless every leaf under node passes its key's check in
-    _LEAF_CHECKS, or else is a number; a list's entries fall under its key."""
+    _LEAF_CHECKS, or else is a number float64 holds; a list's entries fall under its key."""
     if isinstance(node, (dict, list)):
         for k, v in node.items() if isinstance(node, dict) else ((key, v) for v in node):
             _check_leaves(v, k)
-    elif not _LEAF_CHECKS.get(key, _is_number)(node):
+    elif not _LEAF_CHECKS.get(key, _fits_float64)(node):
         raise TypeError(f"{key!r} cannot be {node!r}")
 
 

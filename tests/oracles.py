@@ -691,13 +691,12 @@ def separation_report_oracle(C: np.ndarray, planes: dict, obstacles) -> tuple[fl
     return min_slack, all_ok
 
 
-def step_state(state, F_T, alpha_r, params, dist, dt):
-    """dynamics.step of one VesselState under the command (F_T, alpha_r), its disturbance
-    sampled at the RK4 stage times."""
-    t0 = state.t
+def step_state(state, F_T, alpha_r, params, dist, t0, dt):
+    """dynamics.step of one VesselState from time t0 under the command (F_T, alpha_r), its
+    disturbance sampled at the RK4 stage times."""
     x = step((state.p_x, state.p_y, state.psi, state.u, state.v, state.r), F_T, alpha_r,
              params, dist.value(t0), dist.value(t0 + 0.5 * dt), dist.value(t0 + dt), dt)
-    return VesselState(*x, t=t0 + dt)
+    return VesselState(*x)
 
 
 def step_rows_oracle(x, F_T, alpha_r, params, tau0, tau_half, tau1, dt):
@@ -863,7 +862,8 @@ def _rollout_reference_rates(scenario, state, p_des, v_ref, t0, dt_fd):
         thrusts.append(out.F_T)
         sways.append(abs(s.v))
         if k < 2:
-            s = step_state(s, out.F_T, out.alpha_r, scenario.vessel, scenario.disturbance, dt_fd)
+            s = step_state(s, out.F_T, out.alpha_r, scenario.vessel, scenario.disturbance,
+                           t0 + k * dt_fd, dt_fd)
             p = p + v_ref * dt_fd
     du_des = (u_series[2] - u_series[0]) / (2.0 * dt_fd)
     dr_des = (r_series[2] - r_series[0]) / (2.0 * dt_fd)
@@ -918,7 +918,7 @@ def feasibility_oracle(scenario, n_samples: int = 2000, trajectory=None, xi_max:
         xi_u_real = (u - u_des) / rho_u
         xi_r_real = (r - r_des) / rho_r
 
-        state = VesselState(p_x=px, p_y=py, psi=wrap_angle(psi), u=u, v=v, r=r, t=t0)
+        state = VesselState(p_x=px, p_y=py, psi=wrap_angle(psi), u=u, v=v, r=r)
         p_des = np.array([px + e_d * math.cos(psi - psi_e), py + e_d * math.sin(psi - psi_e)])
         ref_dir = rng.uniform(0.0, 2.0 * math.pi)
         ref_speed = rng.uniform(0.0, scenario.v_max)
@@ -926,7 +926,7 @@ def feasibility_oracle(scenario, n_samples: int = 2000, trajectory=None, xi_max:
 
         du_des, dr_des, thrusts, sways = _rollout_reference_rates(
             scenario, state, p_des, v_ref, t0, dt_fd)
-        f_u, _f_v, f_r = lumped_forces(state, vessel, scenario.disturbance, t=t0)
+        f_u, _f_v, f_r = lumped_forces(state, vessel, scenario.disturbance, t0)
 
         val_u = abs(f_u - vessel.m * (du_des + cfg.funnel_u.rate(t0) * xi_u_real))
         val_r = abs(f_r - vessel.Iz * (dr_des + cfg.funnel_r.rate(t0) * xi_r_real))

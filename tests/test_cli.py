@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -308,19 +309,34 @@ class TestTypedErrors:
         assert not (tmp_path / "feasibility.json").exists()
 
     @pytest.mark.parametrize("command, name, path, value", [
-        ("check", "benign", ("sway_bound",), -1),
-        ("plan", "benign", ("planner_margin_frac",), -1),
-        ("plan", "benign", ("goal", "position"), [0.0, 0.0]),  # benign's start
-        ("plan", "long-run", ("workspace", "inflation_k_gon"), 5)],
-        ids=["sway_bound", "planner_margin_frac", "goal_on_start", "inflation_k_gon"])
+        pytest.param("check", "benign", ("sway_bound",), -1, id="sway_bound"),
+        pytest.param("plan", "benign", ("planner_margin_frac",), -1, id="planner_margin_frac"),
+        pytest.param("plan", "benign", ("goal", "position"), [0.0, 0.0],  # benign's start
+                     id="goal_on_start"),
+        pytest.param("plan", "long-run", ("workspace", "inflation_k_gon"), 5, id="inflation_k_gon"),
+        # ints beyond float64's exact range, 2**53
+        *[pytest.param(command, "long-run", path, 2**70, id=f"{path[-1]}=2**70")
+          for command, path in (("check", ("vessel", "m")), ("check", ("vessel", "drag", "d1_u")),
+                                ("check", ("sim", "horizon")), ("plan", ("planner", "max_iters")))],
+        # a planner step or goal radius that is not positive: these searched until max_iters ran out
+        *[pytest.param(command, "long-run", ("planner", key), value, id=f"{command}-{key}={value}")
+          for command in ("plan", "traj", "run")
+          for key, value in (("step_size", 0), ("step_size", -12.0),
+                             ("goal_radius", 0.0), ("goal_radius", -1))]])
     def test_range_checked_at_use(self, tmp_path, capsys, command, name, path, value):
-        # Each of these ended in a ValueError traceback (exit 1) where the value was used.
+        # Each of these ended where the value was used: in an untyped traceback (exit 1, the
+        # code of a finding) or a search still running after 5 s. Each is InvalidScenario at load.
         data = load_scenario(name).to_dict()
-        (data[path[0]] if len(path) == 2 else data)[path[-1]] = value
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
         scenario = tmp_path / "out-of-range.json"
         scenario.write_text(json.dumps(data))
+        t0 = time.perf_counter()
         err = self._main_fails_with("InvalidScenario", [command, "--scenario", str(scenario),
                                                         "--out-dir", str(tmp_path / "out")], capsys)
+        assert time.perf_counter() - t0 < 1.0
         assert path[-1] in err or "start" in err
 
     @pytest.mark.parametrize("command", ["run", "sweep", "check", "plan"])

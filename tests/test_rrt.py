@@ -41,6 +41,17 @@ class TestPlan:
         with pytest.raises(PlanTimeout):
             plan(EMPTY_WS, (0.0, 0.0), (10.0, 0.0), RrtParams(step_size=0.2, max_iters=3, seed=0))
 
+    @pytest.mark.parametrize("key", ["step_size", "goal_radius"])
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, -1.0, float("nan")])
+    def test_step_and_goal_radius_must_be_positive(self, key, value):
+        # A tree of no step, or a goal disk of no area, searched until max_iters ran out.
+        with pytest.raises(ValueError, match=key):
+            RrtParams(**{key: value})
+
+    def test_unset_step_and_goal_radius_take_their_defaults(self):
+        params = RrtParams(step_size=None, goal_radius=None).resolved(EMPTY_WS)
+        assert params.step_size == EMPTY_WS.diagonal() / 50.0 == params.goal_radius
+
     def test_deterministic_for_seed(self):
         a = plan(EMPTY_WS, (0.0, 0.0), (10.0, 0.0), RrtParams(step_size=1.0, seed=5))
         b = plan(EMPTY_WS, (0.0, 0.0), (10.0, 0.0), RrtParams(step_size=1.0, seed=5))

@@ -166,6 +166,19 @@ class TestValidation:
             assert np.abs(tight.vertices).max() < np.abs(wide.vertices).max()
         assert sc.workspace.inflated_obstacles() is inflated
 
+    def test_two_loads_inflate_their_own_obstacles(self):
+        # No process-wide memo hands one inflated polygon to both loads: each workspace
+        # inflates its own, the same bits, and editing one leaves the other as it was.
+        first = load_scenario("long-run").workspace.inflated_obstacles()
+        second = load_scenario("long-run").workspace.inflated_obstacles()
+        assert len(first) == len(second) == 4
+        for a, b in zip(first, second):
+            assert a is not b and not np.shares_memory(a.vertices, b.vertices)
+            assert np.array_equal(a.vertices.view(np.uint64), b.vertices.view(np.uint64))
+        kept = second[0].vertices.copy()
+        first[0].vertices[0] += 1.0
+        assert np.array_equal(second[0].vertices, kept)
+
     def test_disturbance_of_a_copy_cannot_change_its_base(self):
         sc = load_scenario("long-run")
         before, at_zero = sc.to_dict(), np.array(sc.disturbance.value(0.0))
@@ -337,6 +350,24 @@ class TestMalformed:
                     "1", None, [1.0])
         assert all(map(_is_number, accepted))
         assert not any(map(_is_number, rejected))
+
+    def test_integers_within_float64s_exact_range(self):
+        # numpy cannot take an int beyond 2**53 as a float: such a leaf fails at load, typed.
+        # A seed is numpy's: any non-negative integer loads.
+        for value in (2**53 + 1, -2**53 - 1, 2**70):
+            for path in (("disturbance", "axes", "x", "bias"), ("goal", "position", 0),
+                         ("planner", "max_iters")):
+                data = copy.deepcopy(BUILTIN_DICTS["long-run"])
+                _parent(data, path)[path[-1]] = value
+                with pytest.raises(InvalidScenario, match="cannot be"):
+                    Scenario.from_dict(data)
+        data = copy.deepcopy(BUILTIN_DICTS["long-run"])
+        data["disturbance"]["axes"]["x"]["bias"] = -2**53
+        data["planner"]["max_iters"] = 2**53
+        data["seed"] = data["planner"]["seed"] = 2**70
+        sc = Scenario.from_dict(data)
+        assert (sc.disturbance.x.bias, sc.planner.max_iters, sc.seed, sc.planner.seed) == (
+            -2**53, 2**53, 2**70, 2**70)
 
     def test_tables_cover_the_builtins(self):
         assert {name for name, _ in KEYS} == {name for name, _ in LEAVES} == set(BUILTIN_NAMES)
