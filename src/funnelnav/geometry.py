@@ -330,12 +330,18 @@ def find_separators(hulls: np.ndarray, verts: np.ndarray):
     verts is (M, K, 2), the polygons as padded_vertices, which a caller with
     fixed polygons pads once. Returns (found (M,), h (M, 2), d (M,)): where
     found, h is unit with h.q > d for every hull point and h.p < d for every
-    polygon vertex; elsewhere h and d are NaN. Pairs that cross (by
-    orientation signs), contain a point of each other (boundary included) or
-    lie within 1e-12 of the coordinate scale (tangency) have no line.
+    polygon vertex; elsewhere h and d are NaN. The line bisects the closest
+    (chord, edge) pair and is kept where both strict side tests pass and the
+    pair's distance exceeds 1e-12 of the coordinate scale (the gap gate); no
+    orientation pass looks for crossing or containment. A strict line proves
+    the hulls disjoint up to the rounding of a 2-term dot product, so any
+    crossing or containment lies within a few ulp of the scale of the line;
+    screening keeps the globally closest candidate, so such a pair's computed
+    distance falls under the gap gate, also for the nearly parallel chords on
+    which _closest_points is ill-conditioned. Intersecting or touching sets
+    therefore get no line.
     Closest points are computed only where a (chord, edge) box gap is within the nearest
-    point/vertex distance, and chord boxes only for edges whose box is that near the hull's;
-    overlap is tested only where a line was found and the boxes (widened by 1e-9 of the scale) meet.
+    point/vertex distance, and chord boxes only for edges whose box is that near the hull's.
     Each block of _BLOCK pairs is cut to the width padded_vertices gives it
     alone, so any K from the widest polygon up gives the same result: by
     strict convexity a polygon's last vertex differs from the one before it,
@@ -353,31 +359,15 @@ def find_separators(hulls: np.ndarray, verts: np.ndarray):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _overlapping(hulls, p1, p2, q1, q2):
-    """Per pair, whether a chord crosses an edge or either set holds a point of the other."""
-    p1, p2, q1, q2 = p1[:, :, None], p2[:, :, None], q1[:, None], q2[:, None]
-    crossing = (((_orient(q1, q2, p1) > 0) != (_orient(q1, q2, p2) > 0))
-                & ((_orient(p1, p2, q1) > 0) != (_orient(p1, p2, q2) > 0))).any(axis=(1, 2))
-    hull_in_poly = (_orient(q1, q2, hulls[:, :, None]) >= 0.0).all(axis=2).any(axis=1)
-    # A polygon vertex lies in the hull iff it lies in a triangle of hull points.
-    tri = np.array(list(combinations(range(hulls.shape[1]), 3)), dtype=int).reshape(-1, 3)
-    ta, tb, tc = (hulls[:, tri[:, k], None] for k in range(3))   # (M, T, 1, 2)
-    turn = _orient(ta, tb, tc)
-    sides = np.stack([_orient(ta, tb, q1), _orient(tb, tc, q1), _orient(tc, ta, q1)])
-    poly_in_hull = (((turn > 0) & (sides >= 0.0).all(axis=0))
-                    | ((turn < 0) & (sides <= 0.0).all(axis=0))).any(axis=(1, 2))
-    return crossing | hull_in_poly | poly_in_hull
-
-
 def _separator_block(hulls: np.ndarray, verts: np.ndarray):
     """find_separators on one block, with the polygons as padded vertices."""
     m, n_pts = hulls.shape[:2]
     n_edges = verts.shape[1]
-    edge_rows = verts.reshape(-1, 2), np.roll(verts, -1, axis=1).reshape(-1, 2)   # edge m*K + k
+    ends = np.concatenate((verts[:, 1:], verts[:, :1]), axis=1)   # np.roll, without its overhead
+    edge_rows = verts.reshape(-1, 2), ends.reshape(-1, 2)   # edge m*K + k
     # Coordinate-major copies: a broadcast over them runs its inner loop along
     # the pairs instead of along the two coordinates. Values are unchanged.
     hulls, verts = np.asfortranarray(hulls), np.asfortranarray(verts)
-    q1, q2 = verts, np.roll(verts, -1, axis=1)            # (M, K, 2)
     # Every pair of hull points: the hull edges plus inner chords, which are
     # never closer to a disjoint polygon than the edges are. A pair with a
     # point on its right turns round, so hull edges run CCW.
@@ -420,13 +410,6 @@ def _separator_block(hulls: np.ndarray, verts: np.ndarray):
     found = ((dist > 1e-12 * scale)
              & (planar_dot(hulls, h[:, None]) > d[:, None]).all(axis=1)
              & (planar_dot(verts, h[:, None]) < d[:, None]).all(axis=1))
-    # Crossing or containment blocks a line; it is tested only where a line
-    # was found and the boxes (widened by 1e-9 of the scale) meet.
-    pad = 2e-9 * scale   # per coordinate: numpy reduces a (M, K, 2) middle axis slowly
-    meet = found & np.logical_and.reduce([(hulls[..., a].min(1) <= verts[..., a].max(1) + pad)
-                                          & (verts[..., a].min(1) <= hulls[..., a].max(1) + pad)
-                                          for a in (0, 1)])
-    found[meet] = ~_overlapping(hulls[meet], p1[meet], p2[meet], q1[meet], q2[meet])
     h[~found], d[~found] = np.nan, np.nan
     return found, h, d
 

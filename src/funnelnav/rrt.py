@@ -96,6 +96,10 @@ def _resample(points: list[np.ndarray], spacing: float) -> np.ndarray:
 
 
 _BATCH = 16  # iterations drawn, steered and edge-checked in one numpy pass
+# Rows of the node table before its first doubling (1 MB; a tree touches only its rows).
+# glibc maps a block this large, and freeing it lifts the heap's trim threshold to 2 MB,
+# so the separator kernel's ~1.2 MB of temporaries per call reuse pages, not fault anew.
+_FIRST_NODES = 2**16
 
 
 def _length(v: np.ndarray) -> float:
@@ -150,7 +154,7 @@ def plan(ws: Workspace, start, goal, params: RrtParams | None = None) -> RrtPath
     x0, y0, x1, y1 = (float(v) for v in ws.bounds)
     goal_xy = tuple(goal.tolist())
 
-    nodes = np.empty((params.max_iters + 2, 2))
+    nodes = np.empty((_FIRST_NODES, 2))   # doubled as the tree outgrows it, whatever the budget
     nodes[0] = start
     parents = [-1]
     n_nodes = 1
@@ -160,6 +164,8 @@ def plan(ws: Workspace, start, goal, params: RrtParams | None = None) -> RrtPath
 
     while goal_idx is None and iters < params.max_iters:
         k = min(_BATCH, params.max_iters - iters)
+        while n_nodes + k + 1 > len(nodes):   # room for the batch's nodes and the goal
+            nodes = np.concatenate((nodes, np.empty_like(nodes)))
         # In stream order, one draw for a goal sample and three otherwise;
         # x0 + (x1 - x0) * u is how rng.uniform(x0, x1) maps a draw u.
         draws += rng.random(max(0, 3 * k - len(draws))).tolist()

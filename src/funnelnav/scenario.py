@@ -49,7 +49,9 @@ def _fits_float64(value) -> bool:
 
 
 # The leaves of a scenario dict that need not be any number float64 holds, by key.
-# A seed is numpy's: a non-negative integer of any size.
+# A seed is numpy's: a non-negative integer of any size. The program squares the
+# clearance (in the inflated obstacles' cross products) and the linear surge and yaw
+# drag (in the terminal rate), so they stay at most 1e150, whose square is finite.
 _LEAF_CHECKS = {
     "name": lambda v: isinstance(v, str),
     **dict.fromkeys(("coriolis_on", "shortcut"), lambda v: isinstance(v, bool)),
@@ -58,6 +60,7 @@ _LEAF_CHECKS = {
     **dict.fromkeys(("inflation_k_gon", "max_iters", "max_outer"),
                     lambda v: _is_integer(v) and _fits_float64(v)),
     "seed": lambda v: _is_integer(v) and v >= 0,
+    **dict.fromkeys(("clearance", "d1_u", "d1_r"), lambda v: _fits_float64(v) and v <= 1e150),
 }
 
 

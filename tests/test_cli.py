@@ -30,6 +30,17 @@ class TestPlan:
         assert lines[0] == "x,y"
         assert len(lines) > 4
 
+    def test_budget_beyond_memory(self, tmp_path):
+        # The node table follows the tree, not max_iters: a budget of 2**53 iterations
+        # reserved 128 PiB up front and ended in a MemoryError (exit 1).
+        data = load_scenario("long-run").to_dict()
+        data["planner"]["max_iters"] = 2**53
+        scenario = tmp_path / "huge-budget.json"
+        scenario.write_text(json.dumps(data))
+        for spec, out in ((str(scenario), "huge"), ("long-run", "builtin")):
+            assert main(["plan", "--scenario", spec, "--out-dir", str(tmp_path / out)]) == 0
+        assert (tmp_path / "huge" / "path.csv").read_bytes() == (tmp_path / "builtin" / "path.csv").read_bytes()
+
 
 class TestTraj:
     def test_writes_solution_artifacts(self, tmp_path, scenario_file):
@@ -318,6 +329,14 @@ class TestTypedErrors:
         *[pytest.param(command, "long-run", path, 2**70, id=f"{path[-1]}=2**70")
           for command, path in (("check", ("vessel", "m")), ("check", ("vessel", "drag", "d1_u")),
                                 ("check", ("sim", "horizon")), ("plan", ("planner", "max_iters")))],
+        # squared where used: the clearance in the inflation's cross products (ValueError,
+        # cross=-inf), the linear surge and yaw drag in the terminal rate (OverflowError)
+        *[pytest.param(command, "long-run", path, value, id=f"{command}-{path[-1]}={value:g}")
+          for command, path, value in (("check", ("workspace", "clearance"), 1e300),
+                                       ("plan", ("workspace", "clearance"), 1e300),
+                                       ("check", ("vessel", "drag", "d1_u"), 1e300),
+                                       ("check", ("vessel", "drag", "d1_u"), 1e160),
+                                       ("check", ("vessel", "drag", "d1_r"), 1e160))],
         # a planner step or goal radius that is not positive: these searched until max_iters ran out
         *[pytest.param(command, "long-run", ("planner", key), value, id=f"{command}-{key}={value}")
           for command in ("plan", "traj", "run")

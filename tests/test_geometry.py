@@ -540,6 +540,79 @@ class TestScreenedKernel:
         assert len(batches) > 50 and max(batches) <= _BLOCK
 
 
+def overlap_probe(rng, kind: str, small: float, scale: float):
+    """A polygon of coordinates up to about scale and four hull points where an
+    overlap could hide from the strict side tests:
+    - "cross": a chord crossing an edge at angle small (rad), its inner end
+      1e-17 to 1e-1 of the scale deep, with the other points outside or on it;
+    - "near": a hull point small * scale off an edge or a vertex, on either side;
+    - "inside": hull points in the polygon, some hugging its boundary;
+    - "around": the polygon's box or a triangle round it, grown by 1 + small."""
+    poly = random_polygon(rng, rng.uniform(-0.5, 0.5, 2) * scale, rng.uniform(0.1, 0.5) * scale)
+    k = int(rng.integers(len(poly)))
+    a, b = poly.vertices[k], poly.vertices[(k + 1) % len(poly)]
+    along = (b - a) / np.linalg.norm(b - a)
+    out = np.array([along[1], -along[0]])
+    if kind == "cross":
+        at = rng.choice([rng.uniform(), 10.0 ** rng.uniform(-16, -1), 1.0 - 10.0 ** rng.uniform(-16, -1)])
+        x = a + at * (b - a)
+        u = math.cos(small) * along * rng.choice([-1.0, 1.0]) + math.sin(small) * out   # leaves the polygon
+        inner = x - scale * 10.0 ** rng.uniform(-17, -1) / math.sin(small) * u
+        outer = x + scale * 10.0 ** rng.uniform(-6, 0) * u
+        others = [[inner, outer], [x + scale * rng.uniform() * out, outer],
+                  [outer + scale * rng.uniform() * out,
+                   outer + scale * (rng.uniform(-1, 1) * along + rng.uniform() * out)]][rng.integers(3)]
+        return np.array([inner, outer, *others]), poly
+    if kind == "near":
+        if rng.integers(2):
+            base, normal = a + rng.uniform() * (b - a), out
+        else:
+            prev = poly.vertices[k - 1]
+            back = (a - prev) / np.linalg.norm(a - prev)
+            normal = rng.uniform() * out + rng.uniform() * np.array([back[1], -back[0]])
+            base, normal = a, normal / np.linalg.norm(normal)
+        spread = scale * (rng.uniform(-1, 1, (4, 1)) * along + rng.uniform(0, 1, (4, 1)) * normal)
+        spread[0] = 0.0
+        if rng.integers(2):
+            spread[1] = scale * rng.uniform(0.1, 1.0) * along   # a chord parallel to the edge
+        return base + rng.choice([-1.0, 1.0]) * small * scale * normal + spread, poly
+    if kind == "inside":
+        weights = rng.dirichlet(np.full(len(poly), rng.choice([0.05, 1.0])), 4)
+        return weights @ poly.vertices, poly
+    c = poly.centroid()
+    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    if rng.integers(2):
+        ring = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+    else:
+        angles = rng.uniform(0, 2 * math.pi) + np.array([0, 2, 4, 4]) * math.pi / 3
+        ring = c + 2.0 * np.linalg.norm(poly.vertices - c, axis=1).max() * np.column_stack(
+            (np.cos(angles), np.sin(angles)))
+    return c + (ring - c) * (1.0 + small), poly
+
+
+# The log10 range of overlap_probe's small, per kind.
+_PROBE_RANGE = {"cross": (-14.0, -2.0), "near": (-17.0, -6.0), "inside": (0.0, 0.0), "around": (-16.0, -1.0)}
+
+
+class TestStrictLineProvesDisjoint:
+    """The kernel keeps a line on the strict side tests and the gap gate alone;
+    the oracle also tests crossing and containment on every pair. Where an
+    overlap could slip past the strict sides, their verdicts still agree."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_PROBE_RANGE)),
+           frac=st.floats(0.0, 1.0), log_scale=st.floats(-1.0, 3.0))
+    def test_overlap_probes_match_oracle(self, seed, kind, frac, log_scale):
+        rng = np.random.default_rng(seed)
+        lo, hi = _PROBE_RANGE[kind]
+        small = 10.0 ** (lo + frac * (hi - lo))
+        probes = [overlap_probe(rng, kind, small, 10.0 ** log_scale) for _ in range(64)]
+        hulls = np.array([hull for hull, _ in probes])
+        found = assert_equals_brute_force(hulls, [poly for _, poly in probes])
+        if kind != "near":
+            assert not found.any()
+
+
 class TestDistances:
     def test_point_distance_and_batch_agree(self):
         rng = np.random.default_rng(8)

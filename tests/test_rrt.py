@@ -175,6 +175,15 @@ class TestBatchedPlan:
         monkeypatch.setattr(rrt, "_BATCH", batch)
         assert outcome(plan, ws, start, goal, params) == outcome(rrt_oracle, ws, start, goal, params)
 
+    @pytest.mark.parametrize("case", [c for c in oracle_cases() if "bias0" in c[0] or "batch" in c[0]],
+                             ids=lambda case: case[0])
+    def test_node_table_doubles_from_one_row(self, case, monkeypatch):
+        # The table grows with the tree, whatever the first block: the same outcome.
+        _, ws, start, goal, params, batch = case
+        monkeypatch.setattr(rrt, "_BATCH", batch)
+        monkeypatch.setattr(rrt, "_FIRST_NODES", 1)
+        assert outcome(plan, ws, start, goal, params) == outcome(rrt_oracle, ws, start, goal, params)
+
     def test_cases_cover_timeouts_and_paths(self):
         results = [outcome(rrt_oracle, *case[1:5]) for case in oracle_cases()
                    if "bias1" in case[0]]
